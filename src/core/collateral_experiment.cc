@@ -1,12 +1,11 @@
 #include "core/collateral_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <optional>
+#include <utility>
 
-#include "core/experiment_obs.h"
-#include "obs/hub.h"
+#include "core/incast_experiment.h"
+#include "core/run_harness.h"
 #include "rdt/credit_incast.h"
 #include "workload/cyclic_incast.h"
 
@@ -82,18 +81,6 @@ struct CreditFinishPoller {
   }
 };
 
-template <typename Records>
-void burst_aggregates(const Records& records, CollateralPoint& point) {
-  if (records.empty()) return;
-  double total = 0.0;
-  for (const auto& b : records) {
-    const double bct = b.completion_time().ms();
-    total += bct;
-    point.incast_max_bct_ms = std::max(point.incast_max_bct_ms, bct);
-  }
-  point.incast_avg_bct_ms = total / static_cast<double>(records.size());
-}
-
 void collect_fabric_counters(net::Dumbbell& dumbbell, CollateralPoint& point) {
   for (net::Switch* sw : dumbbell.switches()) {
     for (std::size_t i = 0; i < sw->num_ports(); ++i) {
@@ -150,26 +137,14 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   point.degree = degree;
 
   sim::Simulator sim;
-  if (hub != nullptr) sim.set_hub(hub);
-
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-  // Tail autopsy: attached before topology/sender construction. Seeded
-  // with the *base* config seed (not the per-point derived seed) so every
-  // grid point samples the same flow ids.
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every}, hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
+  // The tracer hashes the *base* config seed (not the per-point derived
+  // seed) so every grid point samples the same flow ids.
+  RunHarness harness{sim, {.hub = hub,
+                           .audit_mode = config.audit_mode,
+                           .audit = config.audit,
+                           .flow_trace = config.flow_trace,
+                           .flow_trace_seed = config.seed,
+                           .flow_trace_sample_every = config.flow_trace_sample_every}};
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
   net::Dumbbell dumbbell{sim, make_topology(config, mode, degree)};
@@ -225,18 +200,10 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
   // Experiment-scope observability: the incast bottleneck queue plus the
   // new lossless/trimming instrumentation (pause counters, trimmed bytes).
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = "tor_r->" + dumbbell.receiver(0).name();
-  if (observer.active()) {
-    dumbbell.link(bottleneck_link).set_trace_label(bottleneck_link);
-    observer.watch_queue(bottleneck_link, dumbbell.bottleneck_queue(0));
-    observer.watch_simulator(sim);
-    observer.watch_pfc("tor_s", dumbbell.sender_tor());
-    observer.watch_pfc("tor_r", dumbbell.receiver_tor());
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
+  harness.observe_bottleneck(dumbbell, "tor_r->" + dumbbell.receiver(0).name());
+  ExperimentObserver& observer = harness.observer();
+  observer.watch_pfc("tor_s", dumbbell.sender_tor());
+  observer.watch_pfc("tor_r", dumbbell.receiver_tor());
 
   victim.sender().add_app_data(kVictimStreamBytes);
   if (credit_incast != nullptr) {
@@ -249,48 +216,8 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
   sim.run_until(config.max_sim_time);
 
-  net::check_no_unrouted(dumbbell.switches());
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(dumbbell.residual_buffered_bytes());
-#endif
-
-  // Tail autopsy teardown: finalize, conservation-check every breakdown,
-  // then keep only the percentile rows (the grid can trace many flows).
-  if (flow_tracer) {
-    const std::vector<obs::FlowBreakdown> breakdowns =
-        flow_tracer->finalize(sim.now().ns());
-    point.traced_flows = breakdowns.size();
-    point.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    point.fct_rows = obs::tail_attribution(breakdowns);
-  }
-
-  // INT overflow teardown check (warn-only; see Port::int_hop_overflows).
-  for (const net::Switch* sw : dumbbell.switches()) {
-    point.int_hop_overflows += sw->int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_senders(); ++i) {
-    point.int_hop_overflows += dumbbell.sender(i).int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_receivers(); ++i) {
-    point.int_hop_overflows += dumbbell.receiver(i).int_hop_overflows();
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows), net::kMaxIntHops);
-  }
-
-#if INCAST_AUDIT_ENABLED
-  if (auditor) point.audit_violations = auditor->total_violations();
-#endif
+  // The grid can trace many flows: keep only the percentile rows.
+  harness.teardown(dumbbell, dumbbell.switches()).store(point);
 
   const double elapsed_s = sim.now().sec();
   point.victim_delivered_bytes = victim.receiver().rcv_nxt();
@@ -304,102 +231,46 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   point.victim_timeouts = victim.sender().stats().timeouts;
   point.victim_nacks = victim.receiver().stats().nacks_sent;
 
+  const BurstCompletion bct = tcp_incast != nullptr
+                                  ? burst_completion(tcp_incast->bursts(), 0)
+                                  : burst_completion(credit_incast->bursts(), 0);
+  point.incast_avg_bct_ms = bct.avg_ms;
+  point.incast_max_bct_ms = bct.max_ms;
   if (tcp_incast != nullptr) {
-    burst_aggregates(tcp_incast->bursts(), point);
     for (const tcp::TcpSender* s : tcp_incast->senders()) {
       point.incast_timeouts += s->stats().timeouts;
     }
     for (int i = 0; i < degree; ++i) {
       point.incast_nacks += tcp_incast->connection(i).receiver().stats().nacks_sent;
     }
-  } else {
-    burst_aggregates(credit_incast->bursts(), point);
   }
   collect_fabric_counters(dumbbell, point);
   point.events_processed = sim.events_processed();
 
-  if (observer.active()) {
-    std::vector<double> bct_ms;
-    bct_ms.reserve(static_cast<std::size_t>(config.num_bursts));
-    if (tcp_incast != nullptr) {
-      for (const auto& b : tcp_incast->bursts()) bct_ms.push_back(b.completion_time().ms());
-    } else {
-      for (const auto& b : credit_incast->bursts()) {
-        bct_ms.push_back(b.completion_time().ms());
-      }
-    }
-    observer.finish(sim.now().ns(), bct_ms, nullptr);
-  }
+  observer.finish(sim.now().ns(), bct.ms, nullptr);
 
   return point;
 }
 
 CollateralReport run_collateral_experiment(const CollateralConfig& config) {
-  const std::size_t n = config.modes.size() * config.degrees.size();
   CollateralReport report;
-
-  sim::SweepRunner runner{config.jobs};
   sim::SweepRunner::Policy policy = config.sweep;
   policy.seed_of = [&config](std::size_t index) {
     return sim::derive_task_seed(config.seed, index);
   };
-  runner.set_policy(std::move(policy));
-
-  report.points = runner.run<CollateralPoint>(n, [&config](std::size_t index,
-                                                           sim::SweepRunner::TaskStats&
-                                                               stats) {
-    const QueueMode mode = config.modes[index / config.degrees.size()];
-    const int degree = config.degrees[index % config.degrees.size()];
-    const std::uint64_t seed = sim::derive_task_seed(config.seed, index);
-    // Journal resume: a point completed by a prior interrupted run is
-    // replayed from its payload instead of re-simulated.
-    if (config.resume) {
-      CollateralPoint cached;
-      if (config.resume(index, cached)) {
-        stats.events = cached.events_processed;
-        return cached;
-      }
-    }
-    // Only point 0 is observed: worker threads must not share the hub, and
-    // pinning it to a fixed point keeps trace/metrics output byte-identical
-    // at any --jobs value.
-    obs::Hub* hub = index == 0 ? config.hub : nullptr;
-    CollateralPoint point = run_collateral_point(config, mode, degree, seed, hub);
-    stats.events = point.events_processed;
-    if (config.on_result) config.on_result(index, seed, point);
-    return point;
-  });
-  report.sweep = runner.last_run();
+  // Only point 0 is observed: worker threads must not share the hub, and
+  // pinning it to a fixed point keeps trace/metrics output byte-identical
+  // at any --jobs value.
+  report.points = resumable_sweep<CollateralPoint>(
+      config.jobs, std::move(policy), config.modes.size() * config.degrees.size(),
+      config.resume, config.on_result,
+      [&config](std::size_t index, std::uint64_t seed) {
+        return run_collateral_point(config, config.modes[index / config.degrees.size()],
+                                    config.degrees[index % config.degrees.size()], seed,
+                                    index == 0 ? config.hub : nullptr);
+      },
+      report.sweep);
   return report;
-}
-
-std::string collateral_csv(const CollateralReport& report) {
-  std::string out =
-      "mode,degree,victim_gbps,victim_paused_ms,victim_retx,victim_timeouts,"
-      "victim_nacks,incast_avg_bct_ms,incast_max_bct_ms,incast_timeouts,drops,"
-      "trimmed_packets,trimmed_bytes,pause_frames,resume_frames,overflow_drops,"
-      "incast_nacks,audit_violations\n";
-  char buf[512];
-  for (const CollateralPoint& p : report.points) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s,%d,%.4f,%.3f,%lld,%lld,%lld,%.3f,%.3f,%lld,%lld,%lld,%lld,"
-                  "%lld,%lld,%lld,%lld,%llu\n",
-                  to_string(p.mode), p.degree, p.victim_goodput_gbps, p.victim_paused_ms,
-                  static_cast<long long>(p.victim_retransmits),
-                  static_cast<long long>(p.victim_timeouts),
-                  static_cast<long long>(p.victim_nacks), p.incast_avg_bct_ms,
-                  p.incast_max_bct_ms, static_cast<long long>(p.incast_timeouts),
-                  static_cast<long long>(p.queue_drops),
-                  static_cast<long long>(p.trimmed_packets),
-                  static_cast<long long>(p.trimmed_bytes),
-                  static_cast<long long>(p.pfc_pause_frames),
-                  static_cast<long long>(p.pfc_resume_frames),
-                  static_cast<long long>(p.pfc_overflow_drops),
-                  static_cast<long long>(p.incast_nacks),
-                  static_cast<unsigned long long>(p.audit_violations));
-    out += buf;
-  }
-  return out;
 }
 
 std::string collateral_fct_csv(const CollateralReport& report) {

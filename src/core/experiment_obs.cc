@@ -24,6 +24,9 @@ ExperimentObserver::~ExperimentObserver() {
   hub_->metrics().unregister_prefix("sim.events.");
   hub_->metrics().unregister_prefix("sim.audit.");
   hub_->metrics().unregister_prefix("net.pfc.");
+  hub_->metrics().unregister_prefix("net.int.");
+  hub_->metrics().unregister_prefix("scaling.");
+  hub_->metrics().unregister_prefix("parallel.");
 }
 
 void ExperimentObserver::watch_simulator(const sim::Simulator& sim) {
@@ -71,27 +74,19 @@ void ExperimentObserver::watch_pfc(const std::string& name, const net::Switch& s
   if (hub_ == nullptr || sw.num_viqs() == 0) return;
   const std::string prefix = "net.pfc." + name + ".";
   auto& m = hub_->metrics();
-  m.register_counter(prefix + "pause_frames", [&sw] {
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
-      if (const auto* viq = sw.viq(i)) total += viq->stats().pause_frames;
-    }
-    return total;
-  });
-  m.register_counter(prefix + "resume_frames", [&sw] {
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
-      if (const auto* viq = sw.viq(i)) total += viq->stats().resume_frames;
-    }
-    return total;
-  });
-  m.register_counter(prefix + "overflow_drops", [&sw] {
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
-      if (const auto* viq = sw.viq(i)) total += viq->stats().overflow_dropped_packets;
-    }
-    return total;
-  });
+  const auto viq_total = [&sw](std::int64_t net::LosslessInputQueue::Stats::*counter) {
+    return [&sw, counter] {
+      std::int64_t total = 0;
+      for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
+        if (const auto* viq = sw.viq(i)) total += viq->stats().*counter;
+      }
+      return total;
+    };
+  };
+  using Stats = net::LosslessInputQueue::Stats;
+  m.register_counter(prefix + "pause_frames", viq_total(&Stats::pause_frames));
+  m.register_counter(prefix + "resume_frames", viq_total(&Stats::resume_frames));
+  m.register_counter(prefix + "overflow_drops", viq_total(&Stats::overflow_dropped_packets));
   m.register_counter(prefix + "paused_ns", [&sw] {
     std::int64_t total = 0;
     for (std::size_t i = 0; i < sw.num_ports(); ++i) {
@@ -136,6 +131,11 @@ void ExperimentObserver::watch_auditor(sim::Auditor& auditor, const sim::Simulat
                                std::string{"audit:"} + sim::to_string(v.invariant) +
                                    ": " + v.detail);
   });
+}
+
+void ExperimentObserver::watch_int_overflows(std::int64_t overflows) {
+  if (hub_ == nullptr) return;
+  hub_->metrics().register_counter("net.int.hop_overflow", [overflows] { return overflows; });
 }
 
 void ExperimentObserver::finish(std::int64_t at_ns, const std::vector<double>& bct_ms,

@@ -4,8 +4,9 @@
 // a hub is attached to the simulator; this class adds the run-level pieces
 // an experiment owns — bottleneck-queue counters under the LinkDirectory
 // link name, fault-injection totals, the burst-completion-time histogram,
-// and the end-of-run metrics snapshot — and unregisters them on scope exit
-// so a hub can be reused across runs.
+// the end-of-run metrics snapshot, and whatever run-level gauges the
+// experiment adds (scaling.*, parallel.*) — and unregisters them on scope
+// exit so a hub can be reused across runs.
 //
 // Constructed from the simulator's hub pointer; with no hub (or a disabled
 // one) every method is a no-op and the experiment runs exactly as before.
@@ -75,6 +76,10 @@ class ExperimentObserver {
   // as a forced dump (relaxed mode included — a violation is exactly the
   // anomaly the recorder exists for). The auditor must outlive this object.
   void watch_auditor(sim::Auditor& auditor, const sim::Simulator& sim);
+
+  // Registers net.int.hop_overflow holding the run's INT hop-stamp overflow
+  // total (a teardown value, so call it just before finish()).
+  void watch_int_overflows(std::int64_t overflows);
 
   // End-of-run bookkeeping, called while every metric source is still
   // alive: records measured burst completion times into the

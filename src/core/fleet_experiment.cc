@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "core/experiment_obs.h"
+#include "core/run_harness.h"
 #include "net/topology.h"
-#include "obs/hub.h"
 #include "telemetry/queue_monitor.h"
 #include "workload/fleet_traffic.h"
 
@@ -33,20 +32,12 @@ std::uint64_t FleetExperiment::trace_seed(int host, int snapshot) const noexcept
 HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   sim::Simulator sim;
   // The hub observes exactly one deterministic cell of the sweep grid, so
-  // trace/metrics output is independent of --jobs. Attached before any
-  // component is built (senders cache the hub pointer in their ctors).
-  if (config_.hub != nullptr && host == 0 && snapshot == 0) sim.set_hub(config_.hub);
+  // trace/metrics output is independent of --jobs.
+  RunHarness harness{sim, {.hub = host == 0 && snapshot == 0 ? config_.hub : nullptr,
+                           .audit_mode = config_.audit_mode,
+                           .audit = config_.audit}};
   if (config_.profile_event_loop) sim.set_profiling(true);
 
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config_.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config_.audit;
-    acfg.strict = config_.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
   const workload::ServiceProfile& profile = config_.profile;
   // Capacity hint: the generator keeps at most max_flows concurrent flows
   // (hosts x flows in the sweep sense), each with timers and in-flight data.
@@ -81,21 +72,11 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   telemetry::Millisampler sampler{{sim::Time::milliseconds(1), config_.nic_rate}};
   dumbbell.receiver(0).add_ingress_tap(&sampler);
 
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = "tor_r->" + dumbbell.receiver(0).name();
-  if (observer.active()) {
-    dumbbell.link(bottleneck_link).set_trace_label(bottleneck_link);
-    observer.watch_queue(bottleneck_link, dumbbell.bottleneck_queue());
-    observer.watch_simulator(sim);
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
-
   telemetry::QueueMonitor::Config qcfg;
   qcfg.sample_every = sim::Time::zero();
   qcfg.watermark_window = sim::Time::milliseconds(1);
-  if (observer.active()) qcfg.trace_label = bottleneck_link;
+  qcfg.trace_label =
+      harness.observe_bottleneck(dumbbell, "tor_r->" + dumbbell.receiver(0).name());
   telemetry::QueueMonitor qmon{sim, dumbbell.bottleneck_queue(), qcfg};
 
   // Rack-level contention: either the cheap modeled pool pressure, or a
@@ -128,15 +109,9 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   // trace boundary as the production tool does.
   sim.run_until(until + sim::Time::milliseconds(50));
   sampler.finalize(until);
-  net::check_no_unrouted(dumbbell.switches());
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(dumbbell.residual_buffered_bytes());
-#endif
 
   HostTraceResult result;
-#if INCAST_AUDIT_ENABLED
-  if (auditor) result.audit_violations = auditor->total_violations();
-#endif
+  result.audit_violations = harness.teardown(dumbbell, dumbbell.switches()).audit_violations;
   result.host = host;
   result.snapshot = snapshot;
   result.alt_regime = gen_cfg.alt_regime;
@@ -159,51 +134,36 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   result.slab_high_water = sim.slab_high_water();
 
   // Snapshot the registry while the traffic generator's senders are alive.
-  if (observer.active()) observer.finish(sim.now().ns(), {}, "safe");
+  harness.observer().finish(sim.now().ns(), {}, "safe");
   return result;
 }
 
 std::vector<HostTraceResult> FleetExperiment::run_all() const {
-  const auto n = static_cast<std::size_t>(config_.num_hosts) *
-                 static_cast<std::size_t>(config_.num_snapshots);
-  sim::SweepRunner runner{config_.jobs};
+  const auto cell = [this](std::size_t index) {
+    return std::pair{static_cast<int>(index) % config_.num_hosts,
+                     static_cast<int>(index) / config_.num_hosts};
+  };
   sim::SweepRunner::Policy policy = config_.sweep;
   if (!policy.seed_of) {
-    policy.seed_of = [this](std::size_t index) {
-      const int snapshot = static_cast<int>(index) / config_.num_hosts;
-      const int host = static_cast<int>(index) % config_.num_hosts;
+    policy.seed_of = [this, cell](std::size_t index) {
+      const auto [host, snapshot] = cell(index);
       return trace_seed(host, snapshot);
     };
   }
-  runner.set_policy(std::move(policy));
-  auto results = runner.run<HostTraceResult>(
-      n, [this](std::size_t index, sim::SweepRunner::TaskStats& stats) {
-        const int snapshot = static_cast<int>(index) / config_.num_hosts;
-        const int host = static_cast<int>(index) % config_.num_hosts;
-        if (config_.resume) {
-          HostTraceResult cached;
-          if (config_.resume(index, cached)) {
-            stats.events = cached.events_processed;
-            stats.events_by_category = cached.events_by_category;
-            stats.peak_events_pending = cached.peak_events_pending;
-            stats.slab_high_water = cached.slab_high_water;
-            return cached;
-          }
-        }
+  return resumable_sweep<HostTraceResult>(
+      config_.jobs, std::move(policy),
+      static_cast<std::size_t>(config_.num_hosts) *
+          static_cast<std::size_t>(config_.num_snapshots),
+      config_.resume, config_.on_result,
+      [this, cell](std::size_t index, std::uint64_t) {
         if (static_cast<int>(index) == config_.fail_cell_for_test) {
           throw std::runtime_error{"forced failure (fail_cell_for_test) at cell " +
                                    std::to_string(index)};
         }
-        HostTraceResult r = run_host_trace(host, snapshot);
-        stats.events = r.events_processed;
-        stats.events_by_category = r.events_by_category;
-        stats.peak_events_pending = r.peak_events_pending;
-        stats.slab_high_water = r.slab_high_water;
-        if (config_.on_result) config_.on_result(index, trace_seed(host, snapshot), r);
-        return r;
-      });
-  last_sweep_ = runner.last_run();
-  return results;
+        const auto [host, snapshot] = cell(index);
+        return run_host_trace(host, snapshot);
+      },
+      last_sweep_);
 }
 
 }  // namespace incast::core

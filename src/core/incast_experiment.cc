@@ -1,79 +1,38 @@
 #include "core/incast_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 
-#include "core/experiment_obs.h"
 #include "core/resilience_experiment.h"
-#include "obs/flow_trace.h"
-#include "obs/hub.h"
+#include "core/run_harness.h"
 
 namespace incast::core {
 
-namespace {
-
-struct TcpCounters {
-  std::int64_t timeouts{0};
-  std::int64_t fast_retransmits{0};
-  std::int64_t retransmitted_packets{0};
-  std::int64_t data_packets_sent{0};
-};
-
-TcpCounters sum_counters(const std::vector<tcp::TcpSender*>& senders) {
-  TcpCounters c;
+IncastCounters IncastCounters::read(const std::vector<tcp::TcpSender*>& senders,
+                                    const net::DropTailQueue& bottleneck) {
+  IncastCounters c;
   for (const tcp::TcpSender* s : senders) {
     c.timeouts += s->stats().timeouts;
     c.fast_retransmits += s->stats().fast_retransmits;
     c.retransmitted_packets += s->stats().retransmitted_packets;
     c.data_packets_sent += s->stats().data_packets_sent;
   }
+  c.queue_drops = bottleneck.stats().dropped_packets;
+  c.queue_ecn_marks = bottleneck.stats().ecn_marked_packets;
+  c.queue_enqueues = bottleneck.stats().enqueued_packets;
   return c;
 }
 
-struct QueueCounters {
-  std::int64_t drops{0};
-  std::int64_t marks{0};
-  std::int64_t enqueues{0};
-};
-
-QueueCounters queue_counters(const net::DropTailQueue& q) {
-  return QueueCounters{q.stats().dropped_packets, q.stats().ecn_marked_packets,
-                       q.stats().enqueued_packets};
-}
-
-}  // namespace
-
 IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& config) {
   sim::Simulator sim;
-  // Attach the hub before any component is built: senders cache the hub
-  // pointer in their constructors.
-  if (config.hub != nullptr) sim.set_hub(config.hub);
-
-#if INCAST_AUDIT_ENABLED
-  // Run-hardening: attach the invariant auditor before any component is
-  // built so every hook (dispatch, conservation, TCP bounds) is live from
-  // the first event. Relaxed mode only observes — results stay identical.
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-  // Tail autopsy: like the hub and the auditor, the tracer attaches before
-  // topology/sender construction (both cache the pointer). The hub is only
-  // a span side channel — breakdowns are identical with or without it.
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every},
-        config.hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
+  RunHarness harness{sim, {.hub = config.hub,
+                           .audit_mode = config.audit_mode,
+                           .audit = config.audit,
+                           .flow_trace = config.flow_trace,
+                           .flow_trace_seed = config.seed,
+                           .flow_trace_sample_every = config.flow_trace_sample_every}};
   // Capacity hint: each flow keeps a few timers armed plus its share of
   // packets in flight; the constant floor covers telemetry tickers and the
   // bottleneck queue's worth of delivery events.
@@ -116,24 +75,16 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
     }
   }
 
-  // Experiment-scope observability: label the bottleneck link for tracing
-  // and expose its queue (plus fault totals) in the metrics registry.
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = "tor_r->" + dumbbell.receiver(0).name();
-  if (observer.active()) {
-    dumbbell.link(bottleneck_link).set_trace_label(bottleneck_link);
-    observer.watch_queue(bottleneck_link, dumbbell.bottleneck_queue());
-    observer.watch_simulator(sim);
-    if (injector) observer.watch_faults(*injector);
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
+  // Experiment-scope observability: fault totals here; the bottleneck
+  // link's trace label and queue counters come with its monitor below.
+  ExperimentObserver& observer = harness.observer();
+  if (injector) observer.watch_faults(*injector);
 
   telemetry::QueueMonitor::Config qcfg;
   qcfg.sample_every = config.queue_sample_every;
   qcfg.watermark_window = sim::Time::milliseconds(1);
-  if (observer.active()) qcfg.trace_label = bottleneck_link;
+  qcfg.trace_label =
+      harness.observe_bottleneck(dumbbell, "tor_r->" + dumbbell.receiver(0).name());
   telemetry::QueueMonitor qmon{sim, dumbbell.bottleneck_queue(), qcfg};
   if (injector) {
     qmon.set_injected_drop_source(
@@ -152,16 +103,14 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
   // Counter snapshots frame the measured window: taken when the last
   // discarded burst completes (flows are idle between bursts, so the
   // boundary is clean), or at t=0 when nothing is discarded.
-  TcpCounters tcp_at_start = sum_counters(senders);
-  QueueCounters q_at_start = queue_counters(dumbbell.bottleneck_queue());
+  IncastCounters at_start = IncastCounters::read(senders, dumbbell.bottleneck_queue());
   double cwnd_mean_accum = 0.0;
   double cwnd_max_accum = 0.0;
   int measured_completions = 0;
 
   driver.set_on_burst_complete([&](int index) {
     if (index == config.discard_bursts - 1) {
-      tcp_at_start = sum_counters(senders);
-      q_at_start = queue_counters(dumbbell.bottleneck_queue());
+      at_start = IncastCounters::read(senders, dumbbell.bottleneck_queue());
     }
     if (index >= config.discard_bursts) {
       double total_mss = 0.0;
@@ -182,60 +131,8 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
   driver.start();
   sim.run_until(config.max_sim_time);
 
-  // A switch with no route for a destination silently blackholes traffic —
-  // always a topology bug, never a legitimate outcome. Fail loudly, naming
-  // the switch and destination.
-  net::check_no_unrouted(dumbbell.switches());
-
-#if INCAST_AUDIT_ENABLED
-  // Teardown ledger check: every injected byte must now be delivered,
-  // dropped, or still buffered in a queue / on a wire somewhere.
-  if (auditor) auditor->check_conservation(dumbbell.residual_buffered_bytes());
-#endif
-
   IncastExperimentResult result;
-
-  // Tail autopsy teardown: close the waterfall, split the drain bucket, and
-  // hold every completed sampled flow to the conservation invariant.
-  if (flow_tracer) {
-    result.flow_breakdowns = flow_tracer->finalize(sim.now().ns());
-    result.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : result.flow_breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    result.fct_rows = obs::tail_attribution(result.flow_breakdowns);
-  }
-
-  // INT overflow teardown check (see Port::int_hop_overflows): never fatal
-  // — deep paths with ACK echo can legitimately exceed the stack — but
-  // never silent either.
-  for (const net::Switch* sw : dumbbell.switches()) {
-    result.int_hop_overflows += sw->int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_senders(); ++i) {
-    result.int_hop_overflows += dumbbell.sender(i).int_hop_overflows();
-  }
-  for (int i = 0; i < dumbbell.num_receivers(); ++i) {
-    result.int_hop_overflows += dumbbell.receiver(i).int_hop_overflows();
-  }
-  if (result.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(result.int_hop_overflows), net::kMaxIntHops);
-  }
-  if (observer.active()) {
-    observer.hub()->metrics().register_counter(
-        "net.int.hop_overflow", [v = result.int_hop_overflows] { return v; });
-  }
-
-#if INCAST_AUDIT_ENABLED
-  if (auditor) result.audit_violations = auditor->total_violations();
-#endif
+  harness.teardown(dumbbell, dumbbell.switches()).store(result);
   result.bursts = driver.bursts();
   result.queue_series = qmon.samples();
   result.queue_offset_step = config.queue_sample_every;
@@ -261,16 +158,8 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
     }
   }
 
-  const TcpCounters tcp_end = sum_counters(senders);
-  const QueueCounters q_end = queue_counters(dumbbell.bottleneck_queue());
-  result.timeouts = tcp_end.timeouts - tcp_at_start.timeouts;
-  result.fast_retransmits = tcp_end.fast_retransmits - tcp_at_start.fast_retransmits;
-  result.retransmitted_packets =
-      tcp_end.retransmitted_packets - tcp_at_start.retransmitted_packets;
-  result.data_packets_sent = tcp_end.data_packets_sent - tcp_at_start.data_packets_sent;
-  result.queue_drops = q_end.drops - q_at_start.drops;
-  result.queue_ecn_marks = q_end.marks - q_at_start.marks;
-  result.queue_enqueues = q_end.enqueues - q_at_start.enqueues;
+  IncastCounters::store_window(
+      at_start, IncastCounters::read(senders, dumbbell.bottleneck_queue()), result);
 
   if (measured_completions > 0) {
     result.end_of_burst_cwnd_mean_mss =
@@ -282,16 +171,14 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
   // Per-burst aggregates and the aligned queue-vs-offset series.
   const auto& bursts = result.bursts;
   const auto first_measured = static_cast<std::size_t>(config.discard_bursts);
+  const BurstCompletion bct = burst_completion(bursts, first_measured);
+  result.avg_bct_ms = bct.avg_ms;
+  result.max_bct_ms = bct.max_ms;
   if (bursts.size() > first_measured) {
     sim::Time window = sim::Time::zero();
-    double bct_total = 0.0;
     for (std::size_t b = first_measured; b < bursts.size(); ++b) {
-      const sim::Time bct = bursts[b].completion_time();
-      window = std::max(window, bct);
-      bct_total += bct.ms();
-      result.max_bct_ms = std::max(result.max_bct_ms, bct.ms());
+      window = std::max(window, bursts[b].completion_time());
     }
-    result.avg_bct_ms = bct_total / static_cast<double>(bursts.size() - first_measured);
 
     const auto offsets =
         static_cast<std::size_t>(window.ns() / config.queue_sample_every.ns()) + 1;
@@ -344,14 +231,8 @@ IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& confi
   // Close out the observed run while every metric source is still alive:
   // BCT histogram, mode classification, final registry snapshot.
   if (observer.active()) {
-    std::vector<double> bct_ms;
-    for (std::size_t b = first_measured; b < bursts.size(); ++b) {
-      bct_ms.push_back(bursts[b].completion_time().ms());
-    }
-    observer.finish(sim.now().ns(), bct_ms, to_string(classify_mode(result)));
-    // The overflow counter captured a snapshot value; drop it so a reused
-    // hub (back-to-back runs) can register it afresh.
-    observer.hub()->metrics().unregister_prefix("net.int.");
+    observer.watch_int_overflows(result.int_hop_overflows);
+    observer.finish(sim.now().ns(), bct.ms, to_string(classify_mode(result)));
   }
 
   return result;

@@ -204,6 +204,56 @@ struct IncastExperimentResult {
 // Runs one experiment to completion (or max_sim_time).
 [[nodiscard]] IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& config);
 
+// Completion times (ms) of the bursts after the first `discard`, in burst
+// order, with their mean and max (both 0 when no burst was measured).
+struct BurstCompletion {
+  std::vector<double> ms;
+  double avg_ms{0.0};
+  double max_ms{0.0};
+};
+
+template <typename Records>
+BurstCompletion burst_completion(const Records& bursts, std::size_t discard) {
+  BurstCompletion out;
+  for (std::size_t b = discard; b < bursts.size(); ++b) {
+    const double ms = bursts[b].completion_time().ms();
+    out.ms.push_back(ms);
+    out.avg_ms += ms;
+    out.max_ms = std::max(out.max_ms, ms);
+  }
+  if (!out.ms.empty()) out.avg_ms /= static_cast<double>(out.ms.size());
+  return out;
+}
+
+// The cumulative sender and bottleneck-queue counters a cyclic incast
+// reports over its measured window (dumbbell and fabric alike): read once
+// when the window opens and once at the end, the difference is the result.
+struct IncastCounters {
+  std::int64_t timeouts{0};
+  std::int64_t fast_retransmits{0};
+  std::int64_t retransmitted_packets{0};
+  std::int64_t data_packets_sent{0};
+  std::int64_t queue_drops{0};
+  std::int64_t queue_ecn_marks{0};
+  std::int64_t queue_enqueues{0};
+
+  [[nodiscard]] static IncastCounters read(const std::vector<tcp::TcpSender*>& senders,
+                                           const net::DropTailQueue& bottleneck);
+
+  // Stores end - start into the result's same-named fields.
+  template <typename Result>
+  static void store_window(const IncastCounters& start, const IncastCounters& end,
+                           Result& result) {
+    result.timeouts = end.timeouts - start.timeouts;
+    result.fast_retransmits = end.fast_retransmits - start.fast_retransmits;
+    result.retransmitted_packets = end.retransmitted_packets - start.retransmitted_packets;
+    result.data_packets_sent = end.data_packets_sent - start.data_packets_sent;
+    result.queue_drops = end.queue_drops - start.queue_drops;
+    result.queue_ecn_marks = end.queue_ecn_marks - start.queue_ecn_marks;
+    result.queue_enqueues = end.queue_enqueues - start.queue_enqueues;
+  }
+};
+
 }  // namespace incast::core
 
 #endif  // INCAST_CORE_INCAST_EXPERIMENT_H_

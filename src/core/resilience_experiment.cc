@@ -1,6 +1,9 @@
 #include "core/resilience_experiment.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "core/run_harness.h"
 
 namespace incast::core {
 
@@ -49,6 +52,11 @@ double recovery_after_flap_ms(const IncastExperimentResult& result, sim::Time fl
 
 }  // namespace
 
+// A point's simulation figures live in its incast result.
+void record_task_stats(const ResiliencePoint& point, sim::SweepRunner::TaskStats& stats) {
+  record_task_stats(point.result, stats);
+}
+
 ResilienceReport run_resilience_experiment(const ResilienceConfig& config) {
   ResilienceReport report;
 
@@ -57,67 +65,46 @@ ResilienceReport run_resilience_experiment(const ResilienceConfig& config) {
   report.baseline = run_incast_experiment(baseline_cfg);
   report.baseline_mode = classify_mode(report.baseline);
 
-  // Materialize every sweep point's config up front (drop-rate axis first,
-  // then flaps — the historical report order), then run them as independent
-  // tasks. Each point deliberately reuses the base seed: the sweep isolates
-  // the effect of the fault profile, not seed variance.
-  std::vector<ResiliencePoint> skeletons;
-  for (const double drop_rate : config.drop_rates) {
-    ResiliencePoint point;
-    point.drop_rate = drop_rate;
-    skeletons.push_back(point);
-  }
-  for (const sim::Time duration : config.flap_durations) {
-    ResiliencePoint point;
-    point.flap_duration = duration;
-    skeletons.push_back(point);
-  }
-
-  sim::SweepRunner runner{config.jobs};
+  // Drop-rate points first, then flaps — the historical report order. Each
+  // point deliberately reuses the base seed: the sweep isolates the effect
+  // of the fault profile, not seed variance.
   sim::SweepRunner::Policy policy = config.sweep;
   if (!policy.seed_of) {
     policy.seed_of = [seed = config.base.seed](std::size_t) { return seed; };
   }
-  runner.set_policy(std::move(policy));
-  report.points = runner.run<ResiliencePoint>(
-      skeletons.size(), [&](std::size_t index, sim::SweepRunner::TaskStats& stats) {
-        ResiliencePoint point = skeletons[index];
-        if (config.resume && config.resume(index, point)) {
-          stats.events = point.result.events_processed;
-          stats.events_by_category = point.result.events_by_category;
-          stats.peak_events_pending = point.result.peak_events_pending;
-          stats.slab_high_water = point.result.slab_high_water;
-          return point;
-        }
+  const std::size_t num_drop_rates = config.drop_rates.size();
+  report.points = resumable_sweep<ResiliencePoint>(
+      config.jobs, std::move(policy), num_drop_rates + config.flap_durations.size(),
+      config.resume, config.on_result,
+      [&](std::size_t index, std::uint64_t) {
+        ResiliencePoint point;
         IncastExperimentConfig cfg = config.base;
         cfg.faults = FaultProfile{};
         // Only the baseline is observed: sweep points run concurrently and
         // may not share the (single-threaded) hub; nulling it also keeps
         // the report identical for every jobs value.
         cfg.hub = nullptr;
-        if (index < config.drop_rates.size()) {
+        if (index < num_drop_rates) {
+          point.drop_rate = config.drop_rates[index];
           cfg.faults.forward = config.fault_template;
           cfg.faults.forward.drop_rate = point.drop_rate;
-        } else if (point.flap_duration > sim::Time::zero()) {
-          cfg.faults.flaps.push_back(
-              fault::FlapWindow{config.flap_at, point.flap_duration});
+        } else {
+          point.flap_duration = config.flap_durations[index - num_drop_rates];
+          if (point.flap_duration > sim::Time::zero()) {
+            cfg.faults.flaps.push_back(fault::FlapWindow{config.flap_at, point.flap_duration});
+          }
         }
 
         point.result = run_incast_experiment(cfg);
-        stats.events = point.result.events_processed;
-        stats.events_by_category = point.result.events_by_category;
-        stats.peak_events_pending = point.result.peak_events_pending;
-        stats.slab_high_water = point.result.slab_high_water;
         point.goodput_rel = relative_goodput(report.baseline, point.result);
         if (point.flap_duration > sim::Time::zero()) {
           point.recovery_after_flap_ms = recovery_after_flap_ms(
               point.result, config.flap_at + point.flap_duration);
         }
         point.mode = classify_mode(point.result);
-        if (config.on_result) config.on_result(index, config.base.seed, point);
         return point;
-      });
-  report.sweep = runner.last_run();
+      },
+      report.sweep);
 
   return report;
 }

@@ -1,16 +1,15 @@
 #include "core/scaling_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "core/experiment_obs.h"
+#include "core/run_harness.h"
 #include "net/domain_bridge.h"
 #include "net/packet.h"
-#include "obs/flow_trace.h"
 #include "obs/hub.h"
 #include "obs/metrics.h"
 #include "sim/parallel_simulator.h"
@@ -21,12 +20,160 @@ namespace incast::core {
 
 namespace {
 
+using Connections = sim::StableChunkArena<tcp::TcpConnection, 8>;
+
 // Wire bytes one flow puts on the receiver's downlink: payload plus one
 // 40-byte header per MSS-sized segment (the last segment's header included).
 [[nodiscard]] std::int64_t wire_bytes_per_flow(std::int64_t payload,
                                                std::int64_t mss) noexcept {
   const std::int64_t segments = (payload + mss - 1) / mss;
   return payload + segments * net::kHeaderBytes;
+}
+
+// The receiver: slot 0 of the last leaf — maximally remote from sender 0,
+// so every flow crosses the spine tier.
+[[nodiscard]] int receiver_host(const ScalingConfig& config, const fabric::FatTree& tree) {
+  return tree.num_hosts() - config.fabric.hosts_per_leaf;
+}
+
+// Builds the degree's flows and starts them all at t=0 — the incast in its
+// purest form. Senders round-robin over every host but the receiver, so
+// degrees above num_hosts - 1 stack multiple flows per host. Each endpoint
+// schedules on its own host's simulator (one per domain on the parallel
+// engine); `on_acked(sender)` returns the completion callback of a flow
+// sent from `sender`.
+template <typename OnAcked>
+void start_flows(const ScalingConfig& config, int degree, fabric::FatTree& tree,
+                 Connections& connections, OnAcked on_acked) {
+  const int receiver = receiver_host(config, tree);
+  const int sender_pool = tree.num_hosts() - 1;
+  for (int f = 0; f < degree; ++f) {
+    const int slot = f % sender_pool;
+    net::Host& sender = tree.host(slot < receiver ? slot : slot + 1);
+    tcp::TcpConnection& conn = connections.emplace_back(
+        sender, tree.host(receiver), static_cast<net::FlowId>(f) + 1, config.tcp);
+    conn.sender().set_on_all_acked(on_acked(sender));
+  }
+  for (std::size_t i = 0; i < connections.size(); ++i) {
+    connections[i].sender().add_app_data(config.bytes_per_flow);
+  }
+}
+
+// The accounting both engines share, then the point's metrics: completion
+// and FCT overhead against the optimal, TCP totals, and the sizeof-based
+// memory decomposition (see the header). The engine has already set what
+// it samples its own way — packet_pool_bytes, event_bytes — and `end_ns`
+// is when the last flow finished, or the deadline that cut the point short.
+void finish_point(ScalingPoint& point, const ScalingConfig& config, fabric::FatTree& tree,
+                  const Connections& connections, int completed, std::int64_t end_ns,
+                  ExperimentObserver& observer) {
+  point.completed_flows = completed;
+  point.fct_ms = sim::Time::nanoseconds(end_ns).ms();
+  const std::int64_t total_wire_bytes =
+      static_cast<std::int64_t>(point.degree) *
+      wire_bytes_per_flow(config.bytes_per_flow, config.tcp.mss_bytes);
+  point.optimal_ms =
+      (tree.base_rtt() + config.fabric.host_link.serialization_time(total_wire_bytes))
+          .ms();
+  if (point.optimal_ms > 0.0) {
+    point.overhead_pct = (point.fct_ms / point.optimal_ms - 1.0) * 100.0;
+  }
+
+  for (std::size_t i = 0; i < connections.size(); ++i) {
+    const tcp::TcpSender::Stats& s = connections[i].sender().stats();
+    point.timeouts += s.timeouts;
+    point.retransmits += s.retransmitted_packets;
+  }
+
+  point.flow_state_bytes = connections.bytes();
+  for (net::Switch* sw : tree.switches()) {
+    point.routing_bytes += sw->routing_bytes();
+    for (std::size_t i = 0; i < sw->num_ports(); ++i) {
+      point.queue_drops += sw->port(i).queue().stats().dropped_packets;
+    }
+  }
+  point.bytes_per_flow = (point.flow_state_bytes + point.packet_pool_bytes +
+                          point.routing_bytes + point.event_bytes) /
+                         static_cast<std::uint64_t>(point.degree);
+
+  // Surface the budget decomposition in the final metrics snapshot; the
+  // observer unregisters every scaling.* gauge when it goes out of scope.
+  // parallel.windows is N-invariant, so --metrics-out stays byte-identical
+  // at any --domains value.
+  if (!observer.active()) return;
+  const auto gauge = [&observer](const char* name, const auto& value) {
+    observer.hub()->metrics().register_gauge(name,
+                                             [&value] { return static_cast<double>(value); });
+  };
+  gauge("scaling.fct_ms", point.fct_ms);
+  gauge("scaling.overhead_pct", point.overhead_pct);
+  gauge("scaling.bytes_per_flow", point.bytes_per_flow);
+  gauge("scaling.flow_state_bytes", point.flow_state_bytes);
+  gauge("scaling.packet_pool_bytes", point.packet_pool_bytes);
+  gauge("scaling.routing_bytes", point.routing_bytes);
+  gauge("scaling.event_bytes", point.event_bytes);
+  if (point.parallel_domains > 0) gauge("parallel.windows", point.windows);
+  observer.watch_int_overflows(point.int_hop_overflows);
+  observer.finish(end_ns, {point.fct_ms}, nullptr);
+}
+
+// The legacy single-queue engine (config.domains == 0).
+ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
+                                      std::uint64_t seed, obs::Hub* hub) {
+  ScalingPoint point;
+  point.degree = degree;
+
+  sim::Simulator sim;
+  // The tracer hashes the *base* seed (not this point's derived seed) so
+  // the same flow ids are traced at every degree.
+  RunHarness harness{sim, {.hub = hub,
+                           .audit_mode = config.audit_mode,
+                           .audit = config.audit,
+                           .flow_trace = config.flow_trace,
+                           .flow_trace_seed = config.seed,
+                           .flow_trace_sample_every = config.flow_trace_sample_every}};
+  sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
+
+  fabric::FatTreeConfig fcfg = config.fabric;
+  fcfg.ecmp_seed = seed;
+  fabric::FatTree tree{sim, fcfg};
+
+  // Pre-size every switch's ECMP flow table past its 50% load ceiling: at
+  // most `degree` symmetric flow keys transit any one switch, so the whole
+  // routing path runs allocation-free in steady state.
+  const std::vector<net::Switch*> switches = tree.switches();
+  for (net::Switch* sw : switches) {
+    sw->reserve_flows(static_cast<std::size_t>(degree));
+  }
+
+  const int receiver = receiver_host(config, tree);
+  ExperimentObserver& observer = harness.observer();
+  observer.watch_queue(tree.downlink_name(receiver), tree.downlink_queue(receiver));
+
+  Connections connections;
+  int completed = 0;
+  start_flows(config, degree, tree, connections, [&](net::Host&) {
+    return [&sim, &completed, degree] {
+      if (++completed == degree) sim.stop();
+    };
+  });
+
+  sim.run_until(config.max_sim_time);
+
+  // Full per-flow breakdowns are discarded here — at degree 8000 keeping
+  // them for every point would defeat the memory budget this experiment
+  // exists to measure.
+  harness.teardown(tree, switches).store(point);
+
+  // Peak pooled packets: every port's own high-water mark.
+  for (const std::string& name : tree.link_names()) {
+    point.packet_pool_bytes += tree.link(name).pool_high_water() * sizeof(net::Packet);
+  }
+  point.event_bytes = static_cast<std::uint64_t>(sim.slab_high_water()) *
+                      sim::EventQueue::slot_bytes();
+  point.events_processed = sim.events_processed();
+  finish_point(point, config, tree, connections, completed, sim.now().ns(), observer);
+  return point;
 }
 
 // One incast degree on the conservative parallel engine (config.domains >=
@@ -73,30 +220,25 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
     sim_ptrs.push_back(sims.back().get());
   }
 
-#if INCAST_AUDIT_ENABLED
   // One auditor per domain (hot-path hooks must not share cache lines),
   // merged into a coordinator-side auditor at teardown. Per-domain event
   // budgets are disabled — the global budget is enforced at barriers, where
   // the total is well-defined.
   std::vector<std::unique_ptr<sim::Auditor>> domain_auditors;
   std::optional<sim::Auditor> merged;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    acfg.max_events = 0;
+  if (std::optional<sim::Auditor::Config> acfg =
+          auditor_config(config.audit_mode, config.audit)) {
+    acfg->max_events = 0;
     for (int d = 0; d < n; ++d) {
-      domain_auditors.push_back(std::make_unique<sim::Auditor>(acfg));
+      domain_auditors.push_back(std::make_unique<sim::Auditor>(*acfg));
       sim_ptrs[static_cast<std::size_t>(d)]->set_auditor(domain_auditors.back().get());
     }
-    sim::Auditor::Config mcfg = acfg;
+    sim::Auditor::Config mcfg = *acfg;
     mcfg.max_wall_ms = 0.0;
     mcfg.cancel = nullptr;
     merged.emplace(mcfg);
   }
   sim::Auditor* drain_auditor = merged ? &*merged : nullptr;
-#else
-  sim::Auditor* drain_auditor = nullptr;
-#endif
 
   fabric::FatTreeConfig fcfg = config.fabric;
   fcfg.ecmp_seed = seed;
@@ -114,10 +256,6 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
   net::DomainBridge bridge{sim_ptrs};
   bridge.attach(tree.nodes());
 
-  const int num_hosts = tree.num_hosts();
-  const int receiver = num_hosts - config.fabric.hosts_per_leaf;
-  const int sender_pool = num_hosts - 1;
-
   // Completion tracking without cross-domain writes: every sender bumps its
   // own domain's padded slot; the coordinator sums them at barriers. The
   // run's FCT is the max last-ack time over slots — the same instant the
@@ -128,26 +266,17 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
   };
   std::vector<CompletionSlot> slots(static_cast<std::size_t>(n));
 
-  sim::StableChunkArena<tcp::TcpConnection, 8> connections;
-  for (int f = 0; f < degree; ++f) {
-    const int slot = f % sender_pool;
-    const int sender_host = slot < receiver ? slot : slot + 1;
-    net::Host& sender = tree.host(sender_host);
-    tcp::TcpConnection& conn = connections.emplace_back(
-        sender, tree.host(receiver), static_cast<net::FlowId>(f) + 1, config.tcp);
+  // Flows are scheduled from this (still single) thread.
+  Connections connections;
+  start_flows(config, degree, tree, connections, [&](net::Host& sender) {
     CompletionSlot* cs = &slots[static_cast<std::size_t>(sender.domain())];
     sim::Simulator* ssim = sim_ptrs[static_cast<std::size_t>(sender.domain())];
-    conn.sender().set_on_all_acked([cs, ssim] {
+    return [cs, ssim] {
       ++cs->completed;
       const std::int64_t now_ns = ssim->now().ns();
       if (now_ns > cs->last_ack_ns) cs->last_ack_ns = now_ns;
-    });
-  }
-
-  // All flows start at t=0, scheduled from this (still single) thread.
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    connections[i].sender().add_app_data(config.bytes_per_flow);
-  }
+    };
+  });
 
   std::uint64_t peak_live_packets = 0;
   std::uint64_t peak_events_pending = 0;
@@ -191,7 +320,6 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
   const sim::ParallelSimulator::Stats stats = engine.run();
 
   net::check_no_unrouted(switches);
-#if INCAST_AUDIT_ENABLED
   if (merged) {
     for (const std::unique_ptr<sim::Auditor>& a : domain_auditors) {
       merged->merge_from(*a);
@@ -200,7 +328,7 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
                                bridge.ingress_wire_bytes());
     point.audit_violations = merged->total_violations();
   }
-#endif
+  point.int_hop_overflows = check_int_overflows(tree);
 
   int completed = 0;
   std::int64_t last_ack_ns = 0;
@@ -208,96 +336,23 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
     completed += s.completed;
     if (s.last_ack_ns > last_ack_ns) last_ack_ns = s.last_ack_ns;
   }
-  point.completed_flows = completed;
   const std::int64_t end_ns =
       stats.stopped ? last_ack_ns : config.max_sim_time.ns();
-  point.fct_ms = sim::Time::nanoseconds(end_ns).ms();
-  const std::int64_t total_wire_bytes =
-      static_cast<std::int64_t>(degree) *
-      wire_bytes_per_flow(config.bytes_per_flow, config.tcp.mss_bytes);
-  point.optimal_ms =
-      (tree.base_rtt() + config.fabric.host_link.serialization_time(total_wire_bytes))
-          .ms();
-  if (point.optimal_ms > 0.0) {
-    point.overhead_pct = (point.fct_ms / point.optimal_ms - 1.0) * 100.0;
-  }
 
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    const tcp::TcpSender::Stats& s = connections[i].sender().stats();
-    point.timeouts += s.timeouts;
-    point.retransmits += s.retransmitted_packets;
-  }
-
-  point.flow_state_bytes = connections.bytes();
-  for (net::Switch* sw : switches) {
-    point.routing_bytes += sw->routing_bytes();
-    point.int_hop_overflows += sw->int_hop_overflows();
-    for (std::size_t i = 0; i < sw->num_ports(); ++i) {
-      point.queue_drops += sw->port(i).queue().stats().dropped_packets;
-    }
-  }
-  for (int h = 0; h < num_hosts; ++h) {
-    point.int_hop_overflows += tree.host(h).int_hop_overflows();
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows),
-                 net::kMaxIntHops);
-  }
   point.packet_pool_bytes = peak_live_packets * sizeof(net::Packet);
   point.event_bytes = peak_events_pending * sim::EventQueue::slot_bytes();
-  point.bytes_per_flow = (point.flow_state_bytes + point.packet_pool_bytes +
-                          point.routing_bytes + point.event_bytes) /
-                         static_cast<std::uint64_t>(degree);
-
-  std::uint64_t total_events = 0;
-  for (sim::Simulator* s : sim_ptrs) total_events += s->events_processed();
-  point.events_processed = total_events;
-
+  for (sim::Simulator* s : sim_ptrs) point.events_processed += s->events_processed();
   point.windows = stats.windows;
   point.packets_bridged = bridge.packets_bridged();
   point.barrier_stall_ns = stats.barrier_stall_ns;
   point.events_per_domain = stats.events_per_domain;
   point.window_hist = stats.window_hist;
 
-  // Run-level observability. Everything registered here is N-invariant
-  // (simulation results, not execution diagnostics), so --metrics-out is
-  // byte-identical at any --domains value.
+  // Run-level observability only: nothing here depends on the domain split.
   ExperimentObserver observer{hub};
-  if (observer.active()) {
-    observer.watch_queue(tree.downlink_name(receiver), tree.downlink_queue(receiver));
-    obs::MetricsRegistry& metrics = observer.hub()->metrics();
-    metrics.register_gauge("scaling.fct_ms", [&point] { return point.fct_ms; });
-    metrics.register_gauge("scaling.overhead_pct",
-                           [&point] { return point.overhead_pct; });
-    metrics.register_gauge("scaling.bytes_per_flow", [&point] {
-      return static_cast<double>(point.bytes_per_flow);
-    });
-    metrics.register_gauge("scaling.flow_state_bytes", [&point] {
-      return static_cast<double>(point.flow_state_bytes);
-    });
-    metrics.register_gauge("scaling.packet_pool_bytes", [&point] {
-      return static_cast<double>(point.packet_pool_bytes);
-    });
-    metrics.register_gauge("scaling.routing_bytes", [&point] {
-      return static_cast<double>(point.routing_bytes);
-    });
-    metrics.register_gauge("scaling.event_bytes", [&point] {
-      return static_cast<double>(point.event_bytes);
-    });
-    metrics.register_gauge("parallel.windows", [&point] {
-      return static_cast<double>(point.windows);
-    });
-    metrics.register_counter("net.int.hop_overflow",
-                             [v = point.int_hop_overflows] { return v; });
-    observer.finish(end_ns, {point.fct_ms}, nullptr);
-    metrics.unregister_prefix("scaling.");
-    metrics.unregister_prefix("parallel.");
-    metrics.unregister_prefix("net.int.");
-  }
-
+  const int receiver = receiver_host(config, tree);
+  observer.watch_queue(tree.downlink_name(receiver), tree.downlink_queue(receiver));
+  finish_point(point, config, tree, connections, completed, end_ns, observer);
   return point;
 }
 
@@ -305,260 +360,27 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
 
 ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
                                std::uint64_t seed, obs::Hub* hub) {
-  if (config.domains >= 1) {
-    return run_scaling_point_parallel(config, degree, seed, hub);
-  }
-
-  ScalingPoint point;
-  point.degree = degree;
-
-  sim::Simulator sim;
-  if (hub != nullptr) sim.set_hub(hub);
-
-#if INCAST_AUDIT_ENABLED
-  std::optional<sim::Auditor> auditor;
-  if (config.audit_mode != sim::AuditMode::kOff) {
-    sim::Auditor::Config acfg = config.audit;
-    acfg.strict = config.audit_mode == sim::AuditMode::kStrict;
-    auditor.emplace(acfg);
-    sim.set_auditor(&*auditor);
-  }
-#endif
-
-  // Tail autopsy: attach before any component constructs, so every port and
-  // sender caches the tracer pointer. Sampling hashes with the *base* seed
-  // (not this point's derived seed) so the same flow ids are traced at
-  // every degree.
-  std::optional<obs::FlowTracer> flow_tracer;
-  if (config.flow_trace) {
-    flow_tracer.emplace(
-        obs::FlowTracer::Config{config.seed, config.flow_trace_sample_every},
-        hub);
-    sim.set_flow_tracer(&*flow_tracer);
-  }
-
-  sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
-
-  fabric::FatTreeConfig fcfg = config.fabric;
-  fcfg.ecmp_seed = seed;
-  fabric::FatTree tree{sim, fcfg};
-
-  // Pre-size every switch's ECMP flow table past its 50% load ceiling: at
-  // most `degree` symmetric flow keys transit any one switch, so the whole
-  // routing path runs allocation-free in steady state.
-  const std::vector<net::Switch*> switches = tree.switches();
-  for (net::Switch* sw : switches) {
-    sw->reserve_flows(static_cast<std::size_t>(degree));
-  }
-
-  // Receiver: slot 0 of the last leaf — maximally remote from sender 0, so
-  // every flow crosses the spine tier. Senders round-robin over the other
-  // hosts; degrees above num_hosts - 1 stack multiple flows per host.
-  const int num_hosts = tree.num_hosts();
-  const int receiver = num_hosts - config.fabric.hosts_per_leaf;
-  const int sender_pool = num_hosts - 1;
-
-  sim::StableChunkArena<tcp::TcpConnection, 8> connections;
-  int completed = 0;
-  for (int f = 0; f < degree; ++f) {
-    const int slot = f % sender_pool;
-    const int sender_host = slot < receiver ? slot : slot + 1;
-    tcp::TcpConnection& conn = connections.emplace_back(
-        sim, tree.host(sender_host), tree.host(receiver),
-        static_cast<net::FlowId>(f) + 1, config.tcp);
-    conn.sender().set_on_all_acked([&sim, &completed, degree] {
-      if (++completed == degree) sim.stop();
-    });
-  }
-
-  // Experiment-scope observability on the bottleneck downlink.
-  ExperimentObserver observer{INCAST_OBS_HUB(sim)};
-  const std::string bottleneck_link = tree.downlink_name(receiver);
-  if (observer.active()) {
-    observer.watch_queue(bottleneck_link, tree.downlink_queue(receiver));
-    observer.watch_simulator(sim);
-#if INCAST_AUDIT_ENABLED
-    if (auditor) observer.watch_auditor(*auditor, sim);
-#endif
-  }
-
-  // All flows start at t=0 — the incast in its purest form.
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    connections[i].sender().add_app_data(config.bytes_per_flow);
-  }
-
-  sim.run_until(config.max_sim_time);
-
-  net::check_no_unrouted(switches);
-#if INCAST_AUDIT_ENABLED
-  if (auditor) auditor->check_conservation(tree.residual_buffered_bytes());
-#endif
-
-  // Tail autopsy teardown: finalize sampled breakdowns, conservation-check
-  // each one, aggregate into percentile rows. Full per-flow breakdowns are
-  // discarded here — at degree 8000 keeping them for every point would
-  // defeat the memory budget this experiment exists to measure.
-  if (flow_tracer) {
-    const std::vector<obs::FlowBreakdown> breakdowns =
-        flow_tracer->finalize(sim.now().ns());
-    point.traced_flows = breakdowns.size();
-    point.flow_trace_incomplete = flow_tracer->incomplete_flows();
-#if INCAST_AUDIT_ENABLED
-    if (auditor) {
-      for (const obs::FlowBreakdown& f : breakdowns) {
-        auditor->check_flow_breakdown(f.flow, f.component_sum(), f.fct_ns);
-      }
-    }
-#endif
-    point.fct_rows = obs::tail_attribution(breakdowns);
-  }
-#if INCAST_AUDIT_ENABLED
-  if (auditor) point.audit_violations = auditor->total_violations();
-#endif
-
-  point.completed_flows = completed;
-  point.fct_ms = sim.now().ms();
-  const std::int64_t total_wire_bytes =
-      static_cast<std::int64_t>(degree) *
-      wire_bytes_per_flow(config.bytes_per_flow, config.tcp.mss_bytes);
-  point.optimal_ms =
-      (tree.base_rtt() + config.fabric.host_link.serialization_time(total_wire_bytes))
-          .ms();
-  if (point.optimal_ms > 0.0) {
-    point.overhead_pct = (point.fct_ms / point.optimal_ms - 1.0) * 100.0;
-  }
-
-  for (std::size_t i = 0; i < connections.size(); ++i) {
-    const tcp::TcpSender::Stats& s = connections[i].sender().stats();
-    point.timeouts += s.timeouts;
-    point.retransmits += s.retransmitted_packets;
-  }
-
-  // Deterministic memory decomposition (sizeof-based, never RSS).
-  point.flow_state_bytes = connections.bytes();
-  for (net::Switch* sw : switches) {
-    point.routing_bytes += sw->routing_bytes();
-    point.int_hop_overflows += sw->int_hop_overflows();
-    for (std::size_t i = 0; i < sw->num_ports(); ++i) {
-      point.queue_drops += sw->port(i).queue().stats().dropped_packets;
-      point.packet_pool_bytes += sw->port(i).pool_high_water() * sizeof(net::Packet);
-    }
-  }
-  for (int h = 0; h < num_hosts; ++h) {
-    net::Host& host = tree.host(h);
-    point.int_hop_overflows += host.int_hop_overflows();
-    for (std::size_t i = 0; i < host.num_ports(); ++i) {
-      point.packet_pool_bytes += host.port(i).pool_high_water() * sizeof(net::Packet);
-    }
-  }
-  if (point.int_hop_overflows > 0) {
-    std::fprintf(stderr,
-                 "warning: %lld INT hop records overflowed the %d-entry stack "
-                 "(net.int.hop_overflow); telemetry CCAs saw truncated paths\n",
-                 static_cast<long long>(point.int_hop_overflows),
-                 net::kMaxIntHops);
-  }
-  point.event_bytes = static_cast<std::uint64_t>(sim.slab_high_water()) *
-                      sim::EventQueue::slot_bytes();
-  point.bytes_per_flow = (point.flow_state_bytes + point.packet_pool_bytes +
-                          point.routing_bytes + point.event_bytes) /
-                         static_cast<std::uint64_t>(degree);
-
-  point.events_processed = sim.events_processed();
-
-  if (observer.active()) {
-    // Surface the budget decomposition in the final metrics snapshot, then
-    // unregister so a reused hub does not accumulate stale sources.
-    obs::MetricsRegistry& metrics = observer.hub()->metrics();
-    metrics.register_gauge("scaling.fct_ms", [&point] { return point.fct_ms; });
-    metrics.register_gauge("scaling.overhead_pct",
-                           [&point] { return point.overhead_pct; });
-    metrics.register_gauge("scaling.bytes_per_flow", [&point] {
-      return static_cast<double>(point.bytes_per_flow);
-    });
-    metrics.register_gauge("scaling.flow_state_bytes", [&point] {
-      return static_cast<double>(point.flow_state_bytes);
-    });
-    metrics.register_gauge("scaling.packet_pool_bytes", [&point] {
-      return static_cast<double>(point.packet_pool_bytes);
-    });
-    metrics.register_gauge("scaling.routing_bytes", [&point] {
-      return static_cast<double>(point.routing_bytes);
-    });
-    metrics.register_gauge("scaling.event_bytes", [&point] {
-      return static_cast<double>(point.event_bytes);
-    });
-    metrics.register_counter("net.int.hop_overflow",
-                             [v = point.int_hop_overflows] { return v; });
-    observer.finish(sim.now().ns(), {point.fct_ms}, nullptr);
-    metrics.unregister_prefix("scaling.");
-    metrics.unregister_prefix("net.int.");
-  }
-
-  return point;
+  return config.domains >= 1 ? run_scaling_point_parallel(config, degree, seed, hub)
+                             : run_scaling_point_legacy(config, degree, seed, hub);
 }
 
 ScalingReport run_scaling_experiment(const ScalingConfig& config) {
-  const std::size_t n = config.degrees.size();
   ScalingReport report;
-
-  sim::SweepRunner runner{config.jobs};
   sim::SweepRunner::Policy policy = config.sweep;
   policy.seed_of = [&config](std::size_t index) {
     return sim::derive_task_seed(config.seed, index);
   };
-  runner.set_policy(std::move(policy));
-
-  report.points = runner.run<ScalingPoint>(
-      n, [&config](std::size_t index, sim::SweepRunner::TaskStats& stats) {
-        const int degree = config.degrees[index];
-        const std::uint64_t seed = sim::derive_task_seed(config.seed, index);
-        // Journal resume: a point completed by a prior interrupted run is
-        // replayed from its payload instead of re-simulated.
-        if (config.resume) {
-          ScalingPoint cached;
-          if (config.resume(index, cached)) {
-            stats.events = cached.events_processed;
-            return cached;
-          }
-        }
-        // Only point 0 is observed: worker threads must not share the hub,
-        // and pinning it to a fixed point keeps trace/metrics output
-        // byte-identical at any --jobs value.
-        obs::Hub* hub = index == 0 ? config.hub : nullptr;
-        ScalingPoint point = run_scaling_point(config, degree, seed, hub);
-        stats.events = point.events_processed;
-        if (config.on_result) config.on_result(index, seed, point);
-        return point;
-      });
-  report.sweep = runner.last_run();
+  // Only point 0 is observed: worker threads must not share the hub, and
+  // pinning it to a fixed point keeps trace/metrics output byte-identical
+  // at any --jobs value.
+  report.points = resumable_sweep<ScalingPoint>(
+      config.jobs, std::move(policy), config.degrees.size(), config.resume, config.on_result,
+      [&config](std::size_t index, std::uint64_t seed) {
+        return run_scaling_point(config, config.degrees[index], seed,
+                                 index == 0 ? config.hub : nullptr);
+      },
+      report.sweep);
   return report;
-}
-
-std::string scaling_csv(const ScalingReport& report) {
-  std::string out =
-      "degree,fct_ms,optimal_ms,overhead_pct,completed,timeouts,retx,drops,"
-      "flow_state_bytes,packet_pool_bytes,routing_bytes,event_bytes,"
-      "bytes_per_flow,events,audit_violations\n";
-  char buf[512];
-  for (const ScalingPoint& p : report.points) {
-    std::snprintf(buf, sizeof(buf),
-                  "%d,%.4f,%.4f,%.2f,%d,%lld,%lld,%lld,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu\n",
-                  p.degree, p.fct_ms, p.optimal_ms, p.overhead_pct, p.completed_flows,
-                  static_cast<long long>(p.timeouts),
-                  static_cast<long long>(p.retransmits),
-                  static_cast<long long>(p.queue_drops),
-                  static_cast<unsigned long long>(p.flow_state_bytes),
-                  static_cast<unsigned long long>(p.packet_pool_bytes),
-                  static_cast<unsigned long long>(p.routing_bytes),
-                  static_cast<unsigned long long>(p.event_bytes),
-                  static_cast<unsigned long long>(p.bytes_per_flow),
-                  static_cast<unsigned long long>(p.events_processed),
-                  static_cast<unsigned long long>(p.audit_violations));
-    out += buf;
-  }
-  return out;
 }
 
 std::string scaling_fct_csv(const ScalingReport& report) {

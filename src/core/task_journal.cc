@@ -267,6 +267,14 @@ std::string canonical_config(const CollateralConfig& config) {
   return out;
 }
 
+// The chaos config is tiny and its string predates the put() helpers: kept
+// byte for byte, separators included, so existing journals still resume.
+std::string canonical_config(const ChaosConfig& config) {
+  return "chaos|seed=" + std::to_string(config.seed) +
+         "|configs=" + std::to_string(config.num_configs) +
+         "|max_events=" + std::to_string(config.max_events_per_run);
+}
+
 TaskJournal::~TaskJournal() {
   if (out_ != nullptr) std::fclose(out_);
 }
@@ -433,309 +441,6 @@ void TaskJournal::append_line(const std::string& line) {
   std::fwrite(line.data(), 1, line.size(), out_);
   std::fputc('\n', out_);
   std::fflush(out_);
-}
-
-// --- Payload serialization -------------------------------------------------
-
-namespace {
-
-Json categories_to_json(const sim::EventCategoryCounts& counts) {
-  Json::Array out;
-  out.reserve(counts.size());
-  for (const std::uint64_t n : counts) out.emplace_back(static_cast<std::int64_t>(n));
-  return Json{std::move(out)};
-}
-
-sim::EventCategoryCounts categories_from_json(const Json& v) {
-  sim::EventCategoryCounts counts{};
-  const Json::Array& arr = v.as_array();
-  for (std::size_t i = 0; i < counts.size() && i < arr.size(); ++i) {
-    counts[i] = static_cast<std::uint64_t>(arr[i].as_int());
-  }
-  return counts;
-}
-
-Json fct_rows_to_json(const std::vector<obs::TailAttributionRow>& rows) {
-  Json::Array arr;
-  arr.reserve(rows.size());
-  for (const obs::TailAttributionRow& row : rows) {
-    Json::Object o;
-    o["pctl"] = Json{std::string{row.pctl}};
-    o["flows"] = Json{static_cast<std::int64_t>(row.flows)};
-    const obs::FlowBreakdown& b = row.flow;
-    o["flow"] = Json{static_cast<std::int64_t>(b.flow)};
-    o["fct_ns"] = Json{b.fct_ns};
-    o["serialization_ns"] = Json{b.serialization_ns};
-    o["propagation_ns"] = Json{b.propagation_ns};
-    o["q_host_ns"] = Json{b.q_host_ns};
-    o["q_tor_ns"] = Json{b.q_tor_ns};
-    o["q_agg_ns"] = Json{b.q_agg_ns};
-    o["q_spine_ns"] = Json{b.q_spine_ns};
-    o["pfc_pause_ns"] = Json{b.pfc_pause_ns};
-    o["cwnd_limited_ns"] = Json{b.cwnd_limited_ns};
-    o["rto_wait_ns"] = Json{b.rto_wait_ns};
-    o["fast_recovery_ns"] = Json{b.fast_recovery_ns};
-    o["nack_recovery_ns"] = Json{b.nack_recovery_ns};
-    o["other_ns"] = Json{b.other_ns};
-    arr.emplace_back(std::move(o));
-  }
-  return Json{std::move(arr)};
-}
-
-std::vector<obs::TailAttributionRow> fct_rows_from_json(const Json& v) {
-  std::vector<obs::TailAttributionRow> rows;
-  for (const Json& rj : v.as_array()) {
-    obs::TailAttributionRow row;
-    // pctl is a static-string field; map the stored text back onto the same
-    // literals tail_attribution() emits.
-    const std::string pctl = rj.at("pctl").as_string();
-    row.pctl = pctl == "p50" ? "p50" : pctl == "p99" ? "p99" : pctl == "p999" ? "p999" : "";
-    row.flows = static_cast<int>(rj.at("flows").as_int());
-    obs::FlowBreakdown& b = row.flow;
-    b.flow = static_cast<std::uint64_t>(rj.at("flow").as_int());
-    b.fct_ns = rj.at("fct_ns").as_int();
-    b.serialization_ns = rj.at("serialization_ns").as_int();
-    b.propagation_ns = rj.at("propagation_ns").as_int();
-    b.q_host_ns = rj.at("q_host_ns").as_int();
-    b.q_tor_ns = rj.at("q_tor_ns").as_int();
-    b.q_agg_ns = rj.at("q_agg_ns").as_int();
-    b.q_spine_ns = rj.at("q_spine_ns").as_int();
-    b.pfc_pause_ns = rj.at("pfc_pause_ns").as_int();
-    b.cwnd_limited_ns = rj.at("cwnd_limited_ns").as_int();
-    b.rto_wait_ns = rj.at("rto_wait_ns").as_int();
-    b.fast_recovery_ns = rj.at("fast_recovery_ns").as_int();
-    b.nack_recovery_ns = rj.at("nack_recovery_ns").as_int();
-    b.other_ns = rj.at("other_ns").as_int();
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-}  // namespace
-
-Json to_journal_payload(const HostTraceResult& result) {
-  Json::Object o;
-  o["host"] = Json{static_cast<std::int64_t>(result.host)};
-  o["snapshot"] = Json{static_cast<std::int64_t>(result.snapshot)};
-  o["alt_regime"] = Json{result.alt_regime};
-  o["avg_utilization"] = Json{result.avg_utilization};
-  o["queue_drops"] = Json{result.queue_drops};
-  o["generated_bursts"] = Json{result.generated_bursts};
-  o["events_processed"] = Json{static_cast<std::int64_t>(result.events_processed)};
-  o["events_by_category"] = categories_to_json(result.events_by_category);
-  o["peak_events_pending"] = Json{static_cast<std::int64_t>(result.peak_events_pending)};
-  o["slab_high_water"] = Json{static_cast<std::int64_t>(result.slab_high_water)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(result.audit_violations)};
-  o["trace_seconds"] = Json{result.summary.trace_seconds};
-  Json::Array bursts;
-  bursts.reserve(result.summary.bursts.size());
-  for (const analysis::Burst& b : result.summary.bursts) {
-    Json::Object bo;
-    bo["first_bin"] = Json{static_cast<std::int64_t>(b.first_bin)};
-    bo["num_bins"] = Json{static_cast<std::int64_t>(b.num_bins)};
-    bo["bytes"] = Json{b.bytes};
-    bo["marked_bytes"] = Json{b.marked_bytes};
-    bo["retx_bytes"] = Json{b.retx_bytes};
-    bo["max_active_flows"] = Json{static_cast<std::int64_t>(b.max_active_flows)};
-    bo["peak_queue_packets"] = Json{b.peak_queue_packets};
-    bursts.emplace_back(std::move(bo));
-  }
-  o["bursts"] = Json{std::move(bursts)};
-  return Json{std::move(o)};
-}
-
-HostTraceResult host_trace_from_payload(const Json& payload) {
-  HostTraceResult r;
-  r.host = static_cast<int>(payload.at("host").as_int());
-  r.snapshot = static_cast<int>(payload.at("snapshot").as_int());
-  r.alt_regime = payload.at("alt_regime").as_bool();
-  r.avg_utilization = payload.at("avg_utilization").as_double();
-  r.queue_drops = payload.at("queue_drops").as_int();
-  r.generated_bursts = payload.at("generated_bursts").as_int();
-  r.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  r.events_by_category = categories_from_json(payload.at("events_by_category"));
-  r.peak_events_pending =
-      static_cast<std::uint64_t>(payload.at("peak_events_pending").as_int());
-  r.slab_high_water = static_cast<std::uint64_t>(payload.at("slab_high_water").as_int());
-  r.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  r.summary.trace_seconds = payload.at("trace_seconds").as_double();
-  for (const Json& bj : payload.at("bursts").as_array()) {
-    analysis::Burst b;
-    b.first_bin = static_cast<std::size_t>(bj.at("first_bin").as_int());
-    b.num_bins = static_cast<std::size_t>(bj.at("num_bins").as_int());
-    b.bytes = bj.at("bytes").as_int();
-    b.marked_bytes = bj.at("marked_bytes").as_int();
-    b.retx_bytes = bj.at("retx_bytes").as_int();
-    b.max_active_flows = static_cast<int>(bj.at("max_active_flows").as_int());
-    b.peak_queue_packets = bj.at("peak_queue_packets").as_int();
-    r.summary.bursts.push_back(b);
-  }
-  return r;
-}
-
-Json to_journal_payload(const ResiliencePoint& point) {
-  Json::Object o;
-  o["drop_rate"] = Json{point.drop_rate};
-  o["flap_duration_ns"] = Json{point.flap_duration.ns()};
-  o["goodput_rel"] = Json{point.goodput_rel};
-  o["recovery_after_flap_ms"] = Json{point.recovery_after_flap_ms};
-  o["mode"] = Json{to_string(point.mode)};
-  const IncastExperimentResult& r = point.result;
-  o["avg_bct_ms"] = Json{r.avg_bct_ms};
-  o["max_bct_ms"] = Json{r.max_bct_ms};
-  o["timeouts"] = Json{r.timeouts};
-  o["fast_retransmits"] = Json{r.fast_retransmits};
-  o["retransmitted_packets"] = Json{r.retransmitted_packets};
-  o["queue_drops"] = Json{r.queue_drops};
-  o["injected_drops"] = Json{r.injected_drops};
-  o["injected_corruptions"] = Json{r.injected_corruptions};
-  o["events_processed"] = Json{static_cast<std::int64_t>(r.events_processed)};
-  o["events_by_category"] = categories_to_json(r.events_by_category);
-  o["peak_events_pending"] = Json{static_cast<std::int64_t>(r.peak_events_pending)};
-  o["slab_high_water"] = Json{static_cast<std::int64_t>(r.slab_high_water)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(r.audit_violations)};
-  return Json{std::move(o)};
-}
-
-ResiliencePoint resilience_point_from_payload(const Json& payload) {
-  ResiliencePoint p;
-  p.drop_rate = payload.at("drop_rate").as_double();
-  p.flap_duration = sim::Time::nanoseconds(payload.at("flap_duration_ns").as_int());
-  p.goodput_rel = payload.at("goodput_rel").as_double();
-  p.recovery_after_flap_ms = payload.at("recovery_after_flap_ms").as_double();
-  const std::string mode = payload.at("mode").as_string();
-  p.mode = mode == "collapse"  ? DctcpMode::kCollapse
-           : mode == "degenerate" ? DctcpMode::kDegenerate
-                                  : DctcpMode::kSafe;
-  IncastExperimentResult& r = p.result;
-  r.avg_bct_ms = payload.at("avg_bct_ms").as_double();
-  r.max_bct_ms = payload.at("max_bct_ms").as_double();
-  r.timeouts = payload.at("timeouts").as_int();
-  r.fast_retransmits = payload.at("fast_retransmits").as_int();
-  r.retransmitted_packets = payload.at("retransmitted_packets").as_int();
-  r.queue_drops = payload.at("queue_drops").as_int();
-  r.injected_drops = payload.at("injected_drops").as_int();
-  r.injected_corruptions = payload.at("injected_corruptions").as_int();
-  r.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  r.events_by_category = categories_from_json(payload.at("events_by_category"));
-  r.peak_events_pending =
-      static_cast<std::uint64_t>(payload.at("peak_events_pending").as_int());
-  r.slab_high_water = static_cast<std::uint64_t>(payload.at("slab_high_water").as_int());
-  r.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  return p;
-}
-
-Json to_journal_payload(const ScalingPoint& point) {
-  Json::Object o;
-  o["degree"] = Json{static_cast<std::int64_t>(point.degree)};
-  o["fct_ms"] = Json{point.fct_ms};
-  o["optimal_ms"] = Json{point.optimal_ms};
-  o["overhead_pct"] = Json{point.overhead_pct};
-  o["completed_flows"] = Json{static_cast<std::int64_t>(point.completed_flows)};
-  o["timeouts"] = Json{point.timeouts};
-  o["retransmits"] = Json{point.retransmits};
-  o["queue_drops"] = Json{point.queue_drops};
-  o["flow_state_bytes"] = Json{static_cast<std::int64_t>(point.flow_state_bytes)};
-  o["packet_pool_bytes"] = Json{static_cast<std::int64_t>(point.packet_pool_bytes)};
-  o["routing_bytes"] = Json{static_cast<std::int64_t>(point.routing_bytes)};
-  o["event_bytes"] = Json{static_cast<std::int64_t>(point.event_bytes)};
-  o["bytes_per_flow"] = Json{static_cast<std::int64_t>(point.bytes_per_flow)};
-  o["events_processed"] = Json{static_cast<std::int64_t>(point.events_processed)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(point.audit_violations)};
-  o["fct_rows"] = fct_rows_to_json(point.fct_rows);
-  o["traced_flows"] = Json{static_cast<std::int64_t>(point.traced_flows)};
-  o["flow_trace_incomplete"] = Json{static_cast<std::int64_t>(point.flow_trace_incomplete)};
-  o["int_hop_overflows"] = Json{point.int_hop_overflows};
-  // The parallel-engine diagnostics (windows, per-domain splits, stalls) are
-  // intentionally absent — see the header. A replayed point reports zeros.
-  return Json{std::move(o)};
-}
-
-ScalingPoint scaling_point_from_payload(const Json& payload) {
-  ScalingPoint p;
-  p.degree = static_cast<int>(payload.at("degree").as_int());
-  p.fct_ms = payload.at("fct_ms").as_double();
-  p.optimal_ms = payload.at("optimal_ms").as_double();
-  p.overhead_pct = payload.at("overhead_pct").as_double();
-  p.completed_flows = static_cast<int>(payload.at("completed_flows").as_int());
-  p.timeouts = payload.at("timeouts").as_int();
-  p.retransmits = payload.at("retransmits").as_int();
-  p.queue_drops = payload.at("queue_drops").as_int();
-  p.flow_state_bytes = static_cast<std::uint64_t>(payload.at("flow_state_bytes").as_int());
-  p.packet_pool_bytes = static_cast<std::uint64_t>(payload.at("packet_pool_bytes").as_int());
-  p.routing_bytes = static_cast<std::uint64_t>(payload.at("routing_bytes").as_int());
-  p.event_bytes = static_cast<std::uint64_t>(payload.at("event_bytes").as_int());
-  p.bytes_per_flow = static_cast<std::uint64_t>(payload.at("bytes_per_flow").as_int());
-  p.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  p.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  p.fct_rows = fct_rows_from_json(payload.at("fct_rows"));
-  p.traced_flows = static_cast<std::uint64_t>(payload.at("traced_flows").as_int());
-  p.flow_trace_incomplete =
-      static_cast<std::uint64_t>(payload.at("flow_trace_incomplete").as_int());
-  p.int_hop_overflows = payload.at("int_hop_overflows").as_int();
-  return p;
-}
-
-Json to_journal_payload(const CollateralPoint& point) {
-  Json::Object o;
-  o["mode"] = Json{to_string(point.mode)};
-  o["degree"] = Json{static_cast<std::int64_t>(point.degree)};
-  o["victim_goodput_gbps"] = Json{point.victim_goodput_gbps};
-  o["victim_delivered_bytes"] = Json{point.victim_delivered_bytes};
-  o["victim_paused_ms"] = Json{point.victim_paused_ms};
-  o["victim_retransmits"] = Json{point.victim_retransmits};
-  o["victim_timeouts"] = Json{point.victim_timeouts};
-  o["victim_nacks"] = Json{point.victim_nacks};
-  o["incast_avg_bct_ms"] = Json{point.incast_avg_bct_ms};
-  o["incast_max_bct_ms"] = Json{point.incast_max_bct_ms};
-  o["incast_timeouts"] = Json{point.incast_timeouts};
-  o["queue_drops"] = Json{point.queue_drops};
-  o["trimmed_packets"] = Json{point.trimmed_packets};
-  o["trimmed_bytes"] = Json{point.trimmed_bytes};
-  o["pfc_pause_frames"] = Json{point.pfc_pause_frames};
-  o["pfc_resume_frames"] = Json{point.pfc_resume_frames};
-  o["pfc_overflow_drops"] = Json{point.pfc_overflow_drops};
-  o["incast_nacks"] = Json{point.incast_nacks};
-  o["events_processed"] = Json{static_cast<std::int64_t>(point.events_processed)};
-  o["audit_violations"] = Json{static_cast<std::int64_t>(point.audit_violations)};
-  o["fct_rows"] = fct_rows_to_json(point.fct_rows);
-  o["traced_flows"] = Json{static_cast<std::int64_t>(point.traced_flows)};
-  o["flow_trace_incomplete"] = Json{static_cast<std::int64_t>(point.flow_trace_incomplete)};
-  o["int_hop_overflows"] = Json{point.int_hop_overflows};
-  return Json{std::move(o)};
-}
-
-CollateralPoint collateral_point_from_payload(const Json& payload) {
-  CollateralPoint p;
-  const std::string mode = payload.at("mode").as_string();
-  if (!parse_queue_mode(mode, p.mode)) {
-    throw Error{ErrorCategory::kIo, "journal payload: unknown queue mode " + mode};
-  }
-  p.degree = static_cast<int>(payload.at("degree").as_int());
-  p.victim_goodput_gbps = payload.at("victim_goodput_gbps").as_double();
-  p.victim_delivered_bytes = payload.at("victim_delivered_bytes").as_int();
-  p.victim_paused_ms = payload.at("victim_paused_ms").as_double();
-  p.victim_retransmits = payload.at("victim_retransmits").as_int();
-  p.victim_timeouts = payload.at("victim_timeouts").as_int();
-  p.victim_nacks = payload.at("victim_nacks").as_int();
-  p.incast_avg_bct_ms = payload.at("incast_avg_bct_ms").as_double();
-  p.incast_max_bct_ms = payload.at("incast_max_bct_ms").as_double();
-  p.incast_timeouts = payload.at("incast_timeouts").as_int();
-  p.queue_drops = payload.at("queue_drops").as_int();
-  p.trimmed_packets = payload.at("trimmed_packets").as_int();
-  p.trimmed_bytes = payload.at("trimmed_bytes").as_int();
-  p.pfc_pause_frames = payload.at("pfc_pause_frames").as_int();
-  p.pfc_resume_frames = payload.at("pfc_resume_frames").as_int();
-  p.pfc_overflow_drops = payload.at("pfc_overflow_drops").as_int();
-  p.incast_nacks = payload.at("incast_nacks").as_int();
-  p.events_processed = static_cast<std::uint64_t>(payload.at("events_processed").as_int());
-  p.audit_violations = static_cast<std::uint64_t>(payload.at("audit_violations").as_int());
-  p.fct_rows = fct_rows_from_json(payload.at("fct_rows"));
-  p.traced_flows = static_cast<std::uint64_t>(payload.at("traced_flows").as_int());
-  p.flow_trace_incomplete =
-      static_cast<std::uint64_t>(payload.at("flow_trace_incomplete").as_int());
-  p.int_hop_overflows = payload.at("int_hop_overflows").as_int();
-  return p;
 }
 
 }  // namespace incast::core

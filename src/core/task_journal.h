@@ -32,6 +32,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/chaos.h"
 #include "core/collateral_experiment.h"
 #include "core/fleet_experiment.h"
 #include "core/json.h"
@@ -56,9 +57,10 @@ namespace incast::core {
 // (whose equal-time tie-breaks differ) refuses like any config change.
 [[nodiscard]] std::string canonical_config(const ScalingConfig& config);
 [[nodiscard]] std::string canonical_config(const CollateralConfig& config);
+[[nodiscard]] std::string canonical_config(const ChaosConfig& config);
 
 struct JournalHeader {
-  std::string command;           // "fleet" | "faults" | "chaos"
+  std::string command;           // the subcommand: "fleet", "scaling", ...
   std::uint64_t fingerprint{0};  // fnv1a(canonical_config(...))
   std::uint64_t tasks{0};        // sweep size, a cheap second fingerprint
 };
@@ -102,11 +104,14 @@ class TaskJournal {
   std::mutex mu_;
 };
 
-// Payload (de)serialization for the journaled subcommands. Payloads carry
+// Payload (de)serialization for the journaled subcommands, generated from
+// one field table per result struct (core/result_schema.cc). Payloads carry
 // every field the CLI reports or aggregates; deliberately excluded are the
 // bulky per-bin/per-sample series (bins, queue watermarks) — the one cell
 // whose series the CLI exports (fleet cell 0; the faults baseline) is
-// always re-run on resume, which reproduces them exactly.
+// always re-run on resume, which reproduces them exactly. Decoding throws
+// on a missing key, and core::Error (kIo) on an enum-like field (a mode, a
+// percentile label) holding a name the encoder never writes.
 [[nodiscard]] Json to_journal_payload(const HostTraceResult& result);
 [[nodiscard]] HostTraceResult host_trace_from_payload(const Json& payload);
 
@@ -123,6 +128,9 @@ class TaskJournal {
 
 [[nodiscard]] Json to_journal_payload(const CollateralPoint& point);
 [[nodiscard]] CollateralPoint collateral_point_from_payload(const Json& payload);
+
+[[nodiscard]] Json to_journal_payload(const ChaosRunResult& run);
+[[nodiscard]] ChaosRunResult chaos_run_from_payload(const Json& payload);
 
 }  // namespace incast::core
 

@@ -28,6 +28,12 @@ std::int64_t LinkDirectory::residual_buffered_bytes() const {
   return total;
 }
 
+std::int64_t LinkDirectory::int_hop_overflows() const {
+  std::int64_t total = 0;
+  for (const auto& [name, port] : by_name_) total += port->int_hop_overflows();
+  return total;
+}
+
 void LinkDirectory::register_link(std::string name, Port& port) {
   const auto [it, inserted] = by_name_.emplace(std::move(name), &port);
   assert(inserted && "duplicate link name");

@@ -51,6 +51,11 @@ class LinkDirectory {
   // at teardown, injected == delivered + dropped + residual must hold.
   [[nodiscard]] std::int64_t residual_buffered_bytes() const;
 
+  // INT hop-stamp overflows summed over every link's egress port (see
+  // Port::int_hop_overflows). Every port a builder wires is registered, so
+  // this covers the whole topology.
+  [[nodiscard]] std::int64_t int_hop_overflows() const;
+
  protected:
   ~LinkDirectory() = default;
 

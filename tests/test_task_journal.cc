@@ -534,6 +534,117 @@ TEST(TaskJournalFingerprint, CollateralCoversGridAndModeKnobs) {
   EXPECT_EQ(canonical_config(a), canonical_config(b));
 }
 
+// --- Journal compatibility goldens ---
+//
+// An existing journal resumes only while two things hold byte for byte: the
+// fingerprint in its header and the encoding of its records. Both are
+// pinned here against values a released binary wrote, so a change that
+// would orphan every journal on disk fails loudly instead.
+
+TEST(JournalCompat, DefaultConfigFingerprintsArePinned) {
+  EXPECT_EQ(fnv1a(canonical_config(FleetConfig{})), 625989758262093674ULL);
+  EXPECT_EQ(fnv1a(canonical_config(ResilienceConfig{})), 9428490940571887837ULL);
+  EXPECT_EQ(fnv1a(canonical_config(ScalingConfig{})), 4298310342758816560ULL);
+  EXPECT_EQ(fnv1a(canonical_config(CollateralConfig{})), 8525034377137359373ULL);
+}
+
+TEST(JournalCompat, ChaosCanonicalStringIsPinned) {
+  EXPECT_EQ(canonical_config(ChaosConfig{}), "chaos|seed=7|configs=25|max_events=20000000");
+}
+
+// One "ok" payload per journaled command, exactly as written by the
+// released binary: decoding and re-encoding must reproduce every byte.
+TEST(JournalCompat, ReleasedPayloadsReencodeByteForByte) {
+  const std::string fleet =
+      R"({"alt_regime":false,"audit_violations":0,"avg_utilization":0.012156399999999999,)"
+      R"("bursts":[{"bytes":896730,"first_bin":32,"marked_bytes":0,"max_active_flows":32,)"
+      R"("num_bins":1,"peak_queue_packets":63,"retx_bytes":0}],)"
+      R"("events_by_category":[0,7464,0,33,60,0],"events_processed":7557,)"
+      R"("generated_bursts":1,"host":1,"peak_events_pending":625,"queue_drops":0,)"
+      R"("slab_high_water":625,"snapshot":0,"trace_seconds":0.060000000000000005})";
+  EXPECT_EQ(to_journal_payload(host_trace_from_payload(Json::parse(fleet))).dump(), fleet);
+
+  const std::string faults =
+      R"({"audit_violations":0,"avg_bct_ms":3.1310949999999997,"drop_rate":0.0,)"
+      R"("events_by_category":[0,93600,0,122,2967,4],"events_processed":96693,)"
+      R"("fast_retransmits":0,"flap_duration_ns":2000000,"goodput_rel":1.0,)"
+      R"("injected_corruptions":0,"injected_drops":0,"max_bct_ms":3.1429169999999997,)"
+      R"("mode":"safe","peak_events_pending":7804,"queue_drops":0,)"
+      R"("recovery_after_flap_ms":0.0,"retransmitted_packets":0,"slab_high_water":7804,)"
+      R"("timeouts":0})";
+  EXPECT_EQ(to_journal_payload(resilience_point_from_payload(Json::parse(faults))).dump(),
+            faults);
+
+  const std::string scaling =
+      R"({"audit_violations":0,"bytes_per_flow":11325,"completed_flows":8,"degree":8,)"
+      R"("event_bytes":15264,"events_processed":2432,"fct_ms":0.21554399999999999,)"
+      R"("fct_rows":[{"cwnd_limited_ns":85880,"fast_recovery_ns":0,"fct_ns":213112,)"
+      R"("flow":6,"flows":8,"nack_recovery_ns":0,"other_ns":2,"pctl":"p50",)"
+      R"("pfc_pause_ns":0,"propagation_ns":27440,"q_agg_ns":0,"q_host_ns":4717,)"
+      R"("q_spine_ns":2431,"q_tor_ns":88188,"rto_wait_ns":0,"serialization_ns":4454},)"
+      R"({"cwnd_limited_ns":93080,"fast_recovery_ns":0,"fct_ns":215544,"flow":8,)"
+      R"("flows":8,"nack_recovery_ns":0,"other_ns":2,"pctl":"p99","pfc_pause_ns":0,)"
+      R"("propagation_ns":24797,"q_agg_ns":0,"q_host_ns":4263,"q_spine_ns":2653,)"
+      R"("q_tor_ns":86724,"rto_wait_ns":0,"serialization_ns":4025},)"
+      R"({"cwnd_limited_ns":93080,"fast_recovery_ns":0,"fct_ns":215544,"flow":8,)"
+      R"("flows":8,"nack_recovery_ns":0,"other_ns":2,"pctl":"p999","pfc_pause_ns":0,)"
+      R"("propagation_ns":24797,"q_agg_ns":0,"q_host_ns":4263,"q_spine_ns":2653,)"
+      R"("q_tor_ns":86724,"rto_wait_ns":0,"serialization_ns":4025}],)"
+      R"("flow_state_bytes":12672,"flow_trace_incomplete":0,"int_hop_overflows":0,)"
+      R"("optimal_ms":0.21674399999999999,"overhead_pct":-0.55364854390432816,)"
+      R"("packet_pool_bytes":59976,"queue_drops":0,"retransmits":0,"routing_bytes":2688,)"
+      R"("timeouts":0,"traced_flows":8})";
+  EXPECT_EQ(to_journal_payload(scaling_point_from_payload(Json::parse(scaling))).dump(),
+            scaling);
+
+  const std::string collateral =
+      R"({"audit_violations":0,"degree":16,"events_processed":158272,"fct_rows":[],)"
+      R"("flow_trace_incomplete":1,"incast_avg_bct_ms":3.1376080000000002,)"
+      R"("incast_max_bct_ms":3.139764,"incast_nacks":0,"incast_timeouts":0,)"
+      R"("int_hop_overflows":0,"mode":"credit","pfc_overflow_drops":0,)"
+      R"("pfc_pause_frames":0,"pfc_resume_frames":0,"queue_drops":0,"traced_flows":0,)"
+      R"("trimmed_bytes":0,"trimmed_packets":0,"victim_delivered_bytes":10900360,)"
+      R"("victim_goodput_gbps":9.6892088888888868,"victim_nacks":0,)"
+      R"("victim_paused_ms":0.0,"victim_retransmits":0,"victim_timeouts":0})";
+  EXPECT_EQ(
+      to_journal_payload(collateral_point_from_payload(Json::parse(collateral))).dump(),
+      collateral);
+
+  const std::string chaos =
+      R"({"description":"fleet service=aggregator trace=68ms contention=2 max_flows=80",)"
+      R"("events_processed":141050,"seed":"16753576447339095367"})";
+  EXPECT_EQ(to_journal_payload(chaos_run_from_payload(Json::parse(chaos))).dump(), chaos);
+}
+
+// Enum-like payload fields decode strictly: a name the encoder never writes
+// is a corrupt payload (kIo), never a silently substituted default.
+TEST(JournalCompat, UnknownEnumNamesAreCorruptPayloads) {
+  const auto expect_io_error = [](auto decode, const Json& payload) {
+    try {
+      (void)decode(payload);
+      ADD_FAILURE() << "decoded " << payload.dump();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kIo) << e.what();
+    }
+  };
+
+  Json::Object faults = to_journal_payload(ResiliencePoint{}).as_object();
+  faults["mode"] = Json{"collapsed"};
+  expect_io_error(resilience_point_from_payload, Json{faults});
+
+  Json::Object collateral = to_journal_payload(CollateralPoint{}).as_object();
+  collateral["mode"] = Json{"lossless"};
+  expect_io_error(collateral_point_from_payload, Json{collateral});
+
+  ScalingPoint p;
+  p.fct_rows.push_back(obs::TailAttributionRow{"p99", 4, {}});
+  Json::Object row = to_journal_payload(p).at("fct_rows").as_array().front().as_object();
+  row["pctl"] = Json{"p95"};
+  Json::Object scaling = to_journal_payload(p).as_object();
+  scaling["fct_rows"] = Json{Json::Array{Json{row}}};
+  expect_io_error(scaling_point_from_payload, Json{scaling});
+}
+
 // --- End-to-end: kill mid-sweep, resume, byte-identical results. Suite is
 // --- named "SweepJournal" so the TSan leg covers concurrent appends.
 

@@ -157,7 +157,9 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,7 +205,9 @@ int usage() {
   return 2;
 }
 
-std::optional<tcp::CcAlgorithm> parse_cc(const std::string& name) {
+// Maps a --cc / --pfc-cc value to its algorithm. An unknown name prints the
+// error and yields nullopt (the caller exits 2).
+std::optional<tcp::CcAlgorithm> parse_cc(const char* flag, const std::string& name) {
   if (name == "dctcp") return tcp::CcAlgorithm::kDctcp;
   if (name == "reno") return tcp::CcAlgorithm::kReno;
   if (name == "reno-ecn") return tcp::CcAlgorithm::kRenoEcn;
@@ -211,6 +215,7 @@ std::optional<tcp::CcAlgorithm> parse_cc(const std::string& name) {
   if (name == "swift") return tcp::CcAlgorithm::kSwift;
   if (name == "hpcc") return tcp::CcAlgorithm::kHpcc;
   if (name == "dcqcn") return tcp::CcAlgorithm::kDcqcn;
+  std::fprintf(stderr, "error: unknown --%s '%s'\n", flag, name.c_str());
   return std::nullopt;
 }
 
@@ -233,6 +238,33 @@ std::vector<std::string> split_list(const std::string& csv) {
     start = comma + 1;
   }
   return out;
+}
+
+// --degrees: a comma list of incast fan-ins, each in [1, 100000].
+bool parse_degrees(const std::string& list, std::vector<int>& out) {
+  out.clear();
+  for (const auto& field : split_list(list)) {
+    char* end = nullptr;
+    const long v = std::strtol(field.c_str(), &end, 10);
+    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
+      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
+      return false;
+    }
+    out.push_back(static_cast<int>(v));
+  }
+  return true;
+}
+
+// Writes one output file. Returns 0, or prints the error and returns 3 (the
+// documented file-I/O exit code).
+int write_output(const std::string& path, const std::string& content) {
+  std::ofstream out{path};
+  if (out) out << content;
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 3;
+  }
+  return 0;
 }
 
 // The observability flags shared by every simulation subcommand. Parsing
@@ -287,16 +319,14 @@ struct ObsCli {
   }
 
   // Call after the experiment (its ExperimentObserver snapshots the metrics
-  // registry before components unregister). Returns 0, or 1 on I/O failure.
+  // registry before components unregister). Returns 0, or 3 (the file-I/O
+  // exit code) when any output, flight dumps included, could not be written.
   int write_outputs() {
     if (!hub) return 0;
     if (!trace_out.empty()) {
-      std::ofstream out{trace_out};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-        return 1;
-      }
-      hub->write_trace(out);
+      std::ostringstream trace;
+      hub->write_trace(trace);
+      if (const int rc = write_output(trace_out, trace.str()); rc != 0) return rc;
       std::printf("wrote trace: %zu event(s) (%llu dropped at capacity) to %s\n",
                   hub->tracer().events().size(),
                   static_cast<unsigned long long>(hub->tracer().dropped()),
@@ -304,12 +334,9 @@ struct ObsCli {
     }
     if (!metrics_out.empty()) {
       if (!hub->has_final_metrics()) hub->capture_metrics(0);
-      std::ofstream out{metrics_out};
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      hub->final_metrics().write_json(out);
+      std::ostringstream metrics;
+      hub->final_metrics().write_json(metrics);
+      if (const int rc = write_output(metrics_out, metrics.str()); rc != 0) return rc;
       std::printf("wrote metrics: %zu metric(s) to %s\n",
                   hub->final_metrics().entries.size(), metrics_out.c_str());
     }
@@ -317,7 +344,7 @@ struct ObsCli {
       std::printf("flight recorder (%s): %d dump(s)\n", trigger_spec.c_str(),
                   hub->recorder().dumps());
     }
-    return dump_write_errors > 0 ? 1 : 0;
+    return dump_write_errors > 0 ? 3 : 0;
   }
 };
 
@@ -339,16 +366,23 @@ struct FlowTraceCli {
   // 3 (the documented file-I/O exit code) on failure.
   [[nodiscard]] int write_csv(const std::string& csv) const {
     if (out_path.empty()) return 0;
-    std::ofstream out{out_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 3;
-    }
-    out << csv;
+    if (const int rc = write_output(out_path, csv); rc != 0) return rc;
     std::printf("wrote flow-trace breakdown to %s\n", out_path.c_str());
     return 0;
   }
 };
+
+// A tail-autopsy component as its share of the flow's FCT.
+std::string share(const obs::FlowBreakdown& f, std::int64_t ns) {
+  return f.fct_ns > 0
+             ? core::fmt(100.0 * static_cast<double>(ns) / static_cast<double>(f.fct_ns), 1) +
+                   " %"
+             : std::string{"-"};
+}
+
+std::string fct_ms(const obs::FlowBreakdown& f) {
+  return core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms";
+}
 
 // Full tail-autopsy table for the single-point subcommands: one row per
 // percentile, every component as its share of that flow's FCT.
@@ -365,44 +399,14 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
                  "pfc", "cwnd", "rto", "fast-rec", "nack-rec", "other"}};
   for (const auto& row : rows) {
     const obs::FlowBreakdown& f = row.flow;
-    const auto pct = [&f](std::int64_t ns) {
-      return f.fct_ns > 0 ? core::fmt(100.0 * static_cast<double>(ns) /
-                                          static_cast<double>(f.fct_ns),
-                                      1) + " %"
-                          : std::string{"-"};
-    };
-    t.add_row({row.pctl, core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms",
-               pct(f.serialization_ns), pct(f.propagation_ns), pct(f.q_host_ns),
-               pct(f.q_tor_ns), pct(f.q_agg_ns), pct(f.q_spine_ns), pct(f.pfc_pause_ns),
-               pct(f.cwnd_limited_ns), pct(f.rto_wait_ns), pct(f.fast_recovery_ns),
-               pct(f.nack_recovery_ns), pct(f.other_ns)});
+    t.add_row({row.pctl, fct_ms(f), share(f, f.serialization_ns),
+               share(f, f.propagation_ns), share(f, f.q_host_ns), share(f, f.q_tor_ns),
+               share(f, f.q_agg_ns), share(f, f.q_spine_ns), share(f, f.pfc_pause_ns),
+               share(f, f.cwnd_limited_ns), share(f, f.rto_wait_ns),
+               share(f, f.fast_recovery_ns), share(f, f.nack_recovery_ns),
+               share(f, f.other_ns)});
   }
   t.print();
-}
-
-// One p99 cause-share row for the grid subcommands' footer table ("where
-// did the p99 flow's time go at this point"). Queue tiers and wire time are
-// folded so a row stays readable across a whole mode x degree grid; points
-// with no traced flows contribute no row.
-void add_p99_row(core::Table& t, const std::string& mode, int degree,
-                 const std::vector<obs::TailAttributionRow>& rows) {
-  for (const auto& row : rows) {
-    if (std::strcmp(row.pctl, "p99") != 0) continue;
-    const obs::FlowBreakdown& f = row.flow;
-    const auto pct = [&f](std::int64_t ns) {
-      return f.fct_ns > 0 ? core::fmt(100.0 * static_cast<double>(ns) /
-                                          static_cast<double>(f.fct_ns),
-                                      1) + " %"
-                          : std::string{"-"};
-    };
-    const std::int64_t wire = f.serialization_ns + f.propagation_ns;
-    const std::int64_t queue = f.q_host_ns + f.q_tor_ns + f.q_agg_ns + f.q_spine_ns;
-    t.add_row({mode, std::to_string(degree),
-               core::fmt(static_cast<double>(f.fct_ns) / 1e6, 3) + " ms", pct(wire),
-               pct(queue), pct(f.pfc_pause_ns), pct(f.cwnd_limited_ns), pct(f.rto_wait_ns),
-               pct(f.fast_recovery_ns), pct(f.nack_recovery_ns), pct(f.other_ns)});
-    return;
-  }
 }
 
 // The run-hardening flags shared by every simulation subcommand: auditor
@@ -443,9 +447,117 @@ struct HardeningCli {
   }
 };
 
-// Printed after a signal-interrupted sweep so the operator knows the state
-// on disk is resumable, then the 128+signo exit happens in main().
-void print_resume_hint(const core::TaskJournal& journal) {
+// Every flag family of a simulation subcommand: run hardening (plus sweep
+// isolation and --journal for sweeps), tail autopsy where the subcommand
+// traces flows, and observability.
+struct SharedFlags {
+  HardeningCli hard;
+  FlowTraceCli ft;
+  ObsCli obs;
+
+  // Consumes the families, then rejects whatever flag is left over. Returns
+  // 0, or the exit code of the bad invocation.
+  int parse(core::CliArgs& args, bool sweep, bool flow_trace) {
+    if (!hard.parse(args, sweep)) return 2;
+    if (flow_trace) ft.parse(args);
+    if (!obs.parse(args)) return 2;
+    return finish(args);
+  }
+
+  // Hands the parsed hub, auditor settings, sweep policy and tracer to an
+  // experiment config.
+  template <typename Config>
+  void apply(Config& cfg) const {
+    cfg.hub = obs.hub.get();
+    cfg.audit_mode = hard.audit_mode;
+    cfg.audit = hard.audit;
+    if constexpr (requires { cfg.sweep; }) cfg.sweep = hard.policy();
+    if constexpr (requires { cfg.flow_trace; }) {
+      cfg.flow_trace = ft.enabled;
+      cfg.flow_trace_sample_every = ft.sample_every;
+    }
+  }
+};
+
+// Wires a sweep to --journal (no-op without one): opens the journal,
+// refusing one a different run wrote; prints the resume banner ("resuming,
+// k/N <progress>"); records every failure and fresh result; and replays
+// completed tasks instead of re-running them — except task 0 when
+// `rerun_first`, because it owns output the journal does not hold (an
+// exported trace, the hub's trace and metrics). Determinism makes that
+// re-run exact.
+template <typename Config, typename Result>
+void journaled_sweep(core::TaskJournal& journal, const std::string& path,
+                     const core::JournalHeader& header, const char* progress,
+                     bool rerun_first, Config& cfg,
+                     std::function<void(const sim::TaskFailure&)>& on_failure,
+                     Result (*decode)(const core::Json&)) {
+  if (path.empty()) return;
+  journal.open(path, header);
+  if (journal.completed_count() > 0) {
+    std::printf("journal %s: resuming, %zu/%llu %s\n", journal.path().c_str(),
+                journal.completed_count(), static_cast<unsigned long long>(header.tasks),
+                progress);
+  }
+  on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
+  cfg.resume = [&journal, rerun_first, decode](std::size_t index, Result& out) {
+    if (index == 0 && rerun_first) return false;
+    const core::Json* payload = journal.payload(index);
+    if (payload == nullptr) return false;
+    out = decode(*payload);
+    return true;
+  };
+  cfg.on_result = [&journal](std::size_t index, std::uint64_t seed, const Result& r) {
+    journal.record_ok(index, seed, core::to_journal_payload(r));
+  };
+}
+
+// Indices of the sweep points that ran to completion. Quarantined or
+// never-run points hold default-constructed results: the quarantine block
+// tells their story, not a row of zeros.
+std::vector<std::size_t> healthy(const sim::SweepRunner::RunStats& sweep) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < sweep.tasks.size(); ++i) {
+    if (!sweep.failed(i) && sweep.tasks[i].attempts > 0) out.push_back(i);
+  }
+  return out;
+}
+
+// The grid subcommands' footer: where the p99 flow's time went at every
+// healthy point. Queue tiers and wire time are folded so a row stays
+// readable across a whole mode x degree grid; points with no traced flows
+// contribute no row. `label(point)` fills the mode column.
+template <typename Report, typename Label>
+void print_p99_table(const char* per, const Report& report, Label label) {
+  std::printf("\ntail autopsy: p99 cause shares per %s "
+              "(what fraction of the p99 flow's FCT each cause explains):\n",
+              per);
+  core::Table t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
+                 "fast-rec", "nack-rec", "other"}};
+  for (const std::size_t i : healthy(report.sweep)) {
+    const auto& p = report.points[i];
+    for (const auto& row : p.fct_rows) {
+      if (std::strcmp(row.pctl, "p99") != 0) continue;
+      const obs::FlowBreakdown& f = row.flow;
+      t.add_row({label(p), std::to_string(p.degree), fct_ms(f),
+                 share(f, f.serialization_ns + f.propagation_ns),
+                 share(f, f.q_host_ns + f.q_tor_ns + f.q_agg_ns + f.q_spine_ns),
+                 share(f, f.pfc_pause_ns), share(f, f.cwnd_limited_ns),
+                 share(f, f.rto_wait_ns), share(f, f.fast_recovery_ns),
+                 share(f, f.nack_recovery_ns), share(f, f.other_ns)});
+      break;
+    }
+  }
+  t.print();
+}
+
+// Every sweep's footer: its run statistics, then — after a signal — where
+// the journal stands, so the operator knows the state on disk is resumable
+// (the 128+signo exit happens in main()).
+void print_sweep_footer(const sim::SweepRunner::RunStats& sweep,
+                        const core::TaskJournal& journal) {
+  std::printf("\n");
+  core::print_sweep_stats(sweep);
   if (g_signal.load(std::memory_order_relaxed) == 0) return;
   if (journal.active()) {
     std::fprintf(stderr,
@@ -457,34 +569,24 @@ void print_resume_hint(const core::TaskJournal& journal) {
   }
 }
 
-// Shared between `burst` and `faults` so the two subcommands agree on every
-// default — `faults` with all fault knobs at zero must reproduce `burst`.
-bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
-                         std::string& cc_name) {
-  cfg.num_flows = static_cast<int>(args.int_or("flows", 500, 1, 100'000));
+// The cyclic-incast workload flags of `burst`, `faults` and `fabric`.
+template <typename Config>
+bool parse_workload(core::CliArgs& args, Config& cfg, int default_bursts,
+                    sim::Time default_max_sim_time, std::string& cc_name) {
   cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
-  cfg.num_bursts = static_cast<int>(args.int_or("bursts", 11, 1, 10'000));
+  cfg.num_bursts = static_cast<int>(args.int_or("bursts", default_bursts, 1, 10'000));
   cfg.discard_bursts =
       static_cast<int>(args.int_or("discard", 1, 0, cfg.num_bursts - 1));
   cfg.inter_burst_gap = args.time_or("gap", 10_ms, sim::Time::zero());
   cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(60), 1_ns);
+  cfg.max_sim_time = args.time_or("max-sim-time", default_max_sim_time, 1_ns);
 
   cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return false;
-  }
+  const auto cc = parse_cc("cc", cc_name);
+  if (!cc) return false;
   cfg.tcp.cc = *cc;
   cfg.tcp.int_telemetry = *cc == tcp::CcAlgorithm::kHpcc;
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
-  cfg.tcp.tail_loss_probe = args.bool_or("tlp", false);
-  cfg.topology.switch_queue.capacity_packets = args.int_or("queue", 1333, 1, 10'000'000);
-  cfg.topology.switch_queue.ecn_threshold_packets =
-      args.int_or("ecn-threshold", 65, 0, 10'000'000);
-  const std::int64_t cap_mss = args.int_or("cwnd-cap-mss", 0, 0, 1'000'000);
-  if (cap_mss > 0) cfg.tcp.cwnd_cap_bytes = cap_mss * cfg.tcp.mss_bytes;
   const std::string schedule = args.get_or("schedule", "completion");
   if (schedule != "completion" && schedule != "period") {
     std::fprintf(stderr, "error: unknown --schedule '%s'\n", schedule.c_str());
@@ -495,7 +597,24 @@ bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
   return true;
 }
 
-void print_burst_table(const core::IncastExperimentResult& r) {
+// Shared between `burst` and `faults` so the two subcommands agree on every
+// default — `faults` with all fault knobs at zero must reproduce `burst`.
+bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
+                         std::string& cc_name) {
+  cfg.num_flows = static_cast<int>(args.int_or("flows", 500, 1, 100'000));
+  if (!parse_workload(args, cfg, 11, sim::Time::seconds(60), cc_name)) return false;
+  cfg.tcp.tail_loss_probe = args.bool_or("tlp", false);
+  cfg.topology.switch_queue.capacity_packets = args.int_or("queue", 1333, 1, 10'000'000);
+  cfg.topology.switch_queue.ecn_threshold_packets =
+      args.int_or("ecn-threshold", 65, 0, 10'000'000);
+  const std::int64_t cap_mss = args.int_or("cwnd-cap-mss", 0, 0, 1'000'000);
+  if (cap_mss > 0) cfg.tcp.cwnd_cap_bytes = cap_mss * cfg.tcp.mss_bytes;
+  return true;
+}
+
+// The headline metrics of a cyclic incast, dumbbell or fabric.
+template <typename Result>
+core::Table burst_table(const Result& r) {
   core::Table t{{"metric", "value"}};
   t.add_row({"bursts completed", std::to_string(r.bursts.size())});
   t.add_row({"avg BCT (measured bursts)", core::fmt(r.avg_bct_ms, 2) + " ms"});
@@ -506,6 +625,11 @@ void print_burst_table(const core::IncastExperimentResult& r) {
   t.add_row({"drops", std::to_string(r.queue_drops)});
   t.add_row({"timeouts", std::to_string(r.timeouts)});
   t.add_row({"fast retransmits", std::to_string(r.fast_retransmits)});
+  return t;
+}
+
+void print_burst_table(const core::IncastExperimentResult& r) {
+  core::Table t = burst_table(r);
   t.add_row({"retransmitted packets", std::to_string(r.retransmitted_packets)});
   t.add_row({"end-of-burst cwnd mean", core::fmt(r.end_of_burst_cwnd_mean_mss, 2) + " MSS"});
   t.add_row({"end-of-burst cwnd max", core::fmt(r.end_of_burst_cwnd_max_mss, 2) + " MSS"});
@@ -516,31 +640,24 @@ int run_burst(core::CliArgs& args) {
   core::IncastExperimentConfig cfg;
   std::string cc_name;
   if (!parse_incast_config(args, cfg, cc_name)) return 2;
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/false)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/false, /*flow_trace=*/true); rc != 0) {
+    return rc;
+  }
+  flags.apply(cfg);
 
   std::printf("burst: %d x %s bursts of a %d-flow %s incast (seed %llu)\n",
               cfg.num_bursts, cfg.burst_duration.to_string().c_str(), cfg.num_flows,
               cc_name.c_str(), static_cast<unsigned long long>(cfg.seed));
   const auto r = core::run_incast_experiment(cfg);
   print_burst_table(r);
-  if (ft.enabled) {
+  if (flags.ft.enabled) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "burst", cfg.num_flows, r.fct_rows);
-    if (const int rc = ft.write_csv(csv); rc != 0) return rc;
+    if (const int rc = flags.ft.write_csv(csv); rc != 0) return rc;
   }
-  return obs_cli.write_outputs();
+  return flags.obs.write_outputs();
 }
 
 int run_faults(core::CliArgs& args) {
@@ -591,42 +708,22 @@ int run_faults(core::CliArgs& args) {
   cfg.fault_template.ge_drop_bad = args.double_or("ge-loss-bad", 1.0, 0.0, 1.0);
   cfg.fault_template.ge_drop_good = args.double_or("ge-loss-good", 0.0, 0.0, 1.0);
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
+    return rc;
+  }
   // Only the baseline is observed: sweep points run on worker threads and
   // must not share the hub (run_resilience_experiment nulls it for them).
-  cfg.base.hub = obs_cli.hub.get();
-  cfg.base.audit_mode = hard.audit_mode;
-  cfg.base.audit = hard.audit;
-  cfg.sweep = hard.policy();
+  flags.apply(cfg.base);
+  cfg.sweep = flags.hard.policy();
 
   const std::size_t n_points = cfg.drop_rates.size() + cfg.flap_durations.size();
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"faults", core::fnv1a(core::canonical_config(cfg)), n_points});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu point(s) already complete "
-                  "(the baseline always re-runs)\n",
-                  journal.path().c_str(), journal.completed_count(), n_points);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal](std::size_t index, core::ResiliencePoint& out) {
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::resilience_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ResiliencePoint& point) {
-      journal.record_ok(index, seed, core::to_journal_payload(point));
-    };
-  }
+  journaled_sweep(journal, flags.hard.journal_path,
+                  {"faults", core::fnv1a(core::canonical_config(cfg)), n_points},
+                  "point(s) already complete (the baseline always re-runs)",
+                  /*rerun_first=*/false, cfg, cfg.sweep.on_failure,
+                  core::resilience_point_from_payload);
 
   std::printf("faults: %d-flow %s incast, baseline + %zu fault point(s) (seed %llu)\n",
               cfg.base.num_flows, cc_name.c_str(), n_points,
@@ -641,10 +738,7 @@ int run_faults(core::CliArgs& args) {
 
   core::Table t{{"drop-rate", "flap", "avg BCT", "max BCT", "goodput", "timeouts",
                  "fast-rtx", "cong-drops", "inj-drops", "corrupt", "recovery", "mode"}};
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    // Quarantined or never-run points hold default-constructed results;
-    // their story is told by the quarantine block below, not a row of zeros.
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+  for (const std::size_t i : healthy(report.sweep)) {
     const auto& p = report.points[i];
     const auto& r = p.result;
     t.add_row({core::fmt(p.drop_rate, 6),
@@ -659,8 +753,7 @@ int run_faults(core::CliArgs& args) {
   }
   t.print();
 
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+  for (const std::size_t i : healthy(report.sweep)) {
     const auto& p = report.points[i];
     if (p.mode != report.baseline_mode) {
       std::printf("\nmode boundary shifted: baseline %s -> %s at drop-rate %s%s\n",
@@ -672,10 +765,8 @@ int run_faults(core::CliArgs& args) {
       break;
     }
   }
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
-  return obs_cli.write_outputs();
+  print_sweep_footer(report.sweep, journal);
+  return flags.obs.write_outputs();
 }
 
 // Link names contain '.' and "->"; CSV filenames should not.
@@ -720,44 +811,15 @@ int run_fabric(core::CliArgs& args) {
     return 2;
   }
 
-  cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
-  cfg.num_bursts = static_cast<int>(args.int_or("bursts", 4, 1, 10'000));
-  cfg.discard_bursts =
-      static_cast<int>(args.int_or("discard", 1, 0, cfg.num_bursts - 1));
-  cfg.inter_burst_gap = args.time_or("gap", 10_ms, sim::Time::zero());
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(30), 1_ns);
-
-  const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return 2;
-  }
-  cfg.tcp.cc = *cc;
-  cfg.tcp.int_telemetry = *cc == tcp::CcAlgorithm::kHpcc;
-  cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
-  const std::string schedule = args.get_or("schedule", "completion");
-  if (schedule != "completion" && schedule != "period") {
-    std::fprintf(stderr, "error: unknown --schedule '%s'\n", schedule.c_str());
-    return 2;
-  }
-  cfg.schedule = schedule == "period" ? workload::BurstSchedule::kFixedPeriod
-                                      : workload::BurstSchedule::kAfterCompletion;
+  std::string cc_name;
+  if (!parse_workload(args, cfg, 4, sim::Time::seconds(30), cc_name)) return 2;
 
   const std::string telemetry_prefix = args.get_or("export-telemetry", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/false)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/false, /*flow_trace=*/true); rc != 0) {
+    return rc;
+  }
+  flags.apply(cfg);
 
   const int num_leaves = cfg.fabric.num_pods * cfg.fabric.leaves_per_pod;
   const int uplinks = cfg.fabric.aggs_per_pod > 0 ? cfg.fabric.aggs_per_pod
@@ -782,16 +844,7 @@ int run_fabric(core::CliArgs& args) {
 
   const auto r = core::run_fabric_incast_experiment(cfg);
 
-  core::Table t{{"metric", "value"}};
-  t.add_row({"bursts completed", std::to_string(r.bursts.size())});
-  t.add_row({"avg BCT (measured bursts)", core::fmt(r.avg_bct_ms, 2) + " ms"});
-  t.add_row({"max BCT", core::fmt(r.max_bct_ms, 2) + " ms"});
-  t.add_row({"avg queue during bursts", core::fmt(r.avg_queue_packets, 1) + " pkts"});
-  t.add_row({"peak queue", core::fmt(r.peak_queue_packets, 0) + " pkts"});
-  t.add_row({"ECN-marked packets", core::fmt(r.marked_fraction() * 100, 1) + " %"});
-  t.add_row({"drops", std::to_string(r.queue_drops)});
-  t.add_row({"timeouts", std::to_string(r.timeouts)});
-  t.add_row({"fast retransmits", std::to_string(r.fast_retransmits)});
+  core::Table t = burst_table(r);
   t.add_row({"ECMP path changes", std::to_string(r.ecmp_path_changes)});
   t.add_row({"mode", core::to_string(r.mode)});
   t.add_row({"events processed", std::to_string(r.events_processed)});
@@ -826,24 +879,22 @@ int run_fabric(core::CliArgs& args) {
   if (!telemetry_prefix.empty()) {
     int written = 0;
     for (const auto& v : r.vantages) {
+      std::ostringstream csv;
+      telemetry::write_bins_csv(v.bins, csv);
       const std::string path = telemetry_prefix + sanitize_for_filename(v.name) + ".csv";
-      if (telemetry::write_bins_csv_file(v.bins, path)) {
-        ++written;
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-        return 1;
-      }
+      if (const int rc = write_output(path, csv.str()); rc != 0) return rc;
+      ++written;
     }
     std::printf("\nexported %d vantage trace(s) to %s*.csv\n", written,
                 telemetry_prefix.c_str());
   }
-  if (ft.enabled) {
+  if (flags.ft.enabled) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, "fabric", cfg.num_flows, r.fct_rows);
-    if (const int rc = ft.write_csv(csv); rc != 0) return rc;
+    if (const int rc = flags.ft.write_csv(csv); rc != 0) return rc;
   }
-  return obs_cli.write_outputs();
+  return flags.obs.write_outputs();
 }
 
 int run_fleet(core::CliArgs& args) {
@@ -873,48 +924,25 @@ int run_fleet(core::CliArgs& args) {
   }
   const std::string csv_path = args.get_or("export-csv", "");
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
+    return rc;
+  }
   // The hub observes the (host 0, snapshot 0) cell only, so trace and
   // metrics output is byte-identical at any --jobs value.
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
+  flags.apply(cfg);
 
   const auto n_cells =
       static_cast<std::size_t>(cfg.num_hosts) * static_cast<std::size_t>(cfg.num_snapshots);
+  // Cell 0 is the observed/exported cell: its Millisampler bins and any
+  // trace/metrics output are not journaled, so it always re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"fleet", core::fnv1a(core::canonical_config(cfg)), n_cells});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu cell(s) already complete "
-                  "(cell 0 always re-runs: it owns the exported trace)\n",
-                  journal.path().c_str(), journal.completed_count(), n_cells);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal](std::size_t index, core::HostTraceResult& out) {
-      // Cell 0 is the observed/exported cell: its Millisampler bins and any
-      // trace/metrics output are not journaled, so it re-runs (determinism
-      // makes the re-run free of surprises, and the grid's other N-1 cells
-      // are where the time goes).
-      if (index == 0) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::host_trace_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::HostTraceResult& r) {
-      journal.record_ok(index, seed, core::to_journal_payload(r));
-    };
-  }
+  journaled_sweep(journal, flags.hard.journal_path,
+                  {"fleet", core::fnv1a(core::canonical_config(cfg)), n_cells},
+                  "cell(s) already complete (cell 0 always re-runs: it owns the exported "
+                  "trace)",
+                  /*rerun_first=*/true, cfg, cfg.sweep.on_failure,
+                  core::host_trace_from_payload);
 
   std::printf("fleet: %d host(s) x %d snapshot(s) of '%s', %s traces\n", cfg.num_hosts,
               cfg.num_snapshots, service.c_str(), cfg.trace_duration.to_string().c_str());
@@ -931,13 +959,9 @@ int run_fleet(core::CliArgs& args) {
   analysis::Cdf freq, dur, flows, marked, retx;
   double util = 0.0;
   std::int64_t drops = 0;
-  std::size_t healthy = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    // Quarantined or cancelled-before-start cells hold default-constructed
-    // results; keep them out of the aggregates.
-    if (sweep.failed(i) || sweep.tasks[i].attempts == 0) continue;
+  const std::vector<std::size_t> healthy_cells = healthy(sweep);
+  for (const std::size_t i : healthy_cells) {
     const auto& r = results[i];
-    ++healthy;
     util += r.avg_utilization;
     drops += r.queue_drops;
     freq.add(r.summary.bursts_per_second());
@@ -948,29 +972,31 @@ int run_fleet(core::CliArgs& args) {
       retx.add(b.retx_fraction() * 100);
     }
   }
+  int export_rc = 0;
   if (!csv_path.empty() && !results.empty()) {
-    if (telemetry::write_bins_csv_file(results.front().bins, csv_path)) {
-      // Footer: annotate a partial export so downstream tooling (and
-      // humans) can tell "clean sweep" from "some cells missing". '#'
-      // lines are skipped by read_bins_csv.
-      if (!sweep.failures.empty() || sweep.tasks_not_run > 0) {
-        std::ofstream footer{csv_path, std::ios::app};
-        footer << "# quarantined: " << sweep.failures.size() << " cell(s) failed, "
-               << sweep.tasks_not_run << " not run\n";
-        for (const sim::TaskFailure& f : sweep.failures) {
-          footer << "# cell " << f.index << " (seed " << f.seed << ") ["
-                 << sim::to_string(f.category) << "]: " << f.message << '\n';
-        }
+    std::ostringstream csv;
+    telemetry::write_bins_csv(results.front().bins, csv);
+    // Footer: annotate a partial export so downstream tooling (and humans)
+    // can tell "clean sweep" from "some cells missing". '#' lines are
+    // skipped by read_bins_csv.
+    if (!sweep.failures.empty() || sweep.tasks_not_run > 0) {
+      csv << "# quarantined: " << sweep.failures.size() << " cell(s) failed, "
+          << sweep.tasks_not_run << " not run\n";
+      for (const sim::TaskFailure& f : sweep.failures) {
+        csv << "# cell " << f.index << " (seed " << f.seed << ") ["
+            << sim::to_string(f.category) << "]: " << f.message << '\n';
       }
-      std::printf("exported host 0 trace to %s\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
     }
+    export_rc = write_output(csv_path, csv.str());
+    if (export_rc == 0) std::printf("exported host 0 trace to %s\n", csv_path.c_str());
   }
 
   core::Table t{{"metric", "value"}};
   t.add_row({"avg utilization",
-             core::fmt(healthy > 0 ? util / static_cast<double>(healthy) * 100 : 0.0, 1) +
+             core::fmt(healthy_cells.empty()
+                           ? 0.0
+                           : util / static_cast<double>(healthy_cells.size()) * 100,
+                       1) +
              " %"});
   t.add_row({"bursts/second (mean)", core::fmt(freq.mean(), 1)});
   t.add_row({"burst duration p50/p99",
@@ -983,10 +1009,9 @@ int run_fleet(core::CliArgs& args) {
   t.add_row({"worst retx fraction", core::fmt(retx.max(), 2) + " %"});
   t.add_row({"ToR drops", std::to_string(drops)});
   t.print();
-  std::printf("\n");
-  core::print_sweep_stats(sweep);
-  print_resume_hint(journal);
-  return obs_cli.write_outputs();
+  print_sweep_footer(sweep, journal);
+  const int rc = flags.obs.write_outputs();
+  return export_rc != 0 ? export_rc : rc;
 }
 
 int run_collateral(core::CliArgs& args) {
@@ -1002,16 +1027,7 @@ int run_collateral(core::CliArgs& args) {
     }
     cfg.modes.push_back(mode);
   }
-  cfg.degrees.clear();
-  for (const auto& field : split_list(args.get_or("degrees", "64"))) {
-    char* end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
-      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
-      return 2;
-    }
-    cfg.degrees.push_back(static_cast<int>(v));
-  }
+  if (!parse_degrees(args.get_or("degrees", "64"), cfg.degrees)) return 2;
 
   cfg.num_bursts = static_cast<int>(args.int_or("bursts", 4, 1, 10'000));
   cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
@@ -1034,62 +1050,27 @@ int run_collateral(core::CliArgs& args) {
   cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
-  const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return 2;
-  }
+  const auto cc = parse_cc("cc", args.get_or("cc", "dctcp"));
+  if (!cc) return 2;
   cfg.tcp.cc = *cc;
-  const std::string pfc_cc_name = args.get_or("pfc-cc", "dcqcn");
-  const auto pfc_cc = parse_cc(pfc_cc_name);
-  if (!pfc_cc) {
-    std::fprintf(stderr, "error: unknown --pfc-cc '%s'\n", pfc_cc_name.c_str());
-    return 2;
-  }
+  const auto pfc_cc = parse_cc("pfc-cc", args.get_or("pfc-cc", "dcqcn"));
+  if (!pfc_cc) return 2;
   cfg.pfc_cc = *pfc_cc;
 
   const std::string csv_path = args.get_or("export-csv", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/true); rc != 0) {
+    return rc;
+  }
+  flags.apply(cfg);
 
   const std::size_t n_points = cfg.modes.size() * cfg.degrees.size();
+  // Point 0 feeds the hub when observability is on: it always re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path,
-                 {"collateral", core::fnv1a(core::canonical_config(cfg)), n_points});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu point(s) already complete\n",
-                  journal.path().c_str(), journal.completed_count(), n_points);
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal, hub = cfg.hub](std::size_t index, core::CollateralPoint& out) {
-      // Point 0 feeds the hub when observability is on; its trace/metrics
-      // bytes are not journaled, so it re-runs.
-      if (index == 0 && hub != nullptr) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::collateral_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::CollateralPoint& p) {
-      journal.record_ok(index, seed, core::to_journal_payload(p));
-    };
-  }
+  journaled_sweep(journal, flags.hard.journal_path,
+                  {"collateral", core::fnv1a(core::canonical_config(cfg)), n_points},
+                  "point(s) already complete", /*rerun_first=*/cfg.hub != nullptr, cfg,
+                  cfg.sweep.on_failure, core::collateral_point_from_payload);
 
   std::printf("collateral: victim flow vs %d x %s incast bursts, %zu mode(s) x %zu "
               "degree(s) (seed %llu)\n",
@@ -1100,8 +1081,7 @@ int run_collateral(core::CliArgs& args) {
 
   core::Table t{{"mode", "degree", "victim", "paused", "v-retx", "v-nacks", "avg BCT",
                  "max BCT", "drops", "trims", "pauses", "audit"}};
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+  for (const std::size_t i : healthy(report.sweep)) {
     const auto& p = report.points[i];
     t.add_row({core::to_string(p.mode), std::to_string(p.degree),
                core::fmt(p.victim_goodput_gbps, 3) + " Gbps",
@@ -1114,53 +1094,31 @@ int run_collateral(core::CliArgs& args) {
   }
   t.print();
 
-  if (ft.enabled) {
-    std::printf("\ntail autopsy: p99 cause shares per point "
-                "(what fraction of the p99 flow's FCT each cause explains):\n");
-    core::Table ft_t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
-                      "fast-rec", "nack-rec", "other"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
-      const auto& p = report.points[i];
-      add_p99_row(ft_t, core::to_string(p.mode), p.degree, p.fct_rows);
-    }
-    ft_t.print();
+  if (flags.ft.enabled) {
+    print_p99_table("point", report,
+                    [](const core::CollateralPoint& p) { return core::to_string(p.mode); });
   }
 
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
-  if (ft.enabled) {
-    if (const int rc = ft.write_csv(core::collateral_fct_csv(report)); rc != 0) return rc;
+  if (flags.ft.enabled) {
+    if (const int rc = flags.ft.write_csv(core::collateral_fct_csv(report)); rc != 0) {
+      return rc;
+    }
   }
 
   if (!csv_path.empty()) {
-    std::ofstream out{csv_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    out << core::collateral_csv(report);
+    if (const int rc = write_output(csv_path, core::collateral_csv(report)); rc != 0) return rc;
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return obs_cli.write_outputs();
+  return flags.obs.write_outputs();
 }
 
 int run_scaling(core::CliArgs& args) {
   core::ScalingConfig cfg;
 
-  cfg.degrees.clear();
   const std::string default_degrees = "1,2,4,8,16,32,64,128,256,512,1024,2000,4000,8000";
-  for (const auto& field : split_list(args.get_or("degrees", default_degrees))) {
-    char* end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
-      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
-      return 2;
-    }
-    cfg.degrees.push_back(static_cast<int>(v));
-  }
+  if (!parse_degrees(args.get_or("degrees", default_degrees), cfg.degrees)) return 2;
 
   cfg.fabric.num_pods = static_cast<int>(args.int_or("pods", cfg.fabric.num_pods, 1, 64));
   cfg.fabric.leaves_per_pod =
@@ -1182,27 +1140,21 @@ int run_scaling(core::CliArgs& args) {
   const int domains_flag = static_cast<int>(args.int_or("domains", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
-  const std::string cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc(cc_name);
-  if (!cc) {
-    std::fprintf(stderr, "error: unknown --cc '%s'\n", cc_name.c_str());
-    return 2;
-  }
+  const auto cc = parse_cc("cc", args.get_or("cc", "dctcp"));
+  if (!cc) return 2;
   cfg.tcp.cc = *cc;
 
   const std::string csv_path = args.get_or("export-csv", "");
-  HardeningCli hard;
-  if (!hard.parse(args, /*sweep_flags=*/true)) return 2;
-  FlowTraceCli ft;
-  ft.parse(args);
-  ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
-  if (const int rc = finish(args); rc != 0) return rc;
+  SharedFlags flags;
+  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/true); rc != 0) {
+    return rc;
+  }
   if (domains_given) {
     // Per-event observability is not sharded across domain queues: the
     // tracer, flow tracer and flight recorder would interleave differently
     // at every N. The N-invariant metrics snapshot (--metrics-out) is fine.
-    if (ft.enabled || !obs_cli.trace_out.empty() || !obs_cli.trigger_spec.empty()) {
+    if (flags.ft.enabled || !flags.obs.trace_out.empty() ||
+        !flags.obs.trigger_spec.empty()) {
       std::fprintf(stderr,
                    "error: --domains is incompatible with --flow-trace / --trace-out / "
                    "--flight-recorder (per-event observability is per-engine-queue; "
@@ -1220,39 +1172,14 @@ int run_scaling(core::CliArgs& args) {
     cfg.jobs = par.jobs;
     cfg.domains = par.domains;
   }
-  cfg.hub = obs_cli.hub.get();
-  cfg.audit_mode = hard.audit_mode;
-  cfg.audit = hard.audit;
-  cfg.sweep = hard.policy();
-  cfg.flow_trace = ft.enabled;
-  cfg.flow_trace_sample_every = ft.sample_every;
+  flags.apply(cfg);
 
+  // Point 0 feeds the hub when observability is on: it always re-runs.
   core::TaskJournal journal;
-  if (!hard.journal_path.empty()) {
-    journal.open(hard.journal_path, {"scaling", core::fnv1a(core::canonical_config(cfg)),
-                                     cfg.degrees.size()});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%zu degree(s) already complete\n",
-                  journal.path().c_str(), journal.completed_count(), cfg.degrees.size());
-    }
-    cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) {
-      journal.record_failure(f);
-    };
-    cfg.resume = [&journal, hub = cfg.hub](std::size_t index, core::ScalingPoint& out) {
-      // Point 0 feeds the hub when observability is on; its trace/metrics
-      // bytes are not journaled, so it re-runs (the ladder's other points
-      // are where the time goes, and determinism makes the re-run exact).
-      if (index == 0 && hub != nullptr) return false;
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out = core::scaling_point_from_payload(*payload);
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ScalingPoint& p) {
-      journal.record_ok(index, seed, core::to_journal_payload(p));
-    };
-  }
+  journaled_sweep(journal, flags.hard.journal_path,
+                  {"scaling", core::fnv1a(core::canonical_config(cfg)), cfg.degrees.size()},
+                  "degree(s) already complete", /*rerun_first=*/cfg.hub != nullptr, cfg,
+                  cfg.sweep.on_failure, core::scaling_point_from_payload);
 
   const int hosts =
       cfg.fabric.num_pods * cfg.fabric.leaves_per_pod * cfg.fabric.hosts_per_leaf;
@@ -1265,8 +1192,7 @@ int run_scaling(core::CliArgs& args) {
 
   core::Table t{{"degree", "FCT", "optimal", "overhead", "done", "timeouts", "retx",
                  "drops", "B/flow", "audit"}};
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+  for (const std::size_t i : healthy(report.sweep)) {
     const auto& p = report.points[i];
     t.add_row({std::to_string(p.degree), core::fmt(p.fct_ms, 2) + " ms",
                core::fmt(p.optimal_ms, 2) + " ms", core::fmt(p.overhead_pct, 1) + " %",
@@ -1277,17 +1203,8 @@ int run_scaling(core::CliArgs& args) {
   }
   t.print();
 
-  if (ft.enabled) {
-    std::printf("\ntail autopsy: p99 cause shares per degree "
-                "(what fraction of the p99 flow's FCT each cause explains):\n");
-    core::Table ft_t{{"mode", "degree", "p99 FCT", "wire", "queue", "pfc", "cwnd", "rto",
-                      "fast-rec", "nack-rec", "other"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
-      const auto& p = report.points[i];
-      add_p99_row(ft_t, "scaling", p.degree, p.fct_rows);
-    }
-    ft_t.print();
+  if (flags.ft.enabled) {
+    print_p99_table("degree", report, [](const core::ScalingPoint&) { return "scaling"; });
   }
 
   if (cfg.domains >= 1) {
@@ -1298,8 +1215,7 @@ int run_scaling(core::CliArgs& args) {
                 cfg.domains);
     core::Table pt{{"degree", "windows", "bridged", "stall", "ev/domain min..max",
                     "windows w/ 0|<=8|>8 events"}};
-    for (std::size_t i = 0; i < report.points.size(); ++i) {
-      if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+    for (const std::size_t i : healthy(report.sweep)) {
       const auto& p = report.points[i];
       if (p.parallel_domains == 0) continue;  // resumed from a journal
       std::uint64_t ev_min = 0, ev_max = 0;
@@ -1325,24 +1241,17 @@ int run_scaling(core::CliArgs& args) {
     pt.print();
   }
 
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
-  if (ft.enabled) {
-    if (const int rc = ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
+  if (flags.ft.enabled) {
+    if (const int rc = flags.ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
   }
 
   if (!csv_path.empty()) {
-    std::ofstream out{csv_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    out << core::scaling_csv(report);
+    if (const int rc = write_output(csv_path, core::scaling_csv(report)); rc != 0) return rc;
     std::printf("wrote %zu point(s) to %s\n", report.points.size(), csv_path.c_str());
   }
-  return obs_cli.write_outputs();
+  return flags.obs.write_outputs();
 }
 
 int run_chaos(core::CliArgs& args) {
@@ -1358,36 +1267,11 @@ int run_chaos(core::CliArgs& args) {
   cfg.cancel = &g_cancel;
 
   core::TaskJournal journal;
-  if (!journal_path.empty()) {
-    // The chaos config is tiny; its canonical string is inlined here.
-    std::string canonical = "chaos|seed=" + std::to_string(cfg.seed) +
-                            "|configs=" + std::to_string(cfg.num_configs) +
-                            "|max_events=" + std::to_string(cfg.max_events_per_run);
-    journal.open(journal_path, {"chaos", core::fnv1a(canonical),
-                                static_cast<std::uint64_t>(cfg.num_configs)});
-    if (journal.completed_count() > 0) {
-      std::printf("journal %s: resuming, %zu/%d config(s) already survived\n",
-                  journal.path().c_str(), journal.completed_count(), cfg.num_configs);
-    }
-    cfg.on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
-    cfg.resume = [&journal](std::size_t index, core::ChaosRunResult& out) {
-      const core::Json* payload = journal.payload(index);
-      if (payload == nullptr) return false;
-      out.description = payload->at("description").as_string();
-      out.seed = std::stoull(payload->at("seed").as_string());
-      out.events_processed =
-          static_cast<std::uint64_t>(payload->at("events_processed").as_int());
-      return true;
-    };
-    cfg.on_result = [&journal](std::size_t index, std::uint64_t seed,
-                               const core::ChaosRunResult& r) {
-      core::Json::Object o;
-      o["description"] = core::Json{r.description};
-      o["seed"] = core::Json{std::to_string(r.seed)};
-      o["events_processed"] = core::Json{static_cast<std::int64_t>(r.events_processed)};
-      journal.record_ok(index, seed, core::Json{std::move(o)});
-    };
-  }
+  journaled_sweep(journal, journal_path,
+                  {"chaos", core::fnv1a(core::canonical_config(cfg)),
+                   static_cast<std::uint64_t>(cfg.num_configs)},
+                  "config(s) already survived", /*rerun_first=*/false, cfg, cfg.on_failure,
+                  core::chaos_run_from_payload);
 
   std::printf("chaos: %d random config(s), seed %llu, strict auditor, "
               "budget %llu events/run\n",
@@ -1396,8 +1280,7 @@ int run_chaos(core::CliArgs& args) {
 
   const core::ChaosReport report = core::run_chaos(cfg);
 
-  for (std::size_t i = 0; i < report.runs.size(); ++i) {
-    if (report.sweep.failed(i) || report.sweep.tasks[i].attempts == 0) continue;
+  for (const std::size_t i : healthy(report.sweep)) {
     std::printf("  ok   #%-3zu %-90s %llu events\n", i, report.runs[i].description.c_str(),
                 static_cast<unsigned long long>(report.runs[i].events_processed));
   }
@@ -1406,9 +1289,7 @@ int run_chaos(core::CliArgs& args) {
                 static_cast<unsigned long long>(f.seed), sim::to_string(f.category),
                 f.message.c_str());
   }
-  std::printf("\n");
-  core::print_sweep_stats(report.sweep);
-  print_resume_hint(journal);
+  print_sweep_footer(report.sweep, journal);
 
   if (!report.sweep.failures.empty()) {
     std::fprintf(stderr, "chaos: %zu of %d config(s) violated an invariant or budget\n",
