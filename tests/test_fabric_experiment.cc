@@ -3,11 +3,16 @@
 // dumbbell's DCTCP mode classification for the same sweep points.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/fabric_experiment.h"
 #include "core/incast_experiment.h"
 #include "core/resilience_experiment.h"
+#include "core/task_journal.h"
+#include "telemetry/trace_io.h"
 
 namespace incast::core {
 namespace {
@@ -153,6 +158,68 @@ TEST(FabricExperiment, NamedLinkFaultInjectsDrops) {
   const auto lossy = run_fabric_incast_experiment(cfg);
   EXPECT_GT(lossy.injected_drops, 0);
   EXPECT_GT(lossy.retransmitted_packets, clean.retransmitted_packets);
+}
+
+// Every field of a cross-rack result (doubles at full round-trip
+// precision), vantage bins in their CSV form.
+std::string result_bytes(const FabricIncastExperimentResult& r) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const auto& b : r.bursts) {
+    out << b.index << ',' << b.started.ns() << ',' << b.completed.ns() << ';';
+  }
+  out << '\n';
+  for (const int h : r.sender_hosts) out << h << ',';
+  out << '\n' << r.receiver_host << ',' << to_string(r.mode) << '\n';
+  for (const auto& s : r.queue_series) out << s.at.ns() << ':' << s.packets << ',';
+  out << '\n'
+      << r.avg_bct_ms << ',' << r.max_bct_ms << ',' << r.avg_queue_packets << ','
+      << r.peak_queue_packets << '\n'
+      << r.queue_drops << ',' << r.queue_ecn_marks << ',' << r.queue_enqueues << ','
+      << r.timeouts << ',' << r.fast_retransmits << ',' << r.retransmitted_packets << ','
+      << r.data_packets_sent << ',' << r.injected_drops << '\n';
+  for (const auto& v : r.vantages) {
+    out << v.tier << ',' << v.name << ',' << v.line_rate.bps() << '\n';
+    telemetry::write_bins_csv(v.bins, out);
+    for (const auto w : v.queue_watermarks) out << w << ',';
+    out << '\n';
+  }
+  for (const auto& s : r.leaf_ecmp) {
+    out << s.global_leaf << ':';
+    for (const auto n : s.flows_by_uplink) out << n << ',';
+    out << '\n';
+  }
+  out << r.ecmp_path_changes << '\n'
+      << r.events_processed << ',' << r.peak_events_pending << ',' << r.slab_high_water;
+  for (const auto n : r.events_by_category) out << ',' << n;
+  out << '\n' << r.audit_violations << ',' << r.int_hop_overflows << '\n';
+  return out.str();
+}
+
+// Committed fingerprint of a full cross-rack result with a lossy uplink. A
+// change that moves it altered the experiment's observable behavior.
+constexpr std::uint64_t kFabricResultGoldenFnv = 0x877be7b604d06c67ULL;
+
+TEST(FabricExperiment, CrossRackResultMatchesCommittedGolden) {
+  FabricIncastExperimentConfig cfg;
+  cfg.num_flows = 24;
+  cfg.fabric.num_pods = 2;
+  cfg.fabric.leaves_per_pod = 2;
+  cfg.fabric.hosts_per_leaf = 8;
+  cfg.fabric.num_spines = 2;
+  cfg.num_bursts = 3;
+  cfg.discard_bursts = 1;
+  cfg.burst_duration = 3_ms;
+  cfg.seed = 5;
+  cfg.link_faults.push_back({"p0.l0->s0", {.drop_rate = 1e-2}});
+
+  const auto r = run_fabric_incast_experiment(cfg);
+  ASSERT_EQ(r.bursts.size(), 3u);
+  ASSERT_GT(r.injected_drops, 0);
+  ASSERT_FALSE(r.vantages.empty());
+  const std::string bytes = result_bytes(r);
+  EXPECT_EQ(fnv1a(bytes), kFabricResultGoldenFnv)
+      << std::hex << fnv1a(bytes) << std::dec << '\n' << bytes.substr(0, 2000);
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 // abbreviated form; the full Figure 5 reproduction is bench/fig5_dctcp_modes).
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "core/incast_experiment.h"
+#include "core/task_journal.h"
 
 namespace incast::core {
 namespace {
@@ -108,6 +113,76 @@ TEST(IncastModes, ShortBurstsDominatedByInitialSpike) {
   const auto result = run_incast_experiment(cfg);
   EXPECT_GT(result.peak_queue_packets, 400.0);
   EXPECT_GT(result.avg_bct_ms, 1.5);
+}
+
+// A run exercising every dumbbell-specific path: core-link faults in both
+// directions, a named host-link fault, a flap inside a measured burst,
+// in-flight sampling and the cwnd census.
+IncastExperimentConfig golden_config() {
+  IncastExperimentConfig cfg = base_config(60);
+  cfg.num_bursts = 3;
+  cfg.burst_duration = 5_ms;
+  cfg.inflight_sample_every = 200_us;
+  cfg.faults.forward.drop_rate = 2e-3;
+  cfg.faults.forward.reorder_rate = 1e-3;
+  cfg.faults.reverse.corrupt_rate = 1e-3;
+  cfg.faults.reverse.duplicate_rate = 1e-3;
+  cfg.faults.links.push_back({"sender3->tor_s", {.drop_rate = 1e-2}});
+  cfg.faults.flaps.push_back({.down_at = 215_ms, .duration = 500_us});
+  return cfg;
+}
+
+// Every field of the result (doubles at full round-trip precision).
+std::string result_bytes(const IncastExperimentResult& r) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const auto& b : r.bursts) {
+    out << b.index << ',' << b.started.ns() << ',' << b.completed.ns() << ';';
+  }
+  out << '\n';
+  for (const auto& s : r.queue_series) out << s.at.ns() << ':' << s.packets << ',';
+  out << '\n' << r.queue_offset_step.ns() << '\n';
+  for (const double q : r.mean_queue_by_offset) out << q << ',';
+  out << '\n';
+  for (const auto& s : r.inflight) {
+    out << s.at.ns() << ':' << s.active_flows << ':' << s.p50_bytes << ':' << s.mean_bytes
+        << ':' << s.p95_bytes << ':' << s.max_bytes << ',';
+  }
+  out << '\n'
+      << r.avg_bct_ms << ',' << r.max_bct_ms << ',' << r.avg_queue_packets << ','
+      << r.peak_queue_packets << '\n'
+      << r.queue_drops << ',' << r.queue_ecn_marks << ',' << r.queue_enqueues << ','
+      << r.timeouts << ',' << r.fast_retransmits << ',' << r.retransmitted_packets << ','
+      << r.data_packets_sent << '\n'
+      << r.end_of_burst_cwnd_mean_mss << ',' << r.end_of_burst_cwnd_max_mss << '\n'
+      << r.injected_drops << ',' << r.injected_flap_drops << ',' << r.injected_corruptions
+      << ',' << r.injected_duplicates << ',' << r.injected_reorders << ','
+      << r.corrupt_nic_drops << '\n';
+  for (const auto n : r.congestion_drops_by_window) out << n << ',';
+  out << '\n';
+  for (const auto n : r.injected_drops_by_window) out << n << ',';
+  out << '\n' << r.events_processed << ',' << r.peak_events_pending << ',' << r.slab_high_water;
+  for (const auto n : r.events_by_category) out << ',' << n;
+  out << '\n' << r.audit_violations << ',' << r.int_hop_overflows << '\n';
+  return out.str();
+}
+
+// Committed fingerprint of the full dumbbell result. A change that moves it
+// altered the experiment's observable behavior.
+constexpr std::uint64_t kDumbbellResultGoldenFnv = 0x6a1b69fa827ff53dULL;
+
+TEST(IncastModes, FullResultMatchesCommittedGolden) {
+  const auto r = run_incast_experiment(golden_config());
+  // The run must reach what the golden is meant to pin.
+  ASSERT_EQ(r.bursts.size(), 3u);
+  ASSERT_FALSE(r.inflight.empty());
+  ASSERT_FALSE(r.mean_queue_by_offset.empty());
+
+  ASSERT_GT(r.injected_flap_drops, 0);
+  ASSERT_GT(r.injected_drops, r.injected_flap_drops);
+  const std::string bytes = result_bytes(r);
+  EXPECT_EQ(fnv1a(bytes), kDumbbellResultGoldenFnv)
+      << std::hex << fnv1a(bytes) << std::dec << '\n' << bytes.substr(0, 2000);
 }
 
 }  // namespace
