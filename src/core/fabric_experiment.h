@@ -24,15 +24,16 @@
 #include "core/incast_experiment.h"
 #include "core/resilience_experiment.h"
 #include "fabric/fat_tree.h"
-#include "tcp/tcp_config.h"
 #include "telemetry/millisampler.h"
-#include "telemetry/queue_monitor.h"
-#include "workload/cyclic_incast.h"
 
 namespace incast::core {
 
-struct FabricIncastExperimentConfig {
-  int num_flows{96};
+struct FabricIncastExperimentConfig : CyclicIncastSettings {
+  // A fabric run defaults to 96 flows over 4 bursts.
+  FabricIncastExperimentConfig() {
+    num_flows = 96;
+    num_bursts = 4;
+  }
 
   // kCrossRack spreads senders round-robin over every leaf except the
   // receiver's; kSingleRack packs them onto one leaf (the dumbbell shape).
@@ -40,36 +41,12 @@ struct FabricIncastExperimentConfig {
   Placement placement{Placement::kCrossRack};
 
   fabric::FatTreeConfig fabric{};
-  tcp::TcpConfig tcp{};
 
-  sim::Time burst_duration{sim::Time::milliseconds(15)};
-  int num_bursts{4};
-  int discard_bursts{1};
-  sim::Time inter_burst_gap{sim::Time::milliseconds(10)};
-  workload::BurstSchedule schedule{workload::BurstSchedule::kAfterCompletion};
-
-  // Bottleneck (receiver downlink) queue time-series sampling period.
-  sim::Time queue_sample_every{sim::Time::microseconds(10)};
   // Bin width for every Millisampler-style vantage trace.
   sim::Time telemetry_bin{sim::Time::milliseconds(1)};
-  sim::Time max_sim_time{sim::Time::seconds(30)};
 
   // Faults on arbitrary named fabric links (LinkDirectory names).
   std::vector<NamedLinkFault> link_faults{};
-
-  // Borrowed observability hub; nullptr = unobserved run (see
-  // IncastExperimentConfig::hub).
-  obs::Hub* hub{nullptr};
-
-  // Run-hardening (see IncastExperimentConfig::audit_mode).
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace).
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
-
-  std::uint64_t seed{1};
 };
 
 // One Millisampler-format trace collected at a vantage point.
@@ -89,35 +66,12 @@ struct VantageTrace {
   [[nodiscard]] std::int64_t peak_queue_packets() const;
 };
 
-struct FabricIncastExperimentResult {
-  std::vector<workload::CyclicIncastDriver::BurstRecord> bursts;
-
+struct FabricIncastExperimentResult : CyclicIncastResult {
   // Placement actually used (global host indices).
   std::vector<int> sender_hosts;
   int receiver_host{0};
 
-  // Aggregates over measured (non-discarded) bursts.
-  double avg_bct_ms{0.0};
-  double max_bct_ms{0.0};
-  double avg_queue_packets{0.0};
-  double peak_queue_packets{0.0};
-
-  // Bottleneck-queue and TCP counters, measured-window deltas.
-  std::int64_t queue_drops{0};
-  std::int64_t queue_ecn_marks{0};
-  std::int64_t queue_enqueues{0};
-  std::int64_t timeouts{0};
-  std::int64_t fast_retransmits{0};
-  std::int64_t retransmitted_packets{0};
-  std::int64_t data_packets_sent{0};
-
-  // Whole-run fault counters (zero when no fault is configured).
-  std::int64_t injected_drops{0};
-
   DctcpMode mode{DctcpMode::kSafe};
-
-  // Bottleneck (receiver downlink) queue time series.
-  std::vector<telemetry::QueueMonitor::Sample> queue_series;
 
   // Host, leaf and spine vantage traces, in that tier order.
   std::vector<VantageTrace> vantages;
@@ -131,33 +85,6 @@ struct FabricIncastExperimentResult {
   };
   std::vector<LeafEcmpSpread> leaf_ecmp;
   std::int64_t ecmp_path_changes{0};
-
-  std::uint64_t events_processed{0};
-  sim::EventCategoryCounts events_by_category{};
-  // Event-kernel footprint (sim/event_queue.h): peak pending heap depth and
-  // callback-slab high-water mark.
-  std::uint64_t peak_events_pending{0};
-  std::uint64_t slab_high_water{0};
-
-  // Auditor invariant violations observed during the run (0 when auditing
-  // is off or compiled out).
-  std::uint64_t audit_violations{0};
-
-  // Tail autopsy (see IncastExperimentResult): per-flow breakdowns,
-  // percentile attribution rows, flows cut mid-period by max_sim_time.
-  std::vector<obs::FlowBreakdown> flow_breakdowns;
-  std::vector<obs::TailAttributionRow> fct_rows;
-  std::uint64_t flow_trace_incomplete{0};
-
-  // INT hop-stamp overflows across all fabric ports (see
-  // IncastExperimentResult::int_hop_overflows).
-  std::int64_t int_hop_overflows{0};
-
-  [[nodiscard]] double marked_fraction() const noexcept {
-    return queue_enqueues > 0
-               ? static_cast<double>(queue_ecn_marks) / static_cast<double>(queue_enqueues)
-               : 0.0;
-  }
 };
 
 // Runs one fabric experiment to completion (or max_sim_time). Throws
@@ -169,8 +96,8 @@ struct FabricIncastExperimentResult {
 
 // The fat-tree that degenerates to the Section 4 dumbbell: 1 pod, 2 leaves
 // (senders on one, receiver on the other), 1 spine, no aggs, leaf uplinks
-// at the dumbbell's core rate. Copies the workload, TCP and queue settings
-// from `base` so mode classification is directly comparable.
+// at the dumbbell's core rate. Copies every shared setting and the queue
+// settings from `base` so mode classification is directly comparable.
 [[nodiscard]] FabricIncastExperimentConfig dumbbell_equivalent_config(
     const IncastExperimentConfig& base);
 

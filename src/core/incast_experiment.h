@@ -6,11 +6,17 @@
 // reports queue dynamics, burst completion times, and TCP-level outcomes.
 // Following the paper, the first burst (dominated by slow start) is
 // discarded and statistics cover the remaining bursts.
+//
+// The run itself is run_cyclic_incast, the one body every cyclic incast
+// shares (the fat-tree experiment in core/fabric_experiment.h too); the
+// dumbbell plugs into it as an IncastTopology.
 #ifndef INCAST_CORE_INCAST_EXPERIMENT_H_
 #define INCAST_CORE_INCAST_EXPERIMENT_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +63,10 @@ struct FaultProfile {
   }
 };
 
-struct IncastExperimentConfig {
+// The settings every cyclic incast shares, whatever its topology: the
+// workload, TCP, measurement, hardening and tracing knobs. Each experiment's
+// config derives from it and adds only its topology's own settings.
+struct CyclicIncastSettings {
   int num_flows{100};
   sim::Time burst_duration{sim::Time::milliseconds(15)};
   int num_bursts{11};
@@ -68,19 +77,13 @@ struct IncastExperimentConfig {
   // kFixedPeriod is available to study pile-up dynamics.
   workload::BurstSchedule schedule{workload::BurstSchedule::kAfterCompletion};
 
-  net::DumbbellConfig topology{};  // num_senders is overridden by num_flows
   tcp::TcpConfig tcp{};
 
   // Bottleneck queue time-series sampling period (Figures 5 and 6).
   sim::Time queue_sample_every{sim::Time::microseconds(10)};
-  // Per-flow in-flight sampling (Figure 7); zero disables.
-  sim::Time inflight_sample_every{sim::Time::zero()};
 
   // Hard wall for the simulation; generous enough for Mode 3 timeouts.
   sim::Time max_sim_time{sim::Time::seconds(30)};
-
-  // Link faults on the inter-ToR link; disabled by default (strict no-op).
-  FaultProfile faults{};
 
   // Borrowed observability hub. When set, the run attaches it to the
   // simulator before any component is built (senders and queues register
@@ -108,23 +111,15 @@ struct IncastExperimentConfig {
   std::uint64_t seed{1};
 };
 
-struct IncastExperimentResult {
+// What every cyclic incast reports, whatever its topology.
+struct CyclicIncastResult {
   // Every burst, in order (index 0 .. num_bursts-1).
   std::vector<workload::CyclicIncastDriver::BurstRecord> bursts;
 
   // Bottleneck-queue time series over the whole run.
   std::vector<telemetry::QueueMonitor::Sample> queue_series;
 
-  // Queue length vs time-since-burst-start, averaged over the measured
-  // (non-discarded) bursts — the Figure 5/6 series. Entry i is the mean
-  // queue depth at offset i * queue_sample_every.
-  std::vector<double> mean_queue_by_offset;
-  sim::Time queue_offset_step{};
-
-  // Per-flow in-flight snapshots (Figure 7); empty unless enabled.
-  std::vector<telemetry::InflightSampler::Snapshot> inflight;
-
-  // Aggregates over measured bursts.
+  // Aggregates over measured (non-discarded) bursts.
   double avg_bct_ms{0.0};
   double max_bct_ms{0.0};
   double avg_queue_packets{0.0};   // time-average during measured bursts
@@ -139,26 +134,11 @@ struct IncastExperimentResult {
   std::int64_t retransmitted_packets{0};
   std::int64_t data_packets_sent{0};
 
-  // Congestion-window census at the end of each measured burst (Section
-  // 4.3: stragglers ramping up between bursts).
-  double end_of_burst_cwnd_mean_mss{0.0};
-  double end_of_burst_cwnd_max_mss{0.0};
-
-  // Fault-layer counters, whole-run totals (all zero when faults are
-  // disabled). Injected drops and congestion drops (queue_drops above) are
-  // disjoint by construction: an injected drop never entered a queue's
-  // accounting, so loss stays attributable.
-  std::int64_t injected_drops{0};        // random + burst + flap drops on links
-  std::int64_t injected_flap_drops{0};   // subset of injected_drops from flaps
-  std::int64_t injected_corruptions{0};  // frames mangled in flight
-  std::int64_t injected_duplicates{0};
-  std::int64_t injected_reorders{0};
-  std::int64_t corrupt_nic_drops{0};     // mangled frames discarded at host NICs
-
-  // Injected-vs-congestion drop series per watermark window (from
-  // QueueMonitor), for offline attribution.
-  std::vector<std::int64_t> congestion_drops_by_window;
-  std::vector<std::int64_t> injected_drops_by_window;
+  // Random + burst + flap drops on links, whole-run total (zero when no
+  // fault is configured). Injected drops and congestion drops (queue_drops
+  // above) are disjoint by construction: an injected drop never entered a
+  // queue's accounting, so loss stays attributable.
+  std::int64_t injected_drops{0};
 
   // Total events the simulator dispatched — the determinism fingerprint
   // (two runs with the same seed must agree exactly) — and its breakdown by
@@ -194,65 +174,129 @@ struct IncastExperimentResult {
                ? static_cast<double>(queue_ecn_marks) / static_cast<double>(queue_enqueues)
                : 0.0;
   }
-  [[nodiscard]] double retransmit_fraction() const noexcept {
-    return data_packets_sent > 0 ? static_cast<double>(retransmitted_packets) /
-                                       static_cast<double>(data_packets_sent)
-                                 : 0.0;
-  }
+};
+
+struct IncastExperimentConfig : CyclicIncastSettings {
+  net::DumbbellConfig topology{};  // num_senders is overridden by num_flows
+
+  // Per-flow in-flight sampling (Figure 7); zero disables.
+  sim::Time inflight_sample_every{sim::Time::zero()};
+
+  // Link faults on the inter-ToR link; disabled by default (strict no-op).
+  FaultProfile faults{};
+};
+
+struct IncastExperimentResult : CyclicIncastResult {
+  // Queue length vs time-since-burst-start, averaged over the measured
+  // (non-discarded) bursts — the Figure 5/6 series. Entry i is the mean
+  // queue depth at offset i * queue_sample_every.
+  std::vector<double> mean_queue_by_offset;
+  sim::Time queue_offset_step{};
+
+  // Per-flow in-flight snapshots (Figure 7); empty unless enabled.
+  std::vector<telemetry::InflightSampler::Snapshot> inflight;
+
+  // Congestion-window census at the end of each measured burst (Section
+  // 4.3: stragglers ramping up between bursts).
+  double end_of_burst_cwnd_mean_mss{0.0};
+  double end_of_burst_cwnd_max_mss{0.0};
+
+  // Fault-layer counters beyond injected_drops, whole-run totals (all zero
+  // when faults are disabled).
+  std::int64_t injected_flap_drops{0};   // subset of injected_drops from flaps
+  std::int64_t injected_corruptions{0};  // frames mangled in flight
+  std::int64_t injected_duplicates{0};
+  std::int64_t injected_reorders{0};
+  std::int64_t corrupt_nic_drops{0};     // mangled frames discarded at host NICs
+
+  // Injected-vs-congestion drop series per watermark window (from
+  // QueueMonitor), for offline attribution.
+  std::vector<std::int64_t> congestion_drops_by_window;
+  std::vector<std::int64_t> injected_drops_by_window;
 };
 
 // Runs one experiment to completion (or max_sim_time).
 [[nodiscard]] IncastExperimentResult run_incast_experiment(const IncastExperimentConfig& config);
 
 // Completion times (ms) of the bursts after the first `discard`, in burst
-// order, with their mean and max (both 0 when no burst was measured).
+// order, with their mean and max (both 0 when no burst was measured) and
+// the longest as a time.
 struct BurstCompletion {
   std::vector<double> ms;
   double avg_ms{0.0};
   double max_ms{0.0};
+  sim::Time longest{};
 };
 
 template <typename Records>
 BurstCompletion burst_completion(const Records& bursts, std::size_t discard) {
   BurstCompletion out;
   for (std::size_t b = discard; b < bursts.size(); ++b) {
-    const double ms = bursts[b].completion_time().ms();
+    const sim::Time t = bursts[b].completion_time();
+    const double ms = t.ms();
     out.ms.push_back(ms);
     out.avg_ms += ms;
     out.max_ms = std::max(out.max_ms, ms);
+    out.longest = std::max(out.longest, t);
   }
   if (!out.ms.empty()) out.avg_ms /= static_cast<double>(out.ms.size());
   return out;
 }
 
-// The cumulative sender and bottleneck-queue counters a cyclic incast
-// reports over its measured window (dumbbell and fabric alike): read once
-// when the window opens and once at the end, the difference is the result.
-struct IncastCounters {
-  std::int64_t timeouts{0};
-  std::int64_t fast_retransmits{0};
-  std::int64_t retransmitted_packets{0};
-  std::int64_t data_packets_sent{0};
-  std::int64_t queue_drops{0};
-  std::int64_t queue_ecn_marks{0};
-  std::int64_t queue_enqueues{0};
+// A topology's part in a cyclic incast. run_cyclic_incast owns the run and
+// calls each hook at one fixed point of it, in the order declared here, so
+// every topology builds, starts and samples in the same order: equal-time
+// events fire in insertion order, and that order is part of every output.
+class IncastTopology {
+ public:
+  // What the run needs of the network the topology built.
+  struct Network {
+    const net::LinkDirectory* links{nullptr};
+    std::vector<net::Switch*> switches;  // for the teardown checks
+    workload::CyclicIncastDriver::Endpoints endpoints;
+    std::string bottleneck_link;  // LinkDirectory name of the bottleneck hop
+    net::DropTailQueue* bottleneck{nullptr};
+  };
 
-  [[nodiscard]] static IncastCounters read(const std::vector<tcp::TcpSender*>& senders,
-                                           const net::DropTailQueue& bottleneck);
+  IncastTopology() = default;
+  IncastTopology(const IncastTopology&) = delete;
+  IncastTopology& operator=(const IncastTopology&) = delete;
+  virtual ~IncastTopology() = default;
 
-  // Stores end - start into the result's same-named fields.
-  template <typename Result>
-  static void store_window(const IncastCounters& start, const IncastCounters& end,
-                           Result& result) {
-    result.timeouts = end.timeouts - start.timeouts;
-    result.fast_retransmits = end.fast_retransmits - start.fast_retransmits;
-    result.retransmitted_packets = end.retransmitted_packets - start.retransmitted_packets;
-    result.data_packets_sent = end.data_packets_sent - start.data_packets_sent;
-    result.queue_drops = end.queue_drops - start.queue_drops;
-    result.queue_ecn_marks = end.queue_ecn_marks - start.queue_ecn_marks;
-    result.queue_enqueues = end.queue_enqueues - start.queue_enqueues;
+  [[nodiscard]] virtual Network network() = 0;
+  // Whether any link fault is configured. Only then does the run build a
+  // fault layer, so a fault-free run is a strict no-op (no hooks installed,
+  // no RNG stream created, identical event sequence).
+  [[nodiscard]] virtual bool has_faults() const = 0;
+  virtual void install_faults(fault::FaultInjector& /*injector*/) {}
+  // Starts the samplers on hops other than the bottleneck; they start
+  // before the bottleneck monitor.
+  virtual void start_vantages() {}
+  // Starts the per-flow samplers, after the bottleneck monitor.
+  virtual void start_flow_samplers(const std::vector<tcp::TcpSender*>& /*senders*/) {}
+  // Called as each measured burst completes.
+  virtual void on_measured_burst(const std::vector<tcp::TcpSender*>& /*senders*/) {}
+  // A measured burst's in-burst queue samples run from its start through
+  // its completion, and only while less than this long after its start.
+  // `longest` is the longest measured burst.
+  [[nodiscard]] virtual sim::Time in_burst_horizon(sim::Time /*longest*/) const {
+    return sim::Time::infinity();
   }
+  // Fills the topology's own result fields, after the shared ones.
+  virtual void finish(const telemetry::QueueMonitor& bottleneck,
+                      const fault::FaultInjector* injector) = 0;
 };
+
+using IncastTopologyFactory =
+    std::function<std::unique_ptr<IncastTopology>(sim::Simulator& sim)>;
+
+// The one cyclic-incast run body, for every topology. On a fresh simulator
+// with the run harness attached, `make_topology` builds the network; the
+// body drives the bursts, samples the bottleneck queue, frames the
+// measured-window counters and fills every CyclicIncastResult field of
+// `result`, calling the topology's hooks along the way.
+void run_cyclic_incast(const CyclicIncastSettings& settings,
+                       const IncastTopologyFactory& make_topology, CyclicIncastResult& result);
 
 }  // namespace incast::core
 

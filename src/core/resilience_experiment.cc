@@ -16,19 +16,15 @@ const char* to_string(DctcpMode m) noexcept {
   return "unknown";
 }
 
-DctcpMode classify_mode(std::int64_t timeouts, double marked_fraction) noexcept {
+DctcpMode classify_mode(const CyclicIncastResult& result) noexcept {
   // Collapse is defined by its recovery mechanism, not its cause: once RTOs
   // carry recovery, completion time is governed by min_rto regardless of
   // whether the loss was congestion or injected.
-  if (timeouts > 0) return DctcpMode::kCollapse;
+  if (result.timeouts > 0) return DctcpMode::kCollapse;
   // The degenerate point's signature is a standing queue above the marking
   // threshold: essentially every packet is CE-marked.
-  if (marked_fraction > 0.8) return DctcpMode::kDegenerate;
+  if (result.marked_fraction() > 0.8) return DctcpMode::kDegenerate;
   return DctcpMode::kSafe;
-}
-
-DctcpMode classify_mode(const IncastExperimentResult& result) {
-  return classify_mode(result.timeouts, result.marked_fraction());
 }
 
 namespace {

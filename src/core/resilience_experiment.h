@@ -31,11 +31,10 @@ enum class DctcpMode {
 
 [[nodiscard]] const char* to_string(DctcpMode m) noexcept;
 
-// Classifies from the two observables that define the modes, so any
-// experiment (dumbbell or fabric) can be judged by the same rule.
-[[nodiscard]] DctcpMode classify_mode(std::int64_t timeouts, double marked_fraction) noexcept;
-
-[[nodiscard]] DctcpMode classify_mode(const IncastExperimentResult& result);
+// Classifies from the two observables that define the modes (timeouts and
+// the marked fraction), so every cyclic incast, dumbbell or fabric, is
+// judged by the same rule.
+[[nodiscard]] DctcpMode classify_mode(const CyclicIncastResult& result) noexcept;
 
 struct ResiliencePoint {
   double drop_rate{0.0};

@@ -3,9 +3,8 @@
 // Every topology builder (Dumbbell, fabric::FatTree) registers each
 // unidirectional link under a "<from>-><to>" name as it wires the network,
 // so higher layers — fault injection above all — can address any link in
-// any topology the same way, instead of relying on per-topology accessors
-// like the dumbbell's bespoke core_link_tx/rx pair. Names use the owning
-// node's name on each side, e.g. "tor_s->tor_r" or "p0.l1->s0".
+// any topology the same way, with no per-topology accessors. Names use the
+// owning node's name on each side, e.g. "tor_s->tor_r" or "p0.l1->s0".
 #ifndef INCAST_NET_LINK_DIRECTORY_H_
 #define INCAST_NET_LINK_DIRECTORY_H_
 

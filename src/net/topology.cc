@@ -40,8 +40,6 @@ Dumbbell::Dumbbell(sim::Simulator& sim, const DumbbellConfig& config) : config_{
       tor_r_->add_port(config_.core_link, config_.link_delay, config_.switch_queue);
   connect_duplex(*tor_s_, s_uplink, *tor_r_, r_uplink);
   register_duplex(*tor_s_, s_uplink, *tor_r_, r_uplink);
-  s_uplink_port_ = s_uplink;
-  r_uplink_port_ = r_uplink;
 
   // Receiver hosts <-> receiver ToR.
   const sim::Bandwidth rx_link = config_.receiver_link.value_or(config_.host_link);

@@ -68,13 +68,6 @@ class Dumbbell : public LinkDirectory {
   // All switches, for teardown checks (check_no_unrouted).
   [[nodiscard]] std::vector<Switch*> switches() { return {tor_s_.get(), tor_r_.get()}; }
 
-  // The inter-ToR link's two directions: tx carries sender->receiver data,
-  // rx carries the returning ACKs.
-  // Deprecated: prefer the uniform LinkDirectory accessors, which work for
-  // any topology — link("tor_s->tor_r") and link("tor_r->tor_s").
-  [[nodiscard]] Port& core_link_tx() { return tor_s_->port(s_uplink_port_); }
-  [[nodiscard]] Port& core_link_rx() { return tor_r_->port(r_uplink_port_); }
-
   [[nodiscard]] int num_senders() const noexcept { return config_.num_senders; }
   [[nodiscard]] int num_receivers() const noexcept { return config_.num_receivers; }
   [[nodiscard]] const DumbbellConfig& config() const noexcept { return config_; }
@@ -91,9 +84,6 @@ class Dumbbell : public LinkDirectory {
   std::unique_ptr<Switch> tor_r_;
   // Port index on tor_r_ of the downlink to receiver i.
   std::vector<std::size_t> receiver_downlink_port_;
-  // Inter-ToR uplink port indices on each ToR.
-  std::size_t s_uplink_port_{0};
-  std::size_t r_uplink_port_{0};
 };
 
 }  // namespace incast::net

@@ -6,8 +6,6 @@
 
 namespace incast::workload {
 
-namespace {
-
 CyclicIncastDriver::Endpoints dumbbell_endpoints(net::Dumbbell& dumbbell, int num_flows) {
   CyclicIncastDriver::Endpoints ep;
   ep.senders.reserve(static_cast<std::size_t>(num_flows));
@@ -18,8 +16,6 @@ CyclicIncastDriver::Endpoints dumbbell_endpoints(net::Dumbbell& dumbbell, int nu
   ep.bottleneck = dumbbell.config().receiver_link.value_or(dumbbell.config().host_link);
   return ep;
 }
-
-}  // namespace
 
 CyclicIncastDriver::CyclicIncastDriver(sim::Simulator& sim, const Endpoints& endpoints,
                                        const tcp::TcpConfig& tcp_config, const Config& config,

@@ -79,8 +79,7 @@ class CyclicIncastDriver {
                      const tcp::TcpConfig& tcp_config, const Config& config,
                      std::uint64_t seed);
 
-  // Dumbbell convenience: sender(i) -> receiver 0, bottleneck = the
-  // receiver downlink rate.
+  // Dumbbell convenience: runs over dumbbell_endpoints(dumbbell, num_flows).
   CyclicIncastDriver(sim::Simulator& sim, net::Dumbbell& dumbbell,
                      const tcp::TcpConfig& tcp_config, const Config& config,
                      std::uint64_t seed);
@@ -141,6 +140,11 @@ class CyclicIncastDriver {
   std::vector<BurstRecord> records_;
   std::function<void(int)> on_burst_complete_;
 };
+
+// The dumbbell's endpoints: sender(i) -> receiver 0 for the first
+// `num_flows` senders, bottleneck = the receiver downlink rate.
+[[nodiscard]] CyclicIncastDriver::Endpoints dumbbell_endpoints(net::Dumbbell& dumbbell,
+                                                               int num_flows);
 
 }  // namespace incast::workload
 

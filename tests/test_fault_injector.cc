@@ -38,7 +38,7 @@ struct FaultyRun {
   FaultyRun(const LinkFaultConfig& cfg, std::uint64_t seed)
       : topo{sim, net::DumbbellConfig{}},
         injector{sim, seed},
-        fwd{injector.install(topo.core_link_tx(), cfg)},
+        fwd{injector.install(topo.link("tor_s->tor_r"), cfg)},
         conn{sim, topo.sender(0), topo.receiver(0), 1, tcp_config()} {}
 };
 
@@ -145,7 +145,7 @@ TEST(FaultInjector, FlapBlackholesExactWindow) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{}};
   FaultInjector injector{sim, 3};
-  LinkFault& fwd = injector.install(topo.core_link_tx(), LinkFaultConfig{});
+  LinkFault& fwd = injector.install(topo.link("tor_s->tor_r"), LinkFaultConfig{});
   injector.schedule_flap(fwd, 1_ms, 2_ms);
 
   // Probe the link state across the window boundaries.
@@ -167,7 +167,7 @@ TEST(FaultInjector, OverlappingFlapsComposeAsUnion) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{}};
   FaultInjector injector{sim, 3};
-  LinkFault& fwd = injector.install(topo.core_link_tx(), LinkFaultConfig{});
+  LinkFault& fwd = injector.install(topo.link("tor_s->tor_r"), LinkFaultConfig{});
   // [1, 4) and [2, 6): the link must stay down across the seam at 4 ms and
   // come back only at 6 ms.
   injector.schedule_flap(fwd, 1_ms, 3_ms);
@@ -186,7 +186,7 @@ TEST(FaultInjector, ZeroDurationFlapIsIgnored) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{}};
   FaultInjector injector{sim, 3};
-  LinkFault& fwd = injector.install(topo.core_link_tx(), LinkFaultConfig{});
+  LinkFault& fwd = injector.install(topo.link("tor_s->tor_r"), LinkFaultConfig{});
   injector.schedule_flap(fwd, 1_ms, Time::zero());
   injector.schedule_flap(fwd, 1_ms, Time::microseconds(-5));
 
@@ -235,7 +235,7 @@ TEST(FaultInjector, CorruptedFramesDropAtNicAndShowInMillisampler) {
   net::Dumbbell topo{sim, net::DumbbellConfig{}};
   FaultInjector injector{sim, 21};
   LinkFault& fwd =
-      injector.install(topo.core_link_tx(), LinkFaultConfig{.corrupt_rate = 0.005});
+      injector.install(topo.link("tor_s->tor_r"), LinkFaultConfig{.corrupt_rate = 0.005});
 
   telemetry::Millisampler sampler{{}};
   topo.receiver(0).add_ingress_tap(&sampler);
@@ -279,9 +279,9 @@ TEST(FaultInjector, PerLinkStreamsAreIndependent) {
     net::Dumbbell topo{sim, net::DumbbellConfig{}};
     FaultInjector injector{sim, 77};
     LinkFault& fwd =
-        injector.install(topo.core_link_tx(), LinkFaultConfig{.drop_rate = 5e-3});
+        injector.install(topo.link("tor_s->tor_r"), LinkFaultConfig{.drop_rate = 5e-3});
     if (install_reverse) {
-      injector.install(topo.core_link_rx(), LinkFaultConfig{.drop_rate = 5e-3});
+      injector.install(topo.link("tor_r->tor_s"), LinkFaultConfig{.drop_rate = 5e-3});
     }
     tcp::TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, tcp_config()};
     conn.sender().add_app_data(2'000'000);

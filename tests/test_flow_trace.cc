@@ -192,6 +192,9 @@ core::CollateralConfig traced_grid() {
 }
 
 TEST(FlowTraceSweepDeterminism, FctCsvIsByteIdenticalAcrossJobCounts) {
+#if !INCAST_OBS_ENABLED
+  GTEST_SKIP() << "flow tracer compiled out (-DINCAST_OBS=OFF)";
+#endif
   core::CollateralConfig cfg = traced_grid();
   cfg.jobs = 1;
   const core::CollateralReport sequential = core::run_collateral_experiment(cfg);
@@ -212,6 +215,9 @@ TEST(FlowTraceSweepDeterminism, FctCsvIsByteIdenticalAcrossJobCounts) {
 }
 
 TEST(FlowTraceSweepDeterminism, EveryBreakdownConservesUnderTheStrictAuditor) {
+#if !INCAST_OBS_ENABLED
+  GTEST_SKIP() << "flow tracer compiled out (-DINCAST_OBS=OFF)";
+#endif
   // Strict audit aborts the point on the first violated invariant, so a
   // clean report proves every sampled flow's components summed to its FCT
   // across all three queue disciplines.
@@ -229,6 +235,9 @@ TEST(FlowTraceSweepDeterminism, EveryBreakdownConservesUnderTheStrictAuditor) {
 }
 
 TEST(FlowTraceSweepDeterminism, IncastBreakdownsConserveAndSamplingSubsets) {
+#if !INCAST_OBS_ENABLED
+  GTEST_SKIP() << "flow tracer compiled out (-DINCAST_OBS=OFF)";
+#endif
   core::IncastExperimentConfig cfg;
   cfg.num_flows = 40;
   cfg.num_bursts = 2;

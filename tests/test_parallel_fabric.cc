@@ -86,6 +86,9 @@ TEST(ParallelFabric, DomainBuildTagsEveryHostWithItsLeafDomain) {
 // conservative contract forbids. Strict audit must abort the run with the
 // lookahead invariant; relaxed must count it and limp to completion.
 TEST(ParallelFabric, InflatedLookaheadAbortsStrictAudit) {
+#if !INCAST_AUDIT_ENABLED
+  GTEST_SKIP() << "auditor compiled out (-DINCAST_AUDIT=OFF)";
+#endif
   core::ScalingConfig cfg = small_ladder(2);
   cfg.audit_mode = sim::AuditMode::kStrict;
   cfg.lookahead_override = sim::Time::microseconds(100);  // real delay: 4.5us
@@ -98,6 +101,9 @@ TEST(ParallelFabric, InflatedLookaheadAbortsStrictAudit) {
 }
 
 TEST(ParallelFabric, InflatedLookaheadCountsViolationsRelaxed) {
+#if !INCAST_AUDIT_ENABLED
+  GTEST_SKIP() << "auditor compiled out (-DINCAST_AUDIT=OFF)";
+#endif
   core::ScalingConfig cfg = small_ladder(2);
   cfg.audit_mode = sim::AuditMode::kRelaxed;
   cfg.lookahead_override = sim::Time::microseconds(100);

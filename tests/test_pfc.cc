@@ -214,7 +214,7 @@ TEST(PfcPort, LostResumeFramesDoNotDeadlockTheFabric) {
   // Eat every resume frame the receiver ToR sends back up the core link.
   // The sender ToR's uplink then un-pauses only via quantum expiry.
   ResumeEater eater;
-  topo.core_link_rx().set_link_hook(&eater);
+  topo.link("tor_r->tor_s").set_link_hook(&eater);
 
   tcp::TcpConfig tcp;
   tcp.cc = tcp::CcAlgorithm::kDcqcn;
@@ -230,7 +230,7 @@ TEST(PfcPort, LostResumeFramesDoNotDeadlockTheFabric) {
   // The incast congested the receiver ToR hard enough to pause upstream
   // and to strand at least one resume in the eater...
   EXPECT_GT(eater.eaten, 0);
-  EXPECT_GT(topo.core_link_tx().pause_count(), 0);
+  EXPECT_GT(topo.link("tor_s->tor_r").pause_count(), 0);
   // ...yet every transfer still completed: auto-expiry is the watchdog.
   for (const auto& c : conns) {
     EXPECT_TRUE(c->sender().all_acked());

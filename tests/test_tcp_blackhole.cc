@@ -26,8 +26,8 @@ TEST(TcpBlackhole, RtoBackoffDoublesAndTransferCompletesAfterRestore) {
   // Blackhole both directions of the inter-ToR link for [2 ms, 102 ms) —
   // long enough for several RTO doublings at a 10 ms min RTO.
   fault::FaultInjector injector{sim, 1};
-  fault::LinkFault& fwd = injector.install(topo.core_link_tx(), {});
-  fault::LinkFault& rev = injector.install(topo.core_link_rx(), {});
+  fault::LinkFault& fwd = injector.install(topo.link("tor_s->tor_r"), {});
+  fault::LinkFault& rev = injector.install(topo.link("tor_r->tor_s"), {});
   injector.schedule_flap(fwd, 2_ms, 100_ms);
   injector.schedule_flap(rev, 2_ms, 100_ms);
 
@@ -86,7 +86,7 @@ TEST(TcpBlackhole, FlapDuringIdleGapIsHarmless) {
   net::Dumbbell topo{sim, topo_cfg};
 
   fault::FaultInjector injector{sim, 1};
-  fault::LinkFault& fwd = injector.install(topo.core_link_tx(), {});
+  fault::LinkFault& fwd = injector.install(topo.link("tor_s->tor_r"), {});
   injector.schedule_flap(fwd, 1_ms, 5_ms);
 
   TcpConfig cfg;

@@ -140,9 +140,9 @@ TEST(Dumbbell, NamedLinksCoverEveryLink) {
 
   // 2 sender links + core + 1 receiver link, both directions each.
   EXPECT_EQ(d.link_names().size(), 8u);
-  // The named core link is the same port the deprecated accessors expose.
-  EXPECT_EQ(&d.link("tor_s->tor_r"), &d.core_link_tx());
-  EXPECT_EQ(&d.link("tor_r->tor_s"), &d.core_link_rx());
+  // The named core link joins the two ToRs, one port per direction.
+  EXPECT_EQ(d.link("tor_s->tor_r").peer(), &d.receiver_tor());
+  EXPECT_EQ(d.link("tor_r->tor_s").peer(), &d.sender_tor());
   EXPECT_NE(d.find_link("sender0->tor_s"), nullptr);
   EXPECT_NE(d.find_link("tor_r->receiver0"), nullptr);
   EXPECT_EQ(d.find_link("bogus"), nullptr);

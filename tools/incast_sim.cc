@@ -570,8 +570,7 @@ void print_sweep_footer(const sim::SweepRunner::RunStats& sweep,
 }
 
 // The cyclic-incast workload flags of `burst`, `faults` and `fabric`.
-template <typename Config>
-bool parse_workload(core::CliArgs& args, Config& cfg, int default_bursts,
+bool parse_workload(core::CliArgs& args, core::CyclicIncastSettings& cfg, int default_bursts,
                     sim::Time default_max_sim_time, std::string& cc_name) {
   cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
   cfg.num_bursts = static_cast<int>(args.int_or("bursts", default_bursts, 1, 10'000));
@@ -612,9 +611,10 @@ bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
   return true;
 }
 
-// The headline metrics of a cyclic incast, dumbbell or fabric.
-template <typename Result>
-core::Table burst_table(const Result& r) {
+// The headline metrics of a cyclic incast, dumbbell or fabric, then the
+// topology's own rows.
+void print_burst_table(const core::CyclicIncastResult& r,
+                       const std::vector<std::vector<std::string>>& topology_rows) {
   core::Table t{{"metric", "value"}};
   t.add_row({"bursts completed", std::to_string(r.bursts.size())});
   t.add_row({"avg BCT (measured bursts)", core::fmt(r.avg_bct_ms, 2) + " ms"});
@@ -625,15 +625,29 @@ core::Table burst_table(const Result& r) {
   t.add_row({"drops", std::to_string(r.queue_drops)});
   t.add_row({"timeouts", std::to_string(r.timeouts)});
   t.add_row({"fast retransmits", std::to_string(r.fast_retransmits)});
-  return t;
+  for (const auto& row : topology_rows) t.add_row(row);
+  t.print();
 }
 
-void print_burst_table(const core::IncastExperimentResult& r) {
-  core::Table t = burst_table(r);
-  t.add_row({"retransmitted packets", std::to_string(r.retransmitted_packets)});
-  t.add_row({"end-of-burst cwnd mean", core::fmt(r.end_of_burst_cwnd_mean_mss, 2) + " MSS"});
-  t.add_row({"end-of-burst cwnd max", core::fmt(r.end_of_burst_cwnd_max_mss, 2) + " MSS"});
-  t.print();
+// The dumbbell's rows of the burst table.
+std::vector<std::vector<std::string>> dumbbell_rows(const core::IncastExperimentResult& r) {
+  return {{"retransmitted packets", std::to_string(r.retransmitted_packets)},
+          {"end-of-burst cwnd mean", core::fmt(r.end_of_burst_cwnd_mean_mss, 2) + " MSS"},
+          {"end-of-burst cwnd max", core::fmt(r.end_of_burst_cwnd_max_mss, 2) + " MSS"}};
+}
+
+// The end of `burst` and `fabric`: the tail autopsy and its CSV when
+// --flow-trace asked for them, then the observability outputs. Returns the
+// exit code.
+int write_incast_outputs(SharedFlags& flags, const char* mode, int num_flows,
+                         const core::CyclicIncastResult& r) {
+  if (flags.ft.enabled) {
+    print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
+    std::string csv = obs::fct_breakdown_csv_header();
+    obs::append_fct_breakdown_csv(csv, mode, num_flows, r.fct_rows);
+    if (const int rc = flags.ft.write_csv(csv); rc != 0) return rc;
+  }
+  return flags.obs.write_outputs();
 }
 
 int run_burst(core::CliArgs& args) {
@@ -650,14 +664,8 @@ int run_burst(core::CliArgs& args) {
               cfg.num_bursts, cfg.burst_duration.to_string().c_str(), cfg.num_flows,
               cc_name.c_str(), static_cast<unsigned long long>(cfg.seed));
   const auto r = core::run_incast_experiment(cfg);
-  print_burst_table(r);
-  if (flags.ft.enabled) {
-    print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
-    std::string csv = obs::fct_breakdown_csv_header();
-    obs::append_fct_breakdown_csv(csv, "burst", cfg.num_flows, r.fct_rows);
-    if (const int rc = flags.ft.write_csv(csv); rc != 0) return rc;
-  }
-  return flags.obs.write_outputs();
+  print_burst_table(r, dumbbell_rows(r));
+  return write_incast_outputs(flags, "burst", cfg.num_flows, r);
 }
 
 int run_faults(core::CliArgs& args) {
@@ -732,7 +740,7 @@ int run_faults(core::CliArgs& args) {
   const auto report = core::run_resilience_experiment(cfg);
 
   std::printf("\nbaseline (no faults), mode: %s\n", core::to_string(report.baseline_mode));
-  print_burst_table(report.baseline);
+  print_burst_table(report.baseline, dumbbell_rows(report.baseline));
   std::printf("events processed (baseline): %llu\n\n",
               static_cast<unsigned long long>(report.baseline.events_processed));
 
@@ -844,11 +852,9 @@ int run_fabric(core::CliArgs& args) {
 
   const auto r = core::run_fabric_incast_experiment(cfg);
 
-  core::Table t = burst_table(r);
-  t.add_row({"ECMP path changes", std::to_string(r.ecmp_path_changes)});
-  t.add_row({"mode", core::to_string(r.mode)});
-  t.add_row({"events processed", std::to_string(r.events_processed)});
-  t.print();
+  print_burst_table(r, {{"ECMP path changes", std::to_string(r.ecmp_path_changes)},
+                        {"mode", core::to_string(r.mode)},
+                        {"events processed", std::to_string(r.events_processed)}});
 
   // Burst visibility per vantage: the same burst, seen at host NIC, leaf
   // uplinks, and spine ports. Peak 1 ms utilization is the figure of merit —
@@ -888,13 +894,7 @@ int run_fabric(core::CliArgs& args) {
     std::printf("\nexported %d vantage trace(s) to %s*.csv\n", written,
                 telemetry_prefix.c_str());
   }
-  if (flags.ft.enabled) {
-    print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
-    std::string csv = obs::fct_breakdown_csv_header();
-    obs::append_fct_breakdown_csv(csv, "fabric", cfg.num_flows, r.fct_rows);
-    if (const int rc = flags.ft.write_csv(csv); rc != 0) return rc;
-  }
-  return flags.obs.write_outputs();
+  return write_incast_outputs(flags, "fabric", cfg.num_flows, r);
 }
 
 int run_fleet(core::CliArgs& args) {
