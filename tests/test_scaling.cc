@@ -15,10 +15,16 @@
 // scheduling-dependent divergence fails even when it is self-consistent
 // within the run. The suite name contains "Sweep" so the TSan CI leg
 // (ctest -R 'Sweep') races the ladder across a real worker pool.
+//
+// ScalingMemoryBudget (experiment): the CI ladder's deterministic
+// bytes-per-flow figure may not grow more than 15% over its committed
+// baseline at any rung.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <ios>
+#include <iterator>
 #include <string>
 
 #include "core/scaling_experiment.h"
@@ -192,6 +198,34 @@ TEST(ScalingSweepDeterminism, EveryPointCompletesAndDecomposesItsMemory) {
   // Amortization: per-flow footprint at degree 8 must be well under the
   // degree-1 figure — the whole point of the arena/SoA layouts.
   EXPECT_LT(report.points.back().bytes_per_flow, report.points.front().bytes_per_flow);
+}
+
+// The memory budget on the default 432-host fabric at the CI degrees.
+// bytes_per_flow is sizeof-based, so it is identical on every machine and
+// needs no per-runner baseline. Raise a baseline only deliberately, when a
+// layout change is meant to cost memory.
+TEST(ScalingMemoryBudget, CiLadderStaysWithinBytesPerFlowBudget) {
+  struct Rung {
+    int degree;
+    double baseline_bytes_per_flow;
+  };
+  constexpr Rung kRungs[] = {{2000, 20401}, {512, 42900}, {64, 148166}};
+  constexpr double kMaxGrowth = 0.15;
+
+  core::ScalingConfig cfg;
+  cfg.degrees.clear();
+  for (const Rung& rung : kRungs) cfg.degrees.push_back(rung.degree);
+  const core::ScalingReport report = core::run_scaling_experiment(cfg);
+  ASSERT_EQ(report.points.size(), std::size(kRungs));
+  for (std::size_t i = 0; i < std::size(kRungs); ++i) {
+    const core::ScalingPoint& p = report.points[i];
+    EXPECT_EQ(p.degree, kRungs[i].degree);
+    EXPECT_LE(static_cast<double>(p.bytes_per_flow),
+              (1.0 + kMaxGrowth) * kRungs[i].baseline_bytes_per_flow)
+        << "degree " << p.degree << ": " << p.bytes_per_flow
+        << " bytes/flow is more than 15% over the baseline of "
+        << kRungs[i].baseline_bytes_per_flow;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <vector>
 
 namespace incast::sim {
@@ -117,6 +119,37 @@ TEST(Simulator, RunUntilWithEmptyQueueAdvancesClock) {
   Simulator sim;
   sim.run_until(7_ms);
   EXPECT_EQ(sim.now(), 7_ms);
+}
+
+TEST(Simulator, ProfilingTimesOnlyCategoriesThatRanWhileEnabled) {
+  // Each callback spins until the steady clock moves, so a timed dispatch
+  // never rounds to zero nanoseconds.
+  const auto spin = [] {
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() == start) {
+    }
+  };
+  Simulator sim;
+  EXPECT_FALSE(sim.profiling());
+  sim.schedule_at(1_us, spin, EventCategory::kFault);  // runs unprofiled
+  sim.run();
+  for (const double ns : sim.wall_ns_by_category()) EXPECT_EQ(ns, 0.0);
+
+  sim.set_profiling(true);
+  sim.schedule_at(2_us, spin, EventCategory::kNet);
+  sim.schedule_at(3_us, spin, EventCategory::kNet);
+  sim.schedule_at(4_us, spin, EventCategory::kTcp);
+  sim.run();
+  const auto& wall = sim.wall_ns_by_category();
+  for (std::size_t c = 0; c < kNumEventCategories; ++c) {
+    const auto category = static_cast<EventCategory>(c);
+    if (category == EventCategory::kNet || category == EventCategory::kTcp) {
+      EXPECT_GT(wall[c], 0.0) << to_string(category);
+    } else {
+      EXPECT_EQ(wall[c], 0.0) << to_string(category);
+    }
+  }
+  EXPECT_EQ(sim.events_by_category()[static_cast<std::size_t>(EventCategory::kFault)], 1u);
 }
 
 }  // namespace
