@@ -104,7 +104,8 @@ std::int64_t CliArgs::int_or(const std::string& key, std::int64_t fallback,
 double CliArgs::double_or(const std::string& key, double fallback, double min_value,
                           double max_value) {
   const double value = double_or(key, fallback);
-  if (value < min_value || value > max_value) {
+  // Written as "not inside" so NaN, which compares false both ways, fails.
+  if (!(value >= min_value && value <= max_value)) {
     errors_.push_back("--" + key + ": " + std::to_string(value) + " is out of range [" +
                       std::to_string(min_value) + ", " + std::to_string(max_value) + "]");
     return fallback;

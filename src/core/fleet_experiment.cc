@@ -36,7 +36,6 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   RunHarness harness{sim, {.hub = host == 0 && snapshot == 0 ? config_.hub : nullptr,
                            .audit_mode = config_.audit_mode,
                            .audit = config_.audit}};
-  if (config_.profile_event_loop) sim.set_profiling(true);
 
   const workload::ServiceProfile& profile = config_.profile;
   // Capacity hint: the generator keeps at most max_flows concurrent flows
@@ -129,7 +128,6 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
   }
   result.events_processed = sim.events_processed();
   result.events_by_category = sim.events_by_category();
-  result.wall_ns_by_category = sim.wall_ns_by_category();
   result.peak_events_pending = sim.peak_events_pending();
   result.slab_high_water = sim.slab_high_water();
 

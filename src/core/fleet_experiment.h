@@ -11,7 +11,6 @@
 #ifndef INCAST_CORE_FLEET_EXPERIMENT_H_
 #define INCAST_CORE_FLEET_EXPERIMENT_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -82,10 +81,6 @@ struct FleetConfig {
   // (host 0, snapshot 0) — keeping trace and metrics output identical for
   // every --jobs value. nullptr = unobserved.
   obs::Hub* hub{nullptr};
-  // Enable the event-loop wall-time self-profiler in every cell's
-  // simulator. Costs two steady_clock reads per event; results (the
-  // category histogram) land in HostTraceResult::wall_ns_by_category.
-  bool profile_event_loop{false};
 
   // Run-hardening (see sim/auditor.h): every cell runs under its own
   // auditor with these budgets/bounds; audit.strict is overridden from
@@ -123,12 +118,9 @@ struct HostTraceResult {
   std::int64_t generated_bursts{0};  // ground truth from the generator
   // Simulator events this trace dispatched — the determinism fingerprint
   // (identical for a given (host, snapshot, seed) at any --jobs value) —
-  // plus the per-category breakdown and, when profile_event_loop is set,
-  // wall time spent in callbacks by category (wall time is timing
-  // telemetry: never part of the deterministic results).
+  // plus the per-category breakdown.
   std::uint64_t events_processed{0};
   sim::EventCategoryCounts events_by_category{};
-  std::array<double, sim::kNumEventCategories> wall_ns_by_category{};
   // Event-kernel footprint (sim/event_queue.h).
   std::uint64_t peak_events_pending{0};
   std::uint64_t slab_high_water{0};

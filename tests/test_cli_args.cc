@@ -89,6 +89,11 @@ TEST(CliArgs, RangeCheckedGettersRejectOutOfRangeValues) {
   EXPECT_DOUBLE_EQ(args.double_or("rate", 0.0, 0.0, 1.0), 0.0);
   EXPECT_EQ(args.time_or("gap", 5_ms, sim::Time::zero()), 5_ms);
   EXPECT_EQ(args.errors().size(), 3u);
+
+  // NaN compares false against both bounds; it must still be rejected.
+  auto nan_args = make({"--rate", "nan"});
+  EXPECT_DOUBLE_EQ(nan_args.double_or("rate", 0.25, 0.0, 1.0), 0.25);
+  EXPECT_EQ(nan_args.errors().size(), 1u);
 }
 
 TEST(CliArgs, RejectUnknownTurnsTyposIntoErrors) {

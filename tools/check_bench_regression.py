@@ -16,9 +16,6 @@ Usage:
       [--require BM_SimulatorEventDispatch] \
       [--ratio BM_AuditorOverhead/relaxed:BM_AuditorOverhead/off:0.03]
   check_bench_regression.py --baseline tools/bench_baseline.json \
-      --current BENCH_scaling.json --memory [--memory-threshold 0.15] \
-      [--require BM_ScalingIncast/2000]
-  check_bench_regression.py --baseline tools/bench_baseline.json \
       --current BENCH_micro.json --update   # merge the run into the baseline
 
 Exit codes: 0 ok, 1 regression found or required bench missing, 2 bad input.
@@ -35,19 +32,16 @@ B's. Unlike the baseline comparison this is machine-independent — it pins an
 overhead contract (e.g. relaxed auditing <= 3% over audit-off) rather than
 an absolute speed. Either bench missing from the current run fails the gate.
 
-``--memory`` switches the gate from throughput to the deterministic
-``peak_bytes_per_flow`` counter that ``bench_report scaling`` embeds in each
-``BM_ScalingIncast/<degree>`` entry: any benchmark whose per-flow footprint
-*grows* by more than ``--memory-threshold`` (default 0.15) over the baseline
-fails. Because the counter is sizeof-based — not RSS — it is byte-identical
-across machines, so the memory gate needs no runner-class-matched baseline
-refreshes the way the throughput gate does.
-
 Absolute throughput numbers differ across machines — the baseline should be
 refreshed (--update) from the CI runner class it gates. ``--update`` merges
 by benchmark name: entries from the current run replace same-named baseline
-entries and new ones are appended, so the microbenchmark run and the scaling
-ladder can both feed one baseline file without clobbering each other.
+entries and new ones are appended, so a run of a filtered subset of the
+benchmarks refreshes only those.
+
+End-to-end speed is perfbench's job (``BENCHMARK.json``), and the scaling
+ladder's deterministic bytes-per-flow budget is a ctest
+(``ScalingMemoryBudget.*`` in tests/test_scaling.cc); this gate covers the
+microbenchmarks only.
 """
 
 import argparse
@@ -93,27 +87,6 @@ def load_throughputs(path):
     return out
 
 
-def load_memory(path):
-    """Returns {benchmark name: peak_bytes_per_flow} for benches that report it."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    out = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate" or bench.get("error_occurred"):
-            continue
-        name = bench.get("name")
-        bytes_per_flow = bench.get("peak_bytes_per_flow")
-        if not name or bytes_per_flow is None:
-            continue
-        name = re.sub(r"/repeats:\d+", "", name)
-        out[name] = float(bytes_per_flow)
-    return out
-
-
 def merge_baseline(current_path, baseline_path):
     """Merges the current run's benchmarks into the baseline by name."""
     with open(current_path) as f:
@@ -143,52 +116,6 @@ def merge_baseline(current_path, baseline_path):
           f"({replaced} entries replaced by {appended}, {len(kept)} kept)")
 
 
-def check_memory(args):
-    """--memory gate: peak_bytes_per_flow must not grow past the threshold."""
-    baseline = load_memory(args.baseline)
-    current = load_memory(args.current)
-    if not current:
-        print(f"error: no peak_bytes_per_flow counters in {args.current}",
-              file=sys.stderr)
-        return 2
-
-    growths = []
-    print(f"{'benchmark':<45} {'baseline B/flow':>15} {'current B/flow':>15} "
-          f"{'ratio':>7}")
-    for name in sorted(baseline):
-        if name not in current:
-            print(f"{name:<45} {baseline[name]:>15.0f} {'(missing)':>15}")
-            continue
-        ratio = current[name] / baseline[name] if baseline[name] else float("inf")
-        flag = ""
-        if ratio > 1.0 + args.memory_threshold:
-            growths.append((name, ratio))
-            flag = "  <-- MEMORY GROWTH"
-        print(f"{name:<45} {baseline[name]:>15.0f} {current[name]:>15.0f} "
-              f"{ratio:>6.2f}x{flag}")
-    for name in sorted(set(current) - set(baseline)):
-        print(f"{name:<45} {'(no baseline)':>15} {current[name]:>15.0f}")
-
-    missing_required = [name for name in args.require
-                        if name not in baseline or name not in current]
-    if growths or missing_required:
-        if growths:
-            print(f"\nFAIL: {len(growths)} benchmark(s) grew bytes-per-flow "
-                  f"more than {args.memory_threshold:.0%}:", file=sys.stderr)
-            for name, ratio in growths:
-                print(f"  {name}: {ratio:.2f}x of baseline "
-                      f"({(ratio - 1):.0%} larger)", file=sys.stderr)
-        for name in missing_required:
-            where = "baseline" if name not in baseline else "current run"
-            print(f"FAIL: required benchmark {name} missing a "
-                  f"peak_bytes_per_flow counter in the {where}",
-                  file=sys.stderr)
-        return 1
-    print(f"\nOK: no benchmark grew bytes-per-flow more than "
-          f"{args.memory_threshold:.0%} ({len(baseline)} gated)")
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True)
@@ -198,12 +125,6 @@ def main():
     parser.add_argument("--update", action="store_true",
                         help="merge the current run into the baseline by "
                              "benchmark name and exit")
-    parser.add_argument("--memory", action="store_true",
-                        help="gate peak_bytes_per_flow growth instead of "
-                             "throughput")
-    parser.add_argument("--memory-threshold", type=float, default=0.15,
-                        help="max tolerated fractional bytes-per-flow growth "
-                             "with --memory (default 0.15)")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
                         help="benchmark that must be present in both files "
@@ -229,9 +150,6 @@ def main():
     if args.update:
         merge_baseline(args.current, args.baseline)
         return 0
-
-    if args.memory:
-        return check_memory(args)
 
     baseline = load_throughputs(args.baseline)
     current = load_throughputs(args.current)

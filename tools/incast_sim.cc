@@ -680,7 +680,10 @@ int run_faults(core::CliArgs& args) {
     for (const auto& field : split_list(drop_list)) {
       char* end = nullptr;
       const double v = std::strtod(field.c_str(), &end);
-      if (end != field.c_str() + field.size() || v < 0.0 || v > 1.0) {
+      // strtod("") consumes nothing and still lands on the end; NaN fails
+      // both bound checks, so test "inside [0, 1]".
+      if (field.empty() || end != field.c_str() + field.size() ||
+          !(v >= 0.0 && v <= 1.0)) {
         std::fprintf(stderr, "error: --drop-rates: bad rate '%s'\n", field.c_str());
         return 2;
       }
