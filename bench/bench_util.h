@@ -2,8 +2,9 @@
 //
 // Every bench accepts a scale via the INCAST_BENCH_SCALE environment
 // variable: "quick" (CI smoke), "default", or "full" (paper-scale host and
-// snapshot counts; minutes of CPU). Benches print which scale is active so
-// output files are self-describing.
+// snapshot counts; minutes of CPU), parsed by core::scale_from_env as for
+// `incast_sim run`. Benches print which scale is active so output files
+// are self-describing.
 //
 // INCAST_JOBS controls how many worker threads the fleet-grid sweeps use
 // (sim::SweepRunner); unset or 0 means all hardware threads, 1 is the
@@ -13,31 +14,25 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
+
+#include "core/catalog.h"
+#include "core/error.h"
 
 namespace incast::bench {
 
-enum class Scale { kQuick, kDefault, kFull };
+using core::Scale;
 
+// The INCAST_BENCH_SCALE scale; a value naming no scale exits 2.
 inline Scale bench_scale() {
-  const char* env = std::getenv("INCAST_BENCH_SCALE");
-  if (env == nullptr) return Scale::kDefault;
-  if (std::strcmp(env, "quick") == 0) return Scale::kQuick;
-  if (std::strcmp(env, "full") == 0) return Scale::kFull;
-  return Scale::kDefault;
-}
-
-inline const char* scale_name(Scale s) {
-  switch (s) {
-    case Scale::kQuick:
-      return "quick";
-    case Scale::kDefault:
-      return "default";
-    case Scale::kFull:
-      return "full";
-  }
-  return "?";
+  static const Scale scale = [] {
+    try {
+      return core::scale_from_env();
+    } catch (const core::Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::exit(core::exit_code(e.category()));
+    }
+  }();
+  return scale;
 }
 
 // Picks a value by scale.
@@ -66,7 +61,7 @@ inline int jobs() {
 inline void print_scale_banner() {
   std::printf("[scale: %s — set INCAST_BENCH_SCALE=quick|default|full; "
               "INCAST_JOBS=N for N sweep threads]\n",
-              scale_name(bench_scale()));
+              core::scale_name(bench_scale()));
 }
 
 }  // namespace incast::bench

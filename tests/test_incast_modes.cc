@@ -1,5 +1,6 @@
 // Integration tests reproducing Section 4.1's DCTCP operating modes (in
-// abbreviated form; the full Figure 5 reproduction is bench/fig5_dctcp_modes).
+// abbreviated form; the full Figure 5 reproduction is
+// `incast_sim run fig5_dctcp_modes`).
 #include <gtest/gtest.h>
 
 #include <iomanip>

@@ -87,6 +87,13 @@
 //   incast_sim trace --input trace.csv [--line-rate 10Gbps]
 //       Runs the burst detector on a previously exported trace.
 //
+//   incast_sim run <id>
+//       Runs one row of the experiment catalog (core/catalog.h): a Section 4
+//       figure or ablation swept over the dumbbell, printed as its series,
+//       a table and the paper's expectation. INCAST_BENCH_SCALE=quick|
+//       default|full sets the burst count; any other value exits 2. With no
+//       id or an unknown one, lists the ids and exits 2.
+//
 //   incast_sim chaos [--configs 25] [--seed 7] [--jobs N]
 //                    [--max-events 20000000] [--max-wall-ms 0]
 //                    [--journal run.journal]
@@ -165,6 +172,7 @@
 #include <vector>
 
 #include "analysis/burst_detector.h"
+#include "core/catalog.h"
 #include "core/chaos.h"
 #include "core/cli_args.h"
 #include "core/collateral_experiment.h"
@@ -199,7 +207,7 @@ extern "C" void handle_signal(int sig) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: incast_sim <burst|faults|fabric|fleet|collateral|scaling|trace|chaos> "
+               "usage: incast_sim <burst|faults|fabric|fleet|collateral|scaling|trace|chaos|run> "
                "[--key value ...]\n"
                "       see the header of tools/incast_sim.cc for all flags\n");
   return 2;
@@ -240,9 +248,13 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-// --degrees: a comma list of incast fan-ins, each in [1, 100000].
+// --degrees: a non-empty comma list of incast fan-ins, each in [1, 100000].
 bool parse_degrees(const std::string& list, std::vector<int>& out) {
   out.clear();
+  if (list.empty()) {
+    std::fprintf(stderr, "error: --degrees: empty list\n");
+    return false;
+  }
   for (const auto& field : split_list(list)) {
     char* end = nullptr;
     const long v = std::strtol(field.c_str(), &end, 10);
@@ -1030,6 +1042,10 @@ int run_collateral(core::CliArgs& args) {
     }
     cfg.modes.push_back(mode);
   }
+  if (cfg.modes.empty()) {
+    std::fprintf(stderr, "error: --modes: empty list\n");
+    return 2;
+  }
   if (!parse_degrees(args.get_or("degrees", "64"), cfg.degrees)) return 2;
 
   cfg.num_bursts = static_cast<int>(args.int_or("bursts", 4, 1, 10'000));
@@ -1336,6 +1352,24 @@ int run_trace(core::CliArgs& args) {
   return 0;
 }
 
+int run_catalog_row(core::CliArgs& args) {
+  if (const int rc = finish(args); rc != 0) return rc;
+  const auto& ids = args.positional();
+  const core::CatalogRow* row = ids.size() == 1 ? core::find_row(ids[0]) : nullptr;
+  if (row == nullptr) {
+    std::fprintf(stderr, "usage: incast_sim run <id>, one of:\n");
+    for (const auto& r : core::catalog()) {
+      std::fprintf(stderr, "  %-24s %s\n", r.id.c_str(), r.title.c_str());
+    }
+    return 2;
+  }
+  const core::Scale scale = core::scale_from_env();
+  const auto runs = core::run_row(
+      *row, scale, [](core::IncastExperimentConfig& c) { c.audit.cancel = &g_cancel; });
+  core::print_row(*row, scale, runs);
+  return 0;
+}
+
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
@@ -1349,6 +1383,7 @@ int dispatch(int argc, char** argv) {
   if (command == "scaling") return run_scaling(args);
   if (command == "trace") return run_trace(args);
   if (command == "chaos") return run_chaos(args);
+  if (command == "run") return run_catalog_row(args);
   return usage();
 }
 
