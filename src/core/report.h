@@ -36,18 +36,19 @@ class Table {
 // Formats a double with `digits` decimal places.
 [[nodiscard]] std::string fmt(double value, int digits = 2);
 
+// The percentiles a CDF prints at unless told otherwise.
+inline const std::vector<double> kCdfPercentiles{1, 5, 10, 25, 50, 75, 90, 95, 99, 100};
+
 // Prints one labelled CDF as rows of (percentile, value).
 void print_cdf(const std::string& title, const analysis::Cdf& cdf,
-               const std::vector<double>& percentiles = {1,  5,  10, 25, 50,
-                                                         75, 90, 95, 99, 100},
+               const std::vector<double>& percentiles = kCdfPercentiles,
                std::FILE* out = stdout);
 
 // Prints several CDFs side by side (one column per label) at the given
 // percentiles — the layout used for the multi-service figures.
 void print_cdf_comparison(const std::string& title, const std::vector<std::string>& labels,
                           const std::vector<analysis::Cdf>& cdfs,
-                          const std::vector<double>& percentiles = {1,  5,  10, 25, 50,
-                                                                    75, 90, 95, 99, 100},
+                          const std::vector<double>& percentiles = kCdfPercentiles,
                           std::FILE* out = stdout);
 
 // Prints a banner for a figure/table reproduction.

@@ -66,8 +66,7 @@ inline constexpr int kMaxIntHops = 6;
 
 // Simplified TCP header. Sequence numbers are 64-bit byte offsets — the
 // simulator never transfers enough to wrap 64 bits, which removes wraparound
-// from the protocol core (the wrap-safe 32-bit arithmetic used by real TCP
-// is provided and tested separately in tcp/sequence.h).
+// from the protocol core.
 struct TcpHeader {
   FlowId flow_id{0};
   std::int64_t seq{0};  // first payload byte carried by this segment

@@ -150,8 +150,7 @@ class TcpSender final : public net::PacketHandler {
   std::unique_ptr<CongestionControl> cc_;
   RttEstimator rtt_;
 
-  // Stream state (64-bit byte offsets; see tcp/sequence.h for the 32-bit
-  // wire arithmetic used by real TCP).
+  // Stream state (64-bit byte offsets).
   std::int64_t snd_una_{0};   // oldest unacknowledged byte
   std::int64_t snd_nxt_{0};   // next byte to transmit
   std::int64_t max_sent_{0};  // highest byte ever transmitted (retx detection)

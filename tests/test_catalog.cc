@@ -18,18 +18,27 @@ TEST(Catalog, IdsAreUniqueAndFindable) {
   for (const CatalogRow& row : catalog()) {
     EXPECT_TRUE(ids.insert(row.id).second) << "duplicate id " << row.id;
     EXPECT_EQ(find_row(row.id), &row);
-    EXPECT_FALSE(row.points.empty()) << row.id;
+    EXPECT_NE(row.points.empty(), row.body == nullptr) << "exactly one of points or body: "
+                                                       << row.id;
   }
   EXPECT_EQ(find_row("no_such_row"), nullptr);
 }
 
+// A body row runs every simulation under the row's auditor, so under
+// kStrict it throws on the first violation.
 TEST(Catalog, EveryRowRunsCleanUnderStrictAudit) {
+  const RowAudit strict{.mode = sim::AuditMode::kStrict};
   for (const CatalogRow& row : catalog()) {
     SCOPED_TRACE(row.id);
+    if (row.body != nullptr) {
+      std::FILE* sink = std::tmpfile();
+      ASSERT_NE(sink, nullptr);
+      EXPECT_NO_THROW(run_and_print(row, Scale::kQuick, strict, sink));
+      std::fclose(sink);
+      continue;
+    }
     std::vector<CatalogRun> runs;
-    ASSERT_NO_THROW(runs = run_row(row, Scale::kQuick, [](IncastExperimentConfig& c) {
-                      c.audit_mode = sim::AuditMode::kStrict;
-                    }));
+    ASSERT_NO_THROW(runs = run_row(row, Scale::kQuick, strict));
     ASSERT_EQ(runs.size(), row.points.size());
     for (const CatalogRun& run : runs) {
       EXPECT_EQ(run.result.audit_violations, 0u) << run.label;

@@ -88,11 +88,11 @@
 //       Runs the burst detector on a previously exported trace.
 //
 //   incast_sim run <id>
-//       Runs one row of the experiment catalog (core/catalog.h): a Section 4
-//       figure or ablation swept over the dumbbell, printed as its series,
-//       a table and the paper's expectation. INCAST_BENCH_SCALE=quick|
-//       default|full sets the burst count; any other value exits 2. With no
-//       id or an unknown one, lists the ids and exits 2.
+//       Runs one row of the experiment catalog (core/catalog.h): a table,
+//       figure, ablation or extension, printed as its tables and the paper's
+//       expectation. INCAST_BENCH_SCALE=quick|default|full sets the row's
+//       size; any other value exits 2. With no id or an unknown one, lists
+//       the ids and exits 2.
 //
 //   incast_sim chaos [--configs 25] [--seed 7] [--jobs N]
 //                    [--max-events 20000000] [--max-wall-ms 0]
@@ -918,7 +918,7 @@ int run_fleet(core::CliArgs& args) {
   try {
     cfg.profile = workload::service_by_name(service);
   } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "error: unknown --service '%s' (see table1_services)\n",
+    std::fprintf(stderr, "error: unknown --service '%s' (see incast_sim run table1_services)\n",
                  service.c_str());
     return 2;
   }
@@ -1363,10 +1363,9 @@ int run_catalog_row(core::CliArgs& args) {
     }
     return 2;
   }
-  const core::Scale scale = core::scale_from_env();
-  const auto runs = core::run_row(
-      *row, scale, [](core::IncastExperimentConfig& c) { c.audit.cancel = &g_cancel; });
-  core::print_row(*row, scale, runs);
+  core::RowAudit audit;
+  audit.config.cancel = &g_cancel;
+  core::run_and_print(*row, core::scale_from_env(), audit);
   return 0;
 }
 
