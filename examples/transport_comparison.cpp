@@ -1,12 +1,12 @@
 // Transport comparison: the same partition/aggregate queries over DCTCP
 // and over the receiver-driven credit transport.
 //
-// Where bench/extension_credit compares the transports on the paper's raw
-// burst workload, this example asks the question an application owner
-// would: what happens to MY query latency? A coordinator fans a query out
-// to W workers (50 KB responses each) and waits for all of them; we sweep
-// the fan-in past DCTCP's degenerate point and report per-query latency
-// percentiles for both transports.
+// Where `incast_sim run extension_credit` compares the transports on the
+// paper's raw burst workload, this example asks the question an
+// application owner would: what happens to MY query latency? A coordinator
+// fans a query out to W workers (50 KB responses each) and waits for all
+// of them; we sweep the fan-in past DCTCP's degenerate point and report
+// per-query latency percentiles for both transports.
 #include <algorithm>
 #include <cstdio>
 #include <memory>

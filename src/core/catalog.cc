@@ -514,15 +514,14 @@ const CatalogRow* find_row(std::string_view id) {
   return nullptr;
 }
 
-std::vector<CatalogRun> run_row(const CatalogRow& row, Scale scale, const RowAudit& audit) {
+std::vector<CatalogRun> run_row(const CatalogRow& row, Scale scale, const AuditOptions& audit) {
   std::vector<CatalogRun> runs;
   for (const CatalogPoint& point : row.points) {
     IncastExperimentConfig config;
     row.base(config);
     config.num_bursts = at(row.bursts, scale);
     point.apply(config);
-    config.audit_mode = audit.mode;
-    config.audit = audit.config;
+    static_cast<AuditOptions&>(config) = audit;
     IncastExperimentResult result = run_incast_experiment(config);
     runs.push_back({point.label, std::move(config), std::move(result)});
   }
@@ -554,7 +553,7 @@ void print_row(const CatalogRow& row, Scale scale, const std::vector<CatalogRun>
   print_expectation(row, out);
 }
 
-void run_and_print(const CatalogRow& row, Scale scale, const RowAudit& audit, std::FILE* out) {
+void run_and_print(const CatalogRow& row, Scale scale, const AuditOptions& audit, std::FILE* out) {
   if (row.body == nullptr) {
     print_row(row, scale, run_row(row, scale, audit), out);
     return;

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/incast_experiment.h"
-#include "sim/auditor.h"
+#include "core/run_harness.h"
 
 namespace incast::core {
 
@@ -46,16 +46,9 @@ template <typename T>
   return values[static_cast<std::size_t>(scale)];
 }
 
-// The run hardening every simulation of a row takes: auditor mode and
-// config (budgets, cancellation flag). It never changes what a run
-// simulates.
-struct RowAudit {
-  sim::AuditMode mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config config{};
-};
-
-// A body row's runs and printing, at `scale` under `audit`.
-using RowBody = void (*)(Scale scale, const RowAudit& audit, std::FILE* out);
+// A body row's runs and printing, at `scale`, every simulation under
+// `audit` (which never changes what a run simulates).
+using RowBody = void (*)(Scale scale, const AuditOptions& audit, std::FILE* out);
 
 using ConfigEdit = std::function<void(IncastExperimentConfig&)>;
 
@@ -102,7 +95,7 @@ struct CatalogRun {
 // defaults, then the row's deltas, the scale's burst count, the point's
 // edit and last `audit`.
 [[nodiscard]] std::vector<CatalogRun> run_row(const CatalogRow& row, Scale scale,
-                                              const RowAudit& audit = {});
+                                              const AuditOptions& audit = {});
 
 // Prints a row's runs: header, each point's series, the table of the row's
 // columns, and the expectation. Throws std::logic_error if the row names a
@@ -112,7 +105,7 @@ void print_row(const CatalogRow& row, Scale scale, const std::vector<CatalogRun>
 
 // Runs any row and prints it to `out`: a sweep row through run_row and
 // print_row, a body row under the same header and expectation.
-void run_and_print(const CatalogRow& row, Scale scale, const RowAudit& audit = {},
+void run_and_print(const CatalogRow& row, Scale scale, const AuditOptions& audit = {},
                    std::FILE* out = stdout);
 
 // p100/p50 in-flight skew over the in-flight samples with at least half

@@ -27,28 +27,21 @@ using namespace incast::sim::literals;
 tcp::TcpConfig tcp_config(tcp::CcAlgorithm algo) {
   tcp::TcpConfig cfg;
   cfg.cc = algo;
-  cfg.int_telemetry = algo == tcp::CcAlgorithm::kHpcc;
   if (algo == tcp::CcAlgorithm::kSwift) cfg.cc_config.initial_window_segments = 1;
   return cfg;
 }
 
 namespace {
 
-void apply(const RowAudit& audit, CyclicIncastSettings& settings) {
-  settings.audit_mode = audit.mode;
-  settings.audit = audit.config;
-}
-
 // ---- Section 3: fleet grids ------------------------------------------------
 
 // The fleet setup every Section 3 row shares: the TcpConfig defaults (DCTCP,
 // 200 ms min RTO), every hardware thread, the row's auditor.
-FleetConfig fleet_config(const workload::ServiceProfile& profile, const RowAudit& audit) {
+FleetConfig fleet_config(const workload::ServiceProfile& profile, const AuditOptions& audit) {
   FleetConfig cfg;
   cfg.profile = profile;
   cfg.jobs = 0;
-  cfg.audit_mode = audit.mode;
-  cfg.audit = audit.config;
+  static_cast<AuditOptions&>(cfg) = audit;
   return cfg;
 }
 
@@ -56,7 +49,7 @@ FleetConfig fleet_config(const workload::ServiceProfile& profile, const RowAudit
 // service, in catalog order, and hands `visit` each service's config and
 // results (snapshot-major): the shape of Figures 2, 3(a) and 4.
 template <typename Visit>
-void for_each_service(const RowAudit& audit, int hosts, int snapshots, sim::Time trace,
+void for_each_service(const AuditOptions& audit, int hosts, int snapshots, sim::Time trace,
                       Visit visit) {
   for (const auto& profile : workload::service_catalog()) {
     FleetConfig cfg = fleet_config(profile, audit);
@@ -74,7 +67,7 @@ constexpr PerScale<sim::Time> kGridTrace{300_ms, 1_s, 2_s};
 
 }  // namespace
 
-void table1_services(Scale, const RowAudit&, std::FILE* out) {
+void table1_services(Scale, const AuditOptions&, std::FILE* out) {
   Table table{{"Service", "Description"}};
   for (const auto& p : workload::service_catalog()) {
     table.add_row({p.name, p.description});
@@ -101,7 +94,7 @@ void table1_services(Scale, const RowAudit&, std::FILE* out) {
 // paper's four panels: (a) ingress throughput, (b) active flows, (c)
 // ECN-marked rate, (d) retransmitted rate. Prints each panel's headline
 // statistics, then the series downsampled for plotting.
-void fig1_example_trace(Scale scale, const RowAudit& audit, std::FILE* out) {
+void fig1_example_trace(Scale scale, const AuditOptions& audit, std::FILE* out) {
   FleetConfig cfg = fleet_config(workload::service_by_name("aggregator"), audit);
   cfg.trace_duration = at(PerScale<sim::Time>{500_ms, 2_s, 2_s}, scale);
   FleetExperiment exp{cfg};
@@ -174,7 +167,7 @@ void fig1_example_trace(Scale scale, const RowAudit& audit, std::FILE* out) {
 // Figure 2: (a) bursts per second, one sample per trace; (b) burst
 // duration and (c) active flows, one sample per burst; pooled over hosts
 // and snapshots, as in the paper.
-void fig2_burst_characteristics(Scale scale, const RowAudit& audit, std::FILE* out) {
+void fig2_burst_characteristics(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int hosts = at(kGridHosts, scale);
   const int snapshots = at(kGridSnapshots, scale);
   const sim::Time trace = at(kGridTrace, scale);
@@ -236,7 +229,7 @@ void fig2_burst_characteristics(Scale scale, const RowAudit& audit, std::FILE* o
 // paper's "18 hours" of periodic snapshots, each around its own operating
 // point ("video" switches between ~225 and ~275 as its scheduler changes
 // worker pools); (b) per-host mean and p99 flow counts for "aggregator".
-void fig3_stability(Scale scale, const RowAudit& audit, std::FILE* out) {
+void fig3_stability(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int snapshots = at(PerScale<int>{4, 12, 108}, scale);  // paper: 18 h / 10 min
   const int hosts_a = at(PerScale<int>{1, 2, 20}, scale);
   const int hosts_b = at(PerScale<int>{4, 8, 20}, scale);
@@ -320,7 +313,7 @@ void fig3_stability(Scale scale, const RowAudit& audit, std::FILE* out) {
 // per-minute high watermark; the window here is scaled to the trace
 // length); (b) ECN-marked share of each burst's bytes; (c) retransmitted
 // share of each burst's bytes.
-void fig4_network_effects(Scale scale, const RowAudit& audit, std::FILE* out) {
+void fig4_network_effects(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int hosts = at(kGridHosts, scale);
   const int snapshots = at(kGridSnapshots, scale);
   const sim::Time trace = at(kGridTrace, scale);
@@ -380,7 +373,7 @@ void fig4_network_effects(Scale scale, const RowAudit& audit, std::FILE* out) {
 
 // Ablation A9: the same "aggregator" traces under each rack-contention
 // model: none, the modeled Markov on/off process, a real neighbor.
-void ablation_contention(Scale scale, const RowAudit& audit, std::FILE* out) {
+void ablation_contention(Scale scale, const AuditOptions& audit, std::FILE* out) {
   using Mode = FleetConfig::ContentionMode;
   const struct {
     Mode mode;
@@ -422,7 +415,7 @@ void ablation_contention(Scale scale, const RowAudit& audit, std::FILE* out) {
 // per leaf uplink (ECMP spreads the senders), so counters at any
 // aggregation tier under-observe the burst: the case for host-side
 // millisecond sampling.
-void fig8_fabric_vantage(Scale scale, const RowAudit& audit, std::FILE* out) {
+void fig8_fabric_vantage(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int flows = at(PerScale<int>{48, 96, 400}, scale);
   FabricIncastExperimentConfig cfg;
   cfg.num_flows = flows;
@@ -434,7 +427,7 @@ void fig8_fabric_vantage(Scale scale, const RowAudit& audit, std::FILE* out) {
   cfg.num_bursts = at(PerScale<int>{2, 4, 8}, scale);
   cfg.discard_bursts = 1;
   cfg.burst_duration = 10_ms;
-  apply(audit, cfg);
+  static_cast<AuditOptions&>(cfg) = audit;
   std::fprintf(out, "flows=%d bursts=%d fabric=2x2 leaves x %d hosts, 2 spines\n\n", flows,
                cfg.num_bursts, cfg.fabric.hosts_per_leaf);
 
@@ -482,10 +475,6 @@ void fig8_fabric_vantage(Scale scale, const RowAudit& audit, std::FILE* out) {
 
 namespace {
 
-RunHarness::Options harness_options(const RowAudit& audit) {
-  return {.audit_mode = audit.mode, .audit = audit.config};
-}
-
 struct LossOutcome {
   std::int64_t drops{0};
   std::int64_t timeouts{0};
@@ -496,9 +485,9 @@ struct LossOutcome {
 // one queue, or that pool under rack contention. Drops and timeouts leave
 // out burst 0 (slow start), as every Section 4 statistic does.
 LossOutcome shared_buffer_run(int flows, bool shared, bool contended, int bursts,
-                              const RowAudit& audit) {
+                              const AuditOptions& audit) {
   sim::Simulator sim;
-  RunHarness harness{sim, harness_options(audit)};
+  RunHarness harness{sim, nullptr, audit};
   net::DumbbellConfig topo_cfg;
   topo_cfg.num_senders = flows;
   if (shared) {
@@ -555,9 +544,9 @@ struct SteadyOutcome {
 // the first 10 ms. The second half of `duration` is measured
 // (post-convergence), the bottleneck queue sampled `samples` times in it.
 SteadyOutcome run_steady(tcp::CcAlgorithm algo, int flows, sim::Time duration, int samples,
-                         const RowAudit& audit) {
+                         const AuditOptions& audit) {
   sim::Simulator sim;
-  RunHarness harness{sim, harness_options(audit)};
+  RunHarness harness{sim, nullptr, audit};
   net::DumbbellConfig topo_cfg;
   topo_cfg.num_senders = flows;
   net::Dumbbell topo{sim, topo_cfg};
@@ -599,7 +588,7 @@ SteadyOutcome run_steady(tcp::CcAlgorithm algo, int flows, sim::Time duration, i
 
 // The sustained `what` table of DCTCP against `other` at each flow count.
 void steady_table(const char* what, tcp::CcAlgorithm other, const std::vector<int>& flow_counts,
-                  sim::Time duration, int samples, const RowAudit& audit, std::FILE* out) {
+                  sim::Time duration, int samples, const AuditOptions& audit, std::FILE* out) {
   std::fprintf(out, "\n(a) Sustained %s (%s, second half measured)\n", what,
                duration.to_string().c_str());
   Table steady{{"flows", "cca", "avg queue (pkts)", "drops", "goodput (Gbps)"}};
@@ -616,9 +605,9 @@ void steady_table(const char* what, tcp::CcAlgorithm other, const std::vector<in
 // Extension E2's incast, all at once (CyclicIncastDriver) or staged
 // (StagedIncastDriver). Drops and timeouts count every burst.
 template <typename Driver>
-LossOutcome staged_run(const typename Driver::Config& driver_cfg, const RowAudit& audit) {
+LossOutcome staged_run(const typename Driver::Config& driver_cfg, const AuditOptions& audit) {
   sim::Simulator sim;
-  RunHarness harness{sim, harness_options(audit)};
+  RunHarness harness{sim, nullptr, audit};
   net::DumbbellConfig topo_cfg;
   topo_cfg.num_senders = driver_cfg.num_flows;
   net::Dumbbell topo{sim, topo_cfg};
@@ -645,9 +634,9 @@ struct CreditOutcome {
 
 // Extension E4's incast on the rdt credit transport, behind byte-buffered
 // queues (2 MB, the paper's per-port memory).
-CreditOutcome credit_run(int flows, int bursts, const RowAudit& audit) {
+CreditOutcome credit_run(int flows, int bursts, const AuditOptions& audit) {
   sim::Simulator sim;
-  RunHarness harness{sim, harness_options(audit)};
+  RunHarness harness{sim, nullptr, audit};
   net::DumbbellConfig topo_cfg;
   topo_cfg.num_senders = flows;
   topo_cfg.switch_queue.capacity_packets = 1'000'000;
@@ -678,7 +667,7 @@ CreditOutcome credit_run(int flows, int bursts, const RowAudit& audit) {
 
 // Ablation A3: the same incast against a dedicated queue, a shared pool
 // with no competing traffic, and a shared pool under rack contention.
-void ablation_shared_buffer(Scale scale, const RowAudit& audit, std::FILE* out) {
+void ablation_shared_buffer(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int bursts = at(PerScale<int>{3, 6, 11}, scale);
   Table t{{"flows", "buffer", "drops", "timeouts", "avg BCT ms"}};
   const auto add = [&](int flows, const char* buffer, const LossOutcome& o) {
@@ -696,12 +685,12 @@ void ablation_shared_buffer(Scale scale, const RowAudit& audit, std::FILE* out) 
 // Ablation A8, part 1: one flow behind a shallow 1 Gbps queue, so the tail
 // of its window is dropped, recovered by RTO alone or by a tail loss probe.
 // Part 2, the Mode 3 incast, is the sweep row ablation_tlp_mode3.
-void ablation_tlp(Scale, const RowAudit& audit, std::FILE* out) {
+void ablation_tlp(Scale, const AuditOptions& audit, std::FILE* out) {
   std::fprintf(out, "\n(1) Isolated tail loss (1 flow, shallow queue, 200 ms min RTO)\n");
   Table t{{"recovery", "timeouts", "TLP probes", "transfer time (ms)"}};
   for (const bool tlp : {false, true}) {
     sim::Simulator sim;
-    RunHarness harness{sim, harness_options(audit)};
+    RunHarness harness{sim, nullptr, audit};
     net::DumbbellConfig topo_cfg;
     topo_cfg.num_senders = 1;
     topo_cfg.switch_queue.capacity_packets = 6;
@@ -728,7 +717,7 @@ void ablation_tlp(Scale, const RowAudit& audit, std::FILE* out) {
 
 // Extension E1, part (a): sustained incast, Swift against DCTCP. Part (b),
 // millisecond bursts, is the sweep row extension_swift_bursts.
-void extension_swift(Scale scale, const RowAudit& audit, std::FILE* out) {
+void extension_swift(Scale scale, const AuditOptions& audit, std::FILE* out) {
   steady_table("incast", tcp::CcAlgorithm::kSwift,
                at(PerScale<std::vector<int>>{{{500}, {500, 2000}, {500, 2000, 5000}}}, scale),
                at(PerScale<sim::Time>{400_ms, 1_s, 2_s}, scale), 200, audit, out);
@@ -736,7 +725,7 @@ void extension_swift(Scale scale, const RowAudit& audit, std::FILE* out) {
 
 // Extension E3, part (a): sustained traffic, HPCC against DCTCP. Part (b),
 // the cyclic bursts, is the sweep row extension_hpcc_bursts.
-void extension_hpcc(Scale scale, const RowAudit& audit, std::FILE* out) {
+void extension_hpcc(Scale scale, const AuditOptions& audit, std::FILE* out) {
   steady_table("traffic", tcp::CcAlgorithm::kHpcc, {1, 50, 500},
                at(PerScale<sim::Time>{300_ms, 600_ms, 2_s}, scale), 100, audit, out);
 }
@@ -744,7 +733,7 @@ void extension_hpcc(Scale scale, const RowAudit& audit, std::FILE* out) {
 // Extension E2: at most G = 60 flows active at once (a sliding window, as a
 // receiver-driven puller would admit them) against all at once. Demand and
 // bottleneck are the same, so the ideal completion time is too.
-void extension_staged(Scale scale, const RowAudit& audit, std::FILE* out) {
+void extension_staged(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int bursts = at(PerScale<int>{2, 3, 11}, scale);
   Table t{{"flows", "schedule", "drops (all bursts)", "timeouts", "avg BCT ms",
            "vs ideal 15 ms"}};
@@ -772,7 +761,7 @@ void extension_staged(Scale scale, const RowAudit& audit, std::FILE* out) {
 
 // Extension E4: the receiver-driven credit transport against DCTCP on the
 // paper's 15 ms bursts.
-void extension_credit(Scale scale, const RowAudit& audit, std::FILE* out) {
+void extension_credit(Scale scale, const AuditOptions& audit, std::FILE* out) {
   const int bursts = at(PerScale<int>{2, 3, 11}, scale);
   Table t{{"flows", "transport", "avg BCT ms", "drops", "timeouts", "control pkts",
            "signal overhead"}};
@@ -782,7 +771,7 @@ void extension_credit(Scale scale, const RowAudit& audit, std::FILE* out) {
     cfg.num_bursts = bursts;
     cfg.max_sim_time = sim::Time::seconds(120);
     cfg.seed = 7;
-    apply(audit, cfg);
+    static_cast<AuditOptions&>(cfg) = audit;
     const auto dctcp = run_incast_experiment(cfg);
     const CreditOutcome rdt = credit_run(flows, bursts, audit);
     t.add_row({std::to_string(flows), "DCTCP", fmt(dctcp.avg_bct_ms, 1),

@@ -1,5 +1,5 @@
 // The experiment catalog's body rows (core/catalog.h): the experiments that
-// wire their own runs. Each runs every simulation under the row's RowAudit
+// wire their own runs. Each runs every simulation under the row's AuditOptions
 // and prints its tables; catalog.cc lists them as rows.
 #ifndef INCAST_CORE_CATALOG_BODIES_H_
 #define INCAST_CORE_CATALOG_BODIES_H_
@@ -17,22 +17,22 @@ namespace incast::core::rows {
 [[nodiscard]] tcp::TcpConfig tcp_config(tcp::CcAlgorithm algo);
 
 // Section 3: the service catalog and the fleet measurement figures.
-void table1_services(Scale scale, const RowAudit& audit, std::FILE* out);
-void fig1_example_trace(Scale scale, const RowAudit& audit, std::FILE* out);
-void fig2_burst_characteristics(Scale scale, const RowAudit& audit, std::FILE* out);
-void fig3_stability(Scale scale, const RowAudit& audit, std::FILE* out);
-void fig4_network_effects(Scale scale, const RowAudit& audit, std::FILE* out);
+void table1_services(Scale scale, const AuditOptions& audit, std::FILE* out);
+void fig1_example_trace(Scale scale, const AuditOptions& audit, std::FILE* out);
+void fig2_burst_characteristics(Scale scale, const AuditOptions& audit, std::FILE* out);
+void fig3_stability(Scale scale, const AuditOptions& audit, std::FILE* out);
+void fig4_network_effects(Scale scale, const AuditOptions& audit, std::FILE* out);
 
 // The fabric vantage extension, and the ablations and Section 5 extensions
 // that build their own simulators.
-void fig8_fabric_vantage(Scale scale, const RowAudit& audit, std::FILE* out);
-void ablation_shared_buffer(Scale scale, const RowAudit& audit, std::FILE* out);
-void ablation_tlp(Scale scale, const RowAudit& audit, std::FILE* out);
-void ablation_contention(Scale scale, const RowAudit& audit, std::FILE* out);
-void extension_swift(Scale scale, const RowAudit& audit, std::FILE* out);
-void extension_staged(Scale scale, const RowAudit& audit, std::FILE* out);
-void extension_hpcc(Scale scale, const RowAudit& audit, std::FILE* out);
-void extension_credit(Scale scale, const RowAudit& audit, std::FILE* out);
+void fig8_fabric_vantage(Scale scale, const AuditOptions& audit, std::FILE* out);
+void ablation_shared_buffer(Scale scale, const AuditOptions& audit, std::FILE* out);
+void ablation_tlp(Scale scale, const AuditOptions& audit, std::FILE* out);
+void ablation_contention(Scale scale, const AuditOptions& audit, std::FILE* out);
+void extension_swift(Scale scale, const AuditOptions& audit, std::FILE* out);
+void extension_staged(Scale scale, const AuditOptions& audit, std::FILE* out);
+void extension_hpcc(Scale scale, const AuditOptions& audit, std::FILE* out);
+void extension_credit(Scale scale, const AuditOptions& audit, std::FILE* out);
 
 }  // namespace incast::core::rows
 

@@ -19,19 +19,6 @@ constexpr tcp::CcAlgorithm kAllCc[] = {
     tcp::CcAlgorithm::kCubic, tcp::CcAlgorithm::kSwift, tcp::CcAlgorithm::kHpcc,
 };
 
-const char* cc_name(tcp::CcAlgorithm cc) noexcept {
-  switch (cc) {
-    case tcp::CcAlgorithm::kDctcp: return "dctcp";
-    case tcp::CcAlgorithm::kReno: return "reno";
-    case tcp::CcAlgorithm::kRenoEcn: return "reno-ecn";
-    case tcp::CcAlgorithm::kCubic: return "cubic";
-    case tcp::CcAlgorithm::kSwift: return "swift";
-    case tcp::CcAlgorithm::kHpcc: return "hpcc";
-    case tcp::CcAlgorithm::kDcqcn: return "dcqcn";
-  }
-  return "?";
-}
-
 std::string describe(const char* kind, const std::string& detail) {
   return std::string{kind} + " " + detail;
 }
@@ -51,7 +38,6 @@ ChaosRunResult chaos_burst(const ChaosConfig& config, std::uint64_t seed, bool f
   cfg.schedule = rng.bernoulli(0.5) ? workload::BurstSchedule::kAfterCompletion
                                     : workload::BurstSchedule::kFixedPeriod;
   cfg.tcp.cc = kAllCc[rng.uniform_int(0, 5)];
-  cfg.tcp.int_telemetry = cfg.tcp.cc == tcp::CcAlgorithm::kHpcc;
   cfg.tcp.rtt.min_rto = rng.uniform_time(sim::Time::milliseconds(1), sim::Time::milliseconds(200));
   cfg.tcp.tail_loss_probe = rng.bernoulli(0.3);
   if (rng.bernoulli(0.3)) {
@@ -119,7 +105,7 @@ ChaosRunResult chaos_burst(const ChaosConfig& config, std::uint64_t seed, bool f
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "cc=%s qmode=%s flows=%d dur=%lldus queue=%lld ecn=%lld bursts=%d%s",
-                cc_name(cfg.tcp.cc), qmode_name, cfg.num_flows,
+                tcp::to_string(cfg.tcp.cc), qmode_name, cfg.num_flows,
                 static_cast<long long>(cfg.burst_duration.ns() / 1000),
                 static_cast<long long>(queue),
                 static_cast<long long>(cfg.topology.switch_queue.ecn_threshold_packets),
@@ -182,16 +168,18 @@ std::uint64_t chaos_run_seed(const ChaosConfig& config, std::size_t index) noexc
 
 ChaosReport run_chaos(const ChaosConfig& config) {
   ChaosReport report;
-  sim::SweepRunner::Policy policy;
-  policy.fail_fast = false;  // collect every broken config, never abort the fuzz
-  policy.max_attempts = 1;   // a violation is deterministic; retrying hides nothing
-  policy.cancel = config.cancel;
-  policy.seed_of = [&config](std::size_t index) { return chaos_run_seed(config, index); };
-  policy.on_failure = config.on_failure;
   report.runs = resumable_sweep<ChaosRunResult>(
-      config.jobs, std::move(policy), static_cast<std::size_t>(config.num_configs),
-      config.resume, config.on_result,
-      [&config](std::size_t, std::uint64_t seed) {
+      {.jobs = config.jobs,
+       .sweep = {.fail_fast = false,  // collect every broken config, never abort the fuzz
+                 .max_attempts = 1,   // a violation is deterministic; retrying hides nothing
+                 .on_failure = config.on_failure,
+                 .cancel = config.cancel},
+       .resume = config.resume,
+       .on_result = config.on_result},
+      static_cast<std::size_t>(config.num_configs),
+      [&config](std::size_t index) { return chaos_run_seed(config, index); },
+      /*hub=*/nullptr,
+      [&config](std::size_t, std::uint64_t seed, obs::Hub*) {
         // Kind mix: plain bursts, faulty bursts, fleet traces (1:2:1).
         sim::Rng kind_rng{seed};
         const std::int64_t kind = kind_rng.uniform_int(0, 3);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_harness.h"
 #include "sim/sweep.h"
 
 namespace incast::core {
@@ -40,9 +41,8 @@ struct ChaosConfig {
   std::atomic<bool>* cancel{nullptr};
 
   // Checkpoint/resume hooks, same shape as the other experiments.
-  std::function<bool(std::size_t index, ChaosRunResult& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const ChaosRunResult&)>
-      on_result{};
+  ResumeHook<ChaosRunResult> resume{};
+  ResultHook<ChaosRunResult> on_result{};
   std::function<void(const sim::TaskFailure&)> on_failure{};
 };
 

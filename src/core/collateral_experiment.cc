@@ -139,19 +139,13 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   sim::Simulator sim;
   // The tracer hashes the *base* config seed (not the per-point derived
   // seed) so every grid point samples the same flow ids.
-  RunHarness harness{sim, {.hub = hub,
-                           .audit_mode = config.audit_mode,
-                           .audit = config.audit,
-                           .flow_trace = config.flow_trace,
-                           .flow_trace_seed = config.seed,
-                           .flow_trace_sample_every = config.flow_trace_sample_every}};
+  RunHarness harness{sim, hub, config, config, config.seed};
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
   net::Dumbbell dumbbell{sim, make_topology(config, mode, degree)};
 
   tcp::TcpConfig tcp = config.tcp;
   tcp.cc = mode == QueueMode::kPfc ? config.pfc_cc : config.tcp.cc;
-  tcp.int_telemetry = tcp.cc == tcp::CcAlgorithm::kHpcc;
 
   // The victim: one persistent flow, victim host -> receiver 1, running the
   // same CCA as the incast it shares the sender ToR and core link with. Its
@@ -254,20 +248,13 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
 CollateralReport run_collateral_experiment(const CollateralConfig& config) {
   CollateralReport report;
-  sim::SweepRunner::Policy policy = config.sweep;
-  policy.seed_of = [&config](std::size_t index) {
-    return sim::derive_task_seed(config.seed, index);
-  };
-  // Only point 0 is observed: worker threads must not share the hub, and
-  // pinning it to a fixed point keeps trace/metrics output byte-identical
-  // at any --jobs value.
   report.points = resumable_sweep<CollateralPoint>(
-      config.jobs, std::move(policy), config.modes.size() * config.degrees.size(),
-      config.resume, config.on_result,
-      [&config](std::size_t index, std::uint64_t seed) {
+      config, config.modes.size() * config.degrees.size(),
+      [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
+      config.hub,
+      [&config](std::size_t index, std::uint64_t seed, obs::Hub* hub) {
         return run_collateral_point(config, config.modes[index / config.degrees.size()],
-                                    config.degrees[index % config.degrees.size()], seed,
-                                    index == 0 ? config.hub : nullptr);
+                                    config.degrees[index % config.degrees.size()], seed, hub);
       },
       report.sweep);
   return report;

@@ -30,14 +30,13 @@
 #define INCAST_CORE_COLLATERAL_EXPERIMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/run_harness.h"
 #include "net/pfc.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
 
@@ -53,7 +52,11 @@ enum class QueueMode { kDropTail, kPfc, kTrim, kCredit };
 // Parses "droptail" | "pfc" | "trim" | "credit"; false on anything else.
 [[nodiscard]] bool parse_queue_mode(const std::string& name, QueueMode& out) noexcept;
 
-struct CollateralConfig {
+struct CollateralPoint;
+
+// The flow tracer hashes the *base* seed, so every grid point samples the
+// same flow ids and breakdowns stay comparable across modes and degrees.
+struct CollateralConfig : AuditOptions, FlowTraceOptions, SweepOptions<CollateralPoint> {
   // The sweep grid: every (mode, degree) pair is one simulation point,
   // mode-major (all degrees of modes[0] first).
   std::vector<QueueMode> modes{QueueMode::kDropTail, QueueMode::kPfc, QueueMode::kTrim,
@@ -116,32 +119,9 @@ struct CollateralConfig {
 
   sim::Time max_sim_time{sim::Time::seconds(30)};
 
-  // Sweep execution (sim::SweepRunner): 1 = inline, <= 0 = all hardware
-  // threads. Results are ordered by point index regardless.
-  int jobs{1};
-  sim::SweepRunner::Policy sweep{};
-
-  // Observability: only point 0 attaches the hub (worker threads must not
-  // share it), so trace/metrics output is byte-identical at any --jobs.
+  // Borrowed observability hub; it observes point 0 (the first mode at the
+  // first degree) alone.
   obs::Hub* hub{nullptr};
-
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace). The sampling
-  // hash uses the *base* seed, so the same flow ids are sampled at every
-  // grid point and breakdowns stay comparable across modes/degrees.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
-
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a point runs: return true and fill the
-  // point to skip its simulation. `on_result` fires after every freshly-run
-  // point.
-  std::function<bool(std::size_t index, struct CollateralPoint& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed,
-                     const struct CollateralPoint& point)>
-      on_result{};
 
   std::uint64_t seed{1};
 };

@@ -29,13 +29,10 @@ std::uint64_t FleetExperiment::trace_seed(int host, int snapshot) const noexcept
   return sim::derive_task_seed(base, index);
 }
 
-HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot) const {
+HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot,
+                                                obs::Hub* hub) const {
   sim::Simulator sim;
-  // The hub observes exactly one deterministic cell of the sweep grid, so
-  // trace/metrics output is independent of --jobs.
-  RunHarness harness{sim, {.hub = host == 0 && snapshot == 0 ? config_.hub : nullptr,
-                           .audit_mode = config_.audit_mode,
-                           .audit = config_.audit}};
+  RunHarness harness{sim, hub, config_};
 
   const workload::ServiceProfile& profile = config_.profile;
   // Capacity hint: the generator keeps at most max_flows concurrent flows
@@ -141,25 +138,22 @@ std::vector<HostTraceResult> FleetExperiment::run_all() const {
     return std::pair{static_cast<int>(index) % config_.num_hosts,
                      static_cast<int>(index) / config_.num_hosts};
   };
-  sim::SweepRunner::Policy policy = config_.sweep;
-  if (!policy.seed_of) {
-    policy.seed_of = [this, cell](std::size_t index) {
-      const auto [host, snapshot] = cell(index);
-      return trace_seed(host, snapshot);
-    };
-  }
   return resumable_sweep<HostTraceResult>(
-      config_.jobs, std::move(policy),
+      config_,
       static_cast<std::size_t>(config_.num_hosts) *
           static_cast<std::size_t>(config_.num_snapshots),
-      config_.resume, config_.on_result,
-      [this, cell](std::size_t index, std::uint64_t) {
+      [this, cell](std::size_t index) {
+        const auto [host, snapshot] = cell(index);
+        return trace_seed(host, snapshot);
+      },
+      config_.hub,
+      [this, cell](std::size_t index, std::uint64_t, obs::Hub* hub) {
         if (static_cast<int>(index) == config_.fail_cell_for_test) {
           throw std::runtime_error{"forced failure (fail_cell_for_test) at cell " +
                                    std::to_string(index)};
         }
         const auto [host, snapshot] = cell(index);
-        return run_host_trace(host, snapshot);
+        return run_host_trace(host, snapshot, hub);
       },
       last_sweep_);
 }

@@ -12,11 +12,10 @@
 #define INCAST_CORE_FLEET_EXPERIMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "analysis/burst_detector.h"
-#include "sim/auditor.h"
+#include "core/run_harness.h"
 #include "sim/event_category.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
@@ -31,7 +30,10 @@ namespace incast::core {
 
 struct HostTraceResult;
 
-struct FleetConfig {
+// Every (host, snapshot) cell is an independent simulation seeded from
+// (base_seed, service, cell index), so run_all() parallelizes freely and is
+// byte-identical at any jobs value.
+struct FleetConfig : AuditOptions, SweepOptions<HostTraceResult> {
   workload::ServiceProfile profile;
   int num_hosts{6};
   int num_snapshots{3};
@@ -67,40 +69,11 @@ struct FleetConfig {
 
   std::uint64_t base_seed{42};
 
-  // Worker threads for run_all(): each (host, snapshot) cell is an
-  // independent simulation, so the grid parallelizes freely. 1 = run
-  // inline (no pool); <= 0 = hardware_concurrency. Results are
-  // byte-identical for every value — seeds derive from (base_seed, cell
-  // index), never from scheduling.
-  int jobs{1};
-
   analysis::BurstDetectorConfig detector{};
 
-  // Borrowed observability hub. A fleet sweep runs many independent
-  // simulations, so the hub is attached to exactly one deterministic cell —
-  // (host 0, snapshot 0) — keeping trace and metrics output identical for
-  // every --jobs value. nullptr = unobserved.
+  // Borrowed observability hub; run_all() hands it to cell 0, (host 0,
+  // snapshot 0), alone.
   obs::Hub* hub{nullptr};
-
-  // Run-hardening (see sim/auditor.h): every cell runs under its own
-  // auditor with these budgets/bounds; audit.strict is overridden from
-  // audit_mode. kRelaxed (the default) never perturbs results.
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Fault-isolation policy for run_all() (sweep.seed_of is filled in by
-  // the experiment from the cell-seed derivation when unset). The default
-  // — fail_fast — reproduces the historical abort-on-first-error behavior.
-  sim::SweepRunner::Policy sweep{};
-
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a cell runs: return true and fill the
-  // result to skip the simulation entirely. `on_result` fires after every
-  // freshly-run cell (from the worker thread that ran it) with the cell's
-  // derived seed.
-  std::function<bool(std::size_t index, HostTraceResult& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const HostTraceResult&)>
-      on_result{};
 
   // Test hook: the cell at this sweep index (snapshot * num_hosts + host)
   // throws instead of running, exercising the sweep layer's fault
@@ -143,8 +116,10 @@ class FleetExperiment {
   // Retain per-bin series in results (memory-heavy; off by default).
   void set_keep_bins(bool keep) noexcept { keep_bins_ = keep; }
 
-  // Runs one (host, snapshot) trace in an isolated simulation.
-  [[nodiscard]] HostTraceResult run_host_trace(int host, int snapshot) const;
+  // Runs one (host, snapshot) trace in an isolated simulation, observed by
+  // `hub` when set.
+  [[nodiscard]] HostTraceResult run_host_trace(int host, int snapshot,
+                                               obs::Hub* hub = nullptr) const;
 
   // Runs every (host, snapshot) pair across config().jobs worker threads
   // (sim::SweepRunner). Results are ordered snapshot-major — index

@@ -183,12 +183,7 @@ class DumbbellIncast final : public IncastTopology {
 void run_cyclic_incast(const CyclicIncastSettings& settings,
                        const IncastTopologyFactory& make_topology, CyclicIncastResult& result) {
   sim::Simulator sim;
-  RunHarness harness{sim, {.hub = settings.hub,
-                           .audit_mode = settings.audit_mode,
-                           .audit = settings.audit,
-                           .flow_trace = settings.flow_trace,
-                           .flow_trace_seed = settings.seed,
-                           .flow_trace_sample_every = settings.flow_trace_sample_every}};
+  RunHarness harness{sim, settings.hub, settings, settings, settings.seed};
   const std::unique_ptr<IncastTopology> topology = make_topology(sim);
   const IncastTopology::Network net = topology->network();
 

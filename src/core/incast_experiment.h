@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "core/run_harness.h"
 #include "fault/fault_injector.h"
 #include "net/topology.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "sim/event_category.h"
 #include "tcp/tcp_config.h"
 #include "telemetry/inflight_sampler.h"
@@ -65,8 +65,9 @@ struct FaultProfile {
 
 // The settings every cyclic incast shares, whatever its topology: the
 // workload, TCP, measurement, hardening and tracing knobs. Each experiment's
-// config derives from it and adds only its topology's own settings.
-struct CyclicIncastSettings {
+// config derives from it and adds only its topology's own settings. The
+// flow tracer samples by the run's seed.
+struct CyclicIncastSettings : AuditOptions, FlowTraceOptions {
   int num_flows{100};
   sim::Time burst_duration{sim::Time::milliseconds(15)};
   int num_bursts{11};
@@ -91,22 +92,6 @@ struct CyclicIncastSettings {
   // snapshots the metrics registry at end of run. nullptr = unobserved run,
   // byte-identical to the pre-observability behavior.
   obs::Hub* hub{nullptr};
-
-  // Run-hardening (see sim/auditor.h): kRelaxed (default) counts invariant
-  // violations into the result without perturbing the run; kStrict aborts
-  // on the first violation; kOff attaches no auditor. `audit` carries the
-  // bounds, execution budgets and cancellation flag; its strict field is
-  // overridden from audit_mode. A no-op under -DINCAST_AUDIT=OFF.
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (obs/flow_trace.h): attach a FlowTracer and decompose each
-  // sampled flow's FCT into serialization/propagation/per-tier queueing/
-  // stall classes. Sampling hashes (flow id, seed) so the decision is
-  // deterministic and jobs-invariant; 1 traces every flow. Disabled runs
-  // are byte-identical to pre-tracer behavior.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
 
   std::uint64_t seed{1};
 };

@@ -64,22 +64,16 @@ ResilienceReport run_resilience_experiment(const ResilienceConfig& config) {
   // Drop-rate points first, then flaps — the historical report order. Each
   // point deliberately reuses the base seed: the sweep isolates the effect
   // of the fault profile, not seed variance.
-  sim::SweepRunner::Policy policy = config.sweep;
-  if (!policy.seed_of) {
-    policy.seed_of = [seed = config.base.seed](std::size_t) { return seed; };
-  }
   const std::size_t num_drop_rates = config.drop_rates.size();
   report.points = resumable_sweep<ResiliencePoint>(
-      config.jobs, std::move(policy), num_drop_rates + config.flap_durations.size(),
-      config.resume, config.on_result,
-      [&](std::size_t index, std::uint64_t) {
+      config, num_drop_rates + config.flap_durations.size(),
+      [seed = config.base.seed](std::size_t) { return seed; },
+      /*hub=*/nullptr,  // base.hub observed the baseline above
+      [&](std::size_t index, std::uint64_t, obs::Hub* hub) {
         ResiliencePoint point;
         IncastExperimentConfig cfg = config.base;
         cfg.faults = FaultProfile{};
-        // Only the baseline is observed: sweep points run concurrently and
-        // may not share the (single-threaded) hub; nulling it also keeps
-        // the report identical for every jobs value.
-        cfg.hub = nullptr;
+        cfg.hub = hub;
         if (index < num_drop_rates) {
           point.drop_rate = config.drop_rates[index];
           cfg.faults.forward = config.fault_template;

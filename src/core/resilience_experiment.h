@@ -11,10 +11,10 @@
 #ifndef INCAST_CORE_RESILIENCE_EXPERIMENT_H_
 #define INCAST_CORE_RESILIENCE_EXPERIMENT_H_
 
-#include <functional>
 #include <vector>
 
 #include "core/incast_experiment.h"
+#include "core/run_harness.h"
 #include "sim/sweep.h"
 
 namespace incast::core {
@@ -50,7 +50,12 @@ struct ResiliencePoint {
   DctcpMode mode{DctcpMode::kSafe};
 };
 
-struct ResilienceConfig {
+// The sweep points run concurrently on the shared immutable base config, so
+// the report is identical at any jobs value. The baseline always runs first
+// (every point's goodput is normalized against it), outside the sweep and
+// its policy: a baseline failure always aborts. base.hub observes the
+// baseline alone.
+struct ResilienceConfig : SweepOptions<ResiliencePoint> {
   // Base experiment (flows, CC, queue, schedule, seed ...). Its `faults`
   // field is ignored; each sweep point installs its own profile.
   IncastExperimentConfig base{};
@@ -69,27 +74,6 @@ struct ResilienceConfig {
   // blackholed (both directions) at flap_at for that duration.
   std::vector<sim::Time> flap_durations{};
   sim::Time flap_at{sim::Time::milliseconds(30)};
-
-  // Worker threads for the sweep points (sim::SweepRunner). Every point is
-  // an independent simulation sharing only the immutable base config, so
-  // the report is identical for any value. 1 = inline; <= 0 =
-  // hardware_concurrency. The baseline always runs first (points need it
-  // for goodput normalization) and is never part of the sweep.
-  int jobs{1};
-
-  // Fault-isolation policy for the sweep points (sim::SweepRunner::Policy);
-  // the baseline ignores it — a baseline failure always aborts, because
-  // every point's goodput is normalized against it. seed_of defaults to the
-  // shared base seed (points deliberately reuse it; see run()).
-  sim::SweepRunner::Policy sweep{};
-
-  // Checkpoint/resume hooks (core::TaskJournal wires these from the CLI).
-  // `resume` is consulted before a point runs: return true and fill the
-  // point to skip its simulation. `on_result` fires after every freshly-run
-  // point, from the worker thread that ran it.
-  std::function<bool(std::size_t index, ResiliencePoint& out)> resume{};
-  std::function<void(std::size_t index, std::uint64_t seed, const ResiliencePoint&)>
-      on_result{};
 };
 
 struct ResilienceReport {

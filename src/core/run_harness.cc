@@ -40,19 +40,19 @@ std::int64_t check_int_overflows(const net::LinkDirectory& topology) {
   return overflows;
 }
 
-RunHarness::RunHarness(sim::Simulator& sim, const Options& options)
-    : sim_{sim}, observer_{attach_hub(sim, options.hub)} {
+RunHarness::RunHarness(sim::Simulator& sim, obs::Hub* hub, const AuditOptions& audit,
+                       const FlowTraceOptions& flow_trace, std::uint64_t flow_trace_seed)
+    : sim_{sim}, observer_{attach_hub(sim, hub)} {
   // Relaxed mode only observes — results stay identical to an unaudited run.
-  if (const auto config = auditor_config(options.audit_mode, options.audit)) {
+  if (const auto config = auditor_config(audit.audit_mode, audit.audit)) {
     auditor_.emplace(*config);
     sim.set_auditor(&*auditor_);
   }
   // The hub is only a span side channel for the tracer: breakdowns are
   // identical with or without it.
-  if (options.flow_trace) {
+  if (flow_trace.flow_trace) {
     flow_tracer_.emplace(
-        obs::FlowTracer::Config{options.flow_trace_seed, options.flow_trace_sample_every},
-        options.hub);
+        obs::FlowTracer::Config{flow_trace_seed, flow_trace.flow_trace_sample_every}, hub);
     sim.set_flow_tracer(&*flow_tracer_);
   }
   observer_.watch_simulator(sim);

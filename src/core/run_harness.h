@@ -19,7 +19,12 @@
 // switch.
 //
 // resumable_sweep() is the sweep-level half: the one loop that replays
-// journaled points and records fresh ones for every journaled subcommand.
+// journaled points and records fresh ones for every journaled subcommand,
+// and the one place that decides which seed a point's failure record
+// carries and which point the hub observes.
+//
+// AuditOptions, FlowTraceOptions and SweepOptions are the only declaration
+// of those settings: every experiment config derives from the ones it takes.
 #ifndef INCAST_CORE_RUN_HARNESS_H_
 #define INCAST_CORE_RUN_HARNESS_H_
 
@@ -53,18 +58,55 @@ namespace incast::core {
 // legitimately exceed the stack, see Port::int_hop_overflows), never silent.
 std::int64_t check_int_overflows(const net::LinkDirectory& topology);
 
+// Run hardening (see sim/auditor.h): kRelaxed (the default) counts
+// invariant violations into the result without perturbing the run; kStrict
+// aborts on the first violation; kOff attaches no auditor. `audit` carries
+// the bounds, execution budgets and cancellation flag; its strict field is
+// overridden from audit_mode. A no-op under -DINCAST_AUDIT=OFF.
+struct AuditOptions {
+  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
+  sim::Auditor::Config audit{};
+};
+
+// Tail autopsy (obs/flow_trace.h): attach a FlowTracer and decompose each
+// sampled flow's FCT into serialization/propagation/per-tier queueing/
+// stall classes. 1 in flow_trace_sample_every flows is sampled, hashed by
+// (flow id, the experiment's base seed), so the decision is deterministic
+// and jobs-invariant; 1 traces every flow. Disabled runs are byte-identical
+// to pre-tracer behavior.
+struct FlowTraceOptions {
+  bool flow_trace{false};
+  std::uint64_t flow_trace_sample_every{1};
+};
+
+// Journal checkpoint/resume hooks, the same shape in every sweep config:
+// resume(index, out) fills `out` and returns true when a prior run already
+// completed the point; on_result(index, seed, result) records a fresh one
+// (from the worker thread that ran it).
+template <typename Result>
+using ResumeHook = std::function<bool(std::size_t index, Result& out)>;
+template <typename Result>
+using ResultHook =
+    std::function<void(std::size_t index, std::uint64_t seed, const Result& result)>;
+
+// How a sweep of Result points executes. Nothing here changes a result:
+// seeds derive from the point index, never from scheduling.
+template <typename Result>
+struct SweepOptions {
+  // Worker threads (sim::SweepRunner): 1 = inline, <= 0 = all hardware
+  // threads. Results are ordered by point index at any value.
+  int jobs{1};
+  sim::SweepPolicy sweep{};  // fault isolation: fail fast, or quarantine and retry
+  ResumeHook<Result> resume{};
+  ResultHook<Result> on_result{};
+};
+
 class RunHarness {
  public:
-  struct Options {
-    obs::Hub* hub{nullptr};  // borrowed; nullptr = unobserved run
-    sim::AuditMode audit_mode{sim::AuditMode::kOff};
-    sim::Auditor::Config audit{};
-    // Tail autopsy: sample 1 in flow_trace_sample_every flows, hashed by
-    // (flow id, flow_trace_seed).
-    bool flow_trace{false};
-    std::uint64_t flow_trace_seed{0};
-    std::uint64_t flow_trace_sample_every{1};
-  };
+  // `hub` is borrowed (nullptr = unobserved run). The flow tracer samples by
+  // (flow id, flow_trace_seed).
+  RunHarness(sim::Simulator& sim, obs::Hub* hub, const AuditOptions& audit,
+             const FlowTraceOptions& flow_trace = {}, std::uint64_t flow_trace_seed = 0);
 
   // What teardown() established about the finished run.
   struct Outcome {
@@ -90,8 +132,6 @@ class RunHarness {
     }
   };
 
-  RunHarness(sim::Simulator& sim, const Options& options);
-
   RunHarness(const RunHarness&) = delete;
   RunHarness& operator=(const RunHarness&) = delete;
 
@@ -115,15 +155,6 @@ class RunHarness {
   ExperimentObserver observer_;
 };
 
-// Journal checkpoint/resume hooks, the same shape in every sweep config:
-// resume(index, out) fills `out` and returns true when a prior run already
-// completed the point; on_result(index, seed, result) records a fresh one.
-template <typename Result>
-using ResumeHook = std::function<bool(std::size_t index, Result& out)>;
-template <typename Result>
-using ResultHook =
-    std::function<void(std::size_t index, std::uint64_t seed, const Result& result)>;
-
 // The event-kernel figures a finished result reports to its sweep task.
 template <typename Result>
 void record_task_stats(const Result& result, sim::SweepRunner::TaskStats& stats) {
@@ -135,26 +166,27 @@ void record_task_stats(const Result& result, sim::SweepRunner::TaskStats& stats)
   }
 }
 
-// Runs `n` independent points on a SweepRunner under `policy`, whose
-// seed_of must be set. Point i replays the result `resume` holds for it;
-// otherwise run(i, seed_of(i)) simulates it and `on_result` records it.
-// Either hook may be empty. Results come back in index order at any `jobs`.
-template <typename Result, typename Run>
-std::vector<Result> resumable_sweep(int jobs, sim::SweepRunner::Policy policy, std::size_t n,
-                                    const ResumeHook<Result>& resume,
-                                    const ResultHook<Result>& on_result, Run run,
+// Runs `n` independent points on a SweepRunner as `options` says. Point i
+// replays the result options.resume holds for it; otherwise
+// run(i, seed_of(i), hub) simulates it and options.on_result records it.
+// seed_of(i) is also the seed a failure record of point i carries. Point 0
+// alone receives `hub`, every other point nullptr: worker threads must not
+// share it, and a fixed observed point keeps trace and metrics output
+// byte-identical at any jobs. Results come back in index order.
+template <typename Result, typename SeedOf, typename Run>
+std::vector<Result> resumable_sweep(const SweepOptions<Result>& options, std::size_t n,
+                                    SeedOf seed_of, obs::Hub* hub, Run run,
                                     sim::SweepRunner::RunStats& sweep) {
-  const std::function<std::uint64_t(std::size_t)> seed_of = policy.seed_of;
-  sim::SweepRunner runner{jobs};
-  runner.set_policy(std::move(policy));
+  sim::SweepRunner runner{options.jobs};
+  runner.set_policy({options.sweep, seed_of});
   std::vector<Result> results = runner.run<Result>(
       n, [&](std::size_t index, sim::SweepRunner::TaskStats& stats) {
         Result result;
-        const bool replayed = resume && resume(index, result);
+        const bool replayed = options.resume && options.resume(index, result);
         const std::uint64_t seed = seed_of(index);
-        if (!replayed) result = run(index, seed);
+        if (!replayed) result = run(index, seed, index == 0 ? hub : nullptr);
         record_task_stats(result, stats);
-        if (!replayed && on_result) on_result(index, seed, result);
+        if (!replayed && options.on_result) options.on_result(index, seed, result);
         return result;
       });
   sweep = runner.last_run();

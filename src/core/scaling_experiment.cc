@@ -126,12 +126,7 @@ ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
   sim::Simulator sim;
   // The tracer hashes the *base* seed (not this point's derived seed) so
   // the same flow ids are traced at every degree.
-  RunHarness harness{sim, {.hub = hub,
-                           .audit_mode = config.audit_mode,
-                           .audit = config.audit,
-                           .flow_trace = config.flow_trace,
-                           .flow_trace_seed = config.seed,
-                           .flow_trace_sample_every = config.flow_trace_sample_every}};
+  RunHarness harness{sim, hub, config, config, config.seed};
   sim.reserve_events(static_cast<std::size_t>(degree) * 8 + 4096);
 
   fabric::FatTreeConfig fcfg = config.fabric;
@@ -366,18 +361,12 @@ ScalingPoint run_scaling_point(const ScalingConfig& config, int degree,
 
 ScalingReport run_scaling_experiment(const ScalingConfig& config) {
   ScalingReport report;
-  sim::SweepRunner::Policy policy = config.sweep;
-  policy.seed_of = [&config](std::size_t index) {
-    return sim::derive_task_seed(config.seed, index);
-  };
-  // Only point 0 is observed: worker threads must not share the hub, and
-  // pinning it to a fixed point keeps trace/metrics output byte-identical
-  // at any --jobs value.
   report.points = resumable_sweep<ScalingPoint>(
-      config.jobs, std::move(policy), config.degrees.size(), config.resume, config.on_result,
-      [&config](std::size_t index, std::uint64_t seed) {
-        return run_scaling_point(config, config.degrees[index], seed,
-                                 index == 0 ? config.hub : nullptr);
+      config, config.degrees.size(),
+      [&config](std::size_t index) { return sim::derive_task_seed(config.seed, index); },
+      config.hub,
+      [&config](std::size_t index, std::uint64_t seed, obs::Hub* hub) {
+        return run_scaling_point(config, config.degrees[index], seed, hub);
       },
       report.sweep);
   return report;

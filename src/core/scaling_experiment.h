@@ -36,13 +36,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/run_harness.h"
 #include "fabric/fat_tree.h"
 #include "obs/flow_trace.h"
-#include "sim/auditor.h"
 #include "sim/domain.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
@@ -53,7 +52,13 @@ class Hub;
 
 namespace incast::core {
 
-struct ScalingConfig {
+struct ScalingPoint;
+
+// The flow tracer hashes the *base* seed, so the same flow ids are sampled
+// at every degree and attribution rows stay comparable along the ladder; at
+// the 8000-sender end, flow_trace_sample_every keeps the breakdown
+// footprint bounded.
+struct ScalingConfig : AuditOptions, FlowTraceOptions, SweepOptions<ScalingPoint> {
   // Incast degrees to sweep, one simulation point each. The default ladder
   // spans the full htsim range; CI runs a {64, 512, 2000} subset.
   std::vector<int> degrees{1,   2,   4,    8,    16,   32,   64,  128,
@@ -78,11 +83,6 @@ struct ScalingConfig {
   // Safety stop for points where recovery stalls outright.
   sim::Time max_sim_time{sim::Time::seconds(120)};
 
-  // Sweep execution (sim::SweepRunner): 1 = inline, <= 0 = all hardware
-  // threads. Results are ordered by degree index regardless.
-  int jobs{1};
-  sim::SweepRunner::Policy sweep{};
-
   // Intra-run parallelism (conservative rack-domain decomposition, see
   // docs/PARALLELISM.md). 0 — the default — runs the legacy single-queue
   // engine, byte-identical to every release before the parallel engine
@@ -99,25 +99,8 @@ struct ScalingConfig {
   // violations, which is how the audit path is exercised.
   sim::Time lookahead_override{sim::Time::zero()};
 
-  // Journal checkpoint/resume (core/task_journal.h). resume(index, out)
-  // returns true and fills `out` when a prior run already completed this
-  // point; on_result(index, seed, point) records a freshly computed one.
-  std::function<bool(std::size_t, struct ScalingPoint&)> resume;
-  std::function<void(std::size_t, std::uint64_t, const struct ScalingPoint&)> on_result;
-
-  // Observability: only point 0 attaches the hub (worker threads must not
-  // share it), so trace/metrics output is byte-identical at any --jobs.
+  // Borrowed observability hub; it observes the first degree's run alone.
   obs::Hub* hub{nullptr};
-
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
-
-  // Tail autopsy (see IncastExperimentConfig::flow_trace). The sampling
-  // hash uses the *base* seed, so the same flow ids are sampled at every
-  // degree and attribution rows stay comparable along the ladder. At the
-  // 8000-sender end, sample_every keeps the breakdown footprint bounded.
-  bool flow_trace{false};
-  std::uint64_t flow_trace_sample_every{1};
 
   // Base seed; each point derives its own via derive_task_seed and uses it
   // as the fabric's ECMP seed, so every degree sees an independent (but

@@ -78,7 +78,7 @@ void put_tcp(std::string& out, const tcp::TcpConfig& tcp) {
   put_time(out, "min_rto", tcp.rtt.min_rto);
   put(out, "cwnd_cap_bytes", tcp.cwnd_cap_bytes.value_or(0));
   put(out, "tlp", static_cast<std::int64_t>(tcp.tail_loss_probe ? 1 : 0));
-  put(out, "int_telemetry", static_cast<std::int64_t>(tcp.int_telemetry ? 1 : 0));
+  put(out, "int_telemetry", static_cast<std::int64_t>(tcp::requests_int(tcp.cc) ? 1 : 0));
 }
 
 void put_queue(std::string& out, const char* prefix, const net::DropTailQueue::Config& q) {

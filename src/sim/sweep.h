@@ -68,34 +68,37 @@ struct TaskFailure {
   int attempts{1};  // how many times the task was tried before quarantine
 };
 
+// Fault isolation for a sweep. The default reproduces the historical
+// behavior exactly: first failure aborts the run.
+struct SweepPolicy {
+  // true: the first task exception is rethrown from run() (after the
+  // pool drains). false: failing tasks are quarantined into
+  // RunStats::failures and the rest of the sweep completes.
+  bool fail_fast{true};
+
+  // With fail_fast off, how many times to try a task before quarantining
+  // it (same seed each time — retries only help transient failures such
+  // as wall-budget noise; deterministic failures fail identically).
+  int max_attempts{1};
+
+  // Observes each quarantine as it happens (journal append, log line).
+  // Called under an internal mutex: keep it cheap and do not call back
+  // into the runner.
+  std::function<void(const TaskFailure&)> on_failure;
+
+  // Cooperative cancellation: when set and *cancel becomes true, workers
+  // stop picking up new tasks (in-flight tasks finish or throw
+  // RunCancelled via their own auditor). Must outlive the run.
+  const std::atomic<bool>* cancel{nullptr};
+};
+
 class SweepRunner {
  public:
-  // Fault-isolation policy for a sweep. The default reproduces the
-  // historical behavior exactly: first failure aborts the run.
-  struct Policy {
-    // true: the first task exception is rethrown from run() (after the
-    // pool drains). false: failing tasks are quarantined into
-    // RunStats::failures and the rest of the sweep completes.
-    bool fail_fast{true};
-
-    // With fail_fast off, how many times to try a task before quarantining
-    // it (same seed each time — retries only help transient failures such
-    // as wall-budget noise; deterministic failures fail identically).
-    int max_attempts{1};
-
+  // The fault isolation plus how failure records name their seed.
+  struct Policy : SweepPolicy {
     // Maps a task index to its derived seed, purely for failure records
     // (the runner never seeds tasks itself).
     std::function<std::uint64_t(std::size_t)> seed_of;
-
-    // Observes each quarantine as it happens (journal append, log line).
-    // Called under an internal mutex: keep it cheap and do not call back
-    // into the runner.
-    std::function<void(const TaskFailure&)> on_failure;
-
-    // Cooperative cancellation: when set and *cancel becomes true, workers
-    // stop picking up new tasks (in-flight tasks finish or throw
-    // RunCancelled via their own auditor). Must outlive the run.
-    const std::atomic<bool>* cancel{nullptr};
   };
 
   // Filled in by the runner for every task; tasks report their simulation

@@ -32,8 +32,8 @@ struct AckEvent {
   // such ACKs — growth would be validated against demand that does not
   // exist, which is exactly the burst-boundary "unlearning" of §4.3.
   bool app_limited{false};
-  // INT telemetry echoed by the receiver (empty unless the connection
-  // runs with int_telemetry enabled and switches stamp it).
+  // INT telemetry echoed by the receiver (empty unless the sender's CCA
+  // requests INT, see requests_int, and switches stamp it).
   net::IntStack int_stack{};
 };
 
@@ -86,7 +86,7 @@ struct CcConfig {
   double dcqcn_initial_alpha{1.0};
   sim::Time dcqcn_alpha_update_interval{sim::Time::microseconds(55)};
   sim::Time dcqcn_rate_decrease_interval{sim::Time::microseconds(50)};
-  // HPCC parameters (see tcp/cc/hpcc.h). Requires TcpConfig.int_telemetry.
+  // HPCC parameters (see tcp/cc/hpcc.h).
   double hpcc_eta{0.95};
   int hpcc_max_stage{5};
   std::int64_t hpcc_wai_bytes{80};
@@ -107,6 +107,13 @@ enum class CcAlgorithm { kReno, kRenoEcn, kDctcp, kCubic, kSwift, kHpcc, kDcqcn 
                                                                          const CcConfig& config);
 
 [[nodiscard]] const char* to_string(CcAlgorithm algo) noexcept;
+
+// In-band network telemetry: a sender whose CCA is driven by INT (kHpcc,
+// and only it) requests INT stamping on its data packets; switches stamp
+// per-hop records and the receiver echoes them on ACKs.
+[[nodiscard]] constexpr bool requests_int(CcAlgorithm algo) noexcept {
+  return algo == CcAlgorithm::kHpcc;
+}
 
 }  // namespace incast::tcp
 

@@ -37,11 +37,6 @@ struct TcpConfig {
   // small windows.
   bool limited_transmit{true};
 
-  // In-band network telemetry: data packets request INT stamping from
-  // switches, and the receiver echoes the per-hop records on ACKs.
-  // Required by INT-based CCAs (kHpcc); harmless otherwise.
-  bool int_telemetry{false};
-
   // Tail loss probe (RFC 8985-lite): when ACKs stop arriving for ~2 SRTT
   // with data outstanding, retransmit the last segment to elicit SACK
   // feedback instead of waiting out the full RTO. Off by default — the

@@ -446,7 +446,7 @@ void TcpSender::send_segment(std::int64_t seq, std::int64_t len) {
   assert(len > 0);
   net::Packet p = net::make_data_packet(local_.id(), remote_, flow_, seq, len);
   p.sent_at = sim_.now();
-  p.int_stack.enabled = config_.int_telemetry;
+  p.int_stack.enabled = requests_int(config_.cc);
   p.flow_traced = ft_ != nullptr;
 
   const bool is_retx = seq + len <= max_sent_;

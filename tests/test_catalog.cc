@@ -27,7 +27,7 @@ TEST(Catalog, IdsAreUniqueAndFindable) {
 // A body row runs every simulation under the row's auditor, so under
 // kStrict it throws on the first violation.
 TEST(Catalog, EveryRowRunsCleanUnderStrictAudit) {
-  const RowAudit strict{.mode = sim::AuditMode::kStrict};
+  const AuditOptions strict{.audit_mode = sim::AuditMode::kStrict};
   for (const CatalogRow& row : catalog()) {
     SCOPED_TRACE(row.id);
     if (row.body != nullptr) {

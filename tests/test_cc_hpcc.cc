@@ -34,8 +34,7 @@ TEST(IntTelemetry, SwitchesStampIntEnabledDataPackets) {
   topo.receiver(0).add_ingress_tap(&tap);
 
   TcpConfig cfg;
-  cfg.cc = CcAlgorithm::kDctcp;
-  cfg.int_telemetry = true;
+  cfg.cc = CcAlgorithm::kHpcc;
   TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, cfg};
   conn.sender().add_app_data(10 * kMss);
   sim.run();
@@ -67,11 +66,45 @@ TEST(IntTelemetry, DisabledFlowsAreNotStamped) {
   Tap tap;
   topo.receiver(0).add_ingress_tap(&tap);
 
-  TcpConfig cfg;  // int_telemetry defaults to false
+  TcpConfig cfg;  // DCTCP by default, which does not request INT
   TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, cfg};
   conn.sender().add_app_data(10 * kMss);
   sim.run();
   EXPECT_EQ(tap.stamped, 0);
+}
+
+// The CCA alone decides INT: an HPCC sender with no other setting gets
+// every data packet stamped, and no other CCA requests it.
+TEST(IntTelemetry, OnlyHpccSendersRequestInt) {
+  for (const CcAlgorithm cc :
+       {CcAlgorithm::kReno, CcAlgorithm::kRenoEcn, CcAlgorithm::kDctcp, CcAlgorithm::kCubic,
+        CcAlgorithm::kSwift, CcAlgorithm::kHpcc, CcAlgorithm::kDcqcn}) {
+    SCOPED_TRACE(to_string(cc));
+    sim::Simulator sim;
+    net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 1}};
+
+    class Tap final : public net::IngressTap {
+     public:
+      void on_ingress(const net::Packet& p, Time) override {
+        if (!p.is_data()) return;
+        ++data;
+        if (p.int_stack.enabled && p.int_stack.num_hops == 2) ++stamped;
+      }
+      int data{0};
+      int stamped{0};
+    };
+    Tap tap;
+    topo.receiver(0).add_ingress_tap(&tap);
+
+    TcpConfig cfg;
+    cfg.cc = cc;
+    TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, cfg};
+    conn.sender().add_app_data(10 * kMss);
+    sim.run();
+
+    ASSERT_GT(tap.data, 0);
+    EXPECT_EQ(tap.stamped, cc == CcAlgorithm::kHpcc ? tap.data : 0);
+  }
 }
 
 TEST(IntTelemetry, ReceiverEchoesIntOnAcks) {
@@ -89,8 +122,7 @@ TEST(IntTelemetry, ReceiverEchoesIntOnAcks) {
   topo.sender(0).add_ingress_tap(&tap);  // watch ACKs arriving at the sender
 
   TcpConfig cfg;
-  cfg.cc = CcAlgorithm::kDctcp;
-  cfg.int_telemetry = true;
+  cfg.cc = CcAlgorithm::kHpcc;
   TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, cfg};
   conn.sender().add_app_data(10 * kMss);
   sim.run();
@@ -208,7 +240,6 @@ TEST(HpccEndToEnd, SingleFlowNearLineRateWithEmptyQueue) {
   net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 1}};
   TcpConfig cfg;
   cfg.cc = CcAlgorithm::kHpcc;
-  cfg.int_telemetry = true;
   TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, cfg};
   const std::int64_t total = 20'000'000;
   conn.sender().add_app_data(total);
@@ -234,7 +265,6 @@ TEST(HpccEndToEnd, ModestIncastConvergesWithoutLoss) {
   net::Dumbbell topo{sim, topo_cfg};
   TcpConfig cfg;
   cfg.cc = CcAlgorithm::kHpcc;
-  cfg.int_telemetry = true;
   cfg.rtt.min_rto = 200_ms;
 
   std::vector<std::unique_ptr<TcpConnection>> conns;

@@ -169,6 +169,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/burst_detector.h"
@@ -182,6 +183,7 @@
 #include "core/incast_experiment.h"
 #include "core/report.h"
 #include "core/resilience_experiment.h"
+#include "core/run_harness.h"
 #include "core/scaling_experiment.h"
 #include "core/task_journal.h"
 #include "obs/flow_trace.h"
@@ -213,16 +215,16 @@ int usage() {
   return 2;
 }
 
-// Maps a --cc / --pfc-cc value to its algorithm. An unknown name prints the
-// error and yields nullopt (the caller exits 2).
+// Maps a --cc / --pfc-cc value to its algorithm: the inverse of
+// tcp::to_string. An unknown name prints the error and yields nullopt (the
+// caller exits 2).
 std::optional<tcp::CcAlgorithm> parse_cc(const char* flag, const std::string& name) {
-  if (name == "dctcp") return tcp::CcAlgorithm::kDctcp;
-  if (name == "reno") return tcp::CcAlgorithm::kReno;
-  if (name == "reno-ecn") return tcp::CcAlgorithm::kRenoEcn;
-  if (name == "cubic") return tcp::CcAlgorithm::kCubic;
-  if (name == "swift") return tcp::CcAlgorithm::kSwift;
-  if (name == "hpcc") return tcp::CcAlgorithm::kHpcc;
-  if (name == "dcqcn") return tcp::CcAlgorithm::kDcqcn;
+  for (const tcp::CcAlgorithm cc :
+       {tcp::CcAlgorithm::kReno, tcp::CcAlgorithm::kRenoEcn, tcp::CcAlgorithm::kDctcp,
+        tcp::CcAlgorithm::kCubic, tcp::CcAlgorithm::kSwift, tcp::CcAlgorithm::kHpcc,
+        tcp::CcAlgorithm::kDcqcn}) {
+    if (name == tcp::to_string(cc)) return cc;
+  }
   std::fprintf(stderr, "error: unknown --%s '%s'\n", flag, name.c_str());
   return std::nullopt;
 }
@@ -362,15 +364,13 @@ struct ObsCli {
 
 // The tail-autopsy flags shared by burst / fabric / collateral / scaling.
 // Must run before finish(args) so the flags are consumed.
-struct FlowTraceCli {
-  bool enabled{false};
-  std::uint64_t sample_every{1};
+struct FlowTraceCli : core::FlowTraceOptions {
   std::string out_path;
 
   void parse(core::CliArgs& args) {
     out_path = args.get_or("flow-trace-out", "");
-    enabled = args.bool_or("flow-trace", false) || !out_path.empty();
-    sample_every =
+    flow_trace = args.bool_or("flow-trace", false) || !out_path.empty();
+    flow_trace_sample_every =
         static_cast<std::uint64_t>(args.int_or("flow-trace-sample", 1, 1, 1'000'000'000));
   }
 
@@ -424,9 +424,7 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
 // The run-hardening flags shared by every simulation subcommand: auditor
 // mode and budgets, plus (for sweeps) quarantine/retry and the checkpoint
 // journal. Must run before finish(args) so the flags are consumed.
-struct HardeningCli {
-  sim::AuditMode audit_mode{sim::AuditMode::kRelaxed};
-  sim::Auditor::Config audit{};
+struct HardeningCli : core::AuditOptions {
   std::string journal_path;
   bool fail_fast{false};
   int max_attempts{2};
@@ -450,12 +448,8 @@ struct HardeningCli {
     return true;
   }
 
-  [[nodiscard]] sim::SweepRunner::Policy policy() const {
-    sim::SweepRunner::Policy p;
-    p.fail_fast = fail_fast;
-    p.max_attempts = max_attempts;
-    p.cancel = &g_cancel;
-    return p;
+  [[nodiscard]] sim::SweepPolicy policy() const {
+    return {.fail_fast = fail_fast, .max_attempts = max_attempts, .cancel = &g_cancel};
   }
 };
 
@@ -481,12 +475,10 @@ struct SharedFlags {
   template <typename Config>
   void apply(Config& cfg) const {
     cfg.hub = obs.hub.get();
-    cfg.audit_mode = hard.audit_mode;
-    cfg.audit = hard.audit;
+    static_cast<core::AuditOptions&>(cfg) = hard;
     if constexpr (requires { cfg.sweep; }) cfg.sweep = hard.policy();
-    if constexpr (requires { cfg.flow_trace; }) {
-      cfg.flow_trace = ft.enabled;
-      cfg.flow_trace_sample_every = ft.sample_every;
+    if constexpr (std::is_base_of_v<core::FlowTraceOptions, Config>) {
+      static_cast<core::FlowTraceOptions&>(cfg) = ft;
     }
   }
 };
@@ -596,7 +588,6 @@ bool parse_workload(core::CliArgs& args, core::CyclicIncastSettings& cfg, int de
   const auto cc = parse_cc("cc", cc_name);
   if (!cc) return false;
   cfg.tcp.cc = *cc;
-  cfg.tcp.int_telemetry = *cc == tcp::CcAlgorithm::kHpcc;
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
   const std::string schedule = args.get_or("schedule", "completion");
   if (schedule != "completion" && schedule != "period") {
@@ -653,7 +644,7 @@ std::vector<std::vector<std::string>> dumbbell_rows(const core::IncastExperiment
 // exit code.
 int write_incast_outputs(SharedFlags& flags, const char* mode, int num_flows,
                          const core::CyclicIncastResult& r) {
-  if (flags.ft.enabled) {
+  if (flags.ft.flow_trace) {
     print_fct_attribution(r.fct_rows, r.flow_breakdowns.size(), r.flow_trace_incomplete);
     std::string csv = obs::fct_breakdown_csv_header();
     obs::append_fct_breakdown_csv(csv, mode, num_flows, r.fct_rows);
@@ -735,8 +726,8 @@ int run_faults(core::CliArgs& args) {
   if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
     return rc;
   }
-  // Only the baseline is observed: sweep points run on worker threads and
-  // must not share the hub (run_resilience_experiment nulls it for them).
+  // Only the baseline is observed: it runs before the sweep, whose points
+  // get no hub.
   flags.apply(cfg.base);
   cfg.sweep = flags.hard.policy();
 
@@ -1113,14 +1104,14 @@ int run_collateral(core::CliArgs& args) {
   }
   t.print();
 
-  if (flags.ft.enabled) {
+  if (flags.ft.flow_trace) {
     print_p99_table("point", report,
                     [](const core::CollateralPoint& p) { return core::to_string(p.mode); });
   }
 
   print_sweep_footer(report.sweep, journal);
 
-  if (flags.ft.enabled) {
+  if (flags.ft.flow_trace) {
     if (const int rc = flags.ft.write_csv(core::collateral_fct_csv(report)); rc != 0) {
       return rc;
     }
@@ -1172,7 +1163,7 @@ int run_scaling(core::CliArgs& args) {
     // Per-event observability is not sharded across domain queues: the
     // tracer, flow tracer and flight recorder would interleave differently
     // at every N. The N-invariant metrics snapshot (--metrics-out) is fine.
-    if (flags.ft.enabled || !flags.obs.trace_out.empty() ||
+    if (flags.ft.flow_trace || !flags.obs.trace_out.empty() ||
         !flags.obs.trigger_spec.empty()) {
       std::fprintf(stderr,
                    "error: --domains is incompatible with --flow-trace / --trace-out / "
@@ -1222,7 +1213,7 @@ int run_scaling(core::CliArgs& args) {
   }
   t.print();
 
-  if (flags.ft.enabled) {
+  if (flags.ft.flow_trace) {
     print_p99_table("degree", report, [](const core::ScalingPoint&) { return "scaling"; });
   }
 
@@ -1262,7 +1253,7 @@ int run_scaling(core::CliArgs& args) {
 
   print_sweep_footer(report.sweep, journal);
 
-  if (flags.ft.enabled) {
+  if (flags.ft.flow_trace) {
     if (const int rc = flags.ft.write_csv(core::scaling_fct_csv(report)); rc != 0) return rc;
   }
 
@@ -1363,8 +1354,8 @@ int run_catalog_row(core::CliArgs& args) {
     }
     return 2;
   }
-  core::RowAudit audit;
-  audit.config.cancel = &g_cancel;
+  core::AuditOptions audit;
+  audit.audit.cancel = &g_cancel;
   core::run_and_print(*row, core::scale_from_env(), audit);
   return 0;
 }
