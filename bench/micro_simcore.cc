@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "core/fabric_experiment.h"
 #include "core/fleet_experiment.h"
 #include "core/incast_experiment.h"
 #include "core/scaling_experiment.h"
 #include "sim/domain.h"
+#include "net/packet_pool.h"
 #include "net/topology.h"
 #include "obs/hub.h"
 #include "sim/auditor.h"
@@ -143,12 +145,22 @@ void BM_RngLognormal(benchmark::State& state) {
 }
 BENCHMARK(BM_RngLognormal);
 
+// 64 pooled packets, the batch the queue benches move by handle.
+std::vector<net::Packet*> packet_batch(net::PacketPool& pool) {
+  std::vector<net::Packet*> batch;
+  for (int i = 0; i < 64; ++i) {
+    batch.push_back(pool.acquire(net::make_data_packet(0, 1, 1, 0, 1460)));
+  }
+  return batch;
+}
+
 void BM_QueueEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q{{.capacity_packets = 1333, .ecn_threshold_packets = 65}};
-  const net::Packet p = net::make_data_packet(0, 1, 1, 0, 1460);
+  net::PacketPool pool;
+  const std::vector<net::Packet*> batch = packet_batch(pool);
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) (void)q.enqueue(p);
-    while (auto out = q.dequeue()) benchmark::DoNotOptimize(*out);
+    for (net::Packet* p : batch) (void)q.enqueue(p);
+    while (net::Packet* out = q.dequeue()) benchmark::DoNotOptimize(out->size_bytes);
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -164,10 +176,16 @@ void BM_CompositeQueueTrim(benchmark::State& state) {
   cfg.ecn_threshold_packets = 0;
   cfg.discipline = net::QueueDiscipline::kTrimming;
   net::CompositeQueue q{cfg};
+  net::PacketPool pool;
+  const std::vector<net::Packet*> batch = packet_batch(pool);
   const net::Packet p = net::make_data_packet(0, 1, 1, 0, 1460);
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) (void)q.enqueue(p);
-    while (auto out = q.dequeue()) benchmark::DoNotOptimize(*out);
+    // Trimming cuts packets in place, so each round restores them first.
+    for (net::Packet* h : batch) {
+      *h = p;
+      (void)q.enqueue(h);
+    }
+    while (net::Packet* out = q.dequeue()) benchmark::DoNotOptimize(out->size_bytes);
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -369,7 +387,10 @@ BENCHMARK_CAPTURE(BM_FlowTraceOverhead, on, 2)
 struct SinkNode final : net::Node {
   using net::Node::Node;
   std::int64_t received{0};
-  void receive(net::Packet /*p*/, std::size_t /*in_port*/) override { ++received; }
+  void receive(net::Packet* p, std::size_t /*in_port*/) override {
+    ++received;
+    packets_.release(p);
+  }
 };
 
 void BM_SwitchEcmpRoute(benchmark::State& state) {
@@ -403,8 +424,9 @@ void BM_SwitchEcmpRoute(benchmark::State& state) {
 
   auto pump = [&](net::FlowId flow_base) {
     for (int f = 0; f < kFlows; ++f) {
-      sw.receive(net::make_data_packet(static_cast<net::NodeId>(100 + f), kSinkId,
-                                       flow_base + static_cast<net::FlowId>(f), 0, 1460),
+      sw.receive(sw.packets().acquire(net::make_data_packet(
+                     static_cast<net::NodeId>(100 + f), kSinkId,
+                     flow_base + static_cast<net::FlowId>(f), 0, 1460)),
                  0);
     }
     sim.run();

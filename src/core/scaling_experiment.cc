@@ -160,10 +160,7 @@ ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
   // exists to measure.
   harness.teardown(tree, switches).store(point);
 
-  // Peak pooled packets: every port's own high-water mark.
-  for (const std::string& name : tree.link_names()) {
-    point.packet_pool_bytes += tree.link(name).pool_high_water() * sizeof(net::Packet);
-  }
+  point.packet_pool_bytes = net::packet_pool(sim).high_water_bytes();
   point.event_bytes = static_cast<std::uint64_t>(sim.slab_high_water()) *
                       sim::EventQueue::slot_bytes();
   point.events_processed = sim.events_processed();
@@ -182,8 +179,8 @@ ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
 //     the in-flight window still finishes everywhere, so events_processed
 //     includes that window's tail — identically at every N;
 //   * packet_pool_bytes / event_bytes are barrier-sampled peaks (max over
-//     windows of live packets / pending events) instead of per-port and
-//     per-slab high-water marks, because those are decomposition artifacts;
+//     windows of live packet bytes / pending events) instead of pool and
+//     slab high-water marks, because those are decomposition artifacts;
 //     the barrier-state peaks are N-invariant by construction.
 ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
                                         std::uint64_t seed, obs::Hub* hub) {
@@ -273,13 +270,10 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
     };
   });
 
-  std::uint64_t peak_live_packets = 0;
+  std::uint64_t peak_live_packet_bytes = 0;
   std::uint64_t peak_events_pending = 0;
   const auto sample = [&] {
-    const std::int64_t live = bridge.live_packets();
-    if (live > 0 && static_cast<std::uint64_t>(live) > peak_live_packets) {
-      peak_live_packets = static_cast<std::uint64_t>(live);
-    }
+    peak_live_packet_bytes = std::max(peak_live_packet_bytes, bridge.live_packet_bytes());
     std::uint64_t pending = 0;
     for (sim::Simulator* s : sim_ptrs) pending += s->events_pending();
     if (pending > peak_events_pending) peak_events_pending = pending;
@@ -334,7 +328,7 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
   const std::int64_t end_ns =
       stats.stopped ? last_ack_ns : config.max_sim_time.ns();
 
-  point.packet_pool_bytes = peak_live_packets * sizeof(net::Packet);
+  point.packet_pool_bytes = peak_live_packet_bytes;
   point.event_bytes = peak_events_pending * sim::EventQueue::slot_bytes();
   for (sim::Simulator* s : sim_ptrs) point.events_processed += s->events_processed();
   point.windows = stats.windows;

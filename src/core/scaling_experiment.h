@@ -19,7 +19,11 @@
 // state at peak:
 //
 //   * flow_state_bytes  — the TcpConnection arena (sender + receiver state)
-//   * packet_pool_bytes — peak pooled in-flight packets across every port
+//   * packet_pool_bytes — peak packets alive at one instant, queued and on
+//                         the wire: the event loop's PacketPool high water
+//                         x sizeof(net::Packet), plus its INT side table's
+//                         (HPCC only); the windowed engine samples the
+//                         domain pools' live bytes at barriers instead
 //   * routing_bytes     — flat route tables + ECMP flow tables, all switches
 //   * event_bytes       — the event-kernel slab at its high-water mark
 //

@@ -3,7 +3,8 @@
 // Hosts deliver arriving packets first to any registered IngressTaps (this
 // is where the Millisampler attaches, mirroring its production deployment as
 // an eBPF tc filter on the host NIC) and then to the PacketHandler
-// registered for the packet's flow (a TCP endpoint).
+// registered for the packet's flow (a TCP endpoint). A host is where a
+// packet's pool slot begins (send) and ends (after its handler returns).
 #ifndef INCAST_NET_HOST_H_
 #define INCAST_NET_HOST_H_
 
@@ -14,11 +15,13 @@
 
 namespace incast::net {
 
-// Consumes packets addressed to a flow terminating at this host.
+// Consumes packets addressed to a flow terminating at this host. `p` (and
+// its INT stack, through the host's packets()) is valid until the handler
+// returns; the host then releases it.
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
-  virtual void handle_packet(Packet p) = 0;
+  virtual void handle_packet(const Packet& p) = 0;
 };
 
 // Observes every packet arriving at the host NIC (read-only).
@@ -37,8 +40,9 @@ class Host : public Node {
   std::size_t add_nic(sim::Bandwidth bandwidth, sim::Time propagation_delay,
                       const DropTailQueue::Config& queue_config);
 
-  // Sends a packet out of the NIC.
-  void send(Packet p);
+  // Sends a packet out of the NIC. `p` comes from packets() and belongs to
+  // the network from here on.
+  void send(Packet* p);
 
   // Registers `handler` for packets of `flow`. The handler must outlive the
   // registration; unregister before destroying it.
@@ -48,7 +52,7 @@ class Host : public Node {
   // Adds a read-only observer of all ingress packets (e.g. Millisampler).
   void add_ingress_tap(IngressTap* tap) { taps_.push_back(tap); }
 
-  void receive(Packet p, std::size_t in_port) override;
+  void receive(Packet* p, std::size_t in_port) override;
 
   [[nodiscard]] sim::Bandwidth nic_bandwidth() const { return port(nic_port_).bandwidth(); }
 

@@ -5,6 +5,11 @@
 // that serializes packets at the port's line rate, then delivers them to the
 // connected peer after the link's propagation delay. Full-duplex links are
 // simply a pair of Ports, one on each endpoint.
+//
+// Packets travel as handles into the event loop's PacketPool
+// (net/packet_pool.h). Whoever holds a handle owns the packet: send() and
+// receive() pass ownership on, and whoever drops or consumes a packet
+// releases it to the pool.
 #ifndef INCAST_NET_NODE_H_
 #define INCAST_NET_NODE_H_
 
@@ -75,16 +80,18 @@ class DequeueTap {
 
 // Egress side of a cross-domain link under the parallel engine: instead of
 // scheduling the propagation arrival on its own simulator, a bridged Port
-// posts the packet — stamped with its arrival time and decomposition-
-// invariant tie-break key — to a mailbox owned by the destination domain
-// (net/domain_bridge.h). With no bridge installed (the default, and always
-// for intra-domain links), Ports keep the exact historical delivery path.
+// posts a copy of the packet (and of its INT stack, when it carries one) —
+// stamped with its arrival time and decomposition-invariant tie-break key —
+// to a mailbox owned by the destination domain (net/domain_bridge.h), then
+// releases its own handle: pools are per domain. With no bridge installed
+// (the default, and always for intra-domain links), Ports keep the exact
+// historical delivery path.
 class MailboxEgress {
  public:
   virtual ~MailboxEgress() = default;
   virtual void post(int src_domain, int dst_domain, sim::Time at,
-                    std::uint64_t key, Packet&& p, Node* dst,
-                    std::size_t dst_in_port) = 0;
+                    std::uint64_t key, const Packet& p, const IntStack* int_stack,
+                    Node* dst, std::size_t dst_in_port) = 0;
 };
 
 class Port {
@@ -95,13 +102,14 @@ class Port {
         bandwidth_{bandwidth},
         propagation_delay_{propagation_delay},
         queue_{make_queue(queue_config)},
+        pool_{&packet_pool(sim)},
         flow_tracer_{sim.flow_tracer()} {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
   // Wires this port's output to `peer`; delivered packets arrive via
-  // peer.receive(packet, peer_in_port).
+  // peer.receive(handle, peer_in_port).
   void connect(Node& peer, std::size_t peer_in_port) noexcept {
     peer_ = &peer;
     peer_in_port_ = peer_in_port;
@@ -110,15 +118,16 @@ class Port {
   [[nodiscard]] bool connected() const noexcept { return peer_ != nullptr; }
   [[nodiscard]] Node* peer() const noexcept { return peer_; }
 
-  // Queues `p` for transmission, starting the transmitter if idle. The
-  // queue may ECN-mark, trim, or drop the packet.
-  void send(Packet p);
+  // Takes `p` (a handle from this loop's pool) and queues it for
+  // transmission, starting the transmitter if idle. The queue may ECN-mark,
+  // trim, or drop the packet; a dropped packet is released here.
+  void send(Packet* p);
 
-  // Queues a MAC control frame (PFC pause/resume) for transmission on a
+  // Takes a MAC control frame (PFC pause/resume) and queues it on a
   // strict-priority path: control frames bypass the egress queue entirely
   // and are emitted even while the port itself is paused — otherwise a
   // congestion tree could never be torn down.
-  void send_control(Packet p);
+  void send_control(Packet* p);
 
   // PFC pause of this port's data transmission. pause_for() (re)arms an
   // auto-expiry at now + duration — real PFC quanta time out, which is the
@@ -138,9 +147,9 @@ class Port {
   [[nodiscard]] sim::Time propagation_delay() const noexcept { return propagation_delay_; }
   [[nodiscard]] bool busy() const noexcept { return busy_; }
 
-  // Switch egress ports stamp INT telemetry onto INT-enabled packets at
-  // dequeue (HPCC-style). Off by default; the topology builder enables it
-  // on switch ports.
+  // Switch egress ports stamp INT telemetry onto data packets that carry
+  // an INT stack, at dequeue (HPCC-style). Off by default; the topology
+  // builder enables it on switch ports.
   void set_int_stamping(bool enabled) noexcept { int_stamping_ = enabled; }
   [[nodiscard]] bool int_stamping() const noexcept { return int_stamping_; }
 
@@ -182,20 +191,11 @@ class Port {
   // -DINCAST_AUDIT=OFF.
   [[nodiscard]] std::int64_t wire_bytes() const noexcept { return wire_bytes_; }
 
-  // Peak number of packets simultaneously in flight on this port — the
-  // in-flight pool's slot count, for bytes-per-flow accounting.
-  [[nodiscard]] std::size_t pool_high_water() const noexcept { return pool_.high_water(); }
-
   // --- Parallel-engine wiring (net/domain_bridge.h) -----------------------
 
   // Back-pointer to the owning Node, set by Node::add_port. The parallel
   // engine draws equal-time tie-break keys from the owner's lane.
   void set_owner(Node* owner) noexcept { owner_ = owner; }
-
-  // Points this port's pool accounting at the owning domain's live-packet
-  // counter (in-flight packets enter at acquire, leave at release). The
-  // counter must be written only from the domain that runs this port.
-  void set_live_counter(std::int64_t* counter) noexcept { live_counter_ = counter; }
 
   // Routes this port's deliveries through a cross-domain mailbox instead of
   // local scheduling. Install only on ports whose peer lives in a different
@@ -209,24 +209,13 @@ class Port {
  private:
   void maybe_transmit();
   // Consults the hook (if any) and schedules the packet's arrival at the
-  // peer after propagation. `p` is a pooled handle owned by this port; it
-  // is released (or handed to the propagation event) before returning.
+  // peer after propagation. `p` is owned by this port; it is released (or
+  // handed to the propagation event) before returning.
   void deliver(Packet* p);
-  // Pool acquire/release with the owning domain's live-packet count kept in
-  // step (no-cost when no counter is installed — the legacy path).
-  [[nodiscard]] Packet* acquire_pooled() {
-    if (live_counter_ != nullptr) ++*live_counter_;
-    return pool_.acquire();
-  }
-  void release_pooled(Packet* p) noexcept {
-    if (live_counter_ != nullptr) --*live_counter_;
-    pool_.release(p);
-  }
   // Next equal-time tie-break key from the owning node's lane (defined in
   // node.cc — needs the full Node type).
   [[nodiscard]] std::uint64_t next_key();
-  // Fires when a packet finishes propagating: moves it out of the pool and
-  // hands it to the peer.
+  // Fires when a packet finishes propagating: hands it to the peer.
   void arrive(Packet* p);
   // Closes the open pause interval and restarts transmission.
   void finish_pause();
@@ -235,17 +224,15 @@ class Port {
   sim::Bandwidth bandwidth_;
   sim::Time propagation_delay_;
   std::unique_ptr<DropTailQueue> queue_;
-  // Storage for packets in flight on this port (being serialized or
-  // propagating). Closures capture {this, Packet*} — 16 bytes — instead of
-  // moving the full struct (INT stack included) through the event kernel.
-  PacketPool pool_;
+  // The event loop's packet pool: where dropped packets go back, and where
+  // INT stacks and fault-injected duplicates live.
+  PacketPool* pool_;
   Node* owner_{nullptr};
   Node* peer_{nullptr};
   std::size_t peer_in_port_{0};
   MailboxEgress* bridge_{nullptr};
   int src_domain_{0};
   int dst_domain_{0};
-  std::int64_t* live_counter_{nullptr};
   bool busy_{false};
   bool int_stamping_{false};
   std::int64_t wire_bytes_{0};
@@ -255,7 +242,7 @@ class Port {
   // Pending control frames, strictly ahead of the data queue. Control
   // traffic is rare (state transitions only), so a plain vector FIFO is
   // fine here.
-  std::vector<Packet> ctrl_fifo_;
+  std::vector<Packet*> ctrl_fifo_;
   std::size_t ctrl_head_{0};
   // PFC pause state. The epoch invalidates stale auto-expiry events when a
   // refresh or an early resume supersedes them.
@@ -280,14 +267,15 @@ class Port {
 class Node {
  public:
   Node(sim::Simulator& sim, NodeId id, std::string name)
-      : sim_{sim}, id_{id}, name_{std::move(name)} {}
+      : sim_{sim}, packets_{packet_pool(sim)}, id_{id}, name_{std::move(name)} {}
   virtual ~Node() = default;
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Delivers a packet that finished traversing a link into this node.
-  virtual void receive(Packet p, std::size_t in_port) = 0;
+  // Hands this node a packet that finished traversing a link. The node
+  // owns `p` from here on: it forwards it or releases it.
+  virtual void receive(Packet* p, std::size_t in_port) = 0;
 
   // Adds an egress port. Returns its index.
   std::size_t add_port(sim::Bandwidth bandwidth, sim::Time propagation_delay,
@@ -304,6 +292,9 @@ class Node {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
+  // The event loop's packet pool: where this node's packets are made and
+  // released.
+  [[nodiscard]] PacketPool& packets() noexcept { return packets_; }
 
   // Which parallel-engine domain this node executes in (0 when the run is
   // not decomposed). Assigned once by the topology builder.
@@ -329,6 +320,7 @@ class Node {
 
  protected:
   sim::Simulator& sim_;
+  PacketPool& packets_;
 
  private:
   NodeId id_;

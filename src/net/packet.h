@@ -1,9 +1,13 @@
 // Packet: the unit of data moved by the network simulator.
 //
 // One struct models the IP fields we need (ECN codepoint) plus a simplified
-// TCP header (sequence/ack numbers, flags, ECE/CWR echo bits). Packets are
-// plain values: they are moved through queues and links by value, never
-// shared, so there is no aliasing to reason about.
+// TCP header (sequence/ack numbers, flags, ECE/CWR echo bits). A packet in
+// the network lives in its event loop's net::PacketPool from the sending
+// host's NIC to the receiving host's handler: ports, queues and switches
+// pass the pooled handle (Packet*), and exactly one of them owns it at a
+// time, so there is still no aliasing to reason about. The HPCC-only INT
+// stack lives in the same pool's side table, named by int_slot, which keeps
+// the packet itself within 192 bytes.
 #ifndef INCAST_NET_PACKET_H_
 #define INCAST_NET_PACKET_H_
 
@@ -117,9 +121,9 @@ struct RdtHeader {
 };
 
 // INT stack carried by a packet (on data: stamped by switches; on ACKs:
-// echoed by the receiver).
+// echoed by the receiver). Lives in the PacketPool's side table; a packet
+// names its stack by Packet::int_slot.
 struct IntStack {
-  bool enabled{false};
   std::uint8_t num_hops{0};
   std::array<IntHopRecord, kMaxIntHops> hops{};
 
@@ -134,20 +138,22 @@ struct IntStack {
   }
 };
 
+// Packet::int_slot of a packet that carries no INT stack.
+inline constexpr std::uint32_t kNoIntSlot = 0;
+
 struct Packet {
   NodeId src{kInvalidNodeId};
   NodeId dst{kInvalidNodeId};
   std::int64_t size_bytes{0};     // on-the-wire size, headers included
   std::int64_t payload_bytes{0};  // TCP payload carried
-  Ecn ecn{Ecn::kNotEct};
   TcpHeader tcp{};
   RdtHeader rdt{};
   CtrlHeader ctrl{};
-  IntStack int_stack{};
   // Ingress virtual input queue this packet is charged to at the current
   // PFC-enabled switch (-1 = unaccounted). Re-tagged at every lossless hop;
   // meaningless elsewhere.
   std::int16_t viq{-1};
+  Ecn ecn{Ecn::kNotEct};
   // Payload removed by a trimming queue (net::CompositeQueue): only the
   // header survived and the receiver should NACK for the missing bytes.
   bool trimmed{false};
@@ -162,6 +168,10 @@ struct Packet {
   // residency. Inert when no FlowTracer is attached — pure data, never
   // consulted by forwarding or protocol logic.
   bool flow_traced{false};
+  // This packet's INT stack in its PacketPool's side table (kNoIntSlot =
+  // none). Set only on data of senders whose CCA requests INT
+  // (tcp::requests_int) and on the ACKs that echo it.
+  std::uint32_t int_slot{kNoIntSlot};
   std::int64_t trace_enqueue_ns{-1};  // -1 = not stamped at this hop
   std::int64_t trace_paused_ns{0};    // port's paused_ns() at enqueue
   sim::Time sent_at{};        // when the sender emitted it (diagnostics)
@@ -172,6 +182,11 @@ struct Packet {
 
   [[nodiscard]] std::string to_string() const;
 };
+
+// Every hop moves a handle, but the pool, the cross-domain mailbox and the
+// packet builders still copy whole packets; keep them within three cache
+// lines.
+static_assert(sizeof(Packet) <= 192, "net::Packet outgrew its 192-byte budget");
 
 // Size of the combined TCP/IP header we charge each packet.
 inline constexpr std::int64_t kHeaderBytes = 40;

@@ -49,48 +49,50 @@ bool DropTailQueue::should_mark(const Packet& p, std::int64_t occupancy_packets)
   return config_.ecn_threshold_packets > 0 && occupancy_packets >= config_.ecn_threshold_packets;
 }
 
-bool DropTailQueue::enqueue(Packet p) {
+bool DropTailQueue::enqueue(Packet* p) {
+  const std::int64_t size = p->size_bytes;
   // Check the per-queue caps before touching the pool so that a drop never
   // leaves memory reserved.
   if (count_ >= config_.capacity_packets ||
-      (config_.capacity_bytes > 0 && bytes_ + p.size_bytes > config_.capacity_bytes) ||
-      (pool_ != nullptr && !pool_->try_reserve(p.size_bytes, bytes_))) {
+      (config_.capacity_bytes > 0 && bytes_ + size > config_.capacity_bytes) ||
+      (pool_ != nullptr && !pool_->try_reserve(size, bytes_))) {
     ++stats_.dropped_packets;
-    stats_.dropped_bytes += p.size_bytes;
+    stats_.dropped_bytes += size;
     return false;
   }
 
-  if (should_mark(p, count_)) {
-    p.ecn = Ecn::kCe;
+  if (should_mark(*p, count_)) {
+    p->ecn = Ecn::kCe;
     ++stats_.ecn_marked_packets;
   }
 
-  bytes_ += p.size_bytes;
+  bytes_ += size;
   ++count_;
-  ring_.push(std::move(p));
+  ring_.push(p);
   ++stats_.enqueued_packets;
   note_peak();
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue() {
-  if (empty()) return std::nullopt;
-  Packet p = ring_.pop();
+Packet* DropTailQueue::dequeue() {
+  if (empty()) return nullptr;
+  Packet* p = ring_.pop();
+  const std::int64_t size = p->size_bytes;
   --count_;
-  bytes_ -= p.size_bytes;
-  if (pool_ != nullptr) pool_->release(p.size_bytes);
+  bytes_ -= size;
+  if (pool_ != nullptr) pool_->release(size);
   ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += p.size_bytes;
+  stats_.dequeued_bytes += size;
   return p;
 }
 
-bool CompositeQueue::enqueue(Packet p) {
-  const std::int64_t original_bytes = p.size_bytes;
+bool CompositeQueue::enqueue(Packet* p) {
+  const std::int64_t original_bytes = p->size_bytes;
 
   // Header-only traffic (ACKs, NACKs, headers trimmed upstream) rides the
   // strict-priority header queue directly, NDP-style.
-  if (!p.is_data()) {
-    if (!enqueue_header(std::move(p))) {
+  if (!p->is_data()) {
+    if (!enqueue_header(p)) {
       ++stats_.dropped_packets;
       stats_.dropped_bytes += original_bytes;
       return false;
@@ -101,16 +103,16 @@ bool CompositeQueue::enqueue(Packet p) {
   // Same admission rule as the base queue, but over the data ring only.
   const auto data_count = static_cast<std::int64_t>(ring_.count);
   if (data_count < config_.capacity_packets &&
-      (config_.capacity_bytes <= 0 || data_bytes_ + p.size_bytes <= config_.capacity_bytes) &&
-      (pool_ == nullptr || pool_->try_reserve(p.size_bytes, data_bytes_))) {
-    if (should_mark(p, data_count)) {
-      p.ecn = Ecn::kCe;
+      (config_.capacity_bytes <= 0 || data_bytes_ + original_bytes <= config_.capacity_bytes) &&
+      (pool_ == nullptr || pool_->try_reserve(original_bytes, data_bytes_))) {
+    if (should_mark(*p, data_count)) {
+      p->ecn = Ecn::kCe;
       ++stats_.ecn_marked_packets;
     }
-    data_bytes_ += p.size_bytes;
-    bytes_ += p.size_bytes;
+    data_bytes_ += original_bytes;
+    bytes_ += original_bytes;
     ++count_;
-    ring_.push(std::move(p));
+    ring_.push(p);
     ++stats_.enqueued_packets;
     note_peak();
     return true;
@@ -118,12 +120,12 @@ bool CompositeQueue::enqueue(Packet p) {
 
   // Data queue full: trim the payload and keep the header. Never larger
   // than the original frame (a sub-64B original keeps its own size).
-  const std::int64_t header_bytes = std::min(config_.trim_header_bytes, p.size_bytes);
-  p.size_bytes = header_bytes;
-  p.payload_bytes = 0;
-  p.trimmed = true;
-  if (is_ect(p.ecn)) p.ecn = Ecn::kCe;
-  if (!enqueue_header(std::move(p))) {
+  const std::int64_t header_bytes = std::min(config_.trim_header_bytes, original_bytes);
+  p->size_bytes = header_bytes;
+  p->payload_bytes = 0;
+  p->trimmed = true;
+  if (is_ect(p->ecn)) p->ecn = Ecn::kCe;
+  if (!enqueue_header(p)) {
     // Header queue overflow too: the whole original packet is lost.
     ++stats_.dropped_packets;
     stats_.dropped_bytes += original_bytes;
@@ -134,31 +136,32 @@ bool CompositeQueue::enqueue(Packet p) {
   return true;
 }
 
-bool CompositeQueue::enqueue_header(Packet&& p) {
+bool CompositeQueue::enqueue_header(Packet* p) {
   if (static_cast<std::int64_t>(header_ring_.count) >= config_.header_capacity_packets) {
     return false;
   }
-  bytes_ += p.size_bytes;
+  bytes_ += p->size_bytes;
   ++count_;
-  header_ring_.push(std::move(p));
+  header_ring_.push(p);
   ++stats_.enqueued_packets;
   note_peak();
   return true;
 }
 
-std::optional<Packet> CompositeQueue::dequeue() {
+Packet* CompositeQueue::dequeue() {
   const bool from_header = !header_ring_.empty();
   Ring& src = from_header ? header_ring_ : ring_;
-  if (src.empty()) return std::nullopt;
-  Packet p = src.pop();
+  if (src.empty()) return nullptr;
+  Packet* p = src.pop();
+  const std::int64_t size = p->size_bytes;
   --count_;
-  bytes_ -= p.size_bytes;
+  bytes_ -= size;
   if (!from_header) {
-    data_bytes_ -= p.size_bytes;
-    if (pool_ != nullptr) pool_->release(p.size_bytes);
+    data_bytes_ -= size;
+    if (pool_ != nullptr) pool_->release(size);
   }
   ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += p.size_bytes;
+  stats_.dequeued_bytes += size;
   return p;
 }
 
@@ -169,26 +172,28 @@ std::unique_ptr<DropTailQueue> make_queue(const DropTailQueue::Config& config) {
   return std::make_unique<DropTailQueue>(config);
 }
 
-void DropTailQueue::Ring::push(Packet&& p) {
+void DropTailQueue::Ring::push(Packet* p) {
   if (count == slots.size()) {
     // Grow by doubling, unwrapping head..tail into the new storage so the
     // occupied region is contiguous from index 0 again.
-    std::vector<Packet> bigger;
+    std::vector<Packet*> bigger;
     bigger.reserve(slots.empty() ? 16 : slots.size() * 2);
     for (std::size_t i = 0; i < count; ++i) {
-      bigger.push_back(std::move(slots[(head + i) % slots.size()]));
+      bigger.push_back(slots[(head + i) % slots.size()]);
     }
     bigger.resize(bigger.capacity());
     slots = std::move(bigger);
     head = 0;
   }
-  slots[(head + count) % slots.size()] = std::move(p);
+  std::size_t tail = head + count;
+  if (tail >= slots.size()) tail -= slots.size();
+  slots[tail] = p;
   ++count;
 }
 
-Packet DropTailQueue::Ring::pop() {
-  Packet p = std::move(slots[head]);
-  head = (head + 1) % slots.size();
+Packet* DropTailQueue::Ring::pop() {
+  Packet* p = slots[head];
+  if (++head == slots.size()) head = 0;
   --count;
   return p;
 }

@@ -19,13 +19,16 @@
 //
 // make_queue() builds the discipline a Config names, so every Port in every
 // topology can swap disciplines through configuration alone.
+//
+// Queues hold pooled handles (net/packet_pool.h), never packet values: a
+// queue owns each packet it admitted until dequeue() hands it back, and
+// never owns one it refused.
 #ifndef INCAST_NET_QUEUE_H_
 #define INCAST_NET_QUEUE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.h"
@@ -92,11 +95,12 @@ class DropTailQueue {
   // Admits `p` (marking it CE if the queue is past the ECN threshold) or
   // drops it. Returns true if the packet was enqueued — for a trimming
   // queue that includes the trimmed-to-header case (the stats tell the
-  // difference).
-  virtual bool enqueue(Packet p);
+  // difference). A refused packet stays the caller's to release.
+  virtual bool enqueue(Packet* p);
 
-  // Removes the head-of-line packet; nullopt if empty.
-  virtual std::optional<Packet> dequeue();
+  // Removes the head-of-line packet and hands it to the caller; nullptr if
+  // empty.
+  virtual Packet* dequeue();
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::int64_t packets() const noexcept { return count_; }
@@ -115,20 +119,20 @@ class DropTailQueue {
   }
 
  protected:
-  // FIFO storage as a power-of-two-free circular buffer over a plain
-  // vector: a deque's block churn costs an allocation per enqueue at
-  // Packet granularity, which the allocation-free kernel cannot afford.
+  // FIFO of handles as a power-of-two-free circular buffer over a plain
+  // vector: a deque's block churn costs an allocation per enqueue, which
+  // the allocation-free kernel cannot afford.
   struct Ring {
-    std::vector<Packet> slots;
+    std::vector<Packet*> slots;
     std::size_t head{0};
     std::size_t count{0};
 
     [[nodiscard]] bool empty() const noexcept { return count == 0; }
     // Appends, growing (rare; amortized away once the queue has seen its
     // peak depth) when full.
-    void push(Packet&& p);
+    void push(Packet* p);
     // Removes and returns the head. Precondition: !empty().
-    [[nodiscard]] Packet pop();
+    [[nodiscard]] Packet* pop();
   };
 
   // The configured marking rule's verdict for an ECT packet arriving at
@@ -165,8 +169,8 @@ class CompositeQueue final : public DropTailQueue {
  public:
   explicit CompositeQueue(const Config& config) noexcept : DropTailQueue{config} {}
 
-  bool enqueue(Packet p) override;
-  std::optional<Packet> dequeue() override;
+  bool enqueue(Packet* p) override;
+  Packet* dequeue() override;
 
   [[nodiscard]] std::int64_t data_packets() const noexcept {
     return static_cast<std::int64_t>(ring_.count);
@@ -178,7 +182,7 @@ class CompositeQueue final : public DropTailQueue {
  private:
   // Admits onto the header ring; false = header-queue overflow (caller
   // accounts the drop).
-  bool enqueue_header(Packet&& p);
+  bool enqueue_header(Packet* p);
 
   Ring header_ring_;
   std::int64_t data_bytes_{0};  // pool-charged bytes in the data ring only

@@ -175,7 +175,7 @@ void Switch::credit_viq(std::size_t viq, std::int64_t bytes) {
   if (viqs_[viq].on_departure(bytes) == LosslessInputQueue::Action::kSendResume) {
     Port& upstream = port(viq);
     const NodeId peer = upstream.peer() != nullptr ? upstream.peer()->id() : kInvalidNodeId;
-    upstream.send_control(make_resume_frame(id(), peer));
+    upstream.send_control(packets_.acquire(make_resume_frame(id(), peer)));
   }
 }
 
@@ -183,20 +183,22 @@ void Switch::on_dequeue(const Packet& p, sim::Time /*now*/) {
   if (p.viq >= 0) credit_viq(static_cast<std::size_t>(p.viq), p.size_bytes);
 }
 
-void Switch::receive(Packet p, std::size_t in_port) {
-  if (p.is_ctrl()) [[unlikely]] {
+void Switch::receive(Packet* p, std::size_t in_port) {
+  if (p->is_ctrl()) [[unlikely]] {
     // MAC control frames are consumed by the immediate neighbor — us.
-    if (auto* a = INCAST_AUDITOR(sim_)) a->on_control_consumed(p.size_bytes);
-    apply_ctrl(p, in_port);
+    if (auto* a = INCAST_AUDITOR(sim_)) a->on_control_consumed(p->size_bytes);
+    apply_ctrl(*p, in_port);
+    packets_.release(p);
     return;
   }
-  const RouteRef ref = static_cast<std::size_t>(p.dst) < route_ref_.size()
-                           ? route_ref_[p.dst]
+  const RouteRef ref = static_cast<std::size_t>(p->dst) < route_ref_.size()
+                           ? route_ref_[p->dst]
                            : RouteRef{};
   if (ref.count == 0) [[unlikely]] {
     ++unrouted_packets_;
-    ++unrouted_by_dst_[p.dst];
-    if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(p.size_bytes);
+    ++unrouted_by_dst_[p->dst];
+    if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(p->size_bytes);
+    packets_.release(p);
     return;
   }
   if (!viqs_.empty() && in_port < viqs_.size()) {
@@ -204,22 +206,23 @@ void Switch::receive(Packet p, std::size_t in_port) {
     // upstream when the VIQ saturates. Charged bytes are credited back by
     // on_dequeue when the packet leaves an egress queue (or immediately
     // below, if the egress refuses or trims it).
-    switch (viqs_[in_port].on_arrival(p.size_bytes)) {
+    switch (viqs_[in_port].on_arrival(p->size_bytes)) {
       case LosslessInputQueue::Action::kDropOverflow:
         // Headroom exhausted — losslessness is violated by configuration.
-        if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(p.size_bytes);
+        if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(p->size_bytes);
+        packets_.release(p);
         return;
       case LosslessInputQueue::Action::kSendPause: {
         Port& upstream = port(in_port);
         const NodeId peer =
             upstream.peer() != nullptr ? upstream.peer()->id() : kInvalidNodeId;
-        upstream.send_control(
-            make_pause_frame(id(), peer, viqs_[in_port].config().pause_ns));
+        upstream.send_control(packets_.acquire(
+            make_pause_frame(id(), peer, viqs_[in_port].config().pause_ns)));
         break;
       }
       default: break;
     }
-    p.viq = static_cast<std::int16_t>(in_port);
+    p->viq = static_cast<std::int16_t>(in_port);
   }
   std::size_t out;
   if (ref.count == 1) {
@@ -227,23 +230,23 @@ void Switch::receive(Packet p, std::size_t in_port) {
     // a fabric degenerated to one path costs what the static switch did.
     out = route_ports_[ref.offset];
   } else {
-    const std::uint64_t key = flow_key(p.src, p.dst, p.tcp.flow_id);
+    const std::uint64_t key = flow_key(p->src, p->dst, p->tcp.flow_id);
     out = route_ports_[ref.offset + static_cast<std::size_t>(key % ref.count)];
     record_flow_choice(key, static_cast<std::uint32_t>(out));
   }
   if (viqs_.empty()) {
-    port(out).send(std::move(p));
+    port(out).send(p);
     return;
   }
   // PFC: a packet the egress queue refuses (drops) or trims never reaches
   // on_dequeue with its full size, so the VIQ charge must be unwound here
   // or it leaks and the pause never lifts.
-  const std::int16_t viq = p.viq;
-  const std::int64_t size = p.size_bytes;
+  const std::int16_t viq = p->viq;
+  const std::int64_t size = p->size_bytes;
   const DropTailQueue::Stats& egress = port(out).queue().stats();
   const std::int64_t drops_before = egress.dropped_packets;
   const std::int64_t trim_bytes_before = egress.trimmed_bytes;
-  port(out).send(std::move(p));
+  port(out).send(p);
   if (viq >= 0) {
     if (egress.dropped_packets > drops_before) {
       credit_viq(static_cast<std::size_t>(viq), size);

@@ -81,7 +81,7 @@ class Switch : public Node, private DequeueTap {
   }
   [[nodiscard]] std::size_t num_viqs() const noexcept { return viqs_.size(); }
 
-  void receive(Packet p, std::size_t in_port) override;
+  void receive(Packet* p, std::size_t in_port) override;
 
   // Packets that arrived with no matching route (a topology bug).
   [[nodiscard]] std::int64_t unrouted_packets() const noexcept { return unrouted_packets_; }

@@ -47,8 +47,9 @@ void CreditSender::add_app_data(std::int64_t bytes) {
 }
 
 void CreditSender::send_rts() {
-  local_.send(make_control(local_.id(), receiver_, flow_, net::RdtType::kRts,
-                           /*offset=*/demand_, /*length=*/0));
+  local_.send(local_.packets().acquire(make_control(local_.id(), receiver_, flow_,
+                                                    net::RdtType::kRts,
+                                                    /*offset=*/demand_, /*length=*/0)));
   ++rts_sent_;
   arm_rts_retry();
 }
@@ -75,15 +76,15 @@ void CreditSender::arm_rts_retry() {
                                 sim::EventCategory::kTcp);
 }
 
-void CreditSender::handle_packet(net::Packet p) {
+void CreditSender::handle_packet(const net::Packet& p) {
   if (p.rdt.type != net::RdtType::kGrant) return;
 
   // Each grant releases exactly one segment, immediately.
-  net::Packet data = net::make_data_packet(local_.id(), receiver_, flow_,
-                                           p.rdt.offset, p.rdt.length);
-  data.rdt = net::RdtHeader{net::RdtType::kData, p.rdt.offset, p.rdt.length};
-  data.sent_at = sim_.now();
-  local_.send(std::move(data));
+  net::Packet* data = local_.packets().acquire(
+      net::make_data_packet(local_.id(), receiver_, flow_, p.rdt.offset, p.rdt.length));
+  data->rdt = net::RdtHeader{net::RdtType::kData, p.rdt.offset, p.rdt.length};
+  data->sent_at = sim_.now();
+  local_.send(data);
   ++data_sent_;
   granted_ = std::max(granted_, p.rdt.offset + p.rdt.length);
 
@@ -119,7 +120,7 @@ std::int64_t CreditReceiver::received_bytes(net::FlowId flow) const {
   return it == flows_.end() ? 0 : it->second.received_bytes;
 }
 
-void CreditReceiver::on_packet(net::FlowId flow, net::Packet p) {
+void CreditReceiver::on_packet(net::FlowId flow, const net::Packet& p) {
   const auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   switch (p.rdt.type) {
@@ -206,8 +207,9 @@ void CreditReceiver::issue_grant(net::FlowId flow, FlowState& state) {
     state.next_new_offset = r.end;
   }
 
-  local_.send(make_control(local_.id(), state.sender, flow, net::RdtType::kGrant, r.start,
-                           r.end - r.start));
+  local_.send(local_.packets().acquire(
+      make_control(local_.id(), state.sender, flow, net::RdtType::kGrant, r.start,
+                   r.end - r.start)));
   ++grants_sent_;
   if (is_regrant) ++regrants_sent_;
   outstanding_.push_back(

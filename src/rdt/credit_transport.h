@@ -59,7 +59,7 @@ class CreditSender final : public net::PacketHandler {
   void add_app_data(std::int64_t bytes);
 
   // Grants arrive here; each one releases exactly one data segment.
-  void handle_packet(net::Packet p) override;
+  void handle_packet(const net::Packet& p) override;
 
   [[nodiscard]] std::int64_t demand_bytes() const noexcept { return demand_; }
   [[nodiscard]] std::int64_t granted_bytes() const noexcept { return granted_; }
@@ -147,14 +147,14 @@ class CreditReceiver {
   class FlowPort final : public net::PacketHandler {
    public:
     FlowPort(CreditReceiver& owner, net::FlowId flow) : owner_{owner}, flow_{flow} {}
-    void handle_packet(net::Packet p) override { owner_.on_packet(flow_, std::move(p)); }
+    void handle_packet(const net::Packet& p) override { owner_.on_packet(flow_, p); }
 
    private:
     CreditReceiver& owner_;
     net::FlowId flow_;
   };
 
-  void on_packet(net::FlowId flow, net::Packet p);
+  void on_packet(net::FlowId flow, const net::Packet& p);
   void on_rts(FlowState& state, const net::Packet& p);
   void on_data(net::FlowId flow, FlowState& state, const net::Packet& p);
   [[nodiscard]] bool flow_needs_grant(const FlowState& state) const noexcept;

@@ -22,6 +22,11 @@
 // threading it through every constructor. The kernel itself never
 // dereferences the hub — sim stays dependency-free of obs.
 //
+// Packet storage: the loop owns the network layer's packet pool
+// (net::packet_pool(sim) creates it on first use), so every packet in
+// flight on one loop lives in one pool. Like the hub, the kernel never
+// dereferences it.
+//
 // Auditing: the loop likewise carries a borrowed Auditor pointer (see
 // sim/auditor.h). With one attached, every dispatch feeds the monotonic-time
 // check, the livelock watchdog, and the execution budgets; detached (the
@@ -32,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "sim/auditor.h"
 #include "sim/event_category.h"
@@ -42,6 +48,10 @@ namespace incast::obs {
 class FlowTracer;
 class Hub;
 }  // namespace incast::obs
+
+namespace incast::net {
+class PacketPool;
+}  // namespace incast::net
 
 namespace incast::sim {
 
@@ -177,6 +187,13 @@ class Simulator {
   void set_flow_tracer(obs::FlowTracer* tracer) noexcept { flow_tracer_ = tracer; }
   [[nodiscard]] obs::FlowTracer* flow_tracer() const noexcept { return flow_tracer_; }
 
+  // The loop's packet pool; nullptr until net::packet_pool(sim) creates it
+  // and hands it over here with its deleter.
+  [[nodiscard]] net::PacketPool* packet_pool() const noexcept { return packet_pool_.get(); }
+  void adopt_packet_pool(net::PacketPool* pool, void (*destroy)(net::PacketPool*)) {
+    packet_pool_ = std::unique_ptr<net::PacketPool, void (*)(net::PacketPool*)>{pool, destroy};
+  }
+
  private:
   void dispatch_one();
 
@@ -192,6 +209,8 @@ class Simulator {
   obs::Hub* hub_{nullptr};
   Auditor* auditor_{nullptr};
   obs::FlowTracer* flow_tracer_{nullptr};
+  std::unique_ptr<net::PacketPool, void (*)(net::PacketPool*)> packet_pool_{nullptr,
+                                                                             nullptr};
 };
 
 }  // namespace incast::sim

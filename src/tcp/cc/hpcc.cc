@@ -31,10 +31,10 @@ bool HpccCc::measure_utilization(const net::IntStack& stack, double& out) {
 }
 
 void HpccCc::on_ack(const AckEvent& ev) {
-  if (!ev.int_stack.enabled || ev.int_stack.num_hops == 0) return;
+  if (ev.int_stack == nullptr || ev.int_stack->num_hops == 0) return;
 
   double util = 0.0;
-  if (!measure_utilization(ev.int_stack, util)) return;
+  if (!measure_utilization(*ev.int_stack, util)) return;
   // Guard against division blow-ups when the path is idle.
   util = std::max(util, 0.01);
   last_util_ = util;

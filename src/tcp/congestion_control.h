@@ -32,9 +32,10 @@ struct AckEvent {
   // such ACKs — growth would be validated against demand that does not
   // exist, which is exactly the burst-boundary "unlearning" of §4.3.
   bool app_limited{false};
-  // INT telemetry echoed by the receiver (empty unless the sender's CCA
-  // requests INT, see requests_int, and switches stamp it).
-  net::IntStack int_stack{};
+  // INT telemetry echoed by the receiver, borrowed from the ACK's pool
+  // slot for the duration of on_ack(); nullptr unless the sender's CCA
+  // requests INT (see requests_int) and the ACK echoes a stamped stack.
+  const net::IntStack* int_stack{nullptr};
 };
 
 class CongestionControl {

@@ -16,7 +16,7 @@ TcpReceiver::~TcpReceiver() {
   sim_.cancel(ack_timer_);
 }
 
-void TcpReceiver::handle_packet(net::Packet p) {
+void TcpReceiver::handle_packet(const net::Packet& p) {
   if (p.trimmed) [[unlikely]] {
     // A trimming queue cut this segment's payload and forwarded just the
     // header. The header names exactly what was lost, so NACK it back and
@@ -25,16 +25,17 @@ void TcpReceiver::handle_packet(net::Packet p) {
     // header still feeds the sender's ECN accounting via the echo bit.
     ++stats_.trimmed_headers_received;
     ++stats_.nacks_sent;
-    local_.send(net::make_nack_packet(local_.id(), remote_, flow_, p.tcp.seq,
-                                      p.ecn == net::Ecn::kCe));
+    local_.send(local_.packets().acquire(net::make_nack_packet(
+        local_.id(), remote_, flow_, p.tcp.seq, p.ecn == net::Ecn::kCe)));
     return;
   }
   if (!p.is_data()) return;  // the receiver side only consumes data
 
   ++stats_.data_packets_received;
   stats_.data_bytes_received += p.payload_bytes;
-  if (p.int_stack.enabled && p.int_stack.num_hops > 0) {
-    last_int_ = p.int_stack;
+  if (const net::IntStack* stack = local_.packets().int_stack(p);
+      stack != nullptr && stack->num_hops > 0) {
+    last_int_ = *stack;
   }
   const bool ce = p.ecn == net::Ecn::kCe;
   if (ce) ++stats_.ce_packets_received;
@@ -149,12 +150,13 @@ bool TcpReceiver::delayed_ack_ece(bool segment_ce) const noexcept {
 }
 
 void TcpReceiver::send_ack(bool ece, bool duplicate) {
-  net::Packet ack = net::make_ack_packet(local_.id(), remote_, flow_, rcv_nxt_, ece);
-  attach_sack_blocks(ack);
-  if (last_int_.enabled) ack.int_stack = last_int_;
+  net::Packet* ack = local_.packets().acquire(
+      net::make_ack_packet(local_.id(), remote_, flow_, rcv_nxt_, ece));
+  attach_sack_blocks(*ack);
+  if (last_int_.num_hops > 0) local_.packets().attach_int(*ack) = last_int_;
   ++stats_.acks_sent;
   if (duplicate) ++stats_.dup_acks_sent;
-  local_.send(std::move(ack));
+  local_.send(ack);
   pending_segments_ = 0;
   sim_.cancel(ack_timer_);
   ack_timer_ = sim::kInvalidEventId;

@@ -43,7 +43,7 @@ class TcpReceiver final : public net::PacketHandler {
   TcpReceiver(const TcpReceiver&) = delete;
   TcpReceiver& operator=(const TcpReceiver&) = delete;
 
-  void handle_packet(net::Packet p) override;
+  void handle_packet(const net::Packet& p) override;
 
   // Next expected in-order byte (== total in-order bytes delivered).
   [[nodiscard]] std::int64_t rcv_nxt() const noexcept { return rcv_nxt_; }

@@ -59,7 +59,7 @@ class TcpSender final : public net::PacketHandler {
   void add_app_data(std::int64_t bytes);
 
   // ACKs for this flow arrive here.
-  void handle_packet(net::Packet p) override;
+  void handle_packet(const net::Packet& p) override;
 
   // --- Observability -------------------------------------------------------
 
@@ -106,8 +106,8 @@ class TcpSender final : public net::PacketHandler {
 
  private:
   void on_nack(const net::Packet& p);
-  void on_new_ack(std::int64_t ack, bool ece, const net::IntStack& int_stack);
-  void on_duplicate_ack(bool ece, const net::IntStack& int_stack);
+  void on_new_ack(std::int64_t ack, bool ece, const net::IntStack* int_stack);
+  void on_duplicate_ack(bool ece, const net::IntStack* int_stack);
   void update_scoreboard(const net::TcpHeader& tcp);
   void drop_scoreboard_below(std::int64_t seq);
   // Next unsacked, not-yet-retransmitted segment below the recovery point;

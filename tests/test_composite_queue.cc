@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/packet_pool.h"
 #include "net/queue.h"
 #include "net/topology.h"
 #include "tcp/tcp_connection.h"
@@ -17,7 +18,15 @@ using sim::Simulator;
 using sim::Time;
 using namespace incast::sim::literals;
 
-Packet data_packet(std::int64_t seq) { return make_data_packet(1, 2, 1, seq, 1460); }
+// Queues hold handles; every test packet comes from this pool.
+PacketPool& pool() {
+  static PacketPool packets;
+  return packets;
+}
+
+Packet* data_packet(std::int64_t seq) {
+  return pool().acquire(make_data_packet(1, 2, 1, seq, 1460));
+}
 
 DropTailQueue::Config trim_config(std::int64_t capacity) {
   return DropTailQueue::Config{.capacity_packets = capacity,
@@ -49,7 +58,7 @@ TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
 
   // Strict priority: the header queued last comes out first.
   auto first = q.dequeue();
-  ASSERT_TRUE(first.has_value());
+  ASSERT_NE(first, nullptr);
   EXPECT_TRUE(first->trimmed);
   EXPECT_EQ(first->size_bytes, 64);
   EXPECT_EQ(first->payload_bytes, 0);
@@ -57,23 +66,23 @@ TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
 
   // Then the data ring drains in FIFO order.
   auto second = q.dequeue();
-  ASSERT_TRUE(second.has_value());
+  ASSERT_NE(second, nullptr);
   EXPECT_FALSE(second->trimmed);
   EXPECT_EQ(second->tcp.seq, 0);
   auto third = q.dequeue();
-  ASSERT_TRUE(third.has_value());
+  ASSERT_NE(third, nullptr);
   EXPECT_EQ(third->tcp.seq, 1460);
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(q.dequeue(), nullptr);
 }
 
 TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
   CompositeQueue q{trim_config(1)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
-  Packet ect = data_packet(1460);
-  ect.ecn = Ecn::kEct0;
-  EXPECT_TRUE(q.enqueue(std::move(ect)));
+  Packet* ect = data_packet(1460);
+  ect->ecn = Ecn::kEct0;
+  EXPECT_TRUE(q.enqueue(ect));
   auto header = q.dequeue();
-  ASSERT_TRUE(header.has_value());
+  ASSERT_NE(header, nullptr);
   EXPECT_TRUE(header->trimmed);
   // Trimming is itself a congestion signal; ECT headers carry it as CE.
   EXPECT_EQ(header->ecn, Ecn::kCe);
@@ -83,11 +92,11 @@ TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
   CompositeQueue q{trim_config(1)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   // make_data_packet defaults to ECT0 (DCTCP); force a non-ECN sender.
-  Packet not_ect = data_packet(1460);
-  not_ect.ecn = Ecn::kNotEct;
-  EXPECT_TRUE(q.enqueue(std::move(not_ect)));
+  Packet* not_ect = data_packet(1460);
+  not_ect->ecn = Ecn::kNotEct;
+  EXPECT_TRUE(q.enqueue(not_ect));
   auto header = q.dequeue();
-  ASSERT_TRUE(header.has_value());
+  ASSERT_NE(header, nullptr);
   EXPECT_TRUE(header->trimmed);
   EXPECT_EQ(header->ecn, Ecn::kNotEct);
 }
@@ -97,11 +106,11 @@ TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   // An ACK (no payload) joins the header ring even though the data ring
   // has room — header-only traffic must never sit behind full frames.
-  EXPECT_TRUE(q.enqueue(make_ack_packet(2, 1, 1, 1460, false)));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))));
   EXPECT_EQ(q.data_packets(), 1);
   EXPECT_EQ(q.header_packets(), 1);
   auto first = q.dequeue();
-  ASSERT_TRUE(first.has_value());
+  ASSERT_NE(first, nullptr);
   EXPECT_FALSE(first->is_data());
 }
 
@@ -109,9 +118,9 @@ TEST(CompositeQueue, HeaderQueueOverflowIsARealDrop) {
   DropTailQueue::Config cfg = trim_config(1);
   cfg.header_capacity_packets = 2;
   CompositeQueue q{cfg};
-  EXPECT_TRUE(q.enqueue(make_ack_packet(2, 1, 1, 0, false)));
-  EXPECT_TRUE(q.enqueue(make_ack_packet(2, 1, 1, 1460, false)));
-  EXPECT_FALSE(q.enqueue(make_ack_packet(2, 1, 1, 2920, false)));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 0, false))));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))));
+  EXPECT_FALSE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 2920, false))));
   EXPECT_EQ(q.header_packets(), 2);
   EXPECT_EQ(q.stats().dropped_packets, 1);
 }
@@ -120,14 +129,14 @@ TEST(CompositeQueue, EcnMarksOnTheDataRingBelowTheTrimPoint) {
   DropTailQueue::Config cfg = trim_config(8);
   cfg.ecn_threshold_packets = 1;
   CompositeQueue q{cfg};
-  Packet first = data_packet(0);
-  first.ecn = Ecn::kEct0;
-  EXPECT_TRUE(q.enqueue(std::move(first)));
-  Packet second = data_packet(1460);
-  second.ecn = Ecn::kEct0;
+  Packet* first = data_packet(0);
+  first->ecn = Ecn::kEct0;
+  EXPECT_TRUE(q.enqueue(first));
+  Packet* second = data_packet(1460);
+  second->ecn = Ecn::kEct0;
   // Occupancy 1 >= K=1 at arrival: marked, yet still queued as full data —
   // senders see ECN pressure well before payloads start getting cut.
-  EXPECT_TRUE(q.enqueue(std::move(second)));
+  EXPECT_TRUE(q.enqueue(second));
   EXPECT_EQ(q.data_packets(), 2);
   EXPECT_EQ(q.stats().ecn_marked_packets, 1);
   EXPECT_EQ(q.stats().trimmed_packets, 0);

@@ -110,7 +110,7 @@ TEST(Ecmp, RoutePortMatchesActualForwarding) {
 
   class Sink final : public net::PacketHandler {
    public:
-    void handle_packet(net::Packet) override {}
+    void handle_packet(const net::Packet&) override {}
   };
   Sink sink;
   const int dst = ft.num_hosts() - 1;
@@ -123,7 +123,7 @@ TEST(Ecmp, RoutePortMatchesActualForwarding) {
     ++predicted[port.value()];
     net::Packet p = net::make_data_packet(ft.host(0).id(), ft.host(dst).id(), f, 0, 100);
     ft.host(dst).register_flow(f, &sink);
-    ft.host(0).send(std::move(p));
+    ft.host(0).send(ft.host(0).packets().acquire(p));
   }
   sim.run();
   EXPECT_EQ(ft.leaf(0).ecmp_flows_by_port(), predicted);

@@ -19,7 +19,7 @@ using namespace incast::sim::literals;
 
 class RecordingHandler final : public net::PacketHandler {
  public:
-  void handle_packet(net::Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(const net::Packet& p) override { packets.push_back(p); }
   std::vector<net::Packet> packets;
 };
 
@@ -93,7 +93,8 @@ TEST(FatTree, CrossRackDeliveryTwoTier) {
   ft.host(dst).register_flow(3, &sink);
   for (int src = 0; src < ft.num_hosts() - 1; ++src) {
     ft.host(src).send(
-        net::make_data_packet(ft.host(src).id(), ft.host(dst).id(), 3, 0, 1460));
+        ft.host(src).packets().acquire(
+            net::make_data_packet(ft.host(src).id(), ft.host(dst).id(), 3, 0, 1460)));
   }
   sim.run();
   EXPECT_EQ(sink.packets.size(), static_cast<std::size_t>(ft.num_hosts() - 1));
@@ -120,7 +121,8 @@ TEST(FatTree, CrossRackDeliveryThreeTier) {
     for (int dst = 0; dst < ft.num_hosts(); ++dst) {
       if (src == dst) continue;
       ft.host(src).send(
-          net::make_data_packet(ft.host(src).id(), ft.host(dst).id(), 7, 0, 100));
+          ft.host(src).packets().acquire(
+              net::make_data_packet(ft.host(src).id(), ft.host(dst).id(), 7, 0, 100)));
       ++sent;
     }
   }
@@ -160,7 +162,8 @@ TEST(FatTree, UnroutedPacketsFailLoudlyWithDestination) {
   // A destination no switch knows: the leaf must count it, and the teardown
   // check must name both the switch and the destination.
   const net::NodeId bogus = 9999;
-  ft.host(0).send(net::make_data_packet(ft.host(0).id(), bogus, 1, 0, 1460));
+  ft.host(0).send(ft.host(0).packets().acquire(
+      net::make_data_packet(ft.host(0).id(), bogus, 1, 0, 1460)));
   sim.run();
   EXPECT_EQ(ft.leaf(0).unrouted_packets(), 1);
   try {

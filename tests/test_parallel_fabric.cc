@@ -140,6 +140,24 @@ TEST(ParallelFabricDeterminism, CsvIsByteIdenticalAcrossDomainCounts) {
   }
 }
 
+// HPCC packets carry INT stacks in their domain's side pool. A stack must
+// cross the bridge with its packet and land in the destination domain's
+// pool, or the cross-rack senders would run blind and the CSV would move
+// with the domain count.
+TEST(ParallelFabricDeterminism, HpccCsvIsByteIdenticalAcrossDomainCounts) {
+  core::ScalingConfig cfg = small_ladder(1);
+  cfg.tcp.cc = tcp::CcAlgorithm::kHpcc;
+  const core::ScalingReport one = core::run_scaling_experiment(cfg);
+  cfg.domains = 4;
+  const core::ScalingReport four = core::run_scaling_experiment(cfg);
+  EXPECT_EQ(core::scaling_csv(one), core::scaling_csv(four));
+  for (const core::ScalingPoint& p : four.points) {
+    EXPECT_EQ(p.completed_flows, p.degree);
+    EXPECT_EQ(p.int_hop_overflows, 0);
+  }
+  EXPECT_GT(four.points.back().packets_bridged, 0u);
+}
+
 // The same contract at point granularity, with the execution diagnostics
 // that back it: the window sequence and per-window event histogram are
 // computed from global state, so they must match across domain counts even

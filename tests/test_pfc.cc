@@ -100,8 +100,9 @@ TEST(PfcViq, HeadroomOverflowDropsWithoutCharging) {
 class SinkNode final : public Node {
  public:
   using Node::Node;
-  void receive(Packet p, std::size_t) override {
-    arrivals.push_back({sim_.now(), std::move(p)});
+  void receive(Packet* p, std::size_t) override {
+    arrivals.push_back({sim_.now(), *p});
+    packets_.release(p);
   }
   struct Arrival {
     Time at;
@@ -113,7 +114,7 @@ class SinkNode final : public Node {
 class SourceNode final : public Node {
  public:
   using Node::Node;
-  void receive(Packet, std::size_t) override {}
+  void receive(Packet* p, std::size_t) override { packets_.release(p); }
 };
 
 struct PauseFixture {
@@ -132,7 +133,7 @@ struct PauseFixture {
 TEST(PfcPort, PauseHoldsDataUntilAutoExpiry) {
   PauseFixture f;
   f.src.port(0).pause_for(Time::microseconds(50));
-  f.src.port(0).send(make_data_packet(0, 1, 1, 0, 1460));
+  f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, 0, 1460)));
   EXPECT_TRUE(f.src.port(0).pfc_paused());
   f.sim.run();
   // No resume frame ever arrived; the quantum expired on its own and the
@@ -150,7 +151,7 @@ TEST(PfcPort, RepeatedPauseFramesExtendTheQuantum) {
   // A refresh at t=10 us re-arms expiry to 10 + 20 = 30 us; the stale
   // expiry at 20 us must not resume the port early.
   f.sim.schedule_at(10_us, [&] { f.src.port(0).pause_for(Time::microseconds(20)); });
-  f.src.port(0).send(make_data_packet(0, 1, 1, 0, 1460));
+  f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, 0, 1460)));
   f.sim.run();
   ASSERT_EQ(f.dst.arrivals.size(), 1u);
   EXPECT_EQ(f.dst.arrivals[0].at, Time::microseconds(32.2));
@@ -162,7 +163,7 @@ TEST(PfcPort, RepeatedPauseFramesExtendTheQuantum) {
 TEST(PfcPort, ResumeFrameLiftsPauseEarly) {
   PauseFixture f;
   f.src.port(0).pause_for(Time::microseconds(100));
-  f.src.port(0).send(make_data_packet(0, 1, 1, 0, 1460));
+  f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, 0, 1460)));
   f.sim.schedule_at(5_us, [&] { f.src.port(0).resume(); });
   f.sim.run();
   ASSERT_EQ(f.dst.arrivals.size(), 1u);
@@ -173,8 +174,8 @@ TEST(PfcPort, ResumeFrameLiftsPauseEarly) {
 TEST(PfcPort, ControlFramesBypassAPausedPort) {
   PauseFixture f;
   f.src.port(0).pause_for(Time::microseconds(100));
-  f.src.port(0).send(make_data_packet(0, 1, 1, 0, 1460));
-  f.src.port(0).send_control(make_resume_frame(0, 1));
+  f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, 0, 1460)));
+  f.src.port(0).send_control(f.src.packets().acquire(make_resume_frame(0, 1)));
   f.sim.run_until(50_us);
   // The control frame went out despite the pause; the data did not.
   ASSERT_EQ(f.dst.arrivals.size(), 1u);

@@ -18,7 +18,7 @@ using namespace incast::sim::literals;
 
 class Sink final : public net::PacketHandler {
  public:
-  void handle_packet(net::Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(const net::Packet& p) override { packets.push_back(p); }
   std::vector<net::Packet> packets;
 };
 
@@ -34,11 +34,13 @@ TEST(PortSampler, CountsTransmittedBytesPerBin) {
   // Three packets in bin 0, one ~2 ms later in bin 2.
   for (int i = 0; i < 3; ++i) {
     d.sender(0).send(
-        net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, i * 1460, 1460));
+        d.sender(0).packets().acquire(
+            net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, i * 1460, 1460)));
   }
   sim.schedule_in(2_ms, [&] {
     d.sender(0).send(
-        net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, 3 * 1460, 1460));
+        d.sender(0).packets().acquire(
+            net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, 3 * 1460, 1460)));
   });
   sim.run();
   // finalize keeps whole bins only; pad past the last packet so its bin
@@ -85,9 +87,11 @@ TEST(PortSampler, TraceMatchesHostMillisamplerAtTheSamePoint) {
   d.receiver(0).register_flow(2, &sink);
   for (int i = 0; i < 20; ++i) {
     d.sender(0).send(
-        net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, i * 1460, 1460));
+        d.sender(0).packets().acquire(
+            net::make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, i * 1460, 1460)));
     d.sender(1).send(
-        net::make_data_packet(d.sender(1).id(), d.receiver(0).id(), 2, i * 1460, 1460));
+        d.sender(1).packets().acquire(
+            net::make_data_packet(d.sender(1).id(), d.receiver(0).id(), 2, i * 1460, 1460)));
   }
   sim.run();
   const sim::Time end = sim.now() + 1_ms;

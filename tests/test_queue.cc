@@ -3,20 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include "net/packet_pool.h"
+
 namespace incast::net {
 namespace {
 
-Packet data_packet(std::int64_t seq = 0) { return make_data_packet(1, 2, 1, seq, 1460); }
+// Queues hold handles; every test packet comes from this pool.
+PacketPool& pool() {
+  static PacketPool packets;
+  return packets;
+}
+
+Packet* data_packet(std::int64_t seq = 0) {
+  return pool().acquire(make_data_packet(1, 2, 1, seq, 1460));
+}
 
 TEST(DropTailQueue, FifoOrder) {
   DropTailQueue q{{.capacity_packets = 10, .ecn_threshold_packets = 0}};
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.enqueue(data_packet(i * 1460)));
   for (int i = 0; i < 3; ++i) {
     const auto p = q.dequeue();
-    ASSERT_TRUE(p.has_value());
+    ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->tcp.seq, i * 1460);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(q.dequeue(), nullptr);
 }
 
 TEST(DropTailQueue, TailDropAtCapacity) {
@@ -63,7 +73,7 @@ TEST(DropTailQueue, NonEctPacketsAreNotMarked) {
   DropTailQueue q{{.capacity_packets = 100, .ecn_threshold_packets = 1}};
   EXPECT_TRUE(q.enqueue(data_packet()));
   Packet ack = make_ack_packet(1, 2, 1, 0, false);
-  EXPECT_TRUE(q.enqueue(ack));  // occupancy 1 >= K but NotEct
+  EXPECT_TRUE(q.enqueue(pool().acquire(ack)));  // occupancy 1 >= K but NotEct
   (void)q.dequeue();
   EXPECT_EQ(q.dequeue()->ecn, Ecn::kNotEct);
   EXPECT_EQ(q.stats().ecn_marked_packets, 0);
@@ -74,7 +84,7 @@ TEST(DropTailQueue, BytesTracked) {
   EXPECT_EQ(q.bytes(), 0);
   EXPECT_TRUE(q.enqueue(data_packet()));
   EXPECT_EQ(q.bytes(), 1500);
-  EXPECT_TRUE(q.enqueue(make_ack_packet(1, 2, 1, 0, false)));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(1, 2, 1, 0, false))));
   EXPECT_EQ(q.bytes(), 1540);
   (void)q.dequeue();
   EXPECT_EQ(q.bytes(), 40);
@@ -114,7 +124,7 @@ TEST(DropTailQueue, ByteCapacityLimitsMixedSizes) {
   EXPECT_TRUE(q.enqueue(data_packet()));
   EXPECT_FALSE(q.enqueue(data_packet()));  // 6000 > 5000
   // Small packets still fit in the remaining bytes.
-  EXPECT_TRUE(q.enqueue(make_ack_packet(1, 2, 1, 0, false)));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(1, 2, 1, 0, false))));
   EXPECT_EQ(q.stats().dropped_packets, 1);
 }
 

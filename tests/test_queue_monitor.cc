@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/packet_pool.h"
+
 namespace incast::telemetry {
 namespace {
 
@@ -10,7 +12,13 @@ using sim::Simulator;
 using sim::Time;
 using namespace incast::sim::literals;
 
-net::Packet pkt() { return net::make_data_packet(0, 1, 1, 0, 1460); }
+// Queues hold handles; every test packet comes from this pool.
+net::PacketPool& packets() {
+  static net::PacketPool pool;
+  return pool;
+}
+
+net::Packet* pkt() { return packets().acquire(net::make_data_packet(0, 1, 1, 0, 1460)); }
 
 TEST(QueueMonitor, SamplesAtRequestedPeriod) {
   Simulator sim;
@@ -55,7 +63,7 @@ TEST(QueueMonitor, WatermarksCapturePeakWithinWindow) {
     for (int i = 0; i < 5; ++i) (void)q.enqueue(pkt());
   });
   sim.schedule_at(400_us, [&] {
-    while (q.dequeue().has_value()) {
+    while (q.dequeue() != nullptr) {
     }
   });
   // Window 2: a smaller spike that persists.

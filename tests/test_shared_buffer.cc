@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include "net/packet_pool.h"
 #include "net/queue.h"
 
 namespace incast::net {
 namespace {
+
+// Queues hold handles; every test packet comes from this pool.
+PacketPool& packets() {
+  static PacketPool pool;
+  return pool;
+}
 
 TEST(SharedBufferPool, ReserveAndRelease) {
   SharedBufferPool pool{{.total_bytes = 10'000, .alpha = 1.0}};
@@ -83,7 +90,7 @@ TEST(SharedBufferPool, QueueIntegrationDropsWhenPoolRejects) {
 
   int admitted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (q.enqueue(make_data_packet(1, 2, 1, 0, 1460))) ++admitted;
+    if (q.enqueue(packets().acquire(make_data_packet(1, 2, 1, 0, 1460)))) ++admitted;
   }
   // cap = total/2 at alpha=1: 3'000 B = 2 packets.
   EXPECT_EQ(admitted, 2);
@@ -91,7 +98,7 @@ TEST(SharedBufferPool, QueueIntegrationDropsWhenPoolRejects) {
   EXPECT_EQ(pool.used_bytes(), 2 * 1500);
 
   // Dequeue releases the pool memory.
-  while (q.dequeue().has_value()) {
+  while (q.dequeue() != nullptr) {
   }
   EXPECT_EQ(pool.used_bytes(), 0);
 }
@@ -100,7 +107,9 @@ TEST(SharedBufferPool, QueuePerQueueCapDropDoesNotLeakPoolMemory) {
   SharedBufferPool pool{{.total_bytes = 1'000'000, .alpha = 1.0}};
   DropTailQueue q{{.capacity_packets = 2, .ecn_threshold_packets = 0}};
   q.attach_pool(&pool);
-  for (int i = 0; i < 5; ++i) (void)q.enqueue(make_data_packet(1, 2, 1, 0, 1460));
+  for (int i = 0; i < 5; ++i) {
+    (void)q.enqueue(packets().acquire(make_data_packet(1, 2, 1, 0, 1460)));
+  }
   EXPECT_EQ(q.packets(), 2);
   // Only the two admitted packets hold pool memory.
   EXPECT_EQ(pool.used_bytes(), 2 * 1500);

@@ -17,7 +17,7 @@ constexpr DropTailQueue::Config kQ{.capacity_packets = 100, .ecn_threshold_packe
 
 class RecordingHandler final : public PacketHandler {
  public:
-  void handle_packet(Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(const Packet& p) override { packets.push_back(p); }
   std::vector<Packet> packets;
 };
 
@@ -58,7 +58,7 @@ TEST(Switch, RoutesByDestination) {
   RecordingHandler sink;
   f.h2.register_flow(7, &sink);
 
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 7, 0, 1000));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 7, 0, 1000)));
   f.sim.run();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.packets[0].tcp.flow_id, 7u);
@@ -67,7 +67,7 @@ TEST(Switch, RoutesByDestination) {
 
 TEST(Switch, CountsUnroutedPackets) {
   StarFixture f;
-  f.h1.send(make_data_packet(f.h1.id(), /*dst=*/99, 7, 0, 1000));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), /*dst=*/99, 7, 0, 1000)));
   f.sim.run();
   EXPECT_EQ(f.sw.unrouted_packets(), 1);
 }
@@ -97,7 +97,7 @@ TEST(Switch, SharedBufferAttachesToAllPorts) {
   RecordingHandler sink;
   h2.register_flow(7, &sink);
   for (int i = 0; i < 10; ++i) {
-    h1.send(make_data_packet(h1.id(), h2.id(), 7, i * 1000, 1000));
+    h1.send(h1.packets().acquire(make_data_packet(h1.id(), h2.id(), 7, i * 1000, 1000)));
   }
   sim.run();
   EXPECT_LT(sink.packets.size(), 10u);
@@ -111,9 +111,9 @@ TEST(Host, DemuxesByFlowId) {
   f.h2.register_flow(1, &flow_a);
   f.h2.register_flow(2, &flow_b);
 
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 100));
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 2, 0, 100));
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 1, 100, 100));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 100)));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 2, 0, 100)));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 1, 100, 100)));
   f.sim.run();
   EXPECT_EQ(flow_a.packets.size(), 2u);
   EXPECT_EQ(flow_b.packets.size(), 1u);
@@ -121,7 +121,7 @@ TEST(Host, DemuxesByFlowId) {
 
 TEST(Host, UnclaimedPacketsAreCounted) {
   StarFixture f;
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 9, 0, 100));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 9, 0, 100)));
   f.sim.run();
   EXPECT_EQ(f.h2.unclaimed_packets(), 1);
 }
@@ -131,7 +131,7 @@ TEST(Host, UnregisterStopsDelivery) {
   RecordingHandler sink;
   f.h2.register_flow(1, &sink);
   f.h2.unregister_flow(1);
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 100));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 100)));
   f.sim.run();
   EXPECT_TRUE(sink.packets.empty());
   EXPECT_EQ(f.h2.unclaimed_packets(), 1);
@@ -144,8 +144,9 @@ TEST(Host, IngressTapsSeeEveryPacketIncludingUnclaimed) {
   RecordingHandler sink;
   f.h2.register_flow(1, &sink);
 
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 1000));
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 99, 0, 500));  // unclaimed
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 1, 0, 1000)));
+  f.h1.send(f.h1.packets().acquire(
+      make_data_packet(f.h1.id(), f.h2.id(), 99, 0, 500)));  // unclaimed
   f.sim.run();
   EXPECT_EQ(tap.count, 2);
   EXPECT_EQ(tap.bytes, 1000 + kHeaderBytes + 500 + kHeaderBytes);
@@ -158,7 +159,7 @@ TEST(Host, MultipleTapsAllInvoked) {
   RecordingTap t2;
   f.h2.add_ingress_tap(&t1);
   f.h2.add_ingress_tap(&t2);
-  f.h1.send(make_data_packet(f.h1.id(), f.h2.id(), 5, 0, 100));
+  f.h1.send(f.h1.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), 5, 0, 100)));
   f.sim.run();
   EXPECT_EQ(t1.count, 1);
   EXPECT_EQ(t2.count, 1);

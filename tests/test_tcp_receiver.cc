@@ -25,7 +25,7 @@ struct ReceiverFixture {
   net::Host local;
 
   struct AckLog final : public net::PacketHandler {
-    void handle_packet(net::Packet p) override { acks.push_back(std::move(p)); }
+    void handle_packet(const net::Packet& p) override { acks.push_back(p); }
     std::vector<net::Packet> acks;
   };
   AckLog ack_log;

@@ -16,7 +16,7 @@ using namespace incast::sim::literals;
 
 class RecordingHandler final : public PacketHandler {
  public:
-  void handle_packet(Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(const Packet& p) override { packets.push_back(p); }
   std::vector<Packet> packets;
 };
 
@@ -41,7 +41,8 @@ TEST(Dumbbell, SenderToReceiverDelivery) {
 
   RecordingHandler sink;
   d.receiver(0).register_flow(5, &sink);
-  d.sender(2).send(make_data_packet(d.sender(2).id(), d.receiver(0).id(), 5, 0, 1460));
+  d.sender(2).send(d.sender(2).packets().acquire(
+      make_data_packet(d.sender(2).id(), d.receiver(0).id(), 5, 0, 1460)));
   sim.run();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(d.sender_tor().unrouted_packets(), 0);
@@ -56,7 +57,8 @@ TEST(Dumbbell, ReverseDelivery) {
 
   RecordingHandler sink;
   d.sender(1).register_flow(9, &sink);
-  d.receiver(0).send(make_ack_packet(d.receiver(0).id(), d.sender(1).id(), 9, 0, false));
+  d.receiver(0).send(d.receiver(0).packets().acquire(
+      make_ack_packet(d.receiver(0).id(), d.sender(1).id(), 9, 0, false)));
   sim.run();
   EXPECT_EQ(sink.packets.size(), 1u);
 }
@@ -80,8 +82,9 @@ TEST(Dumbbell, MeasuredRttMatchesComputedBaseRtt) {
   class Echo final : public PacketHandler {
    public:
     Echo(Host& host, NodeId peer) : host_{host}, peer_{peer} {}
-    void handle_packet(Packet p) override {
-      host_.send(make_ack_packet(host_.id(), peer_, p.tcp.flow_id, 0, false));
+    void handle_packet(const Packet& p) override {
+      host_.send(host_.packets().acquire(
+          make_ack_packet(host_.id(), peer_, p.tcp.flow_id, 0, false)));
     }
 
    private:
@@ -91,7 +94,7 @@ TEST(Dumbbell, MeasuredRttMatchesComputedBaseRtt) {
   class Timer final : public PacketHandler {
    public:
     explicit Timer(Simulator& sim) : sim_{sim} {}
-    void handle_packet(Packet) override { at = sim_.now(); }
+    void handle_packet(const Packet&) override { at = sim_.now(); }
     Time at{};
 
    private:
@@ -103,7 +106,8 @@ TEST(Dumbbell, MeasuredRttMatchesComputedBaseRtt) {
   d.receiver(0).register_flow(1, &echo);
   d.sender(0).register_flow(1, &timer);
 
-  d.sender(0).send(make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, 0, 1460));
+  d.sender(0).send(d.sender(0).packets().acquire(
+      make_data_packet(d.sender(0).id(), d.receiver(0).id(), 1, 0, 1460)));
   sim.run();
 
   const Time expected = d.base_rtt(1500);
