@@ -100,7 +100,7 @@ ChaosRunResult chaos_burst(const ChaosConfig& config, std::uint64_t seed, bool f
   cfg.audit_mode = sim::AuditMode::kStrict;
   cfg.audit.max_events = config.max_events_per_run;
   cfg.audit.max_wall_ms = config.max_wall_ms_per_run;
-  cfg.audit.cancel = config.cancel;
+  cfg.audit.cancel = config.sweep.cancel;
 
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -143,7 +143,7 @@ ChaosRunResult chaos_fleet(const ChaosConfig& config, std::uint64_t seed) {
   cfg.audit_mode = sim::AuditMode::kStrict;
   cfg.audit.max_events = config.max_events_per_run;
   cfg.audit.max_wall_ms = config.max_wall_ms_per_run;
-  cfg.audit.cancel = config.cancel;
+  cfg.audit.cancel = config.sweep.cancel;
 
   char buf[160];
   std::snprintf(buf, sizeof(buf), "service=%s trace=%lldms contention=%lld max_flows=%d",
@@ -167,16 +167,12 @@ std::uint64_t chaos_run_seed(const ChaosConfig& config, std::size_t index) noexc
 }
 
 ChaosReport run_chaos(const ChaosConfig& config) {
+  SweepOptions<ChaosRunResult> options = config;
+  options.sweep.fail_fast = false;  // collect every broken config, never abort the fuzz
+  options.sweep.max_attempts = 1;   // a violation is deterministic; retrying hides nothing
   ChaosReport report;
   report.runs = resumable_sweep<ChaosRunResult>(
-      {.jobs = config.jobs,
-       .sweep = {.fail_fast = false,  // collect every broken config, never abort the fuzz
-                 .max_attempts = 1,   // a violation is deterministic; retrying hides nothing
-                 .on_failure = config.on_failure,
-                 .cancel = config.cancel},
-       .resume = config.resume,
-       .on_result = config.on_result},
-      static_cast<std::size_t>(config.num_configs),
+      options, static_cast<std::size_t>(config.num_configs),
       [&config](std::size_t index) { return chaos_run_seed(config, index); },
       /*hub=*/nullptr,
       [&config](std::size_t, std::uint64_t seed, obs::Hub*) {

@@ -11,9 +11,7 @@
 #ifndef INCAST_CORE_CHAOS_H_
 #define INCAST_CORE_CHAOS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,22 +26,16 @@ struct ChaosRunResult {
   std::uint64_t events_processed{0};
 };
 
-struct ChaosConfig {
+// The sweep options: each generated config is an independent simulation.
+// run_chaos always quarantines, so sweep.fail_fast and sweep.max_attempts
+// are ignored; sweep.cancel also stops every generated run.
+struct ChaosConfig : SweepOptions<ChaosRunResult> {
   std::uint64_t seed{7};
   int num_configs{25};
-  // Workers for the sweep (each generated config is an independent
-  // simulation). Same determinism contract as every other sweep.
-  int jobs{1};
   // Strict-auditor budgets per generated run: a pathological config must
   // fail fast (BudgetExceeded -> quarantined), not hang CI.
   std::uint64_t max_events_per_run{20'000'000};
   double max_wall_ms_per_run{0.0};
-  std::atomic<bool>* cancel{nullptr};
-
-  // Checkpoint/resume hooks, same shape as the other experiments.
-  ResumeHook<ChaosRunResult> resume{};
-  ResultHook<ChaosRunResult> on_result{};
-  std::function<void(const sim::TaskFailure&)> on_failure{};
 };
 
 struct ChaosReport {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/run_harness.h"
@@ -148,10 +146,6 @@ std::vector<HostTraceResult> FleetExperiment::run_all() const {
       },
       config_.hub,
       [this, cell](std::size_t index, std::uint64_t, obs::Hub* hub) {
-        if (static_cast<int>(index) == config_.fail_cell_for_test) {
-          throw std::runtime_error{"forced failure (fail_cell_for_test) at cell " +
-                                   std::to_string(index)};
-        }
         const auto [host, snapshot] = cell(index);
         return run_host_trace(host, snapshot, hub);
       },

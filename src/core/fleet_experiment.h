@@ -74,11 +74,6 @@ struct FleetConfig : AuditOptions, SweepOptions<HostTraceResult> {
   // Borrowed observability hub; run_all() hands it to cell 0, (host 0,
   // snapshot 0), alone.
   obs::Hub* hub{nullptr};
-
-  // Test hook: the cell at this sweep index (snapshot * num_hosts + host)
-  // throws instead of running, exercising the sweep layer's fault
-  // isolation. -1 (the default) disables.
-  int fail_cell_for_test{-1};
 };
 
 struct HostTraceResult {

@@ -93,9 +93,8 @@ void print_header(const std::string& experiment_id, const std::string& caption,
 void print_sweep_stats(const sim::SweepRunner::RunStats& stats, std::size_t max_task_rows,
                        std::FILE* out) {
   std::fprintf(out,
-               "sweep: %zu task(s) on %d job(s) in %.2f ms — %.0f events/s, %llu steal(s)\n",
-               stats.tasks.size(), stats.jobs, stats.wall_ms, stats.events_per_second(),
-               static_cast<unsigned long long>(stats.steals));
+               "sweep: %zu task(s) on %d job(s) in %.2f ms — %.0f events/s\n",
+               stats.tasks.size(), stats.jobs, stats.wall_ms, stats.events_per_second());
   if (stats.slab_high_water > 0) {
     std::fprintf(out,
                  "event kernel: peak %llu pending, slab high-water %llu slot(s)\n",

@@ -56,9 +56,9 @@ void print_header(const std::string& experiment_id, const std::string& caption,
                   std::FILE* out = stdout);
 
 // Prints a parallel sweep's timing: jobs, wall time, aggregate events/sec,
-// work-stealing count, and per-task wall-time/events rows (collapsed to a
-// min/mean/max summary above `max_task_rows` tasks). Wall times are the one
-// deliberately non-deterministic output; everything they describe is not.
+// and per-task wall-time/events rows (collapsed to a min/mean/max summary
+// above `max_task_rows` tasks). Wall times are the one deliberately
+// non-deterministic output; everything they describe is not.
 void print_sweep_stats(const sim::SweepRunner::RunStats& stats,
                        std::size_t max_task_rows = 32, std::FILE* out = stdout);
 

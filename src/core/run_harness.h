@@ -167,7 +167,8 @@ void record_task_stats(const Result& result, sim::SweepRunner::TaskStats& stats)
 }
 
 // Runs `n` independent points on a SweepRunner as `options` says. Point i
-// replays the result options.resume holds for it; otherwise
+// replays the result options.resume holds for it, leaving its TaskStats
+// figures at zero (this process simulated nothing for it); otherwise
 // run(i, seed_of(i), hub) simulates it and options.on_result records it.
 // seed_of(i) is also the seed a failure record of point i carries. Point 0
 // alone receives `hub`, every other point nullptr: worker threads must not
@@ -182,11 +183,11 @@ std::vector<Result> resumable_sweep(const SweepOptions<Result>& options, std::si
   std::vector<Result> results = runner.run<Result>(
       n, [&](std::size_t index, sim::SweepRunner::TaskStats& stats) {
         Result result;
-        const bool replayed = options.resume && options.resume(index, result);
+        if (options.resume && options.resume(index, result)) return result;
         const std::uint64_t seed = seed_of(index);
-        if (!replayed) result = run(index, seed, index == 0 ? hub : nullptr);
+        result = run(index, seed, index == 0 ? hub : nullptr);
         record_task_stats(result, stats);
-        if (!replayed && options.on_result) options.on_result(index, seed, result);
+        if (options.on_result) options.on_result(index, seed, result);
         return result;
       });
   sweep = runner.last_run();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -86,21 +85,6 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// One worker's task queue. The owner pops from the front (processing its
-// share in rough index order, which keeps memory hot for adjacent grid
-// cells); thieves steal from the back, minimizing contention with the
-// owner. A plain mutex per deque is ample here: tasks are whole
-// simulations (milliseconds to seconds each), so queue operations are
-// vanishingly rare next to task work.
-struct WorkerDeque {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;
-};
-
-}  // namespace
-
-namespace {
-
 // Maps a task's exception onto the failure taxonomy, extracting the message.
 FailureCategory classify_failure(const std::exception_ptr& ep, std::string& message) {
   try {
@@ -133,30 +117,32 @@ void SweepRunner::execute(std::size_t n,
   if (n == 0) return;
 
   const auto sweep_start = Clock::now();
+  const int max_attempts = policy_.fail_fast ? 1 : std::max(policy_.max_attempts, 1);
+
+  // Workers claim task indices in order from one shared counter. Tasks are
+  // whole simulations (milliseconds to seconds each), so one atomic
+  // increment per task is vanishingly rare next to task work, and a worker
+  // that finishes early simply claims the next index.
+  std::atomic<std::size_t> next_index{0};
+  // Set under fail_fast by the first recorded failure: no task starts
+  // after it.
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> retries{0};
+  // Serializes the failure list, the on_failure callback and first_error.
+  std::mutex failures_mu;
+  std::vector<TaskFailure> failures;
+  std::exception_ptr first_error;
 
   auto cancelled = [this] {
     return policy_.cancel != nullptr &&
            policy_.cancel->load(std::memory_order_relaxed);
   };
 
-  auto run_one = [&](std::size_t index, int worker) {
+  // Runs one task to success or to its last attempt. A failure on the last
+  // attempt is recorded; under fail_fast it also stops all claiming, and
+  // the first one is rethrown after the join.
+  auto run_task = [&](std::size_t index, int worker) {
     TaskStats& st = stats_.tasks[index];
-    st.worker = worker;
-    st.attempts = 1;
-    const auto t0 = Clock::now();
-    task(index, st);
-    st.wall_ms = ms_between(t0, Clock::now());
-  };
-
-  // Quarantine machinery (fail_fast off): retries, the failure list, and
-  // the mutex serializing record + on_failure callback.
-  std::atomic<std::uint64_t> retries{0};
-  std::mutex failures_mu;
-  std::vector<TaskFailure> failures;
-
-  auto run_quarantined = [&](std::size_t index, int worker) {
-    TaskStats& st = stats_.tasks[index];
-    const int max_attempts = std::max(policy_.max_attempts, 1);
     for (int attempt = 1;; ++attempt) {
       // Each attempt starts from clean stats — a partial failed attempt
       // must not leak event counts into the successful one.
@@ -184,104 +170,39 @@ void SweepRunner::execute(std::size_t n,
         failure.category = category;
         failure.message = std::move(message);
         failure.attempts = attempt;
-        {
-          std::lock_guard<std::mutex> lock(failures_mu);
-          if (policy_.on_failure) policy_.on_failure(failure);
-          failures.push_back(std::move(failure));
+        std::lock_guard<std::mutex> lock(failures_mu);
+        if (policy_.fail_fast) {
+          stop.store(true);
+          if (!first_error) first_error = std::current_exception();
         }
+        if (policy_.on_failure) policy_.on_failure(failure);
+        failures.push_back(std::move(failure));
         return;
       }
     }
   };
 
-  if (jobs_ == 1 || n == 1) {
-    // Inline sequential path: no threads, no synchronization — exactly the
-    // historical behavior of the callers this class replaced.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancelled()) {
-        stats_.tasks_not_run = n - i;
-        break;
-      }
-      if (policy_.fail_fast) {
-        run_one(i, 0);
-      } else {
-        run_quarantined(i, 0);
-      }
+  // A claimed index the worker does not run stays at attempts == 0 and is
+  // counted as not run after the join.
+  auto worker_loop = [&](int worker) {
+    for (;;) {
+      const std::size_t index = next_index.fetch_add(1);
+      if (index >= n || cancelled() || stop.load()) return;
+      run_task(index, worker);
     }
-  } else {
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(jobs_), n));
-    std::vector<WorkerDeque> deques(static_cast<std::size_t>(workers));
-    // Round-robin initial distribution: worker w starts with tasks
-    // w, w+workers, w+2*workers, ... so every worker begins with work and
-    // stealing only happens once load skews.
-    for (std::size_t i = 0; i < n; ++i) {
-      deques[i % static_cast<std::size_t>(workers)].tasks.push_back(i);
-    }
+  };
 
-    std::atomic<std::uint64_t> steals{0};
-    std::mutex error_mu;
-    std::exception_ptr first_error;
+  // The calling thread is worker 0; jobs == 1 spawns no thread at all.
+  const int workers =
+      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(jobs_), n));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(workers) - 1);
+  for (int w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
+  worker_loop(0);
+  for (auto& t : threads) t.join();
 
-    auto worker_loop = [&](int me) {
-      for (;;) {
-        // Cooperative cancellation: stop picking up new work; whatever is
-        // left in the deques is counted as not run after the join.
-        if (cancelled()) return;
-        std::size_t index = 0;
-        bool found = false;
-        {
-          // Own deque first, front pop.
-          WorkerDeque& mine = deques[static_cast<std::size_t>(me)];
-          std::lock_guard<std::mutex> lock(mine.mu);
-          if (!mine.tasks.empty()) {
-            index = mine.tasks.front();
-            mine.tasks.pop_front();
-            found = true;
-          }
-        }
-        if (!found) {
-          // Steal from the back of the first non-empty victim. Tasks never
-          // spawn tasks, so once every deque is empty there is no more work
-          // and the worker can retire.
-          for (int v = 1; v < workers && !found; ++v) {
-            WorkerDeque& victim = deques[static_cast<std::size_t>((me + v) % workers)];
-            std::lock_guard<std::mutex> lock(victim.mu);
-            if (!victim.tasks.empty()) {
-              index = victim.tasks.back();
-              victim.tasks.pop_back();
-              found = true;
-              steals.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-        if (!found) return;
-        if (policy_.fail_fast) {
-          try {
-            run_one(index, me);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        } else {
-          run_quarantined(index, me);
-        }
-      }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
-    worker_loop(0);  // the calling thread is worker 0
-    for (auto& t : threads) t.join();
-
-    for (const WorkerDeque& d : deques) stats_.tasks_not_run += d.tasks.size();
-    stats_.steals = steals.load(std::memory_order_relaxed);
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  // Quarantine bookkeeping: failures sorted by index so the output is
-  // deterministic regardless of which worker recorded what first.
+  // Failures sorted by index so the output is deterministic regardless of
+  // which worker recorded what first.
   std::sort(failures.begin(), failures.end(),
             [](const TaskFailure& a, const TaskFailure& b) { return a.index < b.index; });
   stats_.failures = std::move(failures);
@@ -290,6 +211,7 @@ void SweepRunner::execute(std::size_t n,
   stats_.wall_ms = ms_between(sweep_start, Clock::now());
   stats_.peak_rss_bytes = peak_rss_bytes_now();
   for (const TaskStats& st : stats_.tasks) {
+    if (st.attempts == 0) ++stats_.tasks_not_run;
     stats_.total_events += st.events;
     for (std::size_t c = 0; c < kNumEventCategories; ++c) {
       stats_.events_by_category[c] += st.events_by_category[c];
@@ -298,6 +220,7 @@ void SweepRunner::execute(std::size_t n,
         std::max(stats_.peak_events_pending, st.peak_events_pending);
     stats_.slab_high_water = std::max(stats_.slab_high_water, st.slab_high_water);
   }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace incast::sim

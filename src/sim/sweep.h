@@ -1,5 +1,4 @@
-// SweepRunner: a work-stealing thread pool for embarrassingly parallel
-// simulation sweeps.
+// SweepRunner: a thread pool for embarrassingly parallel simulation sweeps.
 //
 // Every Section 3/4 reproduction runs a grid of fully independent
 // simulations — (host, snapshot) fleet traces, fault-sweep points, service
@@ -14,11 +13,13 @@
 //    single-writer-per-task invariant (docs/PARALLELISM.md) means workers
 //    share nothing but the immutable config and their own result slot.
 //
-// jobs == 1 runs every task inline on the calling thread with no pool at
-// all, reproducing the historical sequential behavior exactly.
+// Workers claim task indices in order from one shared atomic counter; the
+// calling thread is worker 0, so jobs == 1 runs every task inline in index
+// order with no thread spawned.
 //
 // Fault isolation (Policy): by default a task's exception aborts the sweep
-// (fail_fast — the historical behavior). With fail_fast off, a failing
+// (fail_fast): no task starts after the failure is recorded, and the error
+// is rethrown once the in-flight tasks finish. With fail_fast off, a failing
 // task is retried up to max_attempts times with the same seed, then
 // quarantined: its failure is recorded as a structured TaskFailure in
 // RunStats::failures and every other task still runs to completion. A
@@ -71,8 +72,9 @@ struct TaskFailure {
 // Fault isolation for a sweep. The default reproduces the historical
 // behavior exactly: first failure aborts the run.
 struct SweepPolicy {
-  // true: the first task exception is rethrown from run() (after the
-  // pool drains). false: failing tasks are quarantined into
+  // true: the first task failure is recorded, stops every worker from
+  // starting another task, and is rethrown from run() once the in-flight
+  // tasks finish. false: failing tasks are quarantined into
   // RunStats::failures and the rest of the sweep completes.
   bool fail_fast{true};
 
@@ -81,7 +83,7 @@ struct SweepPolicy {
   // as wall-budget noise; deterministic failures fail identically).
   int max_attempts{1};
 
-  // Observes each quarantine as it happens (journal append, log line).
+  // Observes each recorded failure as it happens (journal append, log line).
   // Called under an internal mutex: keep it cheap and do not call back
   // into the runner.
   std::function<void(const TaskFailure&)> on_failure;
@@ -122,7 +124,6 @@ class SweepRunner {
     int jobs{1};
     double wall_ms{0.0};          // whole-sweep wall time
     std::uint64_t total_events{0};
-    std::uint64_t steals{0};      // tasks a worker took from another's deque
     // Sum of per-task category counts across the sweep.
     EventCategoryCounts events_by_category{};
     // Max over tasks: the deepest any task's event kernel ran. Sizes
@@ -131,9 +132,10 @@ class SweepRunner {
     std::uint64_t slab_high_water{0};
     std::vector<TaskStats> tasks; // indexed by task index
 
-    // Quarantined tasks, sorted by index (empty under fail_fast or when
-    // every task succeeded), total retry attempts beyond the first try,
-    // and tasks never started because cancellation was observed first.
+    // Failed tasks, sorted by index (under fail_fast, the first failure and
+    // any in-flight task that failed with it), total retry attempts beyond
+    // the first try, and tasks never started because cancellation or a
+    // fail_fast failure was observed first.
     std::vector<TaskFailure> failures;
     std::uint64_t retries{0};
     std::uint64_t tasks_not_run{0};
@@ -167,10 +169,10 @@ class SweepRunner {
   // threads for distinct indices and must not touch shared mutable state
   // (give each task its own Simulator/Rng seeded via derive_task_seed).
   // Under fail_fast (the default) the first exception thrown by any task is
-  // rethrown here after all workers have drained; otherwise failing tasks
-  // leave a default-constructed Result at their index and a TaskFailure in
-  // last_run().failures — callers must consult failed(index) before using a
-  // result.
+  // rethrown here after the in-flight tasks finish, with last_run() already
+  // complete; otherwise failing tasks leave a default-constructed Result at
+  // their index and a TaskFailure in last_run().failures — callers must
+  // consult failed(index) before using a result.
   template <typename Result, typename Fn>
   std::vector<Result> run(std::size_t n, Fn&& fn) {
     std::vector<Result> results(n);
@@ -184,8 +186,8 @@ class SweepRunner {
   [[nodiscard]] const RunStats& last_run() const noexcept { return stats_; }
 
  private:
-  // Type-erased core: distributes indices over worker deques, runs the
-  // pool, times each task, and records stats_.
+  // Type-erased core: runs the claim loop on every worker, times each
+  // task, and records stats_.
   void execute(std::size_t n, const std::function<void(std::size_t, TaskStats&)>& task);
 
   int jobs_;

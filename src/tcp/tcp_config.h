@@ -24,9 +24,6 @@ struct TcpConfig {
   int ack_every_n_segments{2};
   sim::Time delayed_ack_timeout{sim::Time::microseconds(500)};
 
-  // Number of duplicate ACKs that triggers fast retransmit (RFC 5681).
-  int dupack_threshold{3};
-
   // Selective acknowledgments (RFC 2018 blocks from the receiver, an
   // RFC 6675-style scoreboard and hole retransmission at the sender).
   // On by default, as in Linux and ns-3.
@@ -44,8 +41,7 @@ struct TcpConfig {
   // makes Mode 3's ~200 ms completion times; ablation A8 measures how much
   // of Mode 3 survives on a TLP-enabled stack (as modern kernels are).
   bool tail_loss_probe{false};
-  // PTO = max(pto_srtt_multiplier * SRTT, min_pto).
-  double pto_srtt_multiplier{2.0};
+  // PTO = max(2 * SRTT, min_pto).
   sim::Time min_pto{sim::Time::milliseconds(1)};
 
   // If true, an idle period longer than the RTO collapses cwnd back to the

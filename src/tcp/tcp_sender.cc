@@ -10,6 +10,10 @@ namespace incast::tcp {
 
 namespace {
 constexpr int kMaxRtoBackoff = 10;  // cap 2^10 on the exponential backoff
+// Duplicate ACKs that trigger fast retransmit: RFC 5681's DupThresh of 3.
+constexpr int kDupAckThreshold = 3;
+// The tail loss probe fires after 2 * SRTT without an ACK (RFC 8985's PTO).
+constexpr double kPtoSrttMultiplier = 2.0;
 }
 
 TcpSender::TcpSender(sim::Simulator& sim, net::Host& local, net::NodeId remote,
@@ -336,8 +340,8 @@ void TcpSender::on_duplicate_ack(bool ece, const net::IntStack* int_stack) {
   // RFC 6675-style early entry: three duplicate ACKs, or SACK evidence of
   // at least DupThresh segments having left the network.
   const bool sack_loss = config_.sack_enabled &&
-                         sacked_bytes_ >= config_.dupack_threshold * config_.mss_bytes;
-  if (!in_recovery_ && (dup_acks_ >= config_.dupack_threshold || sack_loss)) {
+                         sacked_bytes_ >= kDupAckThreshold * config_.mss_bytes;
+  if (!in_recovery_ && (dup_acks_ >= kDupAckThreshold || sack_loss)) {
     enter_recovery();
   } else if (in_recovery_) {
     // Each duplicate ACK signals a departure; keep filling holes while the
@@ -480,7 +484,7 @@ void TcpSender::arm_tlp() {
   cancel_tlp();
   const sim::Time srtt =
       rtt_.has_sample() ? rtt_.srtt() : rtt_.config().initial_rto;
-  sim::Time pto = srtt * config_.pto_srtt_multiplier;
+  sim::Time pto = srtt * kPtoSrttMultiplier;
   if (pto < config_.min_pto) pto = config_.min_pto;
   tlp_timer_ = sim_.schedule_in_keyed(pto, local_.next_event_key(), [this] {
     tlp_timer_ = sim::kInvalidEventId;

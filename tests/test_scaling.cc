@@ -151,12 +151,11 @@ core::ScalingConfig small_ladder() {
 // Committed fingerprint of scaling_csv(small_ladder()) — regenerate with a
 // jobs=1 run and update deliberately when the experiment's math or CSV
 // schema changes; an unexplained move is a determinism regression.
-// Last move: packets travel by handle in one pool per event loop, so
-// packet_pool_bytes is that pool's high water, which now counts queued
-// packets too, times sizeof(net::Packet), which shrank from 392 to 192 bytes
-// when the INT stack moved to a side pool. Only packet_pool_bytes and
-// bytes_per_flow changed.
-constexpr std::uint64_t kScalingGoldenFnv = 0x18361b62e2700c77ULL;
+// Last move: tcp::TcpConfig lost its dupack_threshold and
+// pto_srtt_multiplier fields (now constants in tcp_sender.cc), so every
+// sender's copy of the config is 16 bytes smaller. Only flow_state_bytes
+// and bytes_per_flow changed.
+constexpr std::uint64_t kScalingGoldenFnv = 0xabb5db4fb379154eULL;
 
 TEST(ScalingSweepDeterminism, CsvIsByteIdenticalAcrossJobCountsAndMatchesGolden) {
   core::ScalingConfig cfg = small_ladder();

@@ -2,6 +2,7 @@
 // --jobs value must produce byte-identical experiment output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
@@ -215,6 +216,43 @@ TEST(SweepDeterminism, FleetSweepStatsCoverEveryTask) {
   EXPECT_EQ(sweep.tasks.size(), 6u);  // 3 hosts x 2 snapshots
   EXPECT_GT(sweep.total_events, 0u);
   for (const auto& task : sweep.tasks) EXPECT_GT(task.events, 0u);
+}
+
+// A resumed sweep's footer counts only what this process simulated: a
+// replayed point's result comes from the journal, its TaskStats stay zero.
+TEST(SweepResume, ReplayedPointsAddNoEventsToTheSweepStats) {
+  core::FleetConfig cfg = small_fleet_config();
+  cfg.trace_duration = 40_ms;
+  const auto fresh = core::FleetExperiment{cfg}.run_all();
+
+  for (const int jobs : {1, 4}) {
+    cfg.jobs = jobs;
+    cfg.resume = [&fresh](std::size_t index, core::HostTraceResult& out) {
+      if (index % 2 != 0) return false;
+      out = fresh[index];
+      return true;
+    };
+    core::FleetExperiment exp{cfg};
+    const auto results = exp.run_all();
+    const auto& sweep = exp.last_sweep();
+
+    std::uint64_t fresh_events = 0;
+    std::uint64_t fresh_peak = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].events_processed, fresh[i].events_processed) << "cell " << i;
+      if (i % 2 == 0) {
+        EXPECT_EQ(sweep.tasks[i].events, 0u) << "replayed cell " << i;
+        EXPECT_EQ(sweep.tasks[i].peak_events_pending, 0u);
+        EXPECT_EQ(sweep.tasks[i].slab_high_water, 0u);
+      } else {
+        fresh_events += fresh[i].events_processed;
+        fresh_peak = std::max(fresh_peak, fresh[i].peak_events_pending);
+      }
+    }
+    EXPECT_GT(fresh_events, 0u);
+    EXPECT_EQ(sweep.total_events, fresh_events) << "jobs=" << jobs;
+    EXPECT_EQ(sweep.peak_events_pending, fresh_peak);
+  }
 }
 
 }  // namespace

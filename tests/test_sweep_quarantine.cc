@@ -62,6 +62,49 @@ TEST(SweepQuarantine, FailFastStillRethrows) {
                std::runtime_error);
 }
 
+TEST(SweepQuarantine, FailFastStopsClaimingOnceTheFailureIsRecorded) {
+  constexpr std::size_t kTasks = 32;
+  for (const int jobs : {1, 4}) {
+    std::atomic<int> ran{0};
+    std::atomic<int> in_flight{0};
+    std::atomic<bool> recorded{false};
+    std::atomic<int> started_after_record{0};
+    SweepRunner runner{jobs};
+    SweepRunner::Policy policy;  // fail_fast, the default
+    policy.on_failure = [&recorded](const TaskFailure&) { recorded.store(true); };
+    runner.set_policy(policy);
+    try {
+      runner.run<int>(kTasks, [&](std::size_t index, SweepRunner::TaskStats&) -> int {
+        if (recorded.load()) started_after_record.fetch_add(1);
+        ran.fetch_add(1);
+        if (index == 0) {
+          // Fail once every other worker holds a task, so exactly those are
+          // in flight when the failure is recorded.
+          while (in_flight.load() < jobs - 1) std::this_thread::yield();
+          throw std::runtime_error{"task 0 failed"};
+        }
+        in_flight.fetch_add(1);
+        while (!recorded.load()) std::this_thread::yield();
+        return 0;
+      });
+      ADD_FAILURE() << "no exception at jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 0 failed");
+    }
+    const auto& stats = runner.last_run();
+    EXPECT_EQ(started_after_record.load(), 0) << "jobs=" << jobs;
+    EXPECT_EQ(ran.load(), jobs);
+    EXPECT_EQ(static_cast<std::size_t>(ran.load()) + stats.tasks_not_run, kTasks);
+    // last_run() is complete although run() threw.
+    ASSERT_EQ(stats.tasks.size(), kTasks);
+    ASSERT_EQ(stats.failures.size(), 1u);
+    EXPECT_EQ(stats.failures[0].index, 0u);
+    EXPECT_EQ(stats.failures[0].message, "task 0 failed");
+    EXPECT_EQ(stats.tasks[0].attempts, 1);
+    EXPECT_GT(stats.wall_ms, 0.0);
+  }
+}
+
 TEST(SweepQuarantine, RetriesTransientFailuresBeforeQuarantine) {
   // One task fails on its first attempt only; with max_attempts=2 the sweep
   // ends clean but records the retry.
@@ -193,7 +236,11 @@ TEST(SweepQuarantine, FleetPoisonedCellDoesNotPerturbHealthyCells) {
 
   for (const int jobs : {1, 4, 16}) {
     auto cfg = small_fleet(jobs);
-    cfg.fail_cell_for_test = 4;
+    // A throwing on_result hook fails its task just as a throwing
+    // simulation would.
+    cfg.on_result = [](std::size_t index, std::uint64_t, const core::HostTraceResult&) {
+      if (index == 4) throw std::runtime_error{"poisoned cell 4"};
+    };
     cfg.sweep.fail_fast = false;  // quarantine instead of aborting the sweep
     core::FleetExperiment exp{cfg};
 

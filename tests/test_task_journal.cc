@@ -112,7 +112,6 @@ TEST(TaskJournalFingerprint, StableForIdenticalConfigsSensitiveToKnobs) {
   c.jobs = 16;
   c.sweep.fail_fast = false;
   c.sweep.max_attempts = 5;
-  c.fail_cell_for_test = 3;
   EXPECT_EQ(fnv1a(canonical_config(a)), fnv1a(canonical_config(c)));
 }
 

@@ -3,7 +3,7 @@
 // Subcommands:
 //
 //   incast_sim burst [--flows 500] [--duration 15ms] [--bursts 11]
-//                    [--cc dctcp|reno|reno-ecn|cubic|swift|hpcc]
+//                    [--cc dctcp|reno|reno-ecn|cubic|swift|hpcc|dcqcn]
 //                    [--ecn-threshold 65] [--queue 1333] [--gap 10ms]
 //                    [--min-rto 200ms] [--cwnd-cap-mss 0] [--tlp]
 //                    [--schedule completion|period] [--seed 1]
@@ -78,11 +78,11 @@
 //       single-queue engine). Incompatible with the per-event observers
 //       (--flow-trace / --trace-out / --flight-recorder).
 //
-//   --jobs N (fleet, faults, collateral, scaling) runs the independent simulations of a sweep on
-//   N worker threads (work-stealing; default: all hardware threads). Seeds
-//   derive from (base seed, task index), so any N — including --jobs 1,
-//   which reproduces the historical sequential behavior — yields
-//   byte-identical results.
+//   --jobs N (faults, fleet, collateral, scaling, chaos; 0..1024) runs the
+//   independent simulations of a sweep on N worker threads, each claiming
+//   the next point in index order (default 0: all hardware threads; 1 runs
+//   every point on the main thread). Seeds derive from (base seed, task
+//   index), so any N yields byte-identical results.
 //
 //   incast_sim trace --input trace.csv [--line-rate 10Gbps]
 //       Runs the burst detector on a previously exported trace.
@@ -111,7 +111,8 @@
 //     --max-events N              per-simulation event budget (0 = none)
 //     --max-wall-ms MS            per-simulation wall-clock budget (0 = none)
 //
-//   Sweep fault-isolation flags (faults, fleet, collateral, scaling, chaos):
+//   Sweep fault-isolation flags (faults, fleet, collateral, scaling; chaos
+//   takes --journal only and always quarantines):
 //     --fail-fast                 abort the whole sweep on the first task
 //                                 failure (historical behavior). Default:
 //                                 quarantine the failing point, retry it
@@ -164,7 +165,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -235,6 +235,12 @@ int finish(core::CliArgs& args) {
   args.reject_unknown();
   for (const auto& err : args.errors()) std::fprintf(stderr, "error: %s\n", err.c_str());
   return args.errors().empty() ? 0 : 2;
+}
+
+// --jobs, the one declaration of the sweep subcommands' worker count:
+// 0 (the default) means every hardware thread.
+int parse_jobs(core::CliArgs& args) {
+  return static_cast<int>(args.int_or("jobs", 0, 0, 1024));
 }
 
 // Splits "a,b,c" into fields; empty input yields an empty list.
@@ -425,6 +431,7 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
 // mode and budgets, plus (for sweeps) quarantine/retry and the checkpoint
 // journal. Must run before finish(args) so the flags are consumed.
 struct HardeningCli : core::AuditOptions {
+  int jobs{0};
   std::string journal_path;
   bool fail_fast{false};
   int max_attempts{2};
@@ -441,6 +448,7 @@ struct HardeningCli : core::AuditOptions {
     audit.max_wall_ms = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
     audit.cancel = &g_cancel;
     if (sweep_flags) {
+      jobs = parse_jobs(args);
       journal_path = args.get_or("journal", "");
       fail_fast = args.bool_or("fail-fast", false);
       max_attempts = 1 + static_cast<int>(args.int_or("retries", 1, 0, 16));
@@ -448,8 +456,11 @@ struct HardeningCli : core::AuditOptions {
     return true;
   }
 
-  [[nodiscard]] sim::SweepPolicy policy() const {
-    return {.fail_fast = fail_fast, .max_attempts = max_attempts, .cancel = &g_cancel};
+  // Hands --jobs and the sweep policy to a sweep config.
+  template <typename Result>
+  void apply_sweep(core::SweepOptions<Result>& options) const {
+    options.jobs = jobs;
+    options.sweep = {.fail_fast = fail_fast, .max_attempts = max_attempts, .cancel = &g_cancel};
   }
 };
 
@@ -470,40 +481,39 @@ struct SharedFlags {
     return finish(args);
   }
 
-  // Hands the parsed hub, auditor settings, sweep policy and tracer to an
-  // experiment config.
+  // Hands the parsed hub, auditor settings, --jobs, sweep policy and tracer
+  // to an experiment config.
   template <typename Config>
   void apply(Config& cfg) const {
     cfg.hub = obs.hub.get();
     static_cast<core::AuditOptions&>(cfg) = hard;
-    if constexpr (requires { cfg.sweep; }) cfg.sweep = hard.policy();
+    if constexpr (requires { cfg.sweep; }) hard.apply_sweep(cfg);
     if constexpr (std::is_base_of_v<core::FlowTraceOptions, Config>) {
       static_cast<core::FlowTraceOptions&>(cfg) = ft;
     }
   }
 };
 
-// Wires a sweep to --journal (no-op without one): opens the journal,
-// refusing one a different run wrote; prints the resume banner ("resuming,
-// k/N <progress>"); records every failure and fresh result; and replays
-// completed tasks instead of re-running them — except task 0 when
-// `rerun_first`, because it owns output the journal does not hold (an
-// exported trace, the hub's trace and metrics). Determinism makes that
-// re-run exact.
+// Wires the `tasks`-point sweep of `command` to --journal (no-op without
+// one): opens the journal under cfg's fingerprint, refusing one a different
+// run wrote; prints the resume banner ("resuming, k/N <progress>"); records
+// every failure and fresh result; and replays completed tasks instead of
+// re-running them — except task 0 when `rerun_first`, because it owns
+// output the journal does not hold (an exported trace, the hub's trace and
+// metrics). Determinism makes that re-run exact. Call once cfg is final.
 template <typename Config, typename Result>
-void journaled_sweep(core::TaskJournal& journal, const std::string& path,
-                     const core::JournalHeader& header, const char* progress,
-                     bool rerun_first, Config& cfg,
-                     std::function<void(const sim::TaskFailure&)>& on_failure,
+void journaled_sweep(core::TaskJournal& journal, const std::string& path, const char* command,
+                     std::size_t tasks, const char* progress, bool rerun_first, Config& cfg,
                      Result (*decode)(const core::Json&)) {
   if (path.empty()) return;
+  const core::JournalHeader header{command, core::fnv1a(core::canonical_config(cfg)), tasks};
   journal.open(path, header);
   if (journal.completed_count() > 0) {
     std::printf("journal %s: resuming, %zu/%llu %s\n", journal.path().c_str(),
                 journal.completed_count(), static_cast<unsigned long long>(header.tasks),
                 progress);
   }
-  on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
+  cfg.sweep.on_failure = [&journal](const sim::TaskFailure& f) { journal.record_failure(f); };
   cfg.resume = [&journal, rerun_first, decode](std::size_t index, Result& out) {
     if (index == 0 && rerun_first) return false;
     const core::Json* payload = journal.payload(index);
@@ -721,7 +731,6 @@ int run_faults(core::CliArgs& args) {
   cfg.fault_template.ge_bad_to_good = args.double_or("ge-r", 0.1, 0.0, 1.0);
   cfg.fault_template.ge_drop_bad = args.double_or("ge-loss-bad", 1.0, 0.0, 1.0);
   cfg.fault_template.ge_drop_good = args.double_or("ge-loss-good", 0.0, 0.0, 1.0);
-  cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   SharedFlags flags;
   if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
     return rc;
@@ -729,15 +738,13 @@ int run_faults(core::CliArgs& args) {
   // Only the baseline is observed: it runs before the sweep, whose points
   // get no hub.
   flags.apply(cfg.base);
-  cfg.sweep = flags.hard.policy();
+  flags.hard.apply_sweep(cfg);
 
   const std::size_t n_points = cfg.drop_rates.size() + cfg.flap_durations.size();
   core::TaskJournal journal;
-  journaled_sweep(journal, flags.hard.journal_path,
-                  {"faults", core::fnv1a(core::canonical_config(cfg)), n_points},
+  journaled_sweep(journal, flags.hard.journal_path, "faults", n_points,
                   "point(s) already complete (the baseline always re-runs)",
-                  /*rerun_first=*/false, cfg, cfg.sweep.on_failure,
-                  core::resilience_point_from_payload);
+                  /*rerun_first=*/false, cfg, core::resilience_point_from_payload);
 
   std::printf("faults: %d-flow %s incast, baseline + %zu fault point(s) (seed %llu)\n",
               cfg.base.num_flows, cc_name.c_str(), n_points,
@@ -929,7 +936,6 @@ int run_fleet(core::CliArgs& args) {
     return 2;
   }
   const std::string csv_path = args.get_or("export-csv", "");
-  cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   SharedFlags flags;
   if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
     return rc;
@@ -943,12 +949,10 @@ int run_fleet(core::CliArgs& args) {
   // Cell 0 is the observed/exported cell: its Millisampler bins and any
   // trace/metrics output are not journaled, so it always re-runs.
   core::TaskJournal journal;
-  journaled_sweep(journal, flags.hard.journal_path,
-                  {"fleet", core::fnv1a(core::canonical_config(cfg)), n_cells},
+  journaled_sweep(journal, flags.hard.journal_path, "fleet", n_cells,
                   "cell(s) already complete (cell 0 always re-runs: it owns the exported "
                   "trace)",
-                  /*rerun_first=*/true, cfg, cfg.sweep.on_failure,
-                  core::host_trace_from_payload);
+                  /*rerun_first=*/true, cfg, core::host_trace_from_payload);
 
   std::printf("fleet: %d host(s) x %d snapshot(s) of '%s', %s traces\n", cfg.num_hosts,
               cfg.num_snapshots, service.c_str(), cfg.trace_duration.to_string().c_str());
@@ -1057,7 +1061,6 @@ int run_collateral(core::CliArgs& args) {
       args.int_or("victim-cwnd-cap", cfg.victim_cwnd_cap_bytes, 0, 1'000'000'000);
   cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(30), 1_ns);
   cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
 
   const auto cc = parse_cc("cc", args.get_or("cc", "dctcp"));
@@ -1077,10 +1080,9 @@ int run_collateral(core::CliArgs& args) {
   const std::size_t n_points = cfg.modes.size() * cfg.degrees.size();
   // Point 0 feeds the hub when observability is on: it always re-runs.
   core::TaskJournal journal;
-  journaled_sweep(journal, flags.hard.journal_path,
-                  {"collateral", core::fnv1a(core::canonical_config(cfg)), n_points},
+  journaled_sweep(journal, flags.hard.journal_path, "collateral", n_points,
                   "point(s) already complete", /*rerun_first=*/cfg.hub != nullptr, cfg,
-                  cfg.sweep.on_failure, core::collateral_point_from_payload);
+                  core::collateral_point_from_payload);
 
   std::printf("collateral: victim flow vs %d x %s incast bursts, %zu mode(s) x %zu "
               "degree(s) (seed %llu)\n",
@@ -1142,7 +1144,6 @@ int run_scaling(core::CliArgs& args) {
   cfg.bytes_per_flow = args.int_or("bytes", cfg.bytes_per_flow, 1, 1'000'000'000);
   cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(120), 1_ns);
   cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
   // --domains absent: the legacy single-queue engine (byte-identical to
   // every release before the parallel engine). --domains 0: the windowed
   // domain engine, one domain per hardware thread. --domains N: N domains.
@@ -1159,6 +1160,7 @@ int run_scaling(core::CliArgs& args) {
   if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/true); rc != 0) {
     return rc;
   }
+  flags.apply(cfg);
   if (domains_given) {
     // Per-event observability is not sharded across domain queues: the
     // tracer, flow tracer and flight recorder would interleave differently
@@ -1182,14 +1184,12 @@ int run_scaling(core::CliArgs& args) {
     cfg.jobs = par.jobs;
     cfg.domains = par.domains;
   }
-  flags.apply(cfg);
 
   // Point 0 feeds the hub when observability is on: it always re-runs.
   core::TaskJournal journal;
-  journaled_sweep(journal, flags.hard.journal_path,
-                  {"scaling", core::fnv1a(core::canonical_config(cfg)), cfg.degrees.size()},
+  journaled_sweep(journal, flags.hard.journal_path, "scaling", cfg.degrees.size(),
                   "degree(s) already complete", /*rerun_first=*/cfg.hub != nullptr, cfg,
-                  cfg.sweep.on_failure, core::scaling_point_from_payload);
+                  core::scaling_point_from_payload);
 
   const int hosts =
       cfg.fabric.num_pods * cfg.fabric.leaves_per_pod * cfg.fabric.hosts_per_leaf;
@@ -1268,19 +1268,17 @@ int run_chaos(core::CliArgs& args) {
   core::ChaosConfig cfg;
   cfg.num_configs = static_cast<int>(args.int_or("configs", 25, 1, 100'000));
   cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 7));
-  cfg.jobs = static_cast<int>(args.int_or("jobs", 0, 0, 1024));
+  cfg.jobs = parse_jobs(args);
   cfg.max_events_per_run = static_cast<std::uint64_t>(
       args.int_or("max-events", 20'000'000, 1, 1'000'000'000'000));
   cfg.max_wall_ms_per_run = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
   const std::string journal_path = args.get_or("journal", "");
   if (const int rc = finish(args); rc != 0) return rc;
-  cfg.cancel = &g_cancel;
+  cfg.sweep.cancel = &g_cancel;
 
   core::TaskJournal journal;
-  journaled_sweep(journal, journal_path,
-                  {"chaos", core::fnv1a(core::canonical_config(cfg)),
-                   static_cast<std::uint64_t>(cfg.num_configs)},
-                  "config(s) already survived", /*rerun_first=*/false, cfg, cfg.on_failure,
+  journaled_sweep(journal, journal_path, "chaos", static_cast<std::size_t>(cfg.num_configs),
+                  "config(s) already survived", /*rerun_first=*/false, cfg,
                   core::chaos_run_from_payload);
 
   std::printf("chaos: %d random config(s), seed %llu, strict auditor, "
