@@ -114,25 +114,31 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
+// Owner of BM_EventQueueCancelHeavy's retransmission timer.
+struct RtoOwner {
+  void fire() { ++fired; }
+  std::int64_t fired{0};
+};
+
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  // The TCP RTO pattern: every ACK cancels the pending retransmission
-  // timer and schedules a replacement further out, so most scheduled
-  // events die before they fire. Generation-stamped slots make each
-  // cancel O(1) with no hashing; the dead heap entries are skipped lazily
-  // when they surface at the root.
-  sim::EventQueue q;
-  q.reserve(128);
-  std::int64_t t = 0;
+  // The TCP RTO pattern: every ACK disarms the retransmission timer and
+  // re-arms it further out, so almost no arm ever fires. The timer keeps
+  // one heap entry throughout: a later re-arm only moves its expiry, and
+  // the entry is re-filed once when it surfaces before that expiry.
+  sim::Simulator sim;
+  sim.reserve_events(128);
+  RtoOwner owner;
+  sim::Timer rto{sim, &owner, sim::Timer::method<&RtoOwner::fire>};
   for (auto _ : state) {
-    sim::EventId rto = sim::kInvalidEventId;
+    const sim::Time base = sim.now();
     for (int i = 0; i < 64; ++i) {
-      if (rto != sim::kInvalidEventId) q.cancel(rto);
-      rto = q.push(sim::Time::nanoseconds(t + 1'000'000 + i), [] {});
-      q.push(sim::Time::nanoseconds(t + i), [] {});
+      rto.disarm();
+      rto.arm_at(base + sim::Time::nanoseconds(1'000'000 + i));
+      sim.schedule_at(base + sim::Time::nanoseconds(i), [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-    t += 2'000'000;
+    sim.run();
   }
+  benchmark::DoNotOptimize(owner.fired);
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
@@ -394,15 +400,14 @@ struct SinkNode final : net::Node {
 };
 
 void BM_SwitchEcmpRoute(benchmark::State& state) {
-  // The switch routing hot path: receive() over a 6-way ECMP group, flat
-  // route tables + the open-addressed flow table. Beyond timing, this
-  // asserts the routing zero-allocation contract at two levels:
+  // The switch routing hot path: receive() over a 6-way ECMP group on the
+  // flat route tables. Beyond timing, this asserts the routing
+  // zero-allocation contract at two levels:
   //
-  //  * new_flow_allocs — after reserve_flows(), even the FIRST packet of a
-  //    never-seen flow routes without heap traffic. This is exactly where
-  //    the old unordered_map ECMP state allocated a node per flow.
-  //  * steady_allocs   — the timed loop (warm table, warm pools, warm
-  //    slab) must never allocate at all.
+  //  * new_flow_allocs — the FIRST packet of a never-seen flow routes
+  //    without heap traffic: the switch keeps no per-flow state.
+  //  * steady_allocs   — the timed loop (warm pools, warm slab) must never
+  //    allocate at all.
   constexpr int kPorts = 6;
   constexpr int kFlows = 4096;
   constexpr net::NodeId kSinkId = 1;
@@ -420,7 +425,6 @@ void BM_SwitchEcmpRoute(benchmark::State& state) {
     uplinks.push_back(p);
   }
   sw.set_ecmp_route(kSinkId, uplinks);
-  sw.reserve_flows(2 * kFlows);
 
   auto pump = [&](net::FlowId flow_base) {
     for (int f = 0; f < kFlows; ++f) {
@@ -432,7 +436,7 @@ void BM_SwitchEcmpRoute(benchmark::State& state) {
     sim.run();
   };
 
-  pump(1);  // warm-up: packet pools, queue rings, event slab, first kFlows flows
+  pump(1);  // warm-up: packet pools, queue rings, event slab
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   pump(kFlows + 1);  // kFlows previously-unseen flows through the warm switch
   const std::uint64_t new_flow_allocs =

@@ -152,23 +152,59 @@ class FabricIncast final : public IncastTopology {
                                               s.bins(), hop_monitors_[hop]->watermarks()});
     }
 
-    // ECMP spread and path stability.
-    for (int gl = 0; gl < fabric_.num_leaves(); ++gl) {
-      const auto by_port = fabric_.leaf(gl).ecmp_flows_by_port();
-      FabricIncastExperimentResult::LeafEcmpSpread spread;
-      spread.global_leaf = gl;
-      for (const std::size_t idx : fabric_.leaf_uplink_port_indices(gl)) {
-        spread.flows_by_uplink.push_back(by_port.at(idx));
-      }
-      result_.leaf_ecmp.push_back(std::move(spread));
-    }
-    for (net::Switch* sw : fabric_.switches()) {
-      result_.ecmp_path_changes += sw->ecmp_path_changes();
-    }
+    result_.leaf_ecmp = leaf_ecmp_spread();
   }
 
  private:
   [[nodiscard]] int receiver_host() const { return result_.receiver_host; }
+
+  // The ECMP spread, from the flow list: flow i (id i + 1) runs from
+  // sender_hosts[i] to the receiver, its data climbing the sender's leaf
+  // and its ACKs the receiver's. Each direction whose first hop is an ECMP
+  // group counts at that leaf on the port route_port returns, which is the
+  // port receive() forwards it on. The hash is symmetric in (src, dst), so
+  // a leaf carrying both directions of a flow counts it once.
+  [[nodiscard]] std::vector<FabricIncastExperimentResult::LeafEcmpSpread> leaf_ecmp_spread() {
+    struct Crossing {
+      int leaf;
+      std::size_t port;
+      net::NodeId lo;
+      net::NodeId hi;
+      net::FlowId flow;
+      auto operator<=>(const Crossing&) const = default;
+    };
+    std::vector<Crossing> crossings;
+    const net::NodeId receiver = fabric_.host(receiver_host()).id();
+    for (std::size_t i = 0; i < result_.sender_hosts.size(); ++i) {
+      const int sender_host = result_.sender_hosts[i];
+      const net::NodeId sender = fabric_.host(sender_host).id();
+      const auto flow = static_cast<net::FlowId>(i) + 1;
+      const auto climb = [&](int host, net::NodeId src, net::NodeId dst) {
+        const int gl = fabric_.leaf_of_host(host);
+        const net::Switch& leaf = fabric_.leaf(gl);
+        if (leaf.route_width(dst) < 2) return;
+        crossings.push_back({gl, leaf.route_port(src, dst, flow).value(),
+                             std::min(src, dst), std::max(src, dst), flow});
+      };
+      climb(sender_host, sender, receiver);
+      climb(receiver_host(), receiver, sender);
+    }
+    std::sort(crossings.begin(), crossings.end());
+    crossings.erase(std::unique(crossings.begin(), crossings.end()), crossings.end());
+
+    std::vector<FabricIncastExperimentResult::LeafEcmpSpread> spreads;
+    for (int gl = 0; gl < fabric_.num_leaves(); ++gl) {
+      FabricIncastExperimentResult::LeafEcmpSpread spread;
+      spread.global_leaf = gl;
+      for (const std::size_t idx : fabric_.leaf_uplink_port_indices(gl)) {
+        spread.flows_by_uplink.push_back(std::count_if(
+            crossings.begin(), crossings.end(),
+            [&](const Crossing& c) { return c.leaf == gl && c.port == idx; }));
+      }
+      spreads.push_back(std::move(spread));
+    }
+    return spreads;
+  }
 
   [[nodiscard]] telemetry::Millisampler::Config sampler_config() const {
     telemetry::Millisampler::Config cfg;

@@ -76,15 +76,15 @@ struct FabricIncastExperimentResult : CyclicIncastResult {
   // Host, leaf and spine vantage traces, in that tier order.
   std::vector<VantageTrace> vantages;
 
-  // ECMP spread: distinct flow keys per uplink of each leaf (uplink order =
-  // ECMP member order), plus the fabric-wide path-change count (always zero
-  // for a fixed seed — the stability invariant).
+  // ECMP spread: distinct flows forwarded on each uplink of each leaf
+  // (uplink order = ECMP member order), counting data at the sender's leaf
+  // and ACKs at the receiver's. Computed from the flow list with
+  // net::Switch::route_port, which is exactly the port the switch uses.
   struct LeafEcmpSpread {
     int global_leaf{0};
     std::vector<std::int64_t> flows_by_uplink;
   };
   std::vector<LeafEcmpSpread> leaf_ecmp;
-  std::int64_t ecmp_path_changes{0};
 };
 
 // Runs one fabric experiment to completion (or max_sim_time). Throws

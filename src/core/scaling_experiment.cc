@@ -133,13 +133,7 @@ ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
   fcfg.ecmp_seed = seed;
   fabric::FatTree tree{sim, fcfg};
 
-  // Pre-size every switch's ECMP flow table past its 50% load ceiling: at
-  // most `degree` symmetric flow keys transit any one switch, so the whole
-  // routing path runs allocation-free in steady state.
   const std::vector<net::Switch*> switches = tree.switches();
-  for (net::Switch* sw : switches) {
-    sw->reserve_flows(static_cast<std::size_t>(degree));
-  }
 
   const int receiver = receiver_host(config, tree);
   ExperimentObserver& observer = harness.observer();
@@ -241,9 +235,6 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
   fabric::FatTree tree{sim_ptrs, assignment, fcfg};
 
   const std::vector<net::Switch*> switches = tree.switches();
-  for (net::Switch* sw : switches) {
-    sw->reserve_flows(static_cast<std::size_t>(degree));
-  }
 
   net::DomainBridge bridge{sim_ptrs};
   bridge.attach(tree.nodes());

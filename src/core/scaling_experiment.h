@@ -24,7 +24,7 @@
 //                         x sizeof(net::Packet), plus its INT side table's
 //                         (HPCC only); the windowed engine samples the
 //                         domain pools' live bytes at barriers instead
-//   * routing_bytes     — flat route tables + ECMP flow tables, all switches
+//   * routing_bytes     — flat next-hop tables, all switches
 //   * event_bytes       — the event-kernel slab at its high-water mark
 //
 // These are sizeof-based counters, not RSS, so they are byte-identical at

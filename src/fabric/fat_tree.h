@@ -165,8 +165,7 @@ class FatTree : public net::LinkDirectory {
   [[nodiscard]] std::string downlink_name(int host) const;
 
   // Uplink egress ports of one leaf, in spine/agg order (the ECMP group
-  // member order). The parallel port indices align with the leaf switch's
-  // ecmp_flows_by_port() histogram.
+  // member order), and their port indices on the leaf switch.
   [[nodiscard]] std::vector<net::Port*> leaf_uplink_ports(int global_leaf);
   [[nodiscard]] const std::vector<std::size_t>& leaf_uplink_port_indices(
       int global_leaf) const {

@@ -5,10 +5,13 @@
 // an eBPF tc filter on the host NIC) and then to the PacketHandler
 // registered for the packet's flow (a TCP endpoint). A host is where a
 // packet's pool slot begins (send) and ends (after its handler returns).
+//
+// Flow dispatch is a flat open-addressed table (linear probing, at most
+// half full, backward-shift deletion): one multiply and usually one probe
+// per packet, and registering or unregistering a flow is O(1) amortized.
 #ifndef INCAST_NET_HOST_H_
 #define INCAST_NET_HOST_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "net/node.h"
@@ -44,8 +47,9 @@ class Host : public Node {
   // the network from here on.
   void send(Packet* p);
 
-  // Registers `handler` for packets of `flow`. The handler must outlive the
-  // registration; unregister before destroying it.
+  // Registers `handler` for packets of `flow`, replacing any handler the
+  // flow had. The handler must outlive the registration; unregister before
+  // destroying it. Unregistering an unknown flow is a no-op.
   void register_flow(FlowId flow, PacketHandler* handler);
   void unregister_flow(FlowId flow);
 
@@ -76,9 +80,21 @@ class Host : public Node {
   [[nodiscard]] std::int64_t nic_paused_ns() const { return port(nic_port_).paused_ns(); }
 
  private:
+  struct FlowSlot {
+    FlowId flow{0};
+    PacketHandler* handler{nullptr};  // nullptr: the slot is empty
+  };
+
+  // Index of `flow`'s slot, or of the empty slot that ends its probe run.
+  // Precondition: !flows_.empty().
+  [[nodiscard]] std::size_t find_slot(FlowId flow) const noexcept;
+  [[nodiscard]] std::size_t home_slot(FlowId flow) const noexcept;
+  void grow_flows();
+
   std::size_t nic_port_{0};
   bool has_nic_{false};
-  std::unordered_map<FlowId, PacketHandler*> flows_;
+  std::vector<FlowSlot> flows_;  // power-of-two size, or empty
+  std::size_t flow_count_{0};
   std::vector<IngressTap*> taps_;
   std::int64_t unclaimed_packets_{0};
   std::int64_t corrupt_dropped_packets_{0};

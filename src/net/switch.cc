@@ -20,12 +20,6 @@ namespace {
   return x ^ (x >> 31);
 }
 
-[[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 void Switch::store_route(NodeId dst, const std::size_t* ports, std::size_t count) {
@@ -76,60 +70,9 @@ std::optional<std::size_t> Switch::route_port(NodeId src, NodeId dst, FlowId flo
                       static_cast<std::size_t>(flow_key(src, dst, flow) % ref.count)];
 }
 
-void Switch::reserve_flows(std::size_t flows) {
-  // 50% max load: give every expected key an empty partner slot.
-  const std::size_t slots = next_pow2(std::max<std::size_t>(flows * 2, 16));
-  if (slots > flow_keys_.size()) rehash_flows(slots);
-}
-
-void Switch::rehash_flows(std::size_t slots) {
-  assert((slots & (slots - 1)) == 0 && "flow table capacity must be a power of two");
-  std::vector<std::uint64_t> old_keys = std::move(flow_keys_);
-  std::vector<std::uint32_t> old_ports = std::move(flow_ports_);
-  flow_keys_.assign(slots, 0);
-  flow_ports_.assign(slots, kEmptyFlowSlot);
-  const std::size_t mask = slots - 1;
-  for (std::size_t i = 0; i < old_ports.size(); ++i) {
-    if (old_ports[i] == kEmptyFlowSlot) continue;
-    std::size_t j = static_cast<std::size_t>(old_keys[i]) & mask;
-    while (flow_ports_[j] != kEmptyFlowSlot) j = (j + 1) & mask;
-    flow_keys_[j] = old_keys[i];
-    flow_ports_[j] = old_ports[i];
-  }
-}
-
-void Switch::record_flow_choice(std::uint64_t key, std::uint32_t out) {
-  if (flow_keys_.empty()) rehash_flows(16);
-  std::size_t mask = flow_keys_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(key) & mask;
-  while (flow_ports_[i] != kEmptyFlowSlot && flow_keys_[i] != key) {
-    i = (i + 1) & mask;
-  }
-  if (flow_ports_[i] != kEmptyFlowSlot) {
-    // Known flow: update only. No growth check here — repeat traffic on a
-    // table sitting exactly at the load ceiling must stay allocation-free.
-    if (flow_ports_[i] != out) {
-      ++ecmp_path_changes_;
-      flow_ports_[i] = out;
-    }
-    return;
-  }
-  if ((flow_count_ + 1) * 2 > flow_keys_.size()) {
-    rehash_flows(flow_keys_.size() * 2);
-    mask = flow_keys_.size() - 1;
-    i = static_cast<std::size_t>(key) & mask;
-    while (flow_ports_[i] != kEmptyFlowSlot) i = (i + 1) & mask;
-  }
-  flow_keys_[i] = key;
-  flow_ports_[i] = out;
-  ++flow_count_;
-}
-
 std::size_t Switch::routing_bytes() const noexcept {
   return route_ref_.capacity() * sizeof(RouteRef) +
-         route_ports_.capacity() * sizeof(std::uint32_t) +
-         flow_keys_.capacity() * sizeof(std::uint64_t) +
-         flow_ports_.capacity() * sizeof(std::uint32_t);
+         route_ports_.capacity() * sizeof(std::uint32_t);
 }
 
 SharedBufferPool& Switch::enable_shared_buffer(const SharedBufferPool::Config& config) {
@@ -224,15 +167,12 @@ void Switch::receive(Packet* p, std::size_t in_port) {
     }
     p->viq = static_cast<std::int16_t>(in_port);
   }
-  std::size_t out;
-  if (ref.count == 1) {
-    // Single-path routes skip hashing and per-flow bookkeeping entirely, so
-    // a fabric degenerated to one path costs what the static switch did.
-    out = route_ports_[ref.offset];
-  } else {
+  // Single-path routes skip hashing entirely, so a fabric degenerated to
+  // one path costs what the static switch did.
+  std::size_t out = route_ports_[ref.offset];
+  if (ref.count > 1) {
     const std::uint64_t key = flow_key(p->src, p->dst, p->tcp.flow_id);
     out = route_ports_[ref.offset + static_cast<std::size_t>(key % ref.count)];
-    record_flow_choice(key, static_cast<std::uint32_t>(out));
   }
   if (viqs_.empty()) {
     port(out).send(p);
@@ -254,15 +194,6 @@ void Switch::receive(Packet* p, std::size_t in_port) {
       credit_viq(static_cast<std::size_t>(viq), egress.trimmed_bytes - trim_bytes_before);
     }
   }
-}
-
-std::vector<std::int64_t> Switch::ecmp_flows_by_port() const {
-  std::vector<std::int64_t> counts(num_ports(), 0);
-  for (std::size_t i = 0; i < flow_ports_.size(); ++i) {
-    if (flow_ports_[i] == kEmptyFlowSlot) continue;
-    if (flow_ports_[i] < counts.size()) ++counts[flow_ports_[i]];
-  }
-  return counts;
 }
 
 void check_no_unrouted(const Switch& sw) {

@@ -9,12 +9,13 @@
 // in (src, dst): a flow's ACKs hash identically to its data, so switches
 // with equally-sized groups pick the same member index in both directions.
 //
-// Routing is flat and allocation-free on the hot path (docs/PERFORMANCE.md):
-// set_route()/set_ecmp_route() write straight into a per-destination
-// next-hop array indexed by the dense NodeIds the topology builders assign,
-// and the per-flow ECMP bookkeeping lives in an open-addressed table that
-// only allocates when it grows — steady-state receive() touches no
-// node-based container and performs no hashing beyond the flow mix itself.
+// Routing is flat, stateless and allocation-free on the hot path
+// (docs/PERFORMANCE.md): set_route()/set_ecmp_route() write straight into a
+// per-destination next-hop array indexed by the dense NodeIds the topology
+// builders assign, and receive() keeps no per-flow state — an ECMP choice
+// is the flow hash alone, so route_port() predicts it exactly and any
+// per-flow spread is computed from the flow list (see
+// core::FabricIncastExperimentResult::leaf_ecmp).
 //
 // Egress queues apply ECN marking and tail drop; optionally all of a
 // switch's queues can share one SharedBufferPool, modelling the dynamically
@@ -50,14 +51,16 @@ class Switch : public Node, private DequeueTap {
   void set_ecmp_seed(std::uint64_t seed) noexcept { ecmp_seed_ = seed; }
   [[nodiscard]] std::uint64_t ecmp_seed() const noexcept { return ecmp_seed_; }
 
-  // The egress port receive() would choose for this (src, dst, flow);
-  // nullopt if dst has no route. Pure: consults no per-flow state.
+  // The egress port receive() chooses for this (src, dst, flow); nullopt
+  // if dst has no route.
   [[nodiscard]] std::optional<std::size_t> route_port(NodeId src, NodeId dst,
                                                       FlowId flow) const;
 
-  // Pre-sizes the per-flow ECMP table for `flows` distinct flow keys, so a
-  // simulation whose fan-in is known up front never grows it mid-run.
-  void reserve_flows(std::size_t flows);
+  // Members of the route to `dst`: 0 when unrouted, 1 for a static route,
+  // more for an ECMP group.
+  [[nodiscard]] std::size_t route_width(NodeId dst) const noexcept {
+    return static_cast<std::size_t>(dst) < route_ref_.size() ? route_ref_[dst].count : 0;
+  }
 
   // Creates a shared buffer pool and attaches it to every *current* port's
   // queue. Call after all ports have been added.
@@ -91,21 +94,8 @@ class Switch : public Node, private DequeueTap {
     return unrouted_by_dst_;
   }
 
-  // ECMP introspection, fed by traffic through multi-port groups.
-  // Distinct flow keys observed per egress port (ACKs and data of one flow
-  // share a key, so a bidirectional flow counts once per switch it crosses).
-  [[nodiscard]] std::vector<std::int64_t> ecmp_flows_by_port() const;
-  // Times a flow key was observed resolving to a different port than before.
-  // Zero for a fixed seed and static groups — the path-stability invariant.
-  [[nodiscard]] std::int64_t ecmp_path_changes() const noexcept {
-    return ecmp_path_changes_;
-  }
-  // Distinct flow keys observed crossing multi-port groups.
-  [[nodiscard]] std::size_t ecmp_flow_count() const noexcept { return flow_count_; }
-
-  // Bytes held by the routing structures (flat next-hop arrays plus the
-  // per-flow ECMP table) — this switch's contribution to the experiment
-  // bytes-per-flow budget.
+  // Bytes held by the flat next-hop arrays — this switch's contribution to
+  // the experiment bytes-per-flow budget.
   [[nodiscard]] std::size_t routing_bytes() const noexcept;
 
  private:
@@ -121,12 +111,6 @@ class Switch : public Node, private DequeueTap {
   // Re-programming a destination abandons its old slice (construction-time
   // only; topology builders program each (switch, dst) exactly once).
   void store_route(NodeId dst, const std::size_t* ports, std::size_t count);
-
-  // Records `out` as the chosen port for `key` in the open-addressed flow
-  // table, bumping ecmp_path_changes_ when a key re-resolves differently.
-  void record_flow_choice(std::uint64_t key, std::uint32_t out);
-  // Rebuilds the flow table at `slots` capacity (power of two).
-  void rehash_flows(std::size_t slots);
 
   // DequeueTap: a packet left egress port — credit the VIQ it was charged
   // to on arrival (if any).
@@ -148,17 +132,6 @@ class Switch : public Node, private DequeueTap {
   std::vector<LosslessInputQueue> viqs_;
   std::uint64_t ecmp_seed_{1};
 
-  // Flow key -> last chosen port, recorded only for multi-port groups.
-  // Open-addressed linear probing over parallel arrays; flow_ports_[i] ==
-  // kEmptyFlowSlot marks a free slot (keys are already avalanche-mixed, so
-  // key & mask is the probe start). Grows by doubling at 50% load — the
-  // only allocation the routing path can ever perform.
-  static constexpr std::uint32_t kEmptyFlowSlot = 0xffffffffu;
-  std::vector<std::uint64_t> flow_keys_;
-  std::vector<std::uint32_t> flow_ports_;
-  std::size_t flow_count_{0};
-
-  std::int64_t ecmp_path_changes_{0};
   std::int64_t unrouted_packets_{0};
   std::unordered_map<NodeId, std::int64_t> unrouted_by_dst_;
 };

@@ -36,7 +36,6 @@ CreditSender::CreditSender(sim::Simulator& sim, net::Host& local, net::NodeId re
 
 CreditSender::~CreditSender() {
   local_.unregister_flow(flow_);
-  sim_.cancel(rts_timer_);
 }
 
 void CreditSender::add_app_data(std::int64_t bytes) {
@@ -55,7 +54,6 @@ void CreditSender::send_rts() {
 }
 
 void CreditSender::arm_rts_retry() {
-  sim_.cancel(rts_timer_);
   // Exponential backoff with +/-50% jitter: a lost RTS is retried quickly,
   // but a flow merely waiting its round-robin turn quiets down instead of
   // joining a synchronized retry storm.
@@ -65,15 +63,14 @@ void CreditSender::arm_rts_retry() {
   }
   if (delay > config_.rts_retry_max) delay = config_.rts_retry_max;
   delay = delay * rng_.uniform(0.5, 1.5);
-  rts_timer_ = sim_.schedule_in(delay,
-                                [this] {
-                                  rts_timer_ = sim::kInvalidEventId;
-                                  if (granted_ < demand_) {
-                                    ++rts_backoff_;
-                                    send_rts();
-                                  }
-                                },
-                                sim::EventCategory::kTcp);
+  rts_timer_.arm_in(delay);
+}
+
+void CreditSender::on_rts_timeout() {
+  if (granted_ < demand_) {
+    ++rts_backoff_;
+    send_rts();
+  }
 }
 
 void CreditSender::handle_packet(const net::Packet& p) {
@@ -92,8 +89,7 @@ void CreditSender::handle_packet(const net::Packet& p) {
   if (granted_ < demand_) {
     arm_rts_retry();  // keep the RTS watchdog alive while work remains
   } else {
-    sim_.cancel(rts_timer_);
-    rts_timer_ = sim::kInvalidEventId;
+    rts_timer_.disarm();
   }
 }
 

@@ -69,6 +69,7 @@ class CreditSender final : public net::PacketHandler {
  private:
   void send_rts();
   void arm_rts_retry();
+  void on_rts_timeout();
 
   sim::Simulator& sim_;
   net::Host& local_;
@@ -82,7 +83,8 @@ class CreditSender final : public net::PacketHandler {
   std::int64_t rts_sent_{0};
   int rts_backoff_{0};
   sim::Rng rng_;
-  sim::EventId rts_timer_{sim::kInvalidEventId};
+  sim::Timer rts_timer_{sim_, this, sim::Timer::method<&CreditSender::on_rts_timeout>,
+                        sim::EventCategory::kTcp};
 };
 
 // --- Receiver ----------------------------------------------------------------

@@ -4,6 +4,11 @@
 // scheduling order. All simulation components hold a Simulator& and schedule
 // work through it; nothing in the simulation may consult wall-clock time.
 //
+// Two ways to schedule: schedule_at/schedule_in push a one-shot callback
+// that always runs, and a sim::Timer (sim/event_queue.h) is a re-armable
+// event a component owns — arm it, re-arm it, disarm it. A timer is the
+// only way to stop an event before it fires.
+//
 // The hot path is allocation-free: callbacks are sim::InlineFunction (fixed
 // inline capture budget, compile error on oversize), the pending set is a
 // slab-backed 4-ary heap (sim/event_queue.h), and steady-state dispatch
@@ -75,13 +80,12 @@ class Simulator {
   [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
 
   // Schedules `cb` at absolute time `at` (must be >= now()).
-  EventId schedule_at(Time at, Callback cb,
-                      EventCategory category = EventCategory::kGeneric);
+  void schedule_at(Time at, Callback cb, EventCategory category = EventCategory::kGeneric);
 
   // Schedules `cb` after `delay` (must be >= 0).
-  EventId schedule_in(Time delay, Callback cb,
-                      EventCategory category = EventCategory::kGeneric) {
-    return schedule_at(now_ + delay, std::move(cb), category);
+  void schedule_in(Time delay, Callback cb,
+                   EventCategory category = EventCategory::kGeneric) {
+    schedule_at(now_ + delay, std::move(cb), category);
   }
 
   // Keyed scheduling for the parallel engine (sim/domain.h). In keyed mode
@@ -90,11 +94,11 @@ class Simulator {
   // When keyed ordering is off (the default), the key is ignored and these
   // behave exactly like schedule_at/schedule_in, so shared component code
   // can call them unconditionally.
-  EventId schedule_at_keyed(Time at, std::uint64_t key, Callback cb,
-                            EventCategory category = EventCategory::kGeneric);
-  EventId schedule_in_keyed(Time delay, std::uint64_t key, Callback cb,
-                            EventCategory category = EventCategory::kGeneric) {
-    return schedule_at_keyed(now_ + delay, key, std::move(cb), category);
+  void schedule_at_keyed(Time at, std::uint64_t key, Callback cb,
+                         EventCategory category = EventCategory::kGeneric);
+  void schedule_in_keyed(Time delay, std::uint64_t key, Callback cb,
+                         EventCategory category = EventCategory::kGeneric) {
+    schedule_at_keyed(now_ + delay, key, std::move(cb), category);
   }
 
   // Switches equal-time tie-breaking from the insertion counter to explicit
@@ -107,9 +111,6 @@ class Simulator {
     keyed_ = true;
   }
   [[nodiscard]] bool keyed_ordering() const noexcept { return keyed_; }
-
-  // Cancels a pending event; no-op if it already fired.
-  void cancel(EventId id) { queue_.cancel(id); }
 
   // Runs until the event queue drains or stop() is called.
   void run();
@@ -139,11 +140,13 @@ class Simulator {
   void stop() noexcept { stopped_ = true; }
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
+  // Pending one-shot events plus armed timers.
   [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.size(); }
 
-  // Peak pending-event depth and callback-slab high-water mark since
-  // construction — the kernel's memory footprint, surfaced through
-  // SweepRunner::RunStats and the sim.events.* metrics.
+  // Peak heap depth and callback-slab high-water mark since construction —
+  // the kernel's memory footprint, surfaced through SweepRunner::RunStats
+  // and the sim.events.* metrics. The heap holds at most one entry per
+  // timer beyond the live events (sim/event_queue.h).
   [[nodiscard]] std::size_t peak_events_pending() const noexcept {
     return queue_.peak_pending();
   }
@@ -195,7 +198,18 @@ class Simulator {
   }
 
  private:
+  friend class Timer;
+
   void dispatch_one();
+
+  // The tie-break a timer arm draws: what schedule_at_keyed (with a key)
+  // or schedule_at (without) would draw for the same call.
+  [[nodiscard]] std::uint64_t draw_key(std::uint64_t key) {
+    return keyed_ ? key : queue_.draw_seq();
+  }
+  [[nodiscard]] std::uint64_t draw_key() {
+    return keyed_ ? ambient_key_++ : queue_.draw_seq();
+  }
 
   EventQueue queue_;
   Time now_{Time::zero()};
@@ -212,6 +226,24 @@ class Simulator {
   std::unique_ptr<net::PacketPool, void (*)(net::PacketPool*)> packet_pool_{nullptr,
                                                                              nullptr};
 };
+
+inline Timer::~Timer() { sim_->queue_.forget(*this); }
+
+inline void Timer::arm_at(Time at) {
+  assert(at >= sim_->now_ && "cannot arm a timer in the past");
+  sim_->queue_.arm(*this, at, sim_->draw_key());
+}
+
+inline void Timer::arm_at(Time at, std::uint64_t key) {
+  assert(at >= sim_->now_ && "cannot arm a timer in the past");
+  sim_->queue_.arm(*this, at, sim_->draw_key(key));
+}
+
+inline void Timer::arm_in(Time delay) { arm_at(sim_->now_ + delay); }
+
+inline void Timer::arm_in(Time delay, std::uint64_t key) { arm_at(sim_->now_ + delay, key); }
+
+inline void Timer::disarm() noexcept { sim_->queue_.disarm(*this); }
 
 }  // namespace incast::sim
 

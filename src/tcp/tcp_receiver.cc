@@ -13,7 +13,6 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, net::Host& local, net::NodeId remo
 
 TcpReceiver::~TcpReceiver() {
   local_.unregister_flow(flow_);
-  sim_.cancel(ack_timer_);
 }
 
 void TcpReceiver::handle_packet(const net::Packet& p) {
@@ -158,16 +157,16 @@ void TcpReceiver::send_ack(bool ece, bool duplicate) {
   if (duplicate) ++stats_.dup_acks_sent;
   local_.send(ack);
   pending_segments_ = 0;
-  sim_.cancel(ack_timer_);
-  ack_timer_ = sim::kInvalidEventId;
+  ack_timer_.disarm();
 }
 
 void TcpReceiver::schedule_delayed_ack() {
-  if (ack_timer_ != sim::kInvalidEventId) return;
-  ack_timer_ = sim_.schedule_in_keyed(config_.delayed_ack_timeout, local_.next_event_key(), [this] {
-    ack_timer_ = sim::kInvalidEventId;
-    if (pending_segments_ > 0) flush_delayed_ack();
-  }, sim::EventCategory::kTcp);
+  if (ack_timer_.armed()) return;
+  ack_timer_.arm_in(config_.delayed_ack_timeout, local_.next_event_key());
+}
+
+void TcpReceiver::on_delayed_ack() {
+  if (pending_segments_ > 0) flush_delayed_ack();
 }
 
 void TcpReceiver::flush_delayed_ack() { send_ack(/*ece=*/ce_state_, /*duplicate=*/false); }

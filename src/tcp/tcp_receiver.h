@@ -62,6 +62,7 @@ class TcpReceiver final : public net::PacketHandler {
   [[nodiscard]] bool delayed_ack_ece(bool segment_ce) const noexcept;
   void send_ack(bool ece, bool duplicate);
   void schedule_delayed_ack();
+  void on_delayed_ack();
   void flush_delayed_ack();
 
   sim::Simulator& sim_;
@@ -79,7 +80,8 @@ class TcpReceiver final : public net::PacketHandler {
 
   // Delayed-ACK state.
   int pending_segments_{0};
-  sim::EventId ack_timer_{sim::kInvalidEventId};
+  sim::Timer ack_timer_{sim_, this, sim::Timer::method<&TcpReceiver::on_delayed_ack>,
+                        sim::EventCategory::kTcp};
   // DCTCP.CE: the CE state machine's current belief (RFC 8257 §3.2).
   bool ce_state_{false};
 

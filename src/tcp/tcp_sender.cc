@@ -60,9 +60,6 @@ TcpSender::~TcpSender() {
     hub_->metrics().unregister_prefix(metric_prefix_);
   }
   local_.unregister_flow(flow_);
-  cancel_rto();
-  cancel_tlp();
-  sim_.cancel(pace_timer_);
 }
 
 void TcpSender::maybe_emit_cwnd() {
@@ -309,8 +306,8 @@ void TcpSender::on_new_ack(std::int64_t ack, bool ece, const net::IntStack* int_
   // Forward progress: the quiet episode (if any) is over.
   tlp_probe_outstanding_ = false;
   if (snd_una_ == snd_nxt_) {
-    cancel_rto();
-    cancel_tlp();
+    rto_timer_.disarm();
+    tlp_timer_.disarm();
   } else {
     rearm_rto();
     if (config_.tail_loss_probe && !in_recovery_) arm_tlp();
@@ -365,7 +362,7 @@ void TcpSender::enter_recovery() {
   in_recovery_ = true;
   recover_seq_ = snd_nxt_;
   recovery_retx_cursor_ = snd_una_;
-  cancel_tlp();  // loss recovery supersedes the probe
+  tlp_timer_.disarm();  // loss recovery supersedes the probe
   ++stats_.fast_retransmits;
   if (hub_ != nullptr && hub_->tracing() && !recovery_span_open_) {
     recovery_span_open_ = true;
@@ -419,14 +416,7 @@ void TcpSender::paced_send(std::int64_t cwnd) {
   const sim::Time now = sim_.now();
   if (now < pace_next_) {
     // Too soon: wake up when the pacing gap has elapsed.
-    if (pace_timer_ == sim::kInvalidEventId) {
-      pace_timer_ = sim_.schedule_at_keyed(pace_next_, local_.next_event_key(), [this] {
-        pace_timer_ = sim::kInvalidEventId;
-        if (ft_ != nullptr) ft_unblock(obs::FlowTracer::UnblockCause::kTimer);
-        try_send();
-        if (ft_ != nullptr) ft_block();
-      }, sim::EventCategory::kTcp);
-    }
+    if (!pace_timer_.armed()) pace_timer_.arm_at(pace_next_, local_.next_event_key());
     return;
   }
 
@@ -480,21 +470,18 @@ void TcpSender::send_segment(std::int64_t seq, std::int64_t len) {
   }
 }
 
+void TcpSender::on_pace() {
+  if (ft_ != nullptr) ft_unblock(obs::FlowTracer::UnblockCause::kTimer);
+  try_send();
+  if (ft_ != nullptr) ft_block();
+}
+
 void TcpSender::arm_tlp() {
-  cancel_tlp();
   const sim::Time srtt =
       rtt_.has_sample() ? rtt_.srtt() : rtt_.config().initial_rto;
   sim::Time pto = srtt * kPtoSrttMultiplier;
   if (pto < config_.min_pto) pto = config_.min_pto;
-  tlp_timer_ = sim_.schedule_in_keyed(pto, local_.next_event_key(), [this] {
-    tlp_timer_ = sim::kInvalidEventId;
-    on_pto();
-  }, sim::EventCategory::kTcp);
-}
-
-void TcpSender::cancel_tlp() {
-  sim_.cancel(tlp_timer_);
-  tlp_timer_ = sim::kInvalidEventId;
+  tlp_timer_.arm_in(pto, local_.next_event_key());
 }
 
 void TcpSender::on_pto() {
@@ -531,22 +518,14 @@ sim::Time TcpSender::current_rto() const noexcept {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_timer_ != sim::kInvalidEventId) return;
+  if (rto_timer_.armed()) return;
   if (auto* a = INCAST_AUDITOR(sim_)) a->check_rto(flow_, current_rto());
-  rto_timer_ = sim_.schedule_in_keyed(current_rto(), local_.next_event_key(), [this] {
-    rto_timer_ = sim::kInvalidEventId;
-    on_rto();
-  }, sim::EventCategory::kTcp);
+  rto_timer_.arm_in(current_rto(), local_.next_event_key());
 }
 
 void TcpSender::rearm_rto() {
-  cancel_rto();
+  rto_timer_.disarm();
   arm_rto();
-}
-
-void TcpSender::cancel_rto() {
-  sim_.cancel(rto_timer_);
-  rto_timer_ = sim::kInvalidEventId;
 }
 
 void TcpSender::on_rto() {
@@ -581,7 +560,7 @@ void TcpSender::on_rto() {
   sample_end_seq_ = -1;
   sacked_.clear();
   sacked_bytes_ = 0;
-  cancel_tlp();
+  tlp_timer_.disarm();
   tlp_probe_outstanding_ = false;
 
   try_send();

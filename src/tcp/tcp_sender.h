@@ -119,15 +119,14 @@ class TcpSender final : public net::PacketHandler {
   // pacing timer. This is how Swift-style CCAs operate below one packet
   // per RTT (paper Section 5.2).
   void paced_send(std::int64_t cwnd);
+  void on_pace();
   void send_segment(std::int64_t seq, std::int64_t len);
   void retransmit_head();
   void enter_recovery();
   void on_rto();
   void arm_rto();
   void rearm_rto();
-  void cancel_rto();
   void arm_tlp();
-  void cancel_tlp();
   void on_pto();
   // Emits a cwnd counter trace event when the value changed since the last
   // emission; no-op without an observed hub.
@@ -169,15 +168,18 @@ class TcpSender final : public net::PacketHandler {
   std::int64_t recovery_retx_cursor_{0};
 
   // RTO machinery.
-  sim::EventId rto_timer_{sim::kInvalidEventId};
+  sim::Timer rto_timer_{sim_, this, sim::Timer::method<&TcpSender::on_rto>,
+                        sim::EventCategory::kTcp};
   int rto_backoff_{0};
 
   // Pacing state (only engaged when cwnd < 1 MSS).
   sim::Time pace_next_{sim::Time::zero()};
-  sim::EventId pace_timer_{sim::kInvalidEventId};
+  sim::Timer pace_timer_{sim_, this, sim::Timer::method<&TcpSender::on_pace>,
+                         sim::EventCategory::kTcp};
 
   // Tail-loss-probe state: one probe per quiet episode.
-  sim::EventId tlp_timer_{sim::kInvalidEventId};
+  sim::Timer tlp_timer_{sim_, this, sim::Timer::method<&TcpSender::on_pto>,
+                        sim::EventCategory::kTcp};
   bool tlp_probe_outstanding_{false};
 
   // RTT sampling (Karn's rule: one sample at a time, never from a

@@ -1,12 +1,12 @@
 // Golden-determinism contract of the rebuilt event kernel.
 //
-// The kernel rewrite (inline callbacks, slab-backed 4-ary heap,
-// generation-stamped cancellation) must be invisible to every experiment:
-// same FIFO order at equal timestamps, same cancel semantics, and — the
-// strongest form — byte-identical experiment output. The fingerprint tests
+// The kernel rewrite (inline callbacks, slab-backed 4-ary heap, re-armable
+// timers) must be invisible to every experiment: same FIFO order at equal
+// timestamps, same timer semantics, and — the strongest form —
+// byte-identical experiment output. The fingerprint tests
 // hash a fleet CSV export and a faults sweep report with FNV-1a and compare
 // against hashes committed here, at --jobs 1, 4, and 16: a regression in
-// ordering, seeding, or cancellation anywhere in the kernel moves the hash.
+// ordering, seeding, or timers anywhere in the kernel moves the hash.
 //
 // Suite names contain "Sweep" so the TSan CI leg (ctest -R 'Sweep') races
 // the kernel under the multi-threaded sweep pool as well.
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,7 +30,7 @@ namespace {
 
 using namespace incast::sim::literals;
 
-// ---- kernel-level ordering and cancellation --------------------------------
+// ---- kernel-level ordering and timers --------------------------------------
 
 TEST(EventKernel, EqualTimestampsFireInScheduleOrderThroughSimulator) {
   sim::Simulator sim;
@@ -48,37 +49,60 @@ TEST(EventKernel, EqualTimestampsFireInScheduleOrderThroughSimulator) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
+// A timer owner that counts its firings.
+struct Counter {
+  explicit Counter(sim::Simulator& sim) : timer{sim, this, sim::Timer::method<&Counter::fire>} {}
+  void fire() { ++fired; }
+  int fired{0};
+  sim::Timer timer;
+};
+
 TEST(EventKernel, CancelAfterFireIsANoOp) {
   sim::Simulator sim;
   int fired = 0;
-  const sim::EventId early = sim.schedule_at(1_us, [&] { ++fired; });
+  Counter early{sim};
+  early.timer.arm_at(1_us);
   sim.schedule_at(2_us, [&] {
-    sim.cancel(early);  // already fired: must not disturb anything pending
+    early.timer.disarm();  // already fired: must not disturb anything pending
     ++fired;
   });
   sim.schedule_at(3_us, [&] { ++fired; });
   sim.run();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(early.fired, 1);
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(EventKernel, StaleIdsNeverCancelASlotsNewOccupant) {
-  // The RTO pattern at simulator level: a timer is cancelled and
-  // rescheduled many times, recycling slab slots. Cancelling every stale id
-  // afterwards must leave the live timer untouched.
+  // The RTO pattern at simulator level: timers are armed, re-armed earlier
+  // (orphaning their filed entries), disarmed and destroyed, recycling slab
+  // slots. Disarming a fired or destroyed-and-rebuilt timer afterwards must
+  // leave the slots' new occupants untouched.
   sim::Simulator sim;
-  std::vector<sim::EventId> stale;
-  int fired = 0;
-  for (int i = 0; i < 500; ++i) {
-    const sim::EventId id =
-        sim.schedule_at(sim::Time::milliseconds(100 + i), [&] { ++fired; });
-    stale.push_back(id);
-    sim.cancel(id);
+  int one_shots = 0;
+  {
+    std::vector<std::unique_ptr<Counter>> gone;
+    for (int i = 0; i < 500; ++i) {
+      gone.push_back(std::make_unique<Counter>(sim));
+      gone.back()->timer.arm_at(sim::Time::milliseconds(100 + i));
+      gone.back()->timer.arm_at(sim::Time::milliseconds(1 + i % 7));
+      if (i % 2 == 0) gone.back()->timer.disarm();
+    }
+  }  // every timer destroyed while filed
+  EXPECT_EQ(sim.events_pending(), 0u);
+  Counter fired_early{sim};
+  fired_early.timer.arm_at(1_us);
+  sim.run_until(2_us);
+  for (int i = 0; i < 50; ++i) {
+    sim.schedule_at(sim::Time::milliseconds(1 + i), [&] { ++one_shots; });
   }
-  const sim::EventId live = sim.schedule_at(50_ms, [&] { ++fired; });
-  for (const sim::EventId id : stale) sim.cancel(id);  // all true no-ops
-  (void)live;
+  Counter live{sim};
+  live.timer.arm_at(50_ms);
+  fired_early.timer.disarm();  // stale: it already fired
+  EXPECT_EQ(sim.events_pending(), 51u);
   sim.run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_early.fired, 1);
+  EXPECT_EQ(live.fired, 1);
+  EXPECT_EQ(one_shots, 50);
 }
 
 TEST(EventKernel, ReserveIsInvisibleToResults) {

@@ -25,10 +25,14 @@
 #include <cstdint>
 #include <ios>
 #include <iterator>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scaling_experiment.h"
 #include "fabric/fat_tree.h"
+#include "obs/hub.h"
 #include "sim/simulator.h"
 
 namespace incast {
@@ -118,25 +122,6 @@ TEST(ScalingFlatRouting, ReproducesSeededEcmpHashForEveryCrossRackTriple) {
   }
 }
 
-TEST(ScalingFlatRouting, ReserveFlowsDoesNotPerturbRouteChoice) {
-  sim::Simulator sim1;
-  sim::Simulator sim2;
-  fabric::FatTree plain{sim1, pr2_fabric()};
-  fabric::FatTree reserved{sim2, pr2_fabric()};
-  for (net::Switch* sw : reserved.switches()) sw->reserve_flows(4096);
-
-  const net::NodeId src = plain.host(0).id();
-  for (int dst_host = 8; dst_host < plain.num_hosts(); ++dst_host) {
-    const net::NodeId dst = plain.host(dst_host).id();
-    for (net::FlowId flow = 1; flow <= 64; ++flow) {
-      EXPECT_EQ(plain.leaf(0).route_port(src, dst, flow),
-                reserved.leaf(0).route_port(src, dst, flow))
-          << "dst_host " << dst_host << ", flow " << flow;
-    }
-  }
-  EXPECT_GT(reserved.leaf(0).routing_bytes(), plain.leaf(0).routing_bytes());
-}
-
 // The small-ladder config every determinism test below shares: PR 2 fabric,
 // three degrees, short flows. Any change here moves the committed golden.
 core::ScalingConfig small_ladder() {
@@ -151,11 +136,12 @@ core::ScalingConfig small_ladder() {
 // Committed fingerprint of scaling_csv(small_ladder()) — regenerate with a
 // jobs=1 run and update deliberately when the experiment's math or CSV
 // schema changes; an unexplained move is a determinism regression.
-// Last move: tcp::TcpConfig lost its dupack_threshold and
-// pto_srtt_multiplier fields (now constants in tcp_sender.cc), so every
-// sender's copy of the config is 16 bytes smaller. Only flow_state_bytes
-// and bytes_per_flow changed.
-constexpr std::uint64_t kScalingGoldenFnv = 0xabb5db4fb379154eULL;
+// Last move: TCP timers became sim::Timer members (larger per-flow state,
+// one heap entry per timer instead of one per re-arm) and switches lost
+// their per-flow ECMP table. Only the memory columns changed —
+// flow_state_bytes, routing_bytes, event_bytes and bytes_per_flow;
+// kScalingBehaviourFnv below pins the rest.
+constexpr std::uint64_t kScalingGoldenFnv = 0x714be08fdba7177dULL;
 
 TEST(ScalingSweepDeterminism, CsvIsByteIdenticalAcrossJobCountsAndMatchesGolden) {
   core::ScalingConfig cfg = small_ladder();
@@ -172,6 +158,48 @@ TEST(ScalingSweepDeterminism, CsvIsByteIdenticalAcrossJobCountsAndMatchesGolden)
     const std::string csv = core::scaling_csv(core::run_scaling_experiment(cfg));
     EXPECT_EQ(baseline, csv) << "jobs=" << jobs;
   }
+}
+
+// `csv` without the named columns. scaling_csv fields never contain a
+// comma, so a plain split is exact.
+std::string csv_without(const std::string& csv, const std::set<std::string>& drop) {
+  std::istringstream in{csv};
+  std::vector<bool> keep;
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    std::vector<std::string> fields;
+    std::istringstream row{line};
+    for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+    if (keep.empty()) {
+      for (const std::string& name : fields) keep.push_back(drop.count(name) == 0);
+    }
+    std::string kept;
+    for (std::size_t i = 0; i < fields.size() && i < keep.size(); ++i) {
+      if (!keep[i]) continue;
+      if (!kept.empty()) kept += ',';
+      kept += fields[i];
+    }
+    out += kept + '\n';
+  }
+  return out;
+}
+
+// Committed fingerprint of the same CSV without its memory columns:
+// everything the ladder simulates, nothing about how the simulator stores
+// it. A layout change moves kScalingGoldenFnv; only a change in behaviour
+// may move this one.
+constexpr std::uint64_t kScalingBehaviourFnv = 0xec213a1d34ccc322ULL;
+
+TEST(ScalingSweepDeterminism, CsvWithoutMemoryColumnsMatchesBehaviourGolden) {
+  const std::string csv = core::scaling_csv(core::run_scaling_experiment(small_ladder()));
+  const std::string behaviour =
+      csv_without(csv, {"flow_state_bytes", "packet_pool_bytes", "routing_bytes",
+                        "event_bytes", "bytes_per_flow"});
+  ASSERT_NE(behaviour.find("fct_ms"), std::string::npos);
+  ASSERT_EQ(behaviour.find("event_bytes"), std::string::npos);
+  EXPECT_EQ(fnv1a(behaviour), kScalingBehaviourFnv)
+      << "behaviour fingerprint moved: 0x" << std::hex << fnv1a(behaviour)
+      << "; csv:\n" << behaviour;
 }
 
 TEST(ScalingSweepDeterminism, EveryPointCompletesAndDecomposesItsMemory) {
@@ -202,6 +230,31 @@ TEST(ScalingSweepDeterminism, EveryPointCompletesAndDecomposesItsMemory) {
   EXPECT_LT(report.points.back().bytes_per_flow, report.points.front().bytes_per_flow);
 }
 
+// The event kernel keeps at most one heap entry per timer, so a point's
+// pending-event peak stays within the reserve_events hint its engine gives
+// the simulator (degree * 8 + 4096). A kernel that leaves a dead entry in
+// the heap on every RTO re-arm peaks at 11,845 entries here.
+TEST(ScalingEventKernel, Degree64PeakPendingStaysWithinTheReserveHint) {
+#if !INCAST_OBS_ENABLED
+  GTEST_SKIP() << "observability compiled out (-DINCAST_OBS=OFF)";
+#endif
+  constexpr int kDegree = 64;
+  obs::Hub hub;
+  core::ScalingConfig cfg;
+  cfg.degrees = {kDegree};
+  cfg.hub = &hub;
+  const core::ScalingReport report = core::run_scaling_experiment(cfg);
+  ASSERT_EQ(report.points.size(), 1u);
+  ASSERT_EQ(report.points.front().completed_flows, kDegree);
+  ASSERT_TRUE(hub.has_final_metrics());
+  std::int64_t peak = -1;
+  for (const auto& e : hub.final_metrics().entries) {
+    if (e.name == "sim.events.peak_pending") peak = e.counter;
+  }
+  ASSERT_GT(peak, 0);
+  EXPECT_LE(peak, kDegree * 8 + 4096);
+}
+
 // The memory budget on the default 432-host fabric at the CI degrees.
 // bytes_per_flow is sizeof-based, so it is identical on every machine and
 // needs no per-runner baseline. Raise a baseline only deliberately, when a
@@ -211,7 +264,7 @@ TEST(ScalingMemoryBudget, CiLadderStaysWithinBytesPerFlowBudget) {
     int degree;
     double baseline_bytes_per_flow;
   };
-  constexpr Rung kRungs[] = {{2000, 20401}, {512, 42900}, {64, 148166}};
+  constexpr Rung kRungs[] = {{2000, 7759}, {512, 18892}, {64, 118995}};
   constexpr double kMaxGrowth = 0.15;
 
   core::ScalingConfig cfg;

@@ -93,12 +93,19 @@ TEST(Simulator, StopHaltsTheLoop) {
 }
 
 TEST(Simulator, CancelledEventDoesNotFire) {
+  struct Flag {
+    explicit Flag(Simulator& sim) : timer{sim, this, Timer::method<&Flag::fire>} {}
+    void fire() { fired = true; }
+    bool fired{false};
+    Timer timer;
+  };
   Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_at(1_us, [&] { fired = true; });
-  sim.cancel(id);
+  Flag flag{sim};
+  flag.timer.arm_at(1_us);
+  flag.timer.disarm();
   sim.run();
-  EXPECT_FALSE(fired);
+  EXPECT_FALSE(flag.fired);
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(Simulator, SameTimeEventsFifoAcrossNesting) {

@@ -137,6 +137,47 @@ TEST(Host, UnregisterStopsDelivery) {
   EXPECT_EQ(f.h2.unclaimed_packets(), 1);
 }
 
+TEST(Host, FlowTableKeepsEveryFlowReachableThroughChurn) {
+  // Register many flows (forcing the flat table to grow), unregister a
+  // scattered subset (exercising backward-shift deletion inside probe
+  // runs), re-register some of them, then check every flow id either
+  // reaches its handler or counts as unclaimed — never the wrong handler.
+  StarFixture f;
+  constexpr int kFlows = 600;
+  std::vector<RecordingHandler> handlers(kFlows);
+  std::vector<bool> registered(kFlows, false);
+  for (int i = 0; i < kFlows; ++i) {
+    f.h2.register_flow(static_cast<FlowId>(i) * 7 + 1, &handlers[static_cast<std::size_t>(i)]);
+    registered[static_cast<std::size_t>(i)] = true;
+  }
+  for (int i = 0; i < kFlows; i += 3) {
+    f.h2.unregister_flow(static_cast<FlowId>(i) * 7 + 1);
+    registered[static_cast<std::size_t>(i)] = false;
+  }
+  for (int i = 0; i < kFlows; i += 9) {
+    f.h2.register_flow(static_cast<FlowId>(i) * 7 + 1, &handlers[static_cast<std::size_t>(i)]);
+    registered[static_cast<std::size_t>(i)] = true;
+  }
+  f.h2.unregister_flow(999'999);  // never registered: a no-op
+
+  int expected_unclaimed = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    const FlowId flow = static_cast<FlowId>(i) * 7 + 1;
+    f.h2.receive(f.h2.packets().acquire(make_data_packet(f.h1.id(), f.h2.id(), flow, 0, 100)), 0);
+    if (!registered[static_cast<std::size_t>(i)]) ++expected_unclaimed;
+  }
+  EXPECT_EQ(f.h2.unclaimed_packets(), expected_unclaimed);
+  for (int i = 0; i < kFlows; ++i) {
+    const auto& got = handlers[static_cast<std::size_t>(i)].packets;
+    if (!registered[static_cast<std::size_t>(i)]) {
+      EXPECT_TRUE(got.empty()) << "flow index " << i;
+      continue;
+    }
+    ASSERT_EQ(got.size(), 1u) << "flow index " << i;
+    EXPECT_EQ(got[0].tcp.flow_id, static_cast<FlowId>(i) * 7 + 1);
+  }
+}
+
 TEST(Host, IngressTapsSeeEveryPacketIncludingUnclaimed) {
   StarFixture f;
   RecordingTap tap;

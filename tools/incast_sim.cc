@@ -865,8 +865,7 @@ int run_fabric(core::CliArgs& args) {
 
   const auto r = core::run_fabric_incast_experiment(cfg);
 
-  print_burst_table(r, {{"ECMP path changes", std::to_string(r.ecmp_path_changes)},
-                        {"mode", core::to_string(r.mode)},
+  print_burst_table(r, {{"mode", core::to_string(r.mode)},
                         {"events processed", std::to_string(r.events_processed)}});
 
   // Burst visibility per vantage: the same burst, seen at host NIC, leaf
