@@ -143,6 +143,66 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
 
+// The degree-2000 scaling rung's measured heap shape: a hold model of 50
+// near events doing the work while 3,600 RTO timers sit parked 200 ms out,
+// one of them pushed back (re-armed) per event, as an ACK does. Parked
+// entries only surface when their 200 ms elapse, so the near events should
+// pay for a heap of ~50 entries, not ~3,650. Informational: no baseline row.
+class ParkedTimerHold {
+ public:
+  static constexpr int kNearEvents = 50;
+  static constexpr int kParkedTimers = 3600;
+
+  ParkedTimerHold() {
+    sim_.reserve_events(kNearEvents + kParkedTimers);
+    for (int i = 0; i < kParkedTimers; ++i) {
+      timers_.push_back(std::make_unique<sim::Timer>(sim_, &owner_,
+                                                     sim::Timer::method<&RtoOwner::fire>));
+      timers_.back()->arm_in(200_ms);
+    }
+    for (int i = 0; i < kNearEvents; ++i) sim_.schedule_in(next_delay(), Step{this});
+  }
+
+  sim::Simulator& sim() { return sim_; }
+  [[nodiscard]] std::int64_t timers_fired() const { return owner_.fired; }
+
+ private:
+  struct Step {
+    ParkedTimerHold* hold;
+    void operator()() const { hold->step(); }
+  };
+
+  void step() {
+    sim_.schedule_in(next_delay(), Step{this});
+    timers_[next_timer_]->arm_in(200_ms);
+    next_timer_ = (next_timer_ + 1) % timers_.size();
+  }
+
+  // Uniform in [0, 200) us from a 64-bit LCG: each event advances the clock
+  // by ~2 us, so a timer is pushed back every ~7 ms.
+  sim::Time next_delay() {
+    lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return sim::Time::nanoseconds(static_cast<std::int64_t>((lcg_ >> 33) % 200'000));
+  }
+
+  sim::Simulator sim_;
+  RtoOwner owner_;
+  std::vector<std::unique_ptr<sim::Timer>> timers_;
+  std::size_t next_timer_{0};
+  std::uint64_t lcg_{1};
+};
+
+void BM_EventQueueHoldWithParkedTimers(benchmark::State& state) {
+  ParkedTimerHold hold;
+  sim::Simulator& sim = hold.sim();
+  sim.run_until(300_ms);  // warm-up: every parked entry surfaces and re-files once
+  const std::uint64_t before = sim.events_processed();
+  for (auto _ : state) sim.run_until(sim.now() + 1_ms);
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed() - before));
+  state.counters["timers_fired"] = static_cast<double>(hold.timers_fired());
+}
+BENCHMARK(BM_EventQueueHoldWithParkedTimers);
+
 void BM_RngLognormal(benchmark::State& state) {
   sim::Rng rng{7};
   for (auto _ : state) {

@@ -3,38 +3,48 @@
 // Layout is chosen so that steady-state dispatch performs zero heap
 // allocations and zero hash-table operations:
 //
-//  * The heap is a cache-friendly 4-ary implicit heap whose entries are
-//    24-byte PODs (Time, seq, slot). Sift operations move these small
-//    entries, never the callbacks.
+//  * Pending entries live in cache-friendly 4-ary implicit heaps whose
+//    entries are 24-byte PODs (Time, seq, slot). Sift operations move these
+//    small entries, never the callbacks.
 //  * Callbacks (allocation-free sim::InlineFunction) and their category live
 //    in a free-listed slab indexed by `slot`. A slot belongs to exactly one
 //    heap entry: it is taken when the entry is filed and freed when the
-//    entry leaves the heap, so it never moves and is never reused while
+//    entry leaves its heap, so it never moves and is never reused while
 //    referenced.
 //  * Ordering is (time, seq) with seq a monotonically increasing insertion
 //    counter, which makes event ordering at equal timestamps deterministic
 //    (FIFO) — essential for reproducible runs.
 //
-// Two kinds of event share the heap. A one-shot event (push) runs its
-// callback once and cannot be withdrawn. A Timer (sim/simulator.h) is a
-// re-armable event owned by the component that uses it — TCP's RTO, TLP,
-// pacing and delayed-ACK timers. Arming draws the (time, seq) key a push
-// would draw, and the timer keeps it as its expiry; disarming draws
-// nothing. The queue files at most one live heap entry per timer, under a
-// key no later than the expiry:
+// Two kinds of event are pending. A one-shot event (push) runs its callback
+// once and cannot be withdrawn. A Timer (sim/simulator.h) is a re-armable
+// event owned by the component that uses it — TCP's RTO, TLP, pacing and
+// delayed-ACK timers. Arming draws the (time, seq) key a push would draw,
+// and the timer keeps it as its expiry; disarming draws nothing. The queue
+// files at most one live entry per timer, under a key no later than the
+// expiry:
 //
 //  * arming later than the filed entry only moves the expiry;
-//  * when the filed entry reaches the root before the expiry, the queue
-//    re-files it at the expiry without dispatching anything;
+//  * when the filed entry surfaces before the expiry, the queue re-files it
+//    at the expiry without dispatching anything;
 //  * arming earlier than (or at the time of) the filed entry files a fresh
 //    entry and orphans the old one, which is dropped when it surfaces;
 //  * a disarmed timer's entry is dropped when it surfaces.
 //
 // A timer therefore fires exactly when an event pushed at its last arm
 // would have fired, in the same (time, seq) order against every other
-// event, and events_processed counts the same dispatches. What changes is
-// the heap: a timer re-armed on every ACK holds one entry instead of
-// leaving one dead entry per ACK behind.
+// event, and events_processed counts the same dispatches.
+//
+// One-shot events and timer entries sit in two separate heaps. In an
+// incast most timers are RTOs parked ~200 ms out while a few dozen packet
+// events do the work, so a one-shot push or pop sifts through the few
+// near events only, not through thousands of parked timers. An entry
+// "surfaces" when it is the earliest of both heaps — when it would be the
+// root of one heap holding both — and the queue looks at the timer heap
+// only then: when its root comes before the event heap's. Orphaned and
+// disarmed entries are dropped, and early entries re-filed, at exactly the
+// moments one heap would do it. So the dispatch order, every key draw, the
+// slot each entry takes, peak_pending() (both heaps' entries together) and
+// slab_high_water() are those of a single heap.
 #ifndef INCAST_SIM_EVENT_QUEUE_H_
 #define INCAST_SIM_EVENT_QUEUE_H_
 
@@ -126,19 +136,22 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Pre-sizes the heap and slab for `n` concurrently pending events, so a
+  // Pre-sizes the heaps and slab for `n` concurrently pending events, so a
   // simulation whose peak depth is known up front (hosts x flows x a few
-  // timers) never grows either on its hot path.
+  // timers) never grows any of them on its hot path.
   void reserve(std::size_t n) {
-    heap_.reserve(n);
+    events_.reserve(n);
+    timers_.reserve(n);
     slots_.reserve(n);
   }
 
-  // Schedules `cb` to run once at absolute time `at`. Scheduling into the
-  // past is the caller's bug; the queue will still pop events in heap
-  // order, so the kernel asserts on it instead.
-  void push(Time at, Callback cb, EventCategory category = EventCategory::kGeneric) {
-    push_with_seq(at, next_seq_++, std::move(cb), category);
+  // Schedules `cb` (an InlineFunction or any callable it can hold) to run
+  // once at absolute time `at`; the callable is built in its slab slot.
+  // Scheduling into the past is the caller's bug; the queue will still pop
+  // events in heap order, so the kernel asserts on it instead.
+  template <typename F>
+  void push(Time at, F&& cb, EventCategory category = EventCategory::kGeneric) {
+    push_keyed(at, next_seq_++, std::forward<F>(cb), category);
   }
 
   // Schedules `cb` with an explicit tie-break key instead of the queue's
@@ -148,11 +161,17 @@ class EventQueue {
   // of which queue an event lands in. A queue must not mix push() and
   // push_keyed() — the insertion counter and external keys draw from
   // unrelated number spaces, so interleaving them would make equal-time
-  // order depend on scheduling history. Simulator enforces this by routing
-  // every push through one mode or the other.
-  void push_keyed(Time at, std::uint64_t key, Callback cb,
+  // order depend on scheduling history. Simulator files every event here
+  // with a tie-break it drew for its mode: draw_seq() unkeyed, keys keyed.
+  template <typename F>
+  void push_keyed(Time at, std::uint64_t key, F&& cb,
                   EventCategory category = EventCategory::kGeneric) {
-    push_with_seq(at, key, std::move(cb), category);
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.cb = std::forward<F>(cb);
+    s.category = category;
+    file(events_, Entry{at, key, slot});
+    ++live_;
   }
 
   // Draws the next insertion-counter value, as push() would.
@@ -172,15 +191,12 @@ class EventQueue {
     }
     t.slot_ = acquire_slot();
     t.filed_at_ = at;
-    Slot& s = slots_[t.slot_];
-    s.timer = &t;
-    s.category = t.category_;
-    s.kind = Kind::kTimer;
-    file(Entry{at, seq, t.slot_});
+    slots_[t.slot_].timer = &t;
+    file(timers_, Entry{at, seq, t.slot_});
   }
 
-  // Disarms `t`. Its filed entry stays in the heap until it surfaces (or
-  // until a later arm re-uses it), so disarming draws nothing.
+  // Disarms `t`. Its filed entry stays in the timer heap until it surfaces
+  // (or until a later arm re-uses it), so disarming draws nothing.
   void disarm(Timer& t) noexcept {
     if (!t.armed_) return;
     t.armed_ = false;
@@ -198,11 +214,12 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   // Time of the next event to dispatch; Time::infinity() if none.
-  // Logically const: settling the root drops and re-files heap entries but
-  // never changes the observable event sequence.
+  // Logically const: settling drops and re-files timer entries but never
+  // changes the observable event sequence.
   [[nodiscard]] Time next_time() const {
-    const_cast<EventQueue*>(this)->settle_root();
-    return heap_.empty() ? Time::infinity() : heap_.front().at;
+    auto& self = *const_cast<EventQueue*>(this);
+    if (self.settle()) return timers_.front().at;
+    return events_.empty() ? Time::infinity() : events_.front().at;
   }
 
   // Pops the next event: a one-shot event's callback, or a call of a
@@ -214,25 +231,28 @@ class EventQueue {
     Callback cb;
   };
   Popped pop() {
-    settle_root();
-    assert(!heap_.empty() && "pop() on an empty queue");
-    const Entry top = heap_.front();
-    pop_root();
-    Slot& s = slots_[top.slot];
-    Popped out{top.at, s.category, std::move(s.cb)};
-    if (s.kind == Kind::kTimer) [[unlikely]] {
-      Timer& t = *s.timer;
+    if (settle()) [[unlikely]] {
+      const Entry top = timers_.front();
+      timers_.pop();
+      Timer& t = *slots_[top.slot].timer;
       t.armed_ = false;
       t.slot_ = Timer::kNotFiled;
-      out.cb = [fire = t.fire_, owner = t.owner_] { fire(owner); };
+      release_slot(top.slot);
+      --live_;
+      return Popped{top.at, t.category_, [fire = t.fire_, owner = t.owner_] { fire(owner); }};
     }
-    release_slot(top.slot);
+    assert(!events_.empty() && "pop() on an empty queue");
+    const Entry top = events_.front();
+    events_.pop();
+    release_slot(top.slot);  // leaves cb in place until the next acquire
     --live_;
-    return out;
+    Slot& s = slots_[top.slot];
+    return Popped{top.at, s.category, std::move(s.cb)};
   }
 
-  // Peak heap depth since construction (entries of disarmed and orphaned
-  // timers included — they occupy real heap memory until they surface).
+  // Peak number of heap entries, both heaps together, since construction
+  // (entries of disarmed and orphaned timers included — they occupy real
+  // memory until they surface).
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
   // Slab high-water mark: the most slots ever in existence, i.e. the peak
   // number of heap entries the queue has sized itself for.
@@ -251,40 +271,83 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) <= 24, "heap entries are meant to stay small");
 
-  // What a slot's heap entry is: a one-shot callback, a timer's filed
-  // entry, or an entry its timer has abandoned (dropped when it surfaces).
-  enum class Kind : std::uint8_t { kEvent, kTimer, kOrphan };
+  // Strict-weak order: earlier (time, seq) is dispatched first.
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
 
+  // A 4-ary implicit min-heap of entries under before().
+  class Heap {
+   public:
+    void reserve(std::size_t n) { v_.reserve(n); }
+    [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
+    [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
+    [[nodiscard]] const Entry& front() const noexcept { return v_.front(); }
+
+    void push(Entry e) {
+      v_.push_back(e);
+      std::size_t i = v_.size() - 1;
+      while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!before(e, v_[parent])) break;
+        v_[i] = v_[parent];
+        i = parent;
+      }
+      v_[i] = e;
+    }
+
+    // Removes the root: the last entry sifts down from the top.
+    void pop() noexcept {
+      const Entry e = v_.back();
+      v_.pop_back();
+      if (!v_.empty()) replace_front(e);
+    }
+
+    // Overwrites the root with `e` and sifts it down.
+    void replace_front(Entry e) noexcept {
+      const std::size_t n = v_.size();
+      std::size_t i = 0;
+      for (;;) {
+        const std::size_t first_child = 4 * i + 1;
+        if (first_child >= n) break;
+        std::size_t best = first_child;
+        const std::size_t last_child = std::min(first_child + 4, n);
+        for (std::size_t c = first_child + 1; c < last_child; ++c) {
+          if (before(v_[c], v_[best])) best = c;
+        }
+        if (!before(v_[best], e)) break;
+        v_[i] = v_[best];
+        i = best;
+      }
+      v_[i] = e;
+    }
+
+   private:
+    std::vector<Entry> v_;
+  };
+
+  // A slot of the event heap holds a callback and its category; a slot of
+  // the timer heap holds its timer, or nullptr once the timer has abandoned
+  // the entry (an orphan, dropped when it surfaces).
   struct Slot {
-    Callback cb;             // kEvent; empty otherwise
-    Timer* timer{nullptr};   // kTimer
+    Callback cb;             // event entries; empty otherwise
+    Timer* timer{nullptr};   // timer entries
     std::uint32_t next_free{kNoSlot};
     EventCategory category{EventCategory::kGeneric};
-    Kind kind{Kind::kEvent};
   };
 
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  void push_with_seq(Time at, std::uint64_t seq, Callback cb, EventCategory category) {
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.category = category;
-    s.kind = Kind::kEvent;
-    file(Entry{at, seq, slot});
-    ++live_;
+  void file(Heap& heap, Entry e) {
+    heap.push(e);
+    peak_pending_ = std::max(peak_pending_, events_.size() + timers_.size());
   }
 
-  void file(const Entry& e) {
-    heap_.push_back(e);
-    sift_up(heap_.size() - 1);
-    if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
-  }
-
-  // Detaches `t` from its filed entry, which stays in the heap as an
+  // Detaches `t` from its filed entry, which stays in the timer heap as an
   // orphan until it surfaces.
   void orphan(Timer& t) noexcept {
-    slots_[t.slot_].kind = Kind::kOrphan;
+    slots_[t.slot_].timer = nullptr;
     t.slot_ = Timer::kNotFiled;
   }
 
@@ -304,74 +367,32 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  // Strict-weak order: earlier (time, seq) is dispatched first.
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-
-  void sift_up(std::size_t i) noexcept {
-    const Entry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  // Places `e` at the root's position and sifts it down. The root's old
-  // entry is overwritten.
-  void sift_down_from_root(const Entry& e) noexcept {
-    const std::size_t n = heap_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = 4 * i + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, n);
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], e)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = e;
-  }
-
-  // Removes the root: the last entry sifts down from the top.
-  void pop_root() noexcept {
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down_from_root(e);
-  }
-
-  // Brings a due entry to the root: drops orphaned entries and those of
-  // disarmed timers, and re-files a timer entry that surfaced before its
-  // expiry at that expiry. Afterwards the root, if any, is the next event.
-  void settle_root() noexcept {
-    while (!heap_.empty()) {
-      const Entry top = heap_.front();
-      Slot& s = slots_[top.slot];
-      if (s.kind == Kind::kEvent) [[likely]] return;
-      if (s.kind == Kind::kTimer) {
-        Timer& t = *s.timer;
-        if (t.armed_) {
-          if (t.at_ == top.at && t.seq_ == top.seq) return;
-          t.filed_at_ = t.at_;
-          sift_down_from_root(Entry{t.at_, t.seq_, top.slot});
+  // Surfaces timer entries while the timer heap's root comes before the
+  // event heap's: drops orphaned entries and those of disarmed timers, and
+  // re-files an entry that surfaced before its timer's expiry at that
+  // expiry. Returns whether the next event is the timer heap's root (a due
+  // timer); otherwise it is the event heap's root, if any.
+  bool settle() noexcept {
+    while (!timers_.empty()) {
+      const Entry top = timers_.front();
+      if (!events_.empty() && !before(top, events_.front())) [[likely]] return false;
+      if (Timer* t = slots_[top.slot].timer) {
+        if (t->armed_) {
+          if (t->at_ == top.at && t->seq_ == top.seq) return true;
+          t->filed_at_ = t->at_;
+          timers_.replace_front(Entry{t->at_, t->seq_, top.slot});
           continue;
         }
-        t.slot_ = Timer::kNotFiled;
+        t->slot_ = Timer::kNotFiled;
       }
       release_slot(top.slot);
-      pop_root();
+      timers_.pop();
     }
+    return false;
   }
 
-  std::vector<Entry> heap_;
+  Heap events_;  // one-shot events
+  Heap timers_;  // filed timer entries, orphans included
   std::vector<Slot> slots_;
   std::uint32_t free_head_{kNoSlot};
   std::uint64_t next_seq_{0};

@@ -2,31 +2,8 @@
 
 #include <cassert>
 #include <chrono>
-#include <utility>
 
 namespace incast::sim {
-
-void Simulator::schedule_at(Time at, Callback cb, EventCategory category) {
-  assert(at >= now_ && "cannot schedule into the past");
-  if (keyed_) {
-    // Ambient lane: keyed mode must never mix insertion-counter pushes
-    // with keyed pushes (the number spaces are unrelated), so unkeyed
-    // schedules draw from lane 0's private counter instead.
-    queue_.push_keyed(at, ambient_key_++, std::move(cb), category);
-    return;
-  }
-  queue_.push(at, std::move(cb), category);
-}
-
-void Simulator::schedule_at_keyed(Time at, std::uint64_t key, Callback cb,
-                                  EventCategory category) {
-  assert(at >= now_ && "cannot schedule into the past");
-  if (keyed_) {
-    queue_.push_keyed(at, key, std::move(cb), category);
-    return;
-  }
-  queue_.push(at, std::move(cb), category);
-}
 
 void Simulator::dispatch_one() {
   auto ev = queue_.pop();

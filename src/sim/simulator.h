@@ -10,11 +10,14 @@
 // only way to stop an event before it fires.
 //
 // The hot path is allocation-free: callbacks are sim::InlineFunction (fixed
-// inline capture budget, compile error on oversize), the pending set is a
-// slab-backed 4-ary heap (sim/event_queue.h), and steady-state dispatch
-// performs no heap allocations and no hash-table operations. Callers that
-// know their peak event population can reserve_events() up front so the
-// heap/slab never grow mid-run.
+// inline capture budget, compile error on oversize), built in place in a
+// slab slot by the inline schedule_* templates, and steady-state dispatch
+// performs no heap allocations and no hash-table operations. The pending
+// set is two slab-backed 4-ary heaps (sim/event_queue.h): one-shot events
+// in one, timer entries in the other, so the few near packet events never
+// sift through thousands of parked RTOs. Dispatch order is what one heap
+// holding both would give. Callers that know their peak event population
+// can reserve_events() up front so the heaps and slab never grow mid-run.
 //
 // Self-profiling: every event carries an EventCategory and the loop keeps an
 // always-on per-category dispatch counter (a single array increment — see
@@ -41,8 +44,10 @@
 #define INCAST_SIM_SIMULATOR_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/auditor.h"
 #include "sim/event_category.h"
@@ -62,8 +67,6 @@ namespace incast::sim {
 
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -71,21 +74,29 @@ class Simulator {
   // Current simulated time. Advances only inside run()/run_until().
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  // Capacity hint: pre-sizes the event heap and callback slab for `n`
+  // Capacity hint: pre-sizes the event heaps and callback slab for `n`
   // concurrently pending events (typically hosts x flows x a small timer
-  // factor), so steady state never grows either structure.
+  // factor), so steady state never grows any of them.
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   // Timestamp of the next pending event; Time::infinity() when idle.
   [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
 
-  // Schedules `cb` at absolute time `at` (must be >= now()).
-  void schedule_at(Time at, Callback cb, EventCategory category = EventCategory::kGeneric);
+  // Schedules `cb` at absolute time `at` (must be >= now()). `cb` is any
+  // callable an InlineFunction can hold; it is built once, directly in the
+  // event's slab slot.
+  template <typename F>
+  void schedule_at(Time at, F&& cb, EventCategory category = EventCategory::kGeneric) {
+    assert(at >= now_ && "cannot schedule into the past");
+    // In keyed mode an unkeyed schedule draws from the ambient lane, never
+    // from the insertion counter: the two number spaces are unrelated.
+    queue_.push_keyed(at, draw_key(), std::forward<F>(cb), category);
+  }
 
   // Schedules `cb` after `delay` (must be >= 0).
-  void schedule_in(Time delay, Callback cb,
-                   EventCategory category = EventCategory::kGeneric) {
-    schedule_at(now_ + delay, std::move(cb), category);
+  template <typename F>
+  void schedule_in(Time delay, F&& cb, EventCategory category = EventCategory::kGeneric) {
+    schedule_at(now_ + delay, std::forward<F>(cb), category);
   }
 
   // Keyed scheduling for the parallel engine (sim/domain.h). In keyed mode
@@ -94,11 +105,16 @@ class Simulator {
   // When keyed ordering is off (the default), the key is ignored and these
   // behave exactly like schedule_at/schedule_in, so shared component code
   // can call them unconditionally.
-  void schedule_at_keyed(Time at, std::uint64_t key, Callback cb,
-                         EventCategory category = EventCategory::kGeneric);
-  void schedule_in_keyed(Time delay, std::uint64_t key, Callback cb,
+  template <typename F>
+  void schedule_at_keyed(Time at, std::uint64_t key, F&& cb,
                          EventCategory category = EventCategory::kGeneric) {
-    schedule_at_keyed(now_ + delay, key, std::move(cb), category);
+    assert(at >= now_ && "cannot schedule into the past");
+    queue_.push_keyed(at, draw_key(key), std::forward<F>(cb), category);
+  }
+  template <typename F>
+  void schedule_in_keyed(Time delay, std::uint64_t key, F&& cb,
+                         EventCategory category = EventCategory::kGeneric) {
+    schedule_at_keyed(now_ + delay, key, std::forward<F>(cb), category);
   }
 
   // Switches equal-time tie-breaking from the insertion counter to explicit
@@ -143,10 +159,11 @@ class Simulator {
   // Pending one-shot events plus armed timers.
   [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.size(); }
 
-  // Peak heap depth and callback-slab high-water mark since construction —
-  // the kernel's memory footprint, surfaced through SweepRunner::RunStats
-  // and the sim.events.* metrics. The heap holds at most one entry per
-  // timer beyond the live events (sim/event_queue.h).
+  // Peak heap entries (both heaps together) and callback-slab high-water
+  // mark since construction — the kernel's memory footprint, surfaced
+  // through SweepRunner::RunStats and the sim.events.* metrics. The heaps
+  // hold at most one entry per timer beyond the live events, plus orphans
+  // not yet surfaced (sim/event_queue.h).
   [[nodiscard]] std::size_t peak_events_pending() const noexcept {
     return queue_.peak_pending();
   }
@@ -202,8 +219,9 @@ class Simulator {
 
   void dispatch_one();
 
-  // The tie-break a timer arm draws: what schedule_at_keyed (with a key)
-  // or schedule_at (without) would draw for the same call.
+  // The tie-break a schedule or timer arm draws: the key in keyed mode
+  // (lane 0's ambient counter when none is given), otherwise the queue's
+  // insertion counter.
   [[nodiscard]] std::uint64_t draw_key(std::uint64_t key) {
     return keyed_ ? key : queue_.draw_seq();
   }

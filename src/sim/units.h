@@ -40,13 +40,18 @@ class Bandwidth {
 
   // Time to serialize `bytes` onto a link of this rate.
   [[nodiscard]] constexpr Time serialization_time(std::int64_t bytes) const noexcept {
-    // bytes * 8 bits / (bps bits/sec) seconds, in ns. The intermediate
-    // product is 128-bit: the int64 form overflows past ~1.07 GB, which
+    // bytes * 8 bits / (bps bits/sec) seconds, in ns. Below 2^30 bytes
+    // (every packet) the product bytes * 8e9 fits int64, so one 64-bit
+    // divide does it. The int64 form overflows past ~1.07 GB, which
     // aggregate sizes (e.g. a whole incast's worth of wire bytes in the
-    // scaling experiment's optimal-FCT math) do reach. Identical results
-    // for every non-overflowing input.
-    return Time::nanoseconds(static_cast<std::int64_t>(
-        static_cast<__int128>(bytes) * 8 * 1'000'000'000 / bps_));
+    // scaling experiment's optimal-FCT math) do reach; those take a 128-bit
+    // product. Both forms give identical results where both are defined.
+    constexpr std::int64_t kNsBitsPerByte = 8 * 1'000'000'000LL;
+    if (bytes >= 0 && bytes < (std::int64_t{1} << 30)) [[likely]] {
+      return Time::nanoseconds(bytes * kNsBitsPerByte / bps_);
+    }
+    return Time::nanoseconds(
+        static_cast<std::int64_t>(static_cast<__int128>(bytes) * kNsBitsPerByte / bps_));
   }
 
   // Bytes transferred over `duration` at this rate.

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/fleet_experiment.h"
@@ -129,6 +132,83 @@ TEST(EventKernel, FootprintCountersTrackTheRun) {
   EXPECT_EQ(sim.peak_events_pending(), 32u);
   EXPECT_EQ(sim.slab_high_water(), 32u);
   EXPECT_EQ(sim.events_processed(), 32u);
+}
+
+// Counts the lives of a capture. A fresh construction or a copy starts a
+// life and the destruction of an object that still owns its state ends one;
+// a move hands the life over without starting or ending one.
+struct Lives {
+  int started = 0;
+  int copies = 0;
+  int ended = 0;
+  int calls = 0;
+  [[nodiscard]] int live() const { return started - ended; }
+};
+
+struct CountedCapture {
+  explicit CountedCapture(Lives* l) : lives{l} { ++lives->started; }
+  CountedCapture(const CountedCapture& o) : lives{o.lives} {
+    ++lives->started;
+    ++lives->copies;
+  }
+  CountedCapture(CountedCapture&& o) noexcept
+      : lives{o.lives}, owns{std::exchange(o.owns, false)} {}
+  CountedCapture& operator=(const CountedCapture&) = delete;
+  ~CountedCapture() {
+    if (owns) ++lives->ended;
+  }
+  void operator()() const { ++lives->calls; }
+
+  Lives* lives;
+  bool owns{true};
+};
+static_assert(!std::is_trivially_copyable_v<CountedCapture>);
+static_assert(!std::is_trivially_destructible_v<CountedCapture>);
+
+TEST(EventKernel, NonTrivialCapturesLiveOncePerEventWhileTheSlabGrows) {
+  // Each of four parent events schedules 200 children while it runs, half
+  // of them a counted capture and half a std::function holding one, so the
+  // slab grows — relocating every pending capture — under a running
+  // callback. Every capture must be built once (no copies), called once and
+  // destroyed once; the running parent's capture is the only live one
+  // outside the queue.
+  sim::Simulator sim;
+  Lives lives;
+  constexpr int kParents = 4;
+  constexpr int kChildren = 200;
+  for (int p = 0; p < kParents; ++p) {
+    sim.schedule_at(sim::Time::microseconds(1 + p),
+                    [c = CountedCapture{&lives}, &sim, &lives] {
+                      c();
+                      for (int i = 0; i < kChildren / 2; ++i) {
+                        sim.schedule_in(1_us, CountedCapture{&lives});
+                        std::function<void()> forwarded = CountedCapture{&lives};
+                        sim.schedule_in(2_us, std::move(forwarded));
+                      }
+                      EXPECT_EQ(lives.live(), static_cast<int>(sim.events_pending()) + 1);
+                    });
+  }
+  ASSERT_EQ(lives.live(), kParents);
+  sim.run();
+  EXPECT_EQ(lives.started, kParents * (1 + kChildren));
+  EXPECT_EQ(lives.copies, 0);
+  EXPECT_EQ(lives.calls, lives.started);
+  EXPECT_EQ(lives.ended, lives.started);
+  EXPECT_GT(sim.slab_high_water(), static_cast<std::size_t>(kChildren));
+}
+
+TEST(EventKernel, AnUnrunCaptureIsDestroyedOnceWithTheSimulator) {
+  Lives lives;
+  {
+    sim::Simulator sim;
+    sim.schedule_at(1_us, CountedCapture{&lives});
+    sim.schedule_at(2_us, [c = CountedCapture{&lives}] { c(); });
+    sim.run_until(1_us);
+    EXPECT_EQ(lives.live(), 1);
+  }
+  EXPECT_EQ(lives.started, 2);
+  EXPECT_EQ(lives.calls, 1);
+  EXPECT_EQ(lives.ended, 2);
 }
 
 // ---- golden fingerprints ---------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 #include <utility>
 
 namespace incast::sim {
@@ -110,6 +112,47 @@ TEST(InlineFunction, SelfContainedStateSurvivesTheMove) {
   InlineFunction b{std::move(a)};
   b();
   EXPECT_EQ(out, 2);  // count continued from the moved state
+}
+
+TEST(InlineFunction, TrivialCapturesRelocateWhole) {
+  // A trivially copyable capture is relocated by copying its own bytes: an
+  // odd-sized one keeps every field through a move and a move-assignment.
+  struct Odd {
+    int* out;
+    std::int32_t a, b, c;
+    char tail;
+    void operator()() const { *out = a + b + c + tail; }
+  };
+  static_assert(std::is_trivially_copyable_v<Odd>);
+  int out = 0;
+  InlineFunction a{Odd{&out, 1, 20, 300, 4}};
+  InlineFunction b{std::move(a)};
+  InlineFunction c;
+  c = std::move(b);
+  c();
+  EXPECT_EQ(out, 325);
+}
+
+TEST(InlineFunction, AssigningACallableReplacesTheTargetInPlace) {
+  int destroyed = 0;
+  struct CountsDestruction {
+    int* destroyed;
+    bool moved_from{false};
+    CountsDestruction(int* d) : destroyed{d} {}
+    CountsDestruction(CountsDestruction&& o) noexcept : destroyed{o.destroyed} {
+      o.moved_from = true;
+    }
+    ~CountsDestruction() {
+      if (!moved_from) ++*destroyed;
+    }
+    void operator()() const {}
+  };
+  int hits = 0;
+  InlineFunction f{CountsDestruction{&destroyed}};
+  f = [&hits] { ++hits; };  // the old target is destroyed exactly once
+  EXPECT_EQ(destroyed, 1);
+  f();
+  EXPECT_EQ(hits, 1);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace incast::sim {
 namespace {
 
@@ -23,6 +26,33 @@ TEST(Bandwidth, SerializationTime) {
   // 1500 B at 100 Gbps = 120 ns.
   EXPECT_EQ(Bandwidth::gigabits_per_second(100).serialization_time(1500),
             Time::nanoseconds(120));
+}
+
+TEST(Bandwidth, SerializationTimeFastPathMatchesTheWideProduct) {
+  // Below 2^30 bytes serialization_time divides in 64 bits; at and above it
+  // (aggregates past ~1.07 GB) in 128. Both must agree with the 128-bit
+  // product everywhere, at round and at odd rates.
+  const std::int64_t sizes[] = {0,           1,
+                                1500,        (std::int64_t{1} << 30) - 1,
+                                std::int64_t{1} << 30,
+                                1'100'000'000,  // past ~1.07 GB: int64 would overflow
+                                540'000'000'000};
+  const std::int64_t rates[] = {1,          7,           999'999'937,
+                                10'000'000'000, 25'000'000'001, 100'000'000'000,
+                                400'000'000'000};
+  for (const std::int64_t bps : rates) {
+    for (const std::int64_t bytes : sizes) {
+      SCOPED_TRACE(testing::Message() << bytes << " B at " << bps << " bps");
+      const __int128 wide = static_cast<__int128>(bytes) * 8'000'000'000 / bps;
+      if (wide > std::numeric_limits<std::int64_t>::max()) continue;  // not a Time
+      EXPECT_EQ(Bandwidth::bits_per_second(bps).serialization_time(bytes),
+                Time::nanoseconds(static_cast<std::int64_t>(wide)));
+    }
+  }
+  // The aggregate past ~1.07 GB: a degree-8000 incast of 270 kB flows
+  // (2.16 GB) at 10 Gbps.
+  EXPECT_EQ(Bandwidth::gigabits_per_second(10).serialization_time(2'160'000'000),
+            Time::nanoseconds(1'728'000'000));
 }
 
 TEST(Bandwidth, BytesIn) {
