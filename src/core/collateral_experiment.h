@@ -96,8 +96,8 @@ struct CollateralConfig : AuditOptions, FlowTraceOptions, SweepOptions<Collatera
   net::LosslessInputQueue::Config pfc{};
   int pfc_queue_capacity_packets{100'000};
 
-  // kTrim: data-queue capacity of the trimming CompositeQueue. Shallower
-  // than the drop-tail buffer — trimming is what makes small queues viable
+  // kTrim: data-ring capacity of the trimming queue. Shallower than the
+  // drop-tail buffer — trimming is what makes small queues viable
   // — but with enough ECN headroom (mark at 65, trim at 400) that DCTCP
   // sees marks before payloads start getting cut. True NDP runs ~8-packet
   // queues, but only because its receiver pulls pace every packet; a

@@ -9,8 +9,9 @@
 namespace incast::net {
 
 std::uint64_t Port::next_key() {
-  assert(owner_ != nullptr || !sim_.keyed_ordering());
-  return owner_ != nullptr ? owner_->next_event_key() : 0;
+  if (!sim_.keyed_ordering()) return 0;
+  assert(owner_ != nullptr);
+  return owner_->next_event_key();
 }
 
 void Port::set_trace_label(const std::string& label) {
@@ -36,11 +37,11 @@ void Port::send(Packet* p) {
     p->trace_paused_ns = paused_ns();
   }
   const std::int64_t size = p->size_bytes;
-  const std::int64_t trims_before = queue_->stats().trimmed_bytes;
+  const std::int64_t trims_before = queue_.stats().trimmed_bytes;
   if (trace_hub_ == nullptr) {
-    if (queue_->enqueue(p)) {
+    if (queue_.enqueue(p)) {
       if (auto* a = INCAST_AUDITOR(sim_)) {
-        const std::int64_t cut = queue_->stats().trimmed_bytes - trims_before;
+        const std::int64_t cut = queue_.stats().trimmed_bytes - trims_before;
         if (cut > 0) a->on_bytes_trimmed(cut);
       }
       maybe_transmit();
@@ -54,21 +55,21 @@ void Port::send(Packet* p) {
   // Traced path: detect this enqueue's drop/trim/ECN-mark outcome from the
   // queue stats delta and emit an instant on the queue track.
   const bool tracing = trace_hub_->tracing();
-  const std::int64_t marks_before = queue_->stats().ecn_marked_packets;
+  const std::int64_t marks_before = queue_.stats().ecn_marked_packets;
   const FlowId flow = p->tcp.flow_id;
-  if (queue_->enqueue(p)) {
-    const std::int64_t cut = queue_->stats().trimmed_bytes - trims_before;
+  if (queue_.enqueue(p)) {
+    const std::int64_t cut = queue_.stats().trimmed_bytes - trims_before;
     if (cut > 0) {
       if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_trimmed(cut);
       if (tracing) {
         trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
                             trim_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                            queue_->packets());
+                            queue_.packets());
       }
-    } else if (tracing && queue_->stats().ecn_marked_packets > marks_before) {
+    } else if (tracing && queue_.stats().ecn_marked_packets > marks_before) {
       trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
                           mark_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                          queue_->packets());
+                          queue_.packets());
     }
     maybe_transmit();
   } else {
@@ -77,7 +78,7 @@ void Port::send(Packet* p) {
     if (tracing) {
       trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
                           drop_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                          queue_->packets());
+                          queue_.packets());
     }
   }
 }
@@ -104,7 +105,7 @@ void Port::pause_for(sim::Time duration) {
     if (trace_hub_ != nullptr && trace_hub_->tracing()) {
       trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
                           pause_event_name_, obs::kQueueTid, "pause_ns",
-                          duration.ns(), "qlen", queue_->packets());
+                          duration.ns(), "qlen", queue_.packets());
     }
   }
   // (Re)arm the auto-expiry; a newer pause supersedes any pending one.
@@ -127,7 +128,7 @@ void Port::finish_pause() {
     trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
                         resume_event_name_, obs::kQueueTid, "paused_ns",
                         sim_.now().ns() - pause_started_ns_, "qlen",
-                        queue_->packets());
+                        queue_.packets());
   }
   maybe_transmit();
 }
@@ -151,12 +152,12 @@ void Port::maybe_transmit() {
     }
   } else {
     // Every serialization completion lands here, and an ACK-clocked NIC is
-    // usually empty by then: test before paying for the virtual dequeue.
-    if (paused_ || queue_->empty()) return;
-    next = queue_->dequeue();
+    // usually empty by then: test before paying for the dequeue.
+    if (paused_ || queue_.empty()) return;
+    next = queue_.dequeue();
 
     if (auto* a = INCAST_AUDITOR(sim_)) {
-      a->record_depth("port.queue", queue_->packets(), queue_->bytes());
+      a->record_depth("port.queue", queue_.packets(), queue_.bytes());
     }
 
     if (dequeue_tap_ != nullptr) dequeue_tap_->on_dequeue(*next, sim_.now());
@@ -179,8 +180,8 @@ void Port::maybe_transmit() {
     // extend.
     if (int_stamping_ && next->int_slot != kNoIntSlot && next->is_data()) {
       if (!pool_->int_stack(*next)->push(IntHopRecord{
-              .qlen_bytes = queue_->bytes(),
-              .tx_bytes = queue_->stats().dequeued_bytes,
+              .qlen_bytes = queue_.bytes(),
+              .tx_bytes = queue_.stats().dequeued_bytes,
               .link_bps = bandwidth_.bps(),
               .timestamp_ns = sim_.now().ns(),
           })) {

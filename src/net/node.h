@@ -1,7 +1,7 @@
 // Node and Port: devices and their egress interfaces.
 //
 // A Node is anything with network ports (Host, Switch). A Port is one
-// unidirectional egress interface: it owns a DropTailQueue and a transmitter
+// unidirectional egress interface: it holds a DropTailQueue and a transmitter
 // that serializes packets at the port's line rate, then delivers them to the
 // connected peer after the link's propagation delay. Full-duplex links are
 // simply a pair of Ports, one on each endpoint.
@@ -14,7 +14,6 @@
 #define INCAST_NET_NODE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,11 +98,11 @@ class Port {
   Port(sim::Simulator& sim, sim::Bandwidth bandwidth, sim::Time propagation_delay,
        const DropTailQueue::Config& queue_config)
       : sim_{sim},
+        pool_{&packet_pool(sim)},
         bandwidth_{bandwidth},
         propagation_delay_{propagation_delay},
-        queue_{make_queue(queue_config)},
-        pool_{&packet_pool(sim)},
-        flow_tracer_{sim.flow_tracer()} {}
+        flow_tracer_{sim.flow_tracer()},
+        queue_{queue_config} {}
 
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
@@ -141,8 +140,8 @@ class Port {
   // Cumulative time spent paused, including the currently open pause.
   [[nodiscard]] std::int64_t paused_ns() const noexcept;
 
-  [[nodiscard]] DropTailQueue& queue() noexcept { return *queue_; }
-  [[nodiscard]] const DropTailQueue& queue() const noexcept { return *queue_; }
+  [[nodiscard]] DropTailQueue& queue() noexcept { return queue_; }
+  [[nodiscard]] const DropTailQueue& queue() const noexcept { return queue_; }
   [[nodiscard]] sim::Bandwidth bandwidth() const noexcept { return bandwidth_; }
   [[nodiscard]] sim::Time propagation_delay() const noexcept { return propagation_delay_; }
   [[nodiscard]] bool busy() const noexcept { return busy_; }
@@ -212,50 +211,57 @@ class Port {
   // peer after propagation. `p` is owned by this port; it is released (or
   // handed to the propagation event) before returning.
   void deliver(Packet* p);
-  // Next equal-time tie-break key from the owning node's lane (defined in
-  // node.cc — needs the full Node type).
+  // Next equal-time tie-break key from the owning node's lane in keyed
+  // mode; 0 otherwise, where schedule_*_keyed ignores the key, so an
+  // unkeyed hop never touches the owner (defined in node.cc — needs the
+  // full Node type).
   [[nodiscard]] std::uint64_t next_key();
   // Fires when a packet finishes propagating: hands it to the peer.
   void arrive(Packet* p);
   // Closes the open pause interval and restarts transmission.
   void finish_pause();
 
+  // Hot first: the fields send(), maybe_transmit() and a delivery read on
+  // every packet, then the queue (which orders its own fields the same
+  // way), then what only taps, faults, PFC, tracing and the parallel
+  // engine read.
   sim::Simulator& sim_;
-  sim::Bandwidth bandwidth_;
-  sim::Time propagation_delay_;
-  std::unique_ptr<DropTailQueue> queue_;
   // The event loop's packet pool: where dropped packets go back, and where
   // INT stacks and fault-injected duplicates live.
   PacketPool* pool_;
-  Node* owner_{nullptr};
   Node* peer_{nullptr};
   std::size_t peer_in_port_{0};
-  MailboxEgress* bridge_{nullptr};
-  int src_domain_{0};
-  int dst_domain_{0};
-  bool busy_{false};
-  bool int_stamping_{false};
-  std::int64_t wire_bytes_{0};
-  LinkHook* hook_{nullptr};
-  std::vector<TxTap*> tx_taps_;
-  DequeueTap* dequeue_tap_{nullptr};
+  sim::Bandwidth bandwidth_;
+  sim::Time propagation_delay_;
+  obs::Hub* trace_hub_{nullptr};
+  // Cached at construction, like trace_hub_: nullptr (no tracer attached)
+  // keeps the per-packet hooks to a single predictable branch.
+  obs::FlowTracer* flow_tracer_{nullptr};
   // Pending control frames, strictly ahead of the data queue. Control
   // traffic is rare (state transitions only), so a plain vector FIFO is
   // fine here.
   std::vector<Packet*> ctrl_fifo_;
   std::size_t ctrl_head_{0};
-  // PFC pause state. The epoch invalidates stale auto-expiry events when a
-  // refresh or an early resume supersedes them.
+  DequeueTap* dequeue_tap_{nullptr};
+  std::int64_t wire_bytes_{0};
+  bool busy_{false};
   bool paused_{false};
+  bool int_stamping_{false};
+  obs::HopTier trace_tier_{};  // zero-initialized = kUnknown
+  DropTailQueue queue_;
+
+  std::vector<TxTap*> tx_taps_;
+  LinkHook* hook_{nullptr};
+  MailboxEgress* bridge_{nullptr};
+  int src_domain_{0};
+  int dst_domain_{0};
+  Node* owner_{nullptr};
+  // PFC pause ledger. The epoch invalidates stale auto-expiry events when a
+  // refresh or an early resume supersedes them.
   std::uint64_t pause_epoch_{0};
   std::int64_t pause_started_ns_{0};
   std::int64_t pause_count_{0};
   std::int64_t paused_ns_total_{0};
-  obs::Hub* trace_hub_{nullptr};
-  // Cached at construction, like trace_hub_: nullptr (no tracer attached)
-  // keeps the per-packet hooks to a single predictable branch.
-  obs::FlowTracer* flow_tracer_{nullptr};
-  obs::HopTier trace_tier_{};  // zero-initialized = kUnknown
   std::int64_t int_hop_overflows_{0};
   std::string drop_event_name_;
   std::string mark_event_name_;

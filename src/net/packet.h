@@ -154,8 +154,9 @@ struct Packet {
   // meaningless elsewhere.
   std::int16_t viq{-1};
   Ecn ecn{Ecn::kNotEct};
-  // Payload removed by a trimming queue (net::CompositeQueue): only the
-  // header survived and the receiver should NACK for the missing bytes.
+  // Payload removed by a trimming queue (net::QueueDiscipline::kTrimming):
+  // only the header survived and the receiver should NACK for the missing
+  // bytes.
   bool trimmed{false};
   bool is_retransmit{false};  // set by the sender on retransmitted data
   // Payload mangled in flight (fault injection): the frame arrives but its

@@ -1,24 +1,30 @@
-// DropTailQueue: a FIFO egress queue with threshold ECN marking.
+// DropTailQueue: a port's egress FIFO — one class, two disciplines.
 //
 // This is the queue the paper studies: a ToR egress FIFO with capacity 1333
 // packets (2 MB) and an ECN marking threshold K. An arriving ECT packet is
 // marked CE when the instantaneous occupancy is at or above K — the DCTCP
-// marking rule. Arrivals beyond capacity (or beyond the shared-buffer
-// dynamic threshold, when a pool is attached) are dropped at the tail.
+// marking rule — or, with a DCQCN-style band (ecn_kmin/kmax), with a
+// probability ramping 0 -> 1 across [kmin, kmax) and always at/above kmax.
+// The coin is a hash of the packet uid, so marking stays bit-deterministic
+// with no RNG state.
 //
-// Two extensions cover the modern-fabric queue disciplines:
+// Config::discipline picks what happens to an arrival the data FIFO's caps
+// (or the shared-buffer dynamic threshold, when a pool is attached) refuse:
 //
-//   * a DCQCN-style probabilistic marking band (ecn_kmin/kmax): arriving
-//     ECT packets are marked with probability ramping 0 -> 1 across
-//     [kmin, kmax) occupancy, always at/above kmax. The coin is a hash of
-//     the packet uid, so marking stays bit-deterministic with no RNG state;
-//   * CompositeQueue (NDP-style packet trimming): when the data queue is
-//     full, an arriving data packet is trimmed to its header and queued on
-//     a strict-priority header queue instead of being dropped — the
-//     receiver learns what was lost and NACKs for an immediate retransmit.
+//   * kDropTail, the paper's queue: it is dropped at the tail;
+//   * kTrimming, NDP-style [Handley et al., SIGCOMM 17]: a data packet is
+//     trimmed to its header, which joins a strict-priority header ring —
+//     the receiver learns what was lost and NACKs for an immediate
+//     retransmit. Header-only traffic (ACKs, NACKs, headers trimmed
+//     upstream) always rides the header ring. Headers are not charged to
+//     the shared pool: they are what survives congestion, so pool
+//     exhaustion must not drop them. A trimmed ECT header is CE-marked,
+//     so DCTCP-family senders fold the trim into their usual response.
 //
-// make_queue() builds the discipline a Config names, so every Port in every
-// topology can swap disciplines through configuration alone.
+// Trimming is a branch plus the header ring, which stays empty under
+// kDropTail, so the class has no virtual functions and a Port holds its
+// queue by value, next to its own fields: no allocation and no indirection
+// between a hop's port and its queue.
 //
 // Queues hold pooled handles (net/packet_pool.h), never packet values: a
 // queue owns each packet it admitted until dequeue() hands it back, and
@@ -28,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/packet.h"
@@ -36,10 +41,10 @@
 
 namespace incast::net {
 
-// Which queue implementation a Config builds (see make_queue).
+// What a queue does with an arrival its data FIFO refuses.
 enum class QueueDiscipline : std::uint8_t {
   kDropTail = 0,  // classic tail-drop FIFO (the paper's queue)
-  kTrimming,      // NDP-style CompositeQueue: trim payload, keep the header
+  kTrimming,      // NDP-style: trim the payload, keep the header
 };
 
 [[nodiscard]] const char* to_string(QueueDiscipline d) noexcept;
@@ -62,7 +67,7 @@ class DropTailQueue {
     // (deterministic, no RNG state).
     std::int64_t ecn_kmin_packets{0};
     std::int64_t ecn_kmax_packets{0};
-    // Discipline this config builds (make_queue): tail-drop or trimming.
+    // Tail-drop or trimming.
     QueueDiscipline discipline{QueueDiscipline::kDropTail};
     // Trimming only: wire size a trimmed header keeps, and the header
     // queue's own capacity — overflow there is a real drop.
@@ -84,7 +89,6 @@ class DropTailQueue {
   };
 
   explicit DropTailQueue(const Config& config) noexcept : config_{config} {}
-  virtual ~DropTailQueue() = default;
 
   DropTailQueue(const DropTailQueue&) = delete;
   DropTailQueue& operator=(const DropTailQueue&) = delete;
@@ -93,20 +97,72 @@ class DropTailQueue {
   void attach_pool(SharedBufferPool* pool) noexcept { pool_ = pool; }
 
   // Admits `p` (marking it CE if the queue is past the ECN threshold) or
-  // drops it. Returns true if the packet was enqueued — for a trimming
+  // refuses it. Returns true if the packet was enqueued — for a trimming
   // queue that includes the trimmed-to-header case (the stats tell the
   // difference). A refused packet stays the caller's to release.
-  virtual bool enqueue(Packet* p);
+  bool enqueue(Packet* p) {
+    if (trimming() && !p->is_data()) [[unlikely]] return enqueue_header(p, p->size_bytes);
+    const std::int64_t size = p->size_bytes;
+    // The caps apply to the data ring only (all of the queue under
+    // kDropTail). They are checked before the pool so that a refusal never
+    // leaves memory reserved.
+    const auto data_count = static_cast<std::int64_t>(ring_.count);
+    if (data_count < config_.capacity_packets &&
+        (config_.capacity_bytes <= 0 || data_bytes_ + size <= config_.capacity_bytes) &&
+        (pool_ == nullptr || pool_->try_reserve(size, data_bytes_))) {
+      if (should_mark(*p, data_count)) {
+        p->ecn = Ecn::kCe;
+        ++stats_.ecn_marked_packets;
+      }
+      data_bytes_ += size;
+      bytes_ += size;
+      ++count_;
+      ring_.push(p);
+      ++stats_.enqueued_packets;
+      note_peak();
+      return true;
+    }
+    if (trimming()) return trim(p);
+    ++stats_.dropped_packets;
+    stats_.dropped_bytes += size;
+    return false;
+  }
 
-  // Removes the head-of-line packet and hands it to the caller; nullptr if
-  // empty.
-  virtual Packet* dequeue();
+  // Removes the head-of-line packet — a queued header first, then data —
+  // and hands it to the caller; nullptr if empty.
+  Packet* dequeue() {
+    if (empty()) return nullptr;
+    const bool from_header = !header_ring_.empty();
+    Packet* p = from_header ? header_ring_.pop() : ring_.pop();
+    const std::int64_t size = p->size_bytes;
+    --count_;
+    bytes_ -= size;
+    if (!from_header) {
+      data_bytes_ -= size;
+      if (pool_ != nullptr) pool_->release(size);
+    }
+    ++stats_.dequeued_packets;
+    stats_.dequeued_bytes += size;
+    return p;
+  }
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::int64_t packets() const noexcept { return count_; }
   [[nodiscard]] std::int64_t bytes() const noexcept { return bytes_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
+  [[nodiscard]] bool trimming() const noexcept {
+    return config_.discipline == QueueDiscipline::kTrimming;
+  }
+
+  // Packets on the data ring and on the header ring (always 0 under
+  // kDropTail); together they are packets().
+  [[nodiscard]] std::int64_t data_packets() const noexcept {
+    return static_cast<std::int64_t>(ring_.count);
+  }
+  [[nodiscard]] std::int64_t header_packets() const noexcept {
+    return static_cast<std::int64_t>(header_ring_.count);
+  }
 
   // High watermark (packets) since the last take_watermark() call. This is
   // how production ToRs report queue depth: a per-interval peak, not a time
@@ -118,7 +174,7 @@ class DropTailQueue {
     return peak;
   }
 
- protected:
+ private:
   // FIFO of handles as a power-of-two-free circular buffer over a plain
   // vector: a deque's block churn costs an allocation per enqueue, which
   // the allocation-free kernel cannot afford.
@@ -128,69 +184,61 @@ class DropTailQueue {
     std::size_t count{0};
 
     [[nodiscard]] bool empty() const noexcept { return count == 0; }
-    // Appends, growing (rare; amortized away once the queue has seen its
-    // peak depth) when full.
-    void push(Packet* p);
+    // Appends, growing when full (rare; amortized away once the queue has
+    // seen its peak depth).
+    void push(Packet* p) {
+      if (count == slots.size()) [[unlikely]] grow();
+      std::size_t tail = head + count;
+      if (tail >= slots.size()) tail -= slots.size();
+      slots[tail] = p;
+      ++count;
+    }
     // Removes and returns the head. Precondition: !empty().
-    [[nodiscard]] Packet* pop();
+    [[nodiscard]] Packet* pop() noexcept {
+      Packet* p = slots[head];
+      if (++head == slots.size()) head = 0;
+      --count;
+      return p;
+    }
+    // Doubles the storage, unwrapping the occupied region to index 0.
+    void grow();
   };
 
   // The configured marking rule's verdict for an ECT packet arriving at
   // `occupancy_packets`: the kmin/kmax ramp when configured, the DCTCP
   // step rule otherwise. Non-ECT packets are never marked.
-  [[nodiscard]] bool should_mark(const Packet& p, std::int64_t occupancy_packets) const noexcept;
+  [[nodiscard]] bool should_mark(const Packet& p, std::int64_t occupancy_packets) const noexcept {
+    if (!is_ect(p.ecn)) return false;
+    if (config_.ecn_kmax_packets > 0) return band_mark(p, occupancy_packets);
+    return config_.ecn_threshold_packets > 0 &&
+           occupancy_packets >= config_.ecn_threshold_packets;
+  }
+  // The kmin/kmax ramp's coin.
+  [[nodiscard]] bool band_mark(const Packet& p, std::int64_t occupancy_packets) const noexcept;
+
+  // Trimming: cuts a refused data packet to its header and queues that.
+  bool trim(Packet* p);
+  // Trimming: admits `p` onto the header ring, or counts `original_bytes`
+  // dropped when the header ring is full.
+  bool enqueue_header(Packet* p, std::int64_t original_bytes);
 
   void note_peak() noexcept {
     if (count_ > peak_packets_) peak_packets_ = count_;
   }
 
-  Config config_;
-  SharedBufferPool* pool_{nullptr};
-  Ring ring_;
-  // Totals across every internal ring (CompositeQueue adds a header ring),
-  // so packets()/bytes() and the residual-bytes audit see the whole queue.
+  // Hot first: what enqueue() and dequeue() read on every packet.
+  Ring ring_;  // data packets
+  // Totals across both rings, so packets()/bytes() and the residual-bytes
+  // audit see the whole queue.
   std::int64_t count_{0};
   std::int64_t bytes_{0};
+  std::int64_t data_bytes_{0};  // pool-charged bytes: the data ring's
   std::int64_t peak_packets_{0};
+  SharedBufferPool* pool_{nullptr};
+  Config config_;
   Stats stats_;
+  Ring header_ring_;  // trimming only
 };
-
-// CompositeQueue: the NDP trimming discipline [Handley et al., SIGCOMM 17].
-//
-// Data packets queue on the base FIFO under the usual caps; when those caps
-// (or the shared pool) refuse one, its payload is trimmed and the surviving
-// header joins a strict-priority header queue that also carries all
-// header-only traffic (ACKs, NACKs, already-trimmed arrivals). Headers are
-// not charged to the shared pool — they are what survives congestion, so
-// pool exhaustion must not drop them. A trimmed header is CE-marked when
-// ECT: trimming is itself a congestion signal, and this lets DCTCP-family
-// senders fold it into their usual response.
-class CompositeQueue final : public DropTailQueue {
- public:
-  explicit CompositeQueue(const Config& config) noexcept : DropTailQueue{config} {}
-
-  bool enqueue(Packet* p) override;
-  Packet* dequeue() override;
-
-  [[nodiscard]] std::int64_t data_packets() const noexcept {
-    return static_cast<std::int64_t>(ring_.count);
-  }
-  [[nodiscard]] std::int64_t header_packets() const noexcept {
-    return static_cast<std::int64_t>(header_ring_.count);
-  }
-
- private:
-  // Admits onto the header ring; false = header-queue overflow (caller
-  // accounts the drop).
-  bool enqueue_header(Packet* p);
-
-  Ring header_ring_;
-  std::int64_t data_bytes_{0};  // pool-charged bytes in the data ring only
-};
-
-// Builds the queue `config` describes: a trimming CompositeQueue when
-// config.discipline == kTrimming, a plain DropTailQueue otherwise.
-[[nodiscard]] std::unique_ptr<DropTailQueue> make_queue(const DropTailQueue::Config& config);
 
 }  // namespace incast::net
 

@@ -53,6 +53,13 @@ void Auditor::violate_nonmonotonic(std::int64_t now_ns, std::int64_t at_ns) {
               std::to_string(now_ns) + "ns");
 }
 
+void Auditor::report_negative_depth(const char* where, std::int64_t packets,
+                                    std::int64_t bytes) {
+  violate(AuditInvariant::kNegativeDepth, std::string{where} + ": packets=" +
+                                              std::to_string(packets) +
+                                              " bytes=" + std::to_string(bytes));
+}
+
 void Auditor::violate_livelock(std::int64_t at_ns) {
   stuck_windows_ = 0;  // re-arm so relaxed mode reports repeats
   violate(AuditInvariant::kLivelock,

@@ -224,11 +224,7 @@ class Auditor {
   // Depth sample from a queue or a port's wire ledger; negative values are
   // accounting corruption. `where` names the component for the diagnostic.
   void record_depth(const char* where, std::int64_t packets, std::int64_t bytes) {
-    if (packets < 0 || bytes < 0) [[unlikely]] {
-      violate(AuditInvariant::kNegativeDepth,
-              std::string{where} + ": packets=" + std::to_string(packets) +
-                  " bytes=" + std::to_string(bytes));
-    }
+    if (packets < 0 || bytes < 0) [[unlikely]] report_negative_depth(where, packets, bytes);
   }
 
   // --- TCP hooks (called by tcp::TcpSender) -------------------------------
@@ -359,6 +355,9 @@ class Auditor {
   // registers on every event).
   void violate_nonmonotonic(std::int64_t now_ns, std::int64_t at_ns);
   void violate_livelock(std::int64_t at_ns);
+  // The cold half of record_depth, outlined for the same reason: it runs
+  // on every dequeue.
+  void report_negative_depth(const char* where, std::int64_t packets, std::int64_t bytes);
   void periodic_check();
   // Countdown expiry: folds the finished chunk into events_seen_, enforces
   // the event budget exactly, and — when the expiry landed on a

@@ -170,7 +170,8 @@ class EventQueue {
     Slot& s = slots_[slot];
     s.cb = std::forward<F>(cb);
     s.category = category;
-    file(events_, Entry{at, key, slot});
+    events_.push(at, key, slot);
+    note_pending();
     ++live_;
   }
 
@@ -189,10 +190,12 @@ class EventQueue {
       if (at > t.filed_at_) return;
       orphan(t);
     }
-    t.slot_ = acquire_slot();
+    const std::uint32_t slot = acquire_slot();
+    t.slot_ = slot;
     t.filed_at_ = at;
-    slots_[t.slot_].timer = &t;
-    file(timers_, Entry{at, seq, t.slot_});
+    slots_[slot].timer = &t;
+    timers_.push(at, seq, slot);
+    note_pending();
   }
 
   // Disarms `t`. Its filed entry stays in the timer heap until it surfaces
@@ -273,8 +276,11 @@ class EventQueue {
 
   // Strict-weak order: earlier (time, seq) is dispatched first.
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+    return before(a.at, a.seq, b);
+  }
+  [[nodiscard]] static bool before(Time at, std::uint64_t seq, const Entry& b) noexcept {
+    if (at != b.at) return at < b.at;
+    return seq < b.seq;
   }
 
   // A 4-ary implicit min-heap of entries under before().
@@ -285,16 +291,23 @@ class EventQueue {
     [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
     [[nodiscard]] const Entry& front() const noexcept { return v_.front(); }
 
-    void push(Entry e) {
-      v_.push_back(e);
-      std::size_t i = v_.size() - 1;
+    // Files (at, seq, slot). The new entry never goes to memory until its
+    // final position is known: the hole opens at the end and parents move
+    // down into it, so no freshly stored entry is read back while the
+    // caller's closure stores are still in flight.
+    void push(Time at, std::uint64_t seq, std::uint32_t slot) {
+      std::size_t i = v_.size();
+      v_.emplace_back();
+      Entry* const v = v_.data();
       while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
-        if (!before(e, v_[parent])) break;
-        v_[i] = v_[parent];
+        if (!before(at, seq, v[parent])) break;
+        v[i] = v[parent];
         i = parent;
       }
-      v_[i] = e;
+      v[i].at = at;
+      v[i].seq = seq;
+      v[i].slot = slot;
     }
 
     // Removes the root: the last entry sifts down from the top.
@@ -339,8 +352,8 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  void file(Heap& heap, Entry e) {
-    heap.push(e);
+  // Called after each filing: both heaps' entries count toward the peak.
+  void note_pending() noexcept {
     peak_pending_ = std::max(peak_pending_, events_.size() + timers_.size());
   }
 

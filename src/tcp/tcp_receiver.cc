@@ -13,6 +13,7 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, net::Host& local, net::NodeId remo
 
 TcpReceiver::~TcpReceiver() {
   local_.unregister_flow(flow_);
+  if (last_int_slot_ != net::kNoIntSlot) local_.packets().drop_int(last_int_slot_);
 }
 
 void TcpReceiver::handle_packet(const net::Packet& p) {
@@ -34,7 +35,8 @@ void TcpReceiver::handle_packet(const net::Packet& p) {
   stats_.data_bytes_received += p.payload_bytes;
   if (const net::IntStack* stack = local_.packets().int_stack(p);
       stack != nullptr && stack->num_hops > 0) {
-    last_int_ = *stack;
+    if (last_int_slot_ == net::kNoIntSlot) last_int_slot_ = local_.packets().hold_int();
+    local_.packets().int_stack_at(last_int_slot_) = *stack;
   }
   const bool ce = p.ecn == net::Ecn::kCe;
   if (ce) ++stats_.ce_packets_received;
@@ -152,7 +154,10 @@ void TcpReceiver::send_ack(bool ece, bool duplicate) {
   net::Packet* ack = local_.packets().acquire(
       net::make_ack_packet(local_.id(), remote_, flow_, rcv_nxt_, ece));
   attach_sack_blocks(*ack);
-  if (last_int_.num_hops > 0) local_.packets().attach_int(*ack) = last_int_;
+  if (last_int_slot_ != net::kNoIntSlot) {
+    net::PacketPool& pool = local_.packets();
+    pool.attach_int(*ack) = pool.int_stack_at(last_int_slot_);
+  }
   ++stats_.acks_sent;
   if (duplicate) ++stats_.dup_acks_sent;
   local_.send(ack);

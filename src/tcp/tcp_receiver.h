@@ -29,7 +29,7 @@ class TcpReceiver final : public net::PacketHandler {
     std::int64_t acks_sent{0};
     std::int64_t dup_acks_sent{0};
     std::int64_t out_of_order_packets{0};
-    // Trimmed headers received (CompositeQueue cut the payload in the
+    // Trimmed headers received (a trimming queue cut the payload in the
     // fabric); each one elicits an immediate NACK naming the lost segment.
     std::int64_t trimmed_headers_received{0};
     std::int64_t nacks_sent{0};
@@ -85,9 +85,11 @@ class TcpReceiver final : public net::PacketHandler {
   // DCTCP.CE: the CE state machine's current belief (RFC 8257 §3.2).
   bool ce_state_{false};
 
-  // Latest INT stack seen on a data packet; echoed on outgoing ACKs so the
-  // sender's INT-based CCA observes the path state (HPCC-style).
-  net::IntStack last_int_{};
+  // Slot in the packet pool's INT side table holding the latest INT stack
+  // seen on a data packet (kNoIntSlot until one arrives); echoed on
+  // outgoing ACKs so the sender's INT-based CCA observes the path state
+  // (HPCC-style). Only INT-carrying flows pay the 200 bytes.
+  std::uint32_t last_int_slot_{net::kNoIntSlot};
 
   std::function<void(std::int64_t)> on_data_;
   Stats stats_;

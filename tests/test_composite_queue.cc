@@ -1,4 +1,4 @@
-// CompositeQueue (NDP packet trimming) tests: trim-on-overflow, the
+// Trimming-discipline (NDP packet trimming) tests: trim-on-overflow, the
 // strict-priority header queue, CE marking of trimmed headers, and the
 // end-to-end trim -> NACK -> immediate-retransmit recovery path.
 #include <gtest/gtest.h>
@@ -35,7 +35,7 @@ DropTailQueue::Config trim_config(std::int64_t capacity) {
 }
 
 TEST(CompositeQueue, TrimsInsteadOfDroppingWhenDataRingIsFull) {
-  CompositeQueue q{trim_config(2)};
+  DropTailQueue q{trim_config(2)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   EXPECT_TRUE(q.enqueue(data_packet(1460)));
   // Third arrival exceeds capacity: trimmed to a 64 B header, not dropped.
@@ -51,7 +51,7 @@ TEST(CompositeQueue, TrimsInsteadOfDroppingWhenDataRingIsFull) {
 }
 
 TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
-  CompositeQueue q{trim_config(2)};
+  DropTailQueue q{trim_config(2)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   EXPECT_TRUE(q.enqueue(data_packet(1460)));
   EXPECT_TRUE(q.enqueue(data_packet(2920)));  // trimmed
@@ -76,7 +76,7 @@ TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
 }
 
 TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
-  CompositeQueue q{trim_config(1)};
+  DropTailQueue q{trim_config(1)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   Packet* ect = data_packet(1460);
   ect->ecn = Ecn::kEct0;
@@ -89,7 +89,7 @@ TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
 }
 
 TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
-  CompositeQueue q{trim_config(1)};
+  DropTailQueue q{trim_config(1)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   // make_data_packet defaults to ECT0 (DCTCP); force a non-ECN sender.
   Packet* not_ect = data_packet(1460);
@@ -102,7 +102,7 @@ TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
 }
 
 TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
-  CompositeQueue q{trim_config(10)};
+  DropTailQueue q{trim_config(10)};
   EXPECT_TRUE(q.enqueue(data_packet(0)));
   // An ACK (no payload) joins the header ring even though the data ring
   // has room — header-only traffic must never sit behind full frames.
@@ -117,7 +117,7 @@ TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
 TEST(CompositeQueue, HeaderQueueOverflowIsARealDrop) {
   DropTailQueue::Config cfg = trim_config(1);
   cfg.header_capacity_packets = 2;
-  CompositeQueue q{cfg};
+  DropTailQueue q{cfg};
   EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 0, false))));
   EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))));
   EXPECT_FALSE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 2920, false))));
@@ -128,7 +128,7 @@ TEST(CompositeQueue, HeaderQueueOverflowIsARealDrop) {
 TEST(CompositeQueue, EcnMarksOnTheDataRingBelowTheTrimPoint) {
   DropTailQueue::Config cfg = trim_config(8);
   cfg.ecn_threshold_packets = 1;
-  CompositeQueue q{cfg};
+  DropTailQueue q{cfg};
   Packet* first = data_packet(0);
   first->ecn = Ecn::kEct0;
   EXPECT_TRUE(q.enqueue(first));
@@ -143,10 +143,23 @@ TEST(CompositeQueue, EcnMarksOnTheDataRingBelowTheTrimPoint) {
 }
 
 TEST(CompositeQueue, MakeQueueBuildsTheConfiguredDiscipline) {
-  auto trim = make_queue(trim_config(4));
-  ASSERT_NE(dynamic_cast<CompositeQueue*>(trim.get()), nullptr);
-  auto plain = make_queue(DropTailQueue::Config{});
-  EXPECT_EQ(dynamic_cast<CompositeQueue*>(plain.get()), nullptr);
+  // The discipline is configuration, not a type: a full data ring trims
+  // under kTrimming and tail-drops under kDropTail.
+  DropTailQueue trim{trim_config(1)};
+  ASSERT_TRUE(trim.trimming());
+  EXPECT_TRUE(trim.enqueue(data_packet(0)));
+  EXPECT_TRUE(trim.enqueue(data_packet(1460)));
+  EXPECT_EQ(trim.stats().trimmed_packets, 1);
+  DropTailQueue::Config plain_cfg = trim_config(1);
+  plain_cfg.discipline = QueueDiscipline::kDropTail;
+  DropTailQueue plain{plain_cfg};
+  EXPECT_FALSE(plain.trimming());
+  EXPECT_TRUE(plain.enqueue(data_packet(0)));
+  Packet* refused = data_packet(1460);
+  EXPECT_FALSE(plain.enqueue(refused));
+  pool().release(refused);
+  EXPECT_EQ(plain.stats().trimmed_packets, 0);
+  EXPECT_EQ(plain.header_packets(), 0);
 }
 
 // ---------------------------------------------------------------------------

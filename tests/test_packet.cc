@@ -135,9 +135,14 @@ TEST(PacketPool, IntSidePoolServesOnlyIntRequestingSenders) {
     EXPECT_EQ(pool.int_in_use(), 0u);
     if (cc == tcp::CcAlgorithm::kHpcc) {
       EXPECT_GT(pool.int_high_water(), 0u);
+      // Each receiver holds the latest stack it echoes, until it goes.
+      EXPECT_EQ(pool.int_held(), 8u);
     } else {
       EXPECT_EQ(pool.int_high_water(), 0u);
+      EXPECT_EQ(pool.int_held(), 0u);
     }
+    conns.clear();
+    EXPECT_EQ(pool.int_held(), 0u);
   }
 }
 
