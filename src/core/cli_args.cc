@@ -1,5 +1,6 @@
 #include "core/cli_args.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace incast::core {
@@ -35,93 +36,89 @@ std::string CliArgs::get_or(const std::string& key, std::string fallback) const 
   return get(key).value_or(std::move(fallback));
 }
 
-std::int64_t CliArgs::int_or(const std::string& key, std::int64_t fallback) {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  std::int64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(raw->data(), raw->data() + raw->size(), value);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) {
-    errors_.push_back("--" + key + ": expected an integer, got '" + *raw + "'");
-    return fallback;
-  }
-  return value;
+namespace {
+
+// `raw` as a T when from_chars consumes all of it.
+template <typename T>
+std::optional<T> whole(const std::string& raw) {
+  T value{};
+  const auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), value);
+  return ec == std::errc{} && ptr == raw.data() + raw.size() ? std::optional{value} : std::nullopt;
 }
 
-double CliArgs::double_or(const std::string& key, double fallback) {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(raw->data(), raw->data() + raw->size(), value);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) {
-    errors_.push_back("--" + key + ": expected a number, got '" + *raw + "'");
-    return fallback;
-  }
-  return value;
+std::optional<bool> boolean(const std::string& raw) {
+  if (raw == "true" || raw == "1" || raw == "yes" || raw == "on") return true;
+  if (raw == "false" || raw == "0" || raw == "no" || raw == "off") return false;
+  return std::nullopt;
 }
 
-bool CliArgs::bool_or(const std::string& key, bool fallback) {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  if (*raw == "true" || *raw == "1" || *raw == "yes" || *raw == "on") return true;
-  if (*raw == "false" || *raw == "0" || *raw == "no" || *raw == "off") return false;
-  errors_.push_back("--" + key + ": expected a boolean, got '" + *raw + "'");
-  return fallback;
+// Writes a parsed value to `out`, or records what --key expected instead.
+template <typename T>
+bool store(std::vector<std::string>& errors, const std::string& key, const std::string& raw,
+           const std::optional<T>& parsed, const char* expected, T& out) {
+  if (!parsed) errors.push_back("--" + key + ": expected " + expected + ", got '" + raw + "'");
+  out = parsed.value_or(out);
+  return parsed.has_value();
 }
 
-sim::Time CliArgs::time_or(const std::string& key, sim::Time fallback) {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  const auto parsed = sim::parse_time(*raw);
-  if (!parsed) {
-    errors_.push_back("--" + key + ": expected a duration like '15ms', got '" + *raw + "'");
-    return fallback;
-  }
-  return *parsed;
+}  // namespace
+
+bool CliArgs::parse(const std::string& key, const std::string& raw, std::int64_t& out) {
+  return store(errors_, key, raw, whole<std::int64_t>(raw), "an integer", out);
 }
 
-sim::Bandwidth CliArgs::bandwidth_or(const std::string& key, sim::Bandwidth fallback) {
-  const auto raw = get(key);
-  if (!raw) return fallback;
-  const auto parsed = sim::parse_bandwidth(*raw);
-  if (!parsed) {
-    errors_.push_back("--" + key + ": expected a rate like '10Gbps', got '" + *raw + "'");
-    return fallback;
-  }
-  return *parsed;
+bool CliArgs::parse(const std::string& key, const std::string& raw, double& out) {
+  return store(errors_, key, raw, whole<double>(raw), "a number", out);
 }
 
-std::int64_t CliArgs::int_or(const std::string& key, std::int64_t fallback,
-                             std::int64_t min_value, std::int64_t max_value) {
-  const std::int64_t value = int_or(key, fallback);
-  if (value < min_value || value > max_value) {
-    errors_.push_back("--" + key + ": " + std::to_string(value) + " is out of range [" +
-                      std::to_string(min_value) + ", " + std::to_string(max_value) + "]");
-    return fallback;
-  }
-  return value;
+bool CliArgs::parse(const std::string& key, const std::string& raw, bool& out) {
+  return store(errors_, key, raw, boolean(raw), "a boolean", out);
 }
 
-double CliArgs::double_or(const std::string& key, double fallback, double min_value,
-                          double max_value) {
-  const double value = double_or(key, fallback);
-  // Written as "not inside" so NaN, which compares false both ways, fails.
-  if (!(value >= min_value && value <= max_value)) {
-    errors_.push_back("--" + key + ": " + std::to_string(value) + " is out of range [" +
-                      std::to_string(min_value) + ", " + std::to_string(max_value) + "]");
-    return fallback;
-  }
-  return value;
+bool CliArgs::parse(const std::string& key, const std::string& raw, sim::Time& out) {
+  return store(errors_, key, raw, sim::parse_time(raw), "a duration like '15ms'", out);
 }
 
-sim::Time CliArgs::time_or(const std::string& key, sim::Time fallback,
-                           sim::Time min_value) {
-  const sim::Time value = time_or(key, fallback);
-  if (value < min_value) {
-    errors_.push_back("--" + key + ": " + value.to_string() + " is below the minimum " +
-                      min_value.to_string());
-    return fallback;
+bool CliArgs::parse(const std::string& key, const std::string& raw, sim::Bandwidth& out) {
+  return store(errors_, key, raw, sim::parse_bandwidth(raw), "a rate like '10Gbps'", out);
+}
+
+// The shortest form that reads back as `v` ("0.1", not "0.100000").
+std::string CliArgs::show(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return ec == std::errc{} ? std::string(buf, end) : std::to_string(v);
+}
+
+void CliArgs::declare(const std::string& key, const std::string& kind,
+                      const std::string& fallback, const std::string& range,
+                      const char* help) {
+  constexpr std::size_t kHelpColumn = 32;
+  std::string line = "  --" + key + (kind.empty() ? "" : " " + kind);
+  line += line.size() < kHelpColumn ? std::string(kHelpColumn - line.size(), ' ')
+                                    : "\n" + std::string(kHelpColumn, ' ');
+  line += help;
+  if (!fallback.empty()) line += "; default " + fallback;
+  if (!range.empty()) line += "; " + range;
+  flag_list_ += line + '\n';
+}
+
+std::optional<std::size_t> CliArgs::pick(const std::string& key,
+                                         const std::vector<std::string>& names,
+                                         const std::string& raw) {
+  const auto it = std::find(names.begin(), names.end(), raw);
+  if (it != names.end()) return it - names.begin();
+  errors_.push_back("--" + key + ": unknown value '" + raw + "' (" + join(names, "|") + ")");
+  return std::nullopt;
+}
+
+std::string CliArgs::join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (const auto& part : parts) {
+    if (!out.empty()) out += sep;
+    out += part;
   }
-  return value;
+  return out;
 }
 
 bool resolve_parallelism(int jobs_flag, int domains_flag, int hardware_threads,

@@ -115,21 +115,6 @@ const char* to_string(QueueMode mode) noexcept {
   return "unknown";
 }
 
-bool parse_queue_mode(const std::string& name, QueueMode& out) noexcept {
-  if (name == "droptail") {
-    out = QueueMode::kDropTail;
-  } else if (name == "pfc") {
-    out = QueueMode::kPfc;
-  } else if (name == "trim") {
-    out = QueueMode::kTrim;
-  } else if (name == "credit") {
-    out = QueueMode::kCredit;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode mode,
                                      int degree, std::uint64_t seed, obs::Hub* hub) {
   CollateralPoint point;

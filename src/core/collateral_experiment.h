@@ -49,8 +49,6 @@ namespace incast::core {
 enum class QueueMode { kDropTail, kPfc, kTrim, kCredit };
 
 [[nodiscard]] const char* to_string(QueueMode mode) noexcept;
-// Parses "droptail" | "pfc" | "trim" | "credit"; false on anything else.
-[[nodiscard]] bool parse_queue_mode(const std::string& name, QueueMode& out) noexcept;
 
 struct CollateralPoint;
 

@@ -28,19 +28,6 @@ const char* to_string(AuditMode mode) noexcept {
   return "unknown";
 }
 
-bool parse_audit_mode(const std::string& text, AuditMode& out) noexcept {
-  if (text == "off") {
-    out = AuditMode::kOff;
-  } else if (text == "relaxed") {
-    out = AuditMode::kRelaxed;
-  } else if (text == "strict") {
-    out = AuditMode::kStrict;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void Auditor::violate(AuditInvariant inv, std::string detail) {
   ++violations_[static_cast<std::size_t>(inv)];
   if (sink_) sink_(Violation{inv, detail});

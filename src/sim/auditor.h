@@ -105,9 +105,6 @@ enum class AuditMode : std::uint8_t { kOff = 0, kRelaxed, kStrict };
 
 [[nodiscard]] const char* to_string(AuditMode mode) noexcept;
 
-// Parses "off" / "relaxed" / "strict" (the CLI --audit grammar).
-[[nodiscard]] bool parse_audit_mode(const std::string& text, AuditMode& out) noexcept;
-
 class Auditor {
  public:
   struct Config {

@@ -322,15 +322,7 @@ TEST(Auditor, MergeFromFoldsLedgersViolationsAndEventCounts) {
 
 #endif  // INCAST_AUDIT_ENABLED
 
-TEST(Auditor, ParseAuditMode) {
-  AuditMode mode{};
-  EXPECT_TRUE(parse_audit_mode("off", mode));
-  EXPECT_EQ(mode, AuditMode::kOff);
-  EXPECT_TRUE(parse_audit_mode("relaxed", mode));
-  EXPECT_EQ(mode, AuditMode::kRelaxed);
-  EXPECT_TRUE(parse_audit_mode("strict", mode));
-  EXPECT_EQ(mode, AuditMode::kStrict);
-  EXPECT_FALSE(parse_audit_mode("bogus", mode));
+TEST(Auditor, ModeAndInvariantNames) {
   EXPECT_STREQ(to_string(AuditMode::kStrict), "strict");
   EXPECT_STREQ(to_string(AuditInvariant::kConservation), "conservation");
 }

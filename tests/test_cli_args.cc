@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "sim/auditor.h"
 
 namespace incast::core {
 namespace {
@@ -123,6 +126,138 @@ TEST(CliArgs, FlagFollowedByFlagIsBare) {
   auto args = make({"--a", "--b", "7"});
   EXPECT_EQ(args.get("a"), "true");
   EXPECT_EQ(args.int_or("b", 0), 7);
+}
+
+TEST(CliArgs, ReadTakesItsDefaultFromTheField) {
+  auto args = make({"--flows", "40"});
+  int flows = 500;
+  int bursts = 11;
+  std::uint64_t seed = 7;
+  args.read("flows", flows, 1, 100'000, "senders");
+  args.read("bursts", bursts, 1, 10'000, "bursts");
+  args.read("seed", seed, "seed");
+  EXPECT_EQ(flows, 40);
+  EXPECT_EQ(bursts, 11);
+  EXPECT_EQ(seed, 7u);
+  EXPECT_TRUE(args.errors().empty());
+}
+
+TEST(CliArgs, ReadLeavesTheDefaultOnABadValue) {
+  auto args = make({"--flows", "0", "--rate", "nan", "--gap", "-1ms", "--on", "maybe"});
+  int flows = 500;
+  double rate = 0.25;
+  sim::Time gap = 10_ms;
+  bool on = false;
+  args.read("flows", flows, 1, 100'000, "senders");
+  args.read("rate", rate, 0.0, 1.0, "probability");
+  args.read("gap", gap, sim::Time::zero(), "gap");
+  args.read("on", on, "switch");
+  EXPECT_EQ(flows, 500);
+  EXPECT_DOUBLE_EQ(rate, 0.25);
+  EXPECT_EQ(gap, 10_ms);
+  EXPECT_FALSE(on);
+  EXPECT_EQ(args.errors().size(), 4u);
+}
+
+// The --audit grammar: exactly the names sim::to_string prints.
+TEST(CliArgs, ChoiceReadsAuditMode) {
+  const auto read_mode = [](const char* value, sim::AuditMode& mode) {
+    auto args = make({"--audit", value});
+    args.choice("audit", mode,
+                {sim::AuditMode::kOff, sim::AuditMode::kRelaxed, sim::AuditMode::kStrict},
+                sim::to_string, "auditor");
+    return args.errors().empty();
+  };
+  sim::AuditMode mode{sim::AuditMode::kRelaxed};
+  EXPECT_TRUE(read_mode("off", mode));
+  EXPECT_EQ(mode, sim::AuditMode::kOff);
+  EXPECT_TRUE(read_mode("relaxed", mode));
+  EXPECT_EQ(mode, sim::AuditMode::kRelaxed);
+  EXPECT_TRUE(read_mode("strict", mode));
+  EXPECT_EQ(mode, sim::AuditMode::kStrict);
+  EXPECT_FALSE(read_mode("bogus", mode));
+  EXPECT_EQ(mode, sim::AuditMode::kStrict);  // a bad name keeps the default
+}
+
+TEST(CliArgs, ChoiceErrorNamesEveryValue) {
+  auto args = make({"--audit", "loud"});
+  sim::AuditMode mode{sim::AuditMode::kRelaxed};
+  args.choice("audit", mode,
+              {sim::AuditMode::kOff, sim::AuditMode::kRelaxed, sim::AuditMode::kStrict},
+              sim::to_string, "auditor");
+  ASSERT_EQ(args.errors().size(), 1u);
+  EXPECT_NE(args.errors()[0].find("'loud' (off|relaxed|strict)"), std::string::npos);
+}
+
+TEST(CliArgs, ListReadsCommaSeparatedValues) {
+  auto args = make({"--degrees", "8,16,2000", "--rates", "0,1e-3", "--flaps", "10ms,50ms"});
+  std::vector<int> degrees{64};
+  std::vector<double> rates;
+  std::vector<sim::Time> flaps;
+  std::vector<int> untouched{1, 2};
+  args.list("degrees", degrees, 1, 100'000, "fan-ins");
+  args.list("rates", rates, 0.0, 1.0, "rates");
+  args.list("flaps", flaps, sim::Time::zero(), sim::Time::infinity(), "flaps");
+  args.list("absent", untouched, 1, 10, "absent");
+  EXPECT_EQ(degrees, (std::vector<int>{8, 16, 2000}));
+  EXPECT_EQ(rates, (std::vector<double>{0.0, 1e-3}));
+  EXPECT_EQ(flaps, (std::vector<sim::Time>{10_ms, 50_ms}));
+  EXPECT_EQ(untouched, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(args.errors().empty());
+}
+
+TEST(CliArgs, ListRejectsEmptyListsAndBadElements) {
+  for (const char* bad : {"", "8,,16", "8,0", "8,x", "8,"}) {
+    auto args = make({"--degrees", bad});
+    std::vector<int> degrees{64};
+    args.list("degrees", degrees, 1, 100'000, "fan-ins");
+    EXPECT_EQ(args.errors().size(), 1u) << "'" << bad << "'";
+    EXPECT_EQ(degrees, (std::vector<int>{64})) << "'" << bad << "'";
+  }
+  auto args = make({"--rates", "0,nan"});
+  std::vector<double> rates;
+  args.list("rates", rates, 0.0, 1.0, "rates");
+  EXPECT_EQ(args.errors().size(), 1u);
+  EXPECT_TRUE(rates.empty());
+}
+
+TEST(CliArgs, ListOfChoices) {
+  auto args = make({"--modes", "relaxed,off"});
+  std::vector<sim::AuditMode> modes{sim::AuditMode::kStrict};
+  args.list("modes", modes,
+            {sim::AuditMode::kOff, sim::AuditMode::kRelaxed, sim::AuditMode::kStrict},
+            sim::to_string, "modes");
+  EXPECT_EQ(modes, (std::vector<sim::AuditMode>{sim::AuditMode::kRelaxed, sim::AuditMode::kOff}));
+  EXPECT_TRUE(args.errors().empty());
+}
+
+TEST(CliArgs, FlagListRecordsEveryDeclaredFlag) {
+  auto args = make({});
+  int flows = 500;
+  double rate = 0.1;
+  sim::Time gap = 10_ms;
+  bool tlp = false;
+  std::string out;
+  std::vector<int> degrees{1, 2};
+  sim::AuditMode mode{sim::AuditMode::kRelaxed};
+  args.read("flows", flows, 1, 100'000, "senders in the incast");
+  args.read("rate", rate, 0.0, 1.0, "drop probability");
+  args.read("gap", gap, sim::Time::zero(), "idle time");
+  args.read("tlp", tlp, "tail loss probes");
+  args.read("out", out, "output file");
+  args.list("degrees", degrees, 1, 8, "fan-ins");
+  args.choice("audit", mode,
+              {sim::AuditMode::kOff, sim::AuditMode::kRelaxed, sim::AuditMode::kStrict},
+              sim::to_string, "auditor");
+  const std::string list = args.flag_list();
+  for (const char* want :
+       {"--flows INT", "senders in the incast; default 500; [1, 100000]",
+        "--rate NUM", "default 0.1; [0, 1]", "--gap TIME", "default 10ms; [0s, inf]",
+        "--tlp ", "--out TEXT", "--degrees INT,...", "default 1,2; [1, 8]",
+        "--audit off|relaxed|strict", "auditor; default relaxed"}) {
+    EXPECT_NE(list.find(want), std::string::npos) << want << "\n" << list;
+  }
+  EXPECT_EQ(std::count(list.begin(), list.end(), '\n'), 7);
 }
 
 TEST(ResolveParallelism, AutoDomainsTakeEveryHardwareThread) {

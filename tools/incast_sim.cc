@@ -1,167 +1,22 @@
 // incast_sim — command-line driver for custom experiments.
 //
-// Subcommands:
+// `incast_sim` alone lists the subcommands (the kSubcommands table at the
+// bottom). Each subcommand declares a flag once, at the CliArgs call that
+// reads it, with its default, range and help; any usage error, `--help`
+// included, prints the errors and then that list.
 //
-//   incast_sim burst [--flows 500] [--duration 15ms] [--bursts 11]
-//                    [--cc dctcp|reno|reno-ecn|cubic|swift|hpcc|dcqcn]
-//                    [--ecn-threshold 65] [--queue 1333] [--gap 10ms]
-//                    [--min-rto 200ms] [--cwnd-cap-mss 0] [--tlp]
-//                    [--schedule completion|period] [--seed 1]
-//       Runs the Section 4 cyclic-incast experiment and prints the result.
+// --jobs N runs the independent simulations of a sweep on N worker
+// threads. Seeds derive from (base seed, task index), so any N yields
+// byte-identical results; so do the trace, metrics and flow-trace outputs,
+// which observe one fixed run (the faults baseline, the fleet's (host 0,
+// snapshot 0) cell, a grid's point 0).
 //
-//   incast_sim faults [all burst flags] [--drop-rate 1e-3 | --drop-rates 0,1e-4,1e-3]
-//                     [--flap-duration 50ms | --flap-durations 10ms,50ms]
-//                     [--flap-at 30ms] [--corrupt-rate 0] [--dup-rate 0]
-//                     [--reorder-rate 0] [--reorder-delay 50us]
-//                     [--ge-p 0] [--ge-r 0.1] [--ge-loss-bad 1] [--ge-loss-good 0]
-//                     [--jobs N]
-//       Runs the cyclic incast under injected link faults: a fault-free
-//       baseline plus one run per sweep point, reporting goodput
-//       degradation, loss attribution (injected vs congestion), recovery
-//       time after flaps, and the behavioral DCTCP mode of every point.
-//       With every fault knob at zero the fault layer is a strict no-op and
-//       the baseline equals the `burst` subcommand's result exactly.
-//
-//   incast_sim fabric [--flows 96] [--pods 2] [--leaves 2] [--hosts-per-leaf 8]
-//                     [--aggs 0] [--spines 2] [--host-link 10Gbps]
-//                     [--leaf-uplink 40Gbps] [--spine-link 100Gbps]
-//                     [--placement cross|single] [--ecmp-seed 1]
-//                     [--export-telemetry prefix]
-//                     [all burst workload flags: --cc --duration --bursts
-//                      --discard --gap --schedule --queue --ecn-threshold
-//                      --min-rto --seed]
-//       Runs the cyclic incast across a multi-tier Clos fabric: senders
-//       spread over racks, ECMP over the leaf uplinks, Millisampler-style
-//       1 ms telemetry at host / leaf / spine vantage points, and per-leaf
-//       ECMP collision histograms. --export-telemetry writes one CSV per
-//       vantage (prefix + sanitized link name). With 1 pod, 2 leaves,
-//       1 spine and --placement single the fabric degenerates to the
-//       dumbbell of `burst`.
-//
-//   incast_sim fleet [--service aggregator] [--hosts 2] [--snapshots 1]
-//                    [--trace 1s] [--contention none|modeled|neighbor]
-//                    [--export-csv trace.csv] [--seed 42] [--jobs N]
-//       Runs Section 3 production-like traces and prints per-burst
-//       statistics; optionally exports the first host's Millisampler bins.
-//
-//   incast_sim collateral [--modes droptail,pfc,trim,credit] [--degrees 64]
-//                         [--bursts 4] [--duration 15ms] [--gap 10ms]
-//                         [--cc dctcp] [--pfc-cc dcqcn] [--queue 1333]
-//                         [--ecn-threshold 65] [--trim-queue 400]
-//                         [--shared-buffer 0] [--dt-alpha 1.0]
-//                         [--core-link 20Gbps] [--victim-cwnd-cap 131072]
-//                         [--min-rto 200ms] [--max-sim-time 30s] [--seed 1]
-//                         [--jobs N] [--export-csv points.csv]
-//       Runs the htsim "collateral damage" scenario family: one long-lived
-//       victim flow beside an incast, across the four queue modes
-//       (drop-tail+ECN, PFC lossless + DCQCN, NDP packet trimming, and the
-//       rdt:: receiver-driven credit transport). Reports per-point victim
-//       throughput, PFC pause time (HoL blocking), trims/NACKs, and incast
-//       BCTs. Expected victim-throughput ordering:
-//       trim ~ credit > droptail > pfc.
-//
-//   incast_sim scaling [--degrees 1,2,...,8000] [--bytes 270000]
-//                      [--pods 12] [--leaves 6] [--hosts-per-leaf 6]
-//                      [--aggs 6] [--spines 36] [--cc dctcp]
-//                      [--min-rto 200ms] [--max-sim-time 120s] [--seed 1]
-//                      [--jobs N] [--domains N] [--export-csv scaling.csv]
-//       Runs the htsim incast_scaling sweep: N senders each push one
-//       fixed-size transfer to a single receiver on a 432-host three-tier
-//       fat-tree, for N from 1 to 8000. Reports FCT overhead versus the
-//       optimal (base RTT + bottleneck serialization) per degree, plus a
-//       deterministic bytes-per-flow memory decomposition (flow state,
-//       packet pools, routing tables, event-kernel slab).
-//       --domains N parallelizes each point *internally*: the fabric is
-//       decomposed by rack into N conservatively-synchronized domains (see
-//       docs/PARALLELISM.md), producing byte-identical CSVs at any N >= 1
-//       (0 = one domain per hardware thread; flag absent = the legacy
-//       single-queue engine). Incompatible with the per-event observers
-//       (--flow-trace / --trace-out / --flight-recorder).
-//
-//   --jobs N (faults, fleet, collateral, scaling, chaos; 0..1024) runs the
-//   independent simulations of a sweep on N worker threads, each claiming
-//   the next point in index order (default 0: all hardware threads; 1 runs
-//   every point on the main thread). Seeds derive from (base seed, task
-//   index), so any N yields byte-identical results.
-//
-//   incast_sim trace --input trace.csv [--line-rate 10Gbps]
-//       Runs the burst detector on a previously exported trace.
-//
-//   incast_sim run <id>
-//       Runs one row of the experiment catalog (core/catalog.h): a table,
-//       figure, ablation or extension, printed as its tables and the paper's
-//       expectation. INCAST_BENCH_SCALE=quick|default|full sets the row's
-//       size; any other value exits 2. With no id or an unknown one, lists
-//       the ids and exits 2.
-//
-//   incast_sim chaos [--configs 25] [--seed 7] [--jobs N]
-//                    [--max-events 20000000] [--max-wall-ms 0]
-//                    [--journal run.journal]
-//       Fuzzes the simulator: K seeded random configurations (bursts,
-//       faulty bursts, fleet traces) each run under the strict invariant
-//       auditor with an event budget. Any violation or budget blowout is
-//       quarantined and reported; exit code 4 if any config failed. The
-//       same seed always generates the same configs.
-//
-//   Run-hardening flags, shared by burst / faults / fabric / fleet / chaos:
-//     --audit off|relaxed|strict  invariant auditor mode (default relaxed:
-//                                 violations are counted, never fatal;
-//                                 strict aborts with exit 4 and dumps the
-//                                 flight recorder when one is armed)
-//     --max-events N              per-simulation event budget (0 = none)
-//     --max-wall-ms MS            per-simulation wall-clock budget (0 = none)
-//
-//   Sweep fault-isolation flags (faults, fleet, collateral, scaling; chaos
-//   takes --journal only and always quarantines):
-//     --fail-fast                 abort the whole sweep on the first task
-//                                 failure (historical behavior). Default:
-//                                 quarantine the failing point, retry it
-//                                 --retries times, and keep going.
-//     --retries N                 same-seed retry attempts for a failed
-//                                 task before quarantining it (default 1;
-//                                 ignored under --fail-fast)
-//     --journal PATH              append-only checkpoint journal. A killed
-//                                 run (crash, ^C, SIGTERM) resumes by
-//                                 rerunning the command with the same
-//                                 --journal: completed points are skipped,
-//                                 and the merged output is byte-identical
-//                                 to an uninterrupted run. A journal from a
-//                                 different configuration is refused.
-//
-//   Exit codes: 0 success; 2 bad invocation or config/journal mismatch;
-//   3 file I/O failure; 4 audit violation or budget exceeded (strict) or
-//   chaos failures; 5 internal error; 130/143 after SIGINT/SIGTERM.
-//
-//   Observability flags, shared by burst / faults / fabric / fleet:
-//     --trace-out FILE          write a Chrome trace-event JSON of the run
-//                               (load in Perfetto / chrome://tracing;
-//                               validate with tools/check_trace.py)
-//     --metrics-out FILE        write the end-of-run metrics registry
-//                               snapshot as JSON
-//     --flight-recorder SPEC    arm the anomaly flight recorder; SPEC is
-//                               rto-storm[:N[:window_ms]] |
-//                               queue-collapse[:packets] | mode-shift
-//     --flight-recorder-out P   dump filename prefix (default "flight_";
-//                               dump n is written to P<n>.json)
-//   For faults, the baseline run is the observed one (sweep points run in
-//   parallel); for fleet, the (host 0, snapshot 0) cell is. Trace and
-//   metrics bytes are identical for every --jobs value.
-//
-//   Tail-autopsy flags, shared by burst / fabric / collateral / scaling:
-//     --flow-trace              sampled per-flow latency attribution: each
-//                               sampled flow's FCT is decomposed exactly
-//                               into serialization, propagation, per-tier
-//                               queueing, PFC pause and sender stall classes
-//     --flow-trace-out FILE     write the p50/p99/p999 attribution rows as
-//                               fct_breakdown.csv (implies --flow-trace);
-//                               byte-identical at any --jobs value
-//     --flow-trace-sample N     trace 1 in N flows, hashed by (flow id,
-//                               base seed) so the sample set is the same at
-//                               every sweep point (default 1 = every flow)
+// Exit codes: 0 success; 2 bad invocation or config/journal mismatch;
+// 3 file I/O failure; 4 audit violation or budget exceeded (strict) or
+// chaos failures; 5 internal error; 130/143 after SIGINT/SIGTERM.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -207,72 +62,34 @@ extern "C" void handle_signal(int sig) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: incast_sim <burst|faults|fabric|fleet|collateral|scaling|trace|chaos|run> "
-               "[--key value ...]\n"
-               "       see the header of tools/incast_sim.cc for all flags\n");
-  return 2;
-}
-
-// Maps a --cc / --pfc-cc value to its algorithm: the inverse of
-// tcp::to_string. An unknown name prints the error and yields nullopt (the
-// caller exits 2).
-std::optional<tcp::CcAlgorithm> parse_cc(const char* flag, const std::string& name) {
-  for (const tcp::CcAlgorithm cc :
-       {tcp::CcAlgorithm::kReno, tcp::CcAlgorithm::kRenoEcn, tcp::CcAlgorithm::kDctcp,
-        tcp::CcAlgorithm::kCubic, tcp::CcAlgorithm::kSwift, tcp::CcAlgorithm::kHpcc,
-        tcp::CcAlgorithm::kDcqcn}) {
-    if (name == tcp::to_string(cc)) return cc;
-  }
-  std::fprintf(stderr, "error: unknown --%s '%s'\n", flag, name.c_str());
-  return std::nullopt;
-}
-
 // Validates strictly: unknown flags and out-of-range values are errors, not
-// warnings, so a typo'd or nonsensical invocation fails loudly.
+// warnings, so a typo'd or nonsensical invocation fails loudly. Call once
+// every flag is read and checked; dispatch() prints the errors and the
+// subcommand's flag list.
 int finish(core::CliArgs& args) {
   args.reject_unknown();
-  for (const auto& err : args.errors()) std::fprintf(stderr, "error: %s\n", err.c_str());
   return args.errors().empty() ? 0 : 2;
 }
 
-// --jobs, the one declaration of the sweep subcommands' worker count:
-// 0 (the default) means every hardware thread.
-int parse_jobs(core::CliArgs& args) {
-  return static_cast<int>(args.int_or("jobs", 0, 0, 1024));
+// --jobs and --journal, the one declaration of every journaled sweep's
+// worker count and checkpoint journal.
+void read_sweep(core::CliArgs& args, int& jobs, std::string& journal) {
+  jobs = 0;
+  args.read("jobs", jobs, 0, 1024, "sweep worker threads, 0 = every hardware thread");
+  args.read("journal", journal, "append-only checkpoint journal; rerun to resume");
 }
 
-// Splits "a,b,c" into fields; empty input yields an empty list.
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size() && !csv.empty()) {
-    const std::size_t comma = csv.find(',', start);
-    out.push_back(csv.substr(start, comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
+// The switch queue of the dumbbell's bottleneck and of every fabric switch.
+void read_queue(core::CliArgs& args, net::DropTailQueue::Config& queue) {
+  args.read("queue", queue.capacity_packets, 1, 10'000'000, "switch queue capacity, packets");
+  args.read("ecn-threshold", queue.ecn_threshold_packets, 0, 10'000'000, "ECN threshold, packets");
 }
 
-// --degrees: a non-empty comma list of incast fan-ins, each in [1, 100000].
-bool parse_degrees(const std::string& list, std::vector<int>& out) {
-  out.clear();
-  if (list.empty()) {
-    std::fprintf(stderr, "error: --degrees: empty list\n");
-    return false;
-  }
-  for (const auto& field : split_list(list)) {
-    char* end = nullptr;
-    const long v = std::strtol(field.c_str(), &end, 10);
-    if (end != field.c_str() + field.size() || v < 1 || v > 100'000) {
-      std::fprintf(stderr, "error: --degrees: bad fan-in '%s'\n", field.c_str());
-      return false;
-    }
-    out.push_back(static_cast<int>(v));
-  }
-  return true;
+// --cc and --pfc-cc take exactly the names tcp::to_string prints.
+void read_cc(core::CliArgs& args, const char* key, tcp::CcAlgorithm& cc, const char* help) {
+  using enum tcp::CcAlgorithm;
+  args.choice(key, cc, {kReno, kRenoEcn, kDctcp, kCubic, kSwift, kHpcc, kDcqcn}, tcp::to_string,
+              help);
 }
 
 // Writes one output file. Returns 0, or prints the error and returns 3 (the
@@ -287,37 +104,32 @@ int write_output(const std::string& path, const std::string& content) {
   return 0;
 }
 
-// The observability flags shared by every simulation subcommand. Parsing
+// The observability flags shared by every simulation subcommand. Reading
 // constructs a Hub only when some flag asks for one, so an unobserved
 // invocation never allocates observability state at all.
 struct ObsCli {
   std::string trace_out;
   std::string metrics_out;
   std::string trigger_spec;
-  std::string dump_prefix;
+  std::string dump_prefix{"flight_"};
   std::unique_ptr<obs::Hub> hub;
   int dump_write_errors{0};
 
-  // Must run before finish(args) so the flags are consumed. Returns false
-  // (after printing a diagnostic) on a malformed trigger spec.
-  bool parse(core::CliArgs& args) {
-    trace_out = args.get_or("trace-out", "");
-    metrics_out = args.get_or("metrics-out", "");
-    trigger_spec = args.get_or("flight-recorder", "");
-    dump_prefix = args.get_or("flight-recorder-out", "flight_");
-    if (trace_out.empty() && metrics_out.empty() && trigger_spec.empty()) return true;
+  void read(core::CliArgs& args) {
+    args.read("trace-out", trace_out, "write a Chrome trace-event JSON of the run");
+    args.read("metrics-out", metrics_out, "write the end-of-run metrics snapshot as JSON");
+    args.read("flight-recorder", trigger_spec,
+              "arm the flight recorder: rto-storm[:N[:ms]], queue-collapse[:pkts], mode-shift");
+    args.read("flight-recorder-out", dump_prefix, "flight dump n is written to <prefix><n>.json");
+    if (trace_out.empty() && metrics_out.empty() && trigger_spec.empty()) return;
 
     hub = std::make_unique<obs::Hub>();
     hub->tracer().set_enabled(!trace_out.empty());
     if (!trigger_spec.empty()) {
       const auto trigger = obs::parse_trigger(trigger_spec);
       if (!trigger) {
-        std::fprintf(stderr,
-                     "error: bad --flight-recorder spec '%s' "
-                     "(rto-storm[:N[:window_ms]] | queue-collapse[:packets] | "
-                     "mode-shift)\n",
-                     trigger_spec.c_str());
-        return false;
+        args.fail("bad --flight-recorder spec '" + trigger_spec + "'");
+        return;
       }
       hub->recorder().arm(*trigger);
       hub->recorder().set_dump_sink(
@@ -335,7 +147,6 @@ struct ObsCli {
                          reason.c_str(), path.c_str(), ring.size());
           });
     }
-    return true;
   }
 
   // Call after the experiment (its ExperimentObserver snapshots the metrics
@@ -369,15 +180,14 @@ struct ObsCli {
 };
 
 // The tail-autopsy flags shared by burst / fabric / collateral / scaling.
-// Must run before finish(args) so the flags are consumed.
 struct FlowTraceCli : core::FlowTraceOptions {
   std::string out_path;
 
-  void parse(core::CliArgs& args) {
-    out_path = args.get_or("flow-trace-out", "");
-    flow_trace = args.bool_or("flow-trace", false) || !out_path.empty();
-    flow_trace_sample_every =
-        static_cast<std::uint64_t>(args.int_or("flow-trace-sample", 1, 1, 1'000'000'000));
+  void read(core::CliArgs& args) {
+    args.read("flow-trace", flow_trace, "split each sampled flow's FCT into its causes");
+    args.read("flow-trace-out", out_path, "write p50/p99/p999 causes as CSV; sets --flow-trace");
+    args.read("flow-trace-sample", flow_trace_sample_every, 1, 1'000'000'000, "trace 1 in N flows");
+    flow_trace = flow_trace || !out_path.empty();
   }
 
   // Writes fct_breakdown.csv when --flow-trace-out was given. Returns 0, or
@@ -429,38 +239,32 @@ void print_fct_attribution(const std::vector<obs::TailAttributionRow>& rows,
 
 // The run-hardening flags shared by every simulation subcommand: auditor
 // mode and budgets, plus (for sweeps) quarantine/retry and the checkpoint
-// journal. Must run before finish(args) so the flags are consumed.
+// journal.
 struct HardeningCli : core::AuditOptions {
   int jobs{0};
   std::string journal_path;
   bool fail_fast{false};
-  int max_attempts{2};
+  int retries{1};
 
-  bool parse(core::CliArgs& args, bool sweep_flags) {
-    const std::string mode_name = args.get_or("audit", "relaxed");
-    if (!sim::parse_audit_mode(mode_name, audit_mode)) {
-      std::fprintf(stderr, "error: unknown --audit '%s' (off|relaxed|strict)\n",
-                   mode_name.c_str());
-      return false;
-    }
-    audit.max_events =
-        static_cast<std::uint64_t>(args.int_or("max-events", 0, 0, 1'000'000'000'000));
-    audit.max_wall_ms = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
+  void read(core::CliArgs& args, bool sweep_flags) {
+    using enum sim::AuditMode;
+    args.choice("audit", audit_mode, {kOff, kRelaxed, kStrict}, sim::to_string,
+                "invariant auditor: relaxed counts violations, strict exits 4 on one");
+    args.read("max-events", audit.max_events, 0, 1'000'000'000'000, "event budget, 0 = none");
+    args.read("max-wall-ms", audit.max_wall_ms, 0.0, 1e9, "wall-clock budget in ms, 0 = none");
     audit.cancel = &g_cancel;
     if (sweep_flags) {
-      jobs = parse_jobs(args);
-      journal_path = args.get_or("journal", "");
-      fail_fast = args.bool_or("fail-fast", false);
-      max_attempts = 1 + static_cast<int>(args.int_or("retries", 1, 0, 16));
+      read_sweep(args, jobs, journal_path);
+      args.read("fail-fast", fail_fast, "abort the sweep on a failed point, not quarantine it");
+      args.read("retries", retries, 0, 16, "same-seed retries of a failed point");
     }
-    return true;
   }
 
   // Hands --jobs and the sweep policy to a sweep config.
   template <typename Result>
   void apply_sweep(core::SweepOptions<Result>& options) const {
     options.jobs = jobs;
-    options.sweep = {.fail_fast = fail_fast, .max_attempts = max_attempts, .cancel = &g_cancel};
+    options.sweep = {.fail_fast = fail_fast, .max_attempts = 1 + retries, .cancel = &g_cancel};
   }
 };
 
@@ -472,13 +276,10 @@ struct SharedFlags {
   FlowTraceCli ft;
   ObsCli obs;
 
-  // Consumes the families, then rejects whatever flag is left over. Returns
-  // 0, or the exit code of the bad invocation.
-  int parse(core::CliArgs& args, bool sweep, bool flow_trace) {
-    if (!hard.parse(args, sweep)) return 2;
-    if (flow_trace) ft.parse(args);
-    if (!obs.parse(args)) return 2;
-    return finish(args);
+  SharedFlags(core::CliArgs& args, bool sweep, bool flow_trace) {
+    hard.read(args, sweep);
+    if (flow_trace) ft.read(args);
+    obs.read(args);
   }
 
   // Hands the parsed hub, auditor settings, --jobs, sweep policy and tracer
@@ -584,44 +385,33 @@ void print_sweep_footer(const sim::SweepRunner::RunStats& sweep,
 }
 
 // The cyclic-incast workload flags of `burst`, `faults` and `fabric`.
-bool parse_workload(core::CliArgs& args, core::CyclicIncastSettings& cfg, int default_bursts,
-                    sim::Time default_max_sim_time, std::string& cc_name) {
-  cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
-  cfg.num_bursts = static_cast<int>(args.int_or("bursts", default_bursts, 1, 10'000));
-  cfg.discard_bursts =
-      static_cast<int>(args.int_or("discard", 1, 0, cfg.num_bursts - 1));
-  cfg.inter_burst_gap = args.time_or("gap", 10_ms, sim::Time::zero());
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.max_sim_time = args.time_or("max-sim-time", default_max_sim_time, 1_ns);
-
-  cc_name = args.get_or("cc", "dctcp");
-  const auto cc = parse_cc("cc", cc_name);
-  if (!cc) return false;
-  cfg.tcp.cc = *cc;
-  cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
-  const std::string schedule = args.get_or("schedule", "completion");
-  if (schedule != "completion" && schedule != "period") {
-    std::fprintf(stderr, "error: unknown --schedule '%s'\n", schedule.c_str());
-    return false;
-  }
-  cfg.schedule = schedule == "period" ? workload::BurstSchedule::kFixedPeriod
-                                      : workload::BurstSchedule::kAfterCompletion;
-  return true;
+void read_workload(core::CliArgs& args, core::CyclicIncastSettings& cfg) {
+  args.read("duration", cfg.burst_duration, 1_ns, "length of each burst");
+  args.read("bursts", cfg.num_bursts, 1, 10'000, "bursts to simulate");
+  args.read("discard", cfg.discard_bursts, 0, cfg.num_bursts - 1, "leading bursts not measured");
+  args.read("gap", cfg.inter_burst_gap, sim::Time::zero(), "idle time between bursts");
+  args.read("seed", cfg.seed, "base random seed");
+  args.read("max-sim-time", cfg.max_sim_time, 1_ns, "simulated-time limit of the run");
+  read_cc(args, "cc", cfg.tcp.cc, "congestion control of the senders");
+  args.read("min-rto", cfg.tcp.rtt.min_rto, 1_ns, "minimum retransmission timeout");
+  using enum workload::BurstSchedule;
+  args.choice("schedule", cfg.schedule, {kAfterCompletion, kFixedPeriod},
+              [](workload::BurstSchedule s) { return s == kFixedPeriod ? "period" : "completion"; },
+              "next burst a gap after the last completes, or a period after it began");
 }
 
 // Shared between `burst` and `faults` so the two subcommands agree on every
 // default — `faults` with all fault knobs at zero must reproduce `burst`.
-bool parse_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg,
-                         std::string& cc_name) {
-  cfg.num_flows = static_cast<int>(args.int_or("flows", 500, 1, 100'000));
-  if (!parse_workload(args, cfg, 11, sim::Time::seconds(60), cc_name)) return false;
-  cfg.tcp.tail_loss_probe = args.bool_or("tlp", false);
-  cfg.topology.switch_queue.capacity_packets = args.int_or("queue", 1333, 1, 10'000'000);
-  cfg.topology.switch_queue.ecn_threshold_packets =
-      args.int_or("ecn-threshold", 65, 0, 10'000'000);
-  const std::int64_t cap_mss = args.int_or("cwnd-cap-mss", 0, 0, 1'000'000);
+void read_incast_config(core::CliArgs& args, core::IncastExperimentConfig& cfg) {
+  cfg.num_flows = 500;
+  cfg.max_sim_time = sim::Time::seconds(60);
+  args.read("flows", cfg.num_flows, 1, 100'000, "senders in the incast");
+  read_workload(args, cfg);
+  args.read("tlp", cfg.tcp.tail_loss_probe, "enable tail loss probes");
+  read_queue(args, cfg.topology.switch_queue);
+  std::int64_t cap_mss = 0;
+  args.read("cwnd-cap-mss", cap_mss, 0, 1'000'000, "cap every sender's cwnd at N MSS, 0 = none");
   if (cap_mss > 0) cfg.tcp.cwnd_cap_bytes = cap_mss * cfg.tcp.mss_bytes;
-  return true;
 }
 
 // The headline metrics of a cyclic incast, dumbbell or fabric, then the
@@ -665,17 +455,14 @@ int write_incast_outputs(SharedFlags& flags, const char* mode, int num_flows,
 
 int run_burst(core::CliArgs& args) {
   core::IncastExperimentConfig cfg;
-  std::string cc_name;
-  if (!parse_incast_config(args, cfg, cc_name)) return 2;
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/false, /*flow_trace=*/true); rc != 0) {
-    return rc;
-  }
+  read_incast_config(args, cfg);
+  SharedFlags flags{args, /*sweep=*/false, /*flow_trace=*/true};
+  if (const int rc = finish(args); rc != 0) return rc;
   flags.apply(cfg);
 
   std::printf("burst: %d x %s bursts of a %d-flow %s incast (seed %llu)\n",
               cfg.num_bursts, cfg.burst_duration.to_string().c_str(), cfg.num_flows,
-              cc_name.c_str(), static_cast<unsigned long long>(cfg.seed));
+              tcp::to_string(cfg.tcp.cc), static_cast<unsigned long long>(cfg.seed));
   const auto r = core::run_incast_experiment(cfg);
   print_burst_table(r, dumbbell_rows(r));
   return write_incast_outputs(flags, "burst", cfg.num_flows, r);
@@ -683,58 +470,36 @@ int run_burst(core::CliArgs& args) {
 
 int run_faults(core::CliArgs& args) {
   core::ResilienceConfig cfg;
-  std::string cc_name;
-  if (!parse_incast_config(args, cfg.base, cc_name)) return 2;
+  read_incast_config(args, cfg.base);
 
-  // Sweep axes: --drop-rates / --flap-durations (comma lists) override the
-  // singular forms.
-  const std::string drop_list = args.get_or("drop-rates", "");
-  if (!drop_list.empty()) {
-    for (const auto& field : split_list(drop_list)) {
-      char* end = nullptr;
-      const double v = std::strtod(field.c_str(), &end);
-      // strtod("") consumes nothing and still lands on the end; NaN fails
-      // both bound checks, so test "inside [0, 1]".
-      if (field.empty() || end != field.c_str() + field.size() ||
-          !(v >= 0.0 && v <= 1.0)) {
-        std::fprintf(stderr, "error: --drop-rates: bad rate '%s'\n", field.c_str());
-        return 2;
-      }
-      cfg.drop_rates.push_back(v);
+  // Sweep axes: the singular forms give one point, which a list replaces.
+  double drop_rate = 0.0;
+  args.read("drop-rate", drop_rate, 0.0, 1.0, "injected drop probability of the one point");
+  cfg.drop_rates = {drop_rate};
+  args.list("drop-rates", cfg.drop_rates, 0.0, 1.0, "sweep of injected drop probabilities");
+  sim::Time flap = sim::Time::zero();
+  args.read("flap-duration", flap, sim::Time::zero(), "the one link flap's length, 0 = none");
+  if (flap > sim::Time::zero()) cfg.flap_durations = {flap};
+  args.list("flap-durations", cfg.flap_durations, sim::Time::zero(), sim::Time::infinity(),
+            "sweep of link-flap lengths");
+  args.read("flap-at", cfg.flap_at, sim::Time::zero(), "absolute sim time of every flap");
+
+  fault::LinkFaultConfig& f = cfg.fault_template;
+  args.read("corrupt-rate", f.corrupt_rate, 0.0, 1.0, "per-packet corruption probability");
+  args.read("dup-rate", f.duplicate_rate, 0.0, 1.0, "per-packet duplication probability");
+  args.read("reorder-rate", f.reorder_rate, 0.0, 1.0, "per-packet reordering probability");
+  args.read("reorder-delay", f.reorder_max_delay, 1_ns, "largest delay of a reordered packet");
+  args.read("ge-p", f.ge_good_to_bad, 0.0, 1.0, "Gilbert-Elliott good-to-bad probability");
+  args.read("ge-r", f.ge_bad_to_good, 0.0, 1.0, "Gilbert-Elliott bad-to-good probability");
+  args.read("ge-loss-bad", f.ge_drop_bad, 0.0, 1.0, "drop probability in the bad state");
+  args.read("ge-loss-good", f.ge_drop_good, 0.0, 1.0, "drop probability in the good state");
+  SharedFlags flags{args, /*sweep=*/true, /*flow_trace=*/false};
+  for (const std::string one : {"drop-rate", "flap-duration"}) {
+    if (args.has(one) && args.has(one + "s")) {
+      args.fail("--" + one + " and --" + one + "s are mutually exclusive");
     }
-  } else {
-    cfg.drop_rates.push_back(args.double_or("drop-rate", 0.0, 0.0, 1.0));
   }
-
-  const std::string flap_list = args.get_or("flap-durations", "");
-  if (!flap_list.empty()) {
-    for (const auto& field : split_list(flap_list)) {
-      const auto parsed = sim::parse_time(field);
-      if (!parsed || *parsed < sim::Time::zero()) {
-        std::fprintf(stderr, "error: --flap-durations: bad duration '%s'\n",
-                     field.c_str());
-        return 2;
-      }
-      cfg.flap_durations.push_back(*parsed);
-    }
-  } else {
-    const sim::Time d = args.time_or("flap-duration", sim::Time::zero(), sim::Time::zero());
-    if (d > sim::Time::zero()) cfg.flap_durations.push_back(d);
-  }
-  cfg.flap_at = args.time_or("flap-at", 30_ms, sim::Time::zero());
-
-  cfg.fault_template.corrupt_rate = args.double_or("corrupt-rate", 0.0, 0.0, 1.0);
-  cfg.fault_template.duplicate_rate = args.double_or("dup-rate", 0.0, 0.0, 1.0);
-  cfg.fault_template.reorder_rate = args.double_or("reorder-rate", 0.0, 0.0, 1.0);
-  cfg.fault_template.reorder_max_delay = args.time_or("reorder-delay", 50_us, 1_ns);
-  cfg.fault_template.ge_good_to_bad = args.double_or("ge-p", 0.0, 0.0, 1.0);
-  cfg.fault_template.ge_bad_to_good = args.double_or("ge-r", 0.1, 0.0, 1.0);
-  cfg.fault_template.ge_drop_bad = args.double_or("ge-loss-bad", 1.0, 0.0, 1.0);
-  cfg.fault_template.ge_drop_good = args.double_or("ge-loss-good", 0.0, 0.0, 1.0);
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
-    return rc;
-  }
+  if (const int rc = finish(args); rc != 0) return rc;
   // Only the baseline is observed: it runs before the sweep, whose points
   // get no hub.
   flags.apply(cfg.base);
@@ -747,7 +512,7 @@ int run_faults(core::CliArgs& args) {
                   /*rerun_first=*/false, cfg, core::resilience_point_from_payload);
 
   std::printf("faults: %d-flow %s incast, baseline + %zu fault point(s) (seed %llu)\n",
-              cfg.base.num_flows, cc_name.c_str(), n_points,
+              cfg.base.num_flows, tcp::to_string(cfg.base.tcp.cc), n_points,
               static_cast<unsigned long long>(cfg.base.seed));
 
   const auto report = core::run_resilience_experiment(cfg);
@@ -804,42 +569,32 @@ std::string sanitize_for_filename(const std::string& name) {
   return out;
 }
 
+const char* placement_name(core::FabricIncastExperimentConfig::Placement p) {
+  return p == core::FabricIncastExperimentConfig::Placement::kSingleRack ? "single" : "cross";
+}
+
 int run_fabric(core::CliArgs& args) {
   core::FabricIncastExperimentConfig cfg;
-  cfg.num_flows = static_cast<int>(args.int_or("flows", 96, 1, 100'000));
-  cfg.fabric.num_pods = static_cast<int>(args.int_or("pods", 2, 1, 64));
-  cfg.fabric.leaves_per_pod = static_cast<int>(args.int_or("leaves", 2, 1, 256));
-  cfg.fabric.hosts_per_leaf = static_cast<int>(args.int_or("hosts-per-leaf", 8, 1, 100'000));
-  cfg.fabric.aggs_per_pod = static_cast<int>(args.int_or("aggs", 0, 0, 256));
-  cfg.fabric.num_spines = static_cast<int>(args.int_or("spines", 2, 1, 256));
-  cfg.fabric.host_link =
-      args.bandwidth_or("host-link", sim::Bandwidth::gigabits_per_second(10));
-  cfg.fabric.leaf_uplink =
-      args.bandwidth_or("leaf-uplink", sim::Bandwidth::gigabits_per_second(40));
-  cfg.fabric.spine_link =
-      args.bandwidth_or("spine-link", sim::Bandwidth::gigabits_per_second(100));
-  cfg.fabric.ecmp_seed = static_cast<std::uint64_t>(args.int_or("ecmp-seed", 1));
-  cfg.fabric.switch_queue.capacity_packets = args.int_or("queue", 1333, 1, 10'000'000);
-  cfg.fabric.switch_queue.ecn_threshold_packets =
-      args.int_or("ecn-threshold", 65, 0, 10'000'000);
-
-  const std::string placement = args.get_or("placement", "cross");
-  if (placement == "single") {
-    cfg.placement = core::FabricIncastExperimentConfig::Placement::kSingleRack;
-  } else if (placement != "cross") {
-    std::fprintf(stderr, "error: unknown --placement '%s' (cross|single)\n",
-                 placement.c_str());
-    return 2;
-  }
-
-  std::string cc_name;
-  if (!parse_workload(args, cfg, 4, sim::Time::seconds(30), cc_name)) return 2;
-
-  const std::string telemetry_prefix = args.get_or("export-telemetry", "");
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/false, /*flow_trace=*/true); rc != 0) {
-    return rc;
-  }
+  fabric::FatTreeConfig& fab = cfg.fabric;
+  args.read("flows", cfg.num_flows, 1, 100'000, "senders in the incast");
+  args.read("pods", fab.num_pods, 1, 64, "pods");
+  args.read("leaves", fab.leaves_per_pod, 1, 256, "leaf switches per pod");
+  args.read("hosts-per-leaf", fab.hosts_per_leaf, 1, 100'000, "hosts per leaf");
+  args.read("aggs", fab.aggs_per_pod, 0, 256, "aggregation switches per pod, 0 = two tiers");
+  args.read("spines", fab.num_spines, 1, 256, "spine switches");
+  args.read("host-link", fab.host_link, "host link rate");
+  args.read("leaf-uplink", fab.leaf_uplink, "leaf uplink rate");
+  args.read("spine-link", fab.spine_link, "aggregation-to-spine link rate");
+  args.read("ecmp-seed", fab.ecmp_seed, "seed of every switch's ECMP hash");
+  read_queue(args, fab.switch_queue);
+  using enum core::FabricIncastExperimentConfig::Placement;
+  args.choice("placement", cfg.placement, {kCrossRack, kSingleRack}, placement_name,
+              "senders spread over the other racks, or packed onto one leaf");
+  read_workload(args, cfg);
+  std::string telemetry_prefix;
+  args.read("export-telemetry", telemetry_prefix, "write a CSV per vantage to <prefix><link>.csv");
+  SharedFlags flags{args, /*sweep=*/false, /*flow_trace=*/true};
+  if (const int rc = finish(args); rc != 0) return rc;
   flags.apply(cfg);
 
   const int num_leaves = cfg.fabric.num_pods * cfg.fabric.leaves_per_pod;
@@ -853,7 +608,7 @@ int run_fabric(core::CliArgs& args) {
       cfg.fabric.aggs_per_pod > 0
           ? (", " + std::to_string(cfg.fabric.aggs_per_pod) + " agg(s)/pod").c_str()
           : "",
-      cfg.num_flows, cc_name.c_str(), placement.c_str(),
+      cfg.num_flows, tcp::to_string(cfg.tcp.cc), placement_name(cfg.placement),
       static_cast<unsigned long long>(cfg.seed),
       static_cast<unsigned long long>(cfg.fabric.ecmp_seed));
   std::printf("        %d leaves, %d uplink(s)/leaf, oversubscription %.2f:1\n",
@@ -911,34 +666,29 @@ int run_fabric(core::CliArgs& args) {
 
 int run_fleet(core::CliArgs& args) {
   core::FleetConfig cfg;
-  const std::string service = args.get_or("service", "aggregator");
+  cfg.num_hosts = 2;
+  cfg.num_snapshots = 1;
+  std::string service = "aggregator";
+  args.read("service", service, "service profile (see incast_sim run table1_services)");
+  args.read("hosts", cfg.num_hosts, 1, 10'000, "measured hosts");
+  args.read("snapshots", cfg.num_snapshots, 1, 10'000, "trace snapshots per host");
+  args.read("trace", cfg.trace_duration, 1_ns, "length of each trace");
+  args.read("seed", cfg.base_seed, "base random seed");
+  using enum core::FleetConfig::ContentionMode;
+  args.choice("contention", cfg.contention_mode, {kNone, kModeled, kNeighbor},
+              [](auto c) {
+                return c == kNone ? "none" : c == kModeled ? "modeled" : "neighbor";
+              },
+              "rack contention: none, a modeled on/off process, or a real neighbor");
+  std::string csv_path;
+  args.read("export-csv", csv_path, "write host 0's Millisampler bins as CSV");
+  SharedFlags flags{args, /*sweep=*/true, /*flow_trace=*/false};
   try {
     cfg.profile = workload::service_by_name(service);
   } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "error: unknown --service '%s' (see incast_sim run table1_services)\n",
-                 service.c_str());
-    return 2;
+    args.fail("unknown --service '" + service + "' (see incast_sim run table1_services)");
   }
-  cfg.num_hosts = static_cast<int>(args.int_or("hosts", 2, 1, 10'000));
-  cfg.num_snapshots = static_cast<int>(args.int_or("snapshots", 1, 1, 10'000));
-  cfg.trace_duration = args.time_or("trace", 1_s, 1_ns);
-  cfg.base_seed = static_cast<std::uint64_t>(args.int_or("seed", 42));
-  cfg.tcp.cc = tcp::CcAlgorithm::kDctcp;
-  cfg.tcp.rtt.min_rto = 200_ms;
-  const std::string contention = args.get_or("contention", "modeled");
-  if (contention == "none") {
-    cfg.contention_mode = core::FleetConfig::ContentionMode::kNone;
-  } else if (contention == "neighbor") {
-    cfg.contention_mode = core::FleetConfig::ContentionMode::kNeighbor;
-  } else if (contention != "modeled") {
-    std::fprintf(stderr, "error: unknown --contention '%s'\n", contention.c_str());
-    return 2;
-  }
-  const std::string csv_path = args.get_or("export-csv", "");
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/false); rc != 0) {
-    return rc;
-  }
+  if (const int rc = finish(args); rc != 0) return rc;
   // The hub observes the (host 0, snapshot 0) cell only, so trace and
   // metrics output is byte-identical at any --jobs value.
   flags.apply(cfg);
@@ -1025,55 +775,29 @@ int run_fleet(core::CliArgs& args) {
 
 int run_collateral(core::CliArgs& args) {
   core::CollateralConfig cfg;
-
-  cfg.modes.clear();
-  for (const auto& field : split_list(args.get_or("modes", "droptail,pfc,trim,credit"))) {
-    core::QueueMode mode;
-    if (!core::parse_queue_mode(field, mode)) {
-      std::fprintf(stderr, "error: --modes: unknown mode '%s' (droptail|pfc|trim|credit)\n",
-                   field.c_str());
-      return 2;
-    }
-    cfg.modes.push_back(mode);
-  }
-  if (cfg.modes.empty()) {
-    std::fprintf(stderr, "error: --modes: empty list\n");
-    return 2;
-  }
-  if (!parse_degrees(args.get_or("degrees", "64"), cfg.degrees)) return 2;
-
-  cfg.num_bursts = static_cast<int>(args.int_or("bursts", 4, 1, 10'000));
-  cfg.burst_duration = args.time_or("duration", 15_ms, 1_ns);
-  cfg.inter_burst_gap = args.time_or("gap", 10_ms, sim::Time::zero());
-  cfg.queue_capacity_packets =
-      static_cast<int>(args.int_or("queue", 1333, 1, 10'000'000));
-  cfg.ecn_threshold_packets =
-      static_cast<int>(args.int_or("ecn-threshold", 65, 0, 10'000'000));
-  cfg.trim_queue_capacity_packets =
-      static_cast<int>(args.int_or("trim-queue", cfg.trim_queue_capacity_packets, 1,
-                                   10'000'000));
-  cfg.shared_buffer_bytes =
-      args.int_or("shared-buffer", cfg.shared_buffer_bytes, 0, 1'000'000'000);
-  cfg.shared_buffer_alpha = args.double_or("dt-alpha", cfg.shared_buffer_alpha, 0.01, 64.0);
-  cfg.topology.core_link = args.bandwidth_or("core-link", cfg.topology.core_link);
-  cfg.victim_cwnd_cap_bytes =
-      args.int_or("victim-cwnd-cap", cfg.victim_cwnd_cap_bytes, 0, 1'000'000'000);
-  cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(30), 1_ns);
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
-  cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
-
-  const auto cc = parse_cc("cc", args.get_or("cc", "dctcp"));
-  if (!cc) return 2;
-  cfg.tcp.cc = *cc;
-  const auto pfc_cc = parse_cc("pfc-cc", args.get_or("pfc-cc", "dcqcn"));
-  if (!pfc_cc) return 2;
-  cfg.pfc_cc = *pfc_cc;
-
-  const std::string csv_path = args.get_or("export-csv", "");
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/true); rc != 0) {
-    return rc;
-  }
+  using enum core::QueueMode;
+  args.list("modes", cfg.modes, {kDropTail, kPfc, kTrim, kCredit}, core::to_string,
+            "queue modes to compare");
+  args.list("degrees", cfg.degrees, 1, 100'000, "incast fan-ins");
+  args.read("bursts", cfg.num_bursts, 1, 10'000, "incast bursts");
+  args.read("duration", cfg.burst_duration, 1_ns, "length of each burst");
+  args.read("gap", cfg.inter_burst_gap, sim::Time::zero(), "idle time between bursts");
+  args.read("queue", cfg.queue_capacity_packets, 1, 10'000'000, "queue capacity in packets");
+  args.read("ecn-threshold", cfg.ecn_threshold_packets, 0, 10'000'000, "ECN threshold, packets");
+  args.read("trim-queue", cfg.trim_queue_capacity_packets, 1, 10'000'000, "trim queue in packets");
+  args.read("shared-buffer", cfg.shared_buffer_bytes, 0, 1'000'000'000, "shared pool, 0 = none");
+  args.read("dt-alpha", cfg.shared_buffer_alpha, 0.01, 64.0, "dynamic-threshold alpha of the pool");
+  args.read("core-link", cfg.topology.core_link, "inter-ToR link rate");
+  args.read("victim-cwnd-cap", cfg.victim_cwnd_cap_bytes, 0, 1'000'000'000, "victim cwnd cap in B");
+  args.read("max-sim-time", cfg.max_sim_time, 1_ns, "simulated-time limit of each point");
+  args.read("seed", cfg.seed, "base random seed");
+  args.read("min-rto", cfg.tcp.rtt.min_rto, 1_ns, "minimum retransmission timeout");
+  read_cc(args, "cc", cfg.tcp.cc, "congestion control outside the pfc mode");
+  read_cc(args, "pfc-cc", cfg.pfc_cc, "congestion control of the pfc mode");
+  std::string csv_path;
+  args.read("export-csv", csv_path, "write one row per point as CSV");
+  SharedFlags flags{args, /*sweep=*/true, /*flow_trace=*/true};
+  if (const int rc = finish(args); rc != 0) return rc;
   flags.apply(cfg);
 
   const std::size_t n_points = cfg.modes.size() * cfg.degrees.size();
@@ -1127,59 +851,47 @@ int run_collateral(core::CliArgs& args) {
 
 int run_scaling(core::CliArgs& args) {
   core::ScalingConfig cfg;
-
-  const std::string default_degrees = "1,2,4,8,16,32,64,128,256,512,1024,2000,4000,8000";
-  if (!parse_degrees(args.get_or("degrees", default_degrees), cfg.degrees)) return 2;
-
-  cfg.fabric.num_pods = static_cast<int>(args.int_or("pods", cfg.fabric.num_pods, 1, 64));
-  cfg.fabric.leaves_per_pod =
-      static_cast<int>(args.int_or("leaves", cfg.fabric.leaves_per_pod, 1, 64));
-  cfg.fabric.hosts_per_leaf =
-      static_cast<int>(args.int_or("hosts-per-leaf", cfg.fabric.hosts_per_leaf, 1, 256));
-  cfg.fabric.aggs_per_pod =
-      static_cast<int>(args.int_or("aggs", cfg.fabric.aggs_per_pod, 0, 64));
-  cfg.fabric.num_spines =
-      static_cast<int>(args.int_or("spines", cfg.fabric.num_spines, 1, 256));
-  cfg.bytes_per_flow = args.int_or("bytes", cfg.bytes_per_flow, 1, 1'000'000'000);
-  cfg.max_sim_time = args.time_or("max-sim-time", sim::Time::seconds(120), 1_ns);
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 1));
+  fabric::FatTreeConfig& fab = cfg.fabric;
+  args.list("degrees", cfg.degrees, 1, 100'000, "incast fan-ins");
+  args.read("pods", fab.num_pods, 1, 64, "pods");
+  args.read("leaves", fab.leaves_per_pod, 1, 64, "leaf switches per pod");
+  args.read("hosts-per-leaf", fab.hosts_per_leaf, 1, 256, "hosts per leaf");
+  args.read("aggs", fab.aggs_per_pod, 0, 64, "aggregation switches per pod, 0 = two tiers");
+  args.read("spines", fab.num_spines, 1, 256, "spine switches");
+  args.read("bytes", cfg.bytes_per_flow, 1, 1'000'000'000, "bytes each sender transfers");
+  args.read("max-sim-time", cfg.max_sim_time, 1_ns, "simulated-time limit of each point");
+  args.read("seed", cfg.seed, "base random seed");
   // --domains absent: the legacy single-queue engine (byte-identical to
   // every release before the parallel engine). --domains 0: the windowed
   // domain engine, one domain per hardware thread. --domains N: N domains.
   const bool domains_given = args.has("domains");
-  const int domains_flag = static_cast<int>(args.int_or("domains", 0, 0, 1024));
-  cfg.tcp.rtt.min_rto = args.time_or("min-rto", 200_ms, 1_ns);
-
-  const auto cc = parse_cc("cc", args.get_or("cc", "dctcp"));
-  if (!cc) return 2;
-  cfg.tcp.cc = *cc;
-
-  const std::string csv_path = args.get_or("export-csv", "");
-  SharedFlags flags;
-  if (const int rc = flags.parse(args, /*sweep=*/true, /*flow_trace=*/true); rc != 0) {
-    return rc;
-  }
-  flags.apply(cfg);
+  int domains_flag = 0;
+  args.read("domains", domains_flag, 0, 1024,
+            "run the rack-domain engine, 0 = a domain per thread; absent = one queue");
+  args.read("min-rto", cfg.tcp.rtt.min_rto, 1_ns, "minimum retransmission timeout");
+  read_cc(args, "cc", cfg.tcp.cc, "congestion control of the senders");
+  std::string csv_path;
+  args.read("export-csv", csv_path, "write one row per degree as CSV");
+  SharedFlags flags{args, /*sweep=*/true, /*flow_trace=*/true};
+  core::Parallelism par;
   if (domains_given) {
     // Per-event observability is not sharded across domain queues: the
     // tracer, flow tracer and flight recorder would interleave differently
     // at every N. The N-invariant metrics snapshot (--metrics-out) is fine.
     if (flags.ft.flow_trace || !flags.obs.trace_out.empty() ||
         !flags.obs.trigger_spec.empty()) {
-      std::fprintf(stderr,
-                   "error: --domains is incompatible with --flow-trace / --trace-out / "
-                   "--flight-recorder (per-event observability is per-engine-queue; "
-                   "--metrics-out works on any engine)\n");
-      return 2;
+      args.fail("--domains is incompatible with --flow-trace / --trace-out / --flight-recorder "
+                "(per-event observability is per engine queue; --metrics-out works anywhere)");
     }
-    core::Parallelism par;
     std::string perr;
-    if (!core::resolve_parallelism(
-            cfg.jobs, domains_flag,
-            static_cast<int>(std::thread::hardware_concurrency()), par, perr)) {
-      std::fprintf(stderr, "error: %s\n", perr.c_str());
-      return 2;
+    const auto threads = static_cast<int>(std::thread::hardware_concurrency());
+    if (!core::resolve_parallelism(flags.hard.jobs, domains_flag, threads, par, perr)) {
+      args.fail(perr);
     }
+  }
+  if (const int rc = finish(args); rc != 0) return rc;
+  flags.apply(cfg);
+  if (domains_given) {
     cfg.jobs = par.jobs;
     cfg.domains = par.domains;
   }
@@ -1265,13 +977,12 @@ int run_scaling(core::CliArgs& args) {
 
 int run_chaos(core::CliArgs& args) {
   core::ChaosConfig cfg;
-  cfg.num_configs = static_cast<int>(args.int_or("configs", 25, 1, 100'000));
-  cfg.seed = static_cast<std::uint64_t>(args.int_or("seed", 7));
-  cfg.jobs = parse_jobs(args);
-  cfg.max_events_per_run = static_cast<std::uint64_t>(
-      args.int_or("max-events", 20'000'000, 1, 1'000'000'000'000));
-  cfg.max_wall_ms_per_run = args.double_or("max-wall-ms", 0.0, 0.0, 1e9);
-  const std::string journal_path = args.get_or("journal", "");
+  args.read("configs", cfg.num_configs, 1, 100'000, "random configurations to run");
+  args.read("seed", cfg.seed, "generator seed: the same seed gives the same configurations");
+  std::string journal_path;
+  read_sweep(args, cfg.jobs, journal_path);
+  args.read("max-events", cfg.max_events_per_run, 1, 1'000'000'000'000, "event budget per run");
+  args.read("max-wall-ms", cfg.max_wall_ms_per_run, 0.0, 1e9, "wall-clock ms per run, 0 = none");
   if (const int rc = finish(args); rc != 0) return rc;
   cfg.sweep.cancel = &g_cancel;
 
@@ -1307,13 +1018,11 @@ int run_chaos(core::CliArgs& args) {
 }
 
 int run_trace(core::CliArgs& args) {
-  const auto input = args.get("input");
-  if (!input) {
-    std::fprintf(stderr, "error: trace requires --input <csv>\n");
-    return 2;
-  }
-  const sim::Bandwidth line_rate =
-      args.bandwidth_or("line-rate", sim::Bandwidth::gigabits_per_second(10));
+  std::string input;
+  args.read("input", input, "Millisampler CSV to scan for bursts (required)");
+  sim::Bandwidth line_rate = sim::Bandwidth::gigabits_per_second(10);
+  args.read("line-rate", line_rate, "line rate of the traced link");
+  if (!args.has("input")) args.fail("trace requires --input <csv>");
   if (const int rc = finish(args); rc != 0) return rc;
 
   // read_bins_csv_file throws std::runtime_error on missing/malformed
@@ -1321,7 +1030,7 @@ int run_trace(core::CliArgs& args) {
   // handler in main.
   std::vector<telemetry::Millisampler::Bin> bins;
   try {
-    bins = telemetry::read_bins_csv_file(*input);
+    bins = telemetry::read_bins_csv_file(input);
   } catch (const std::runtime_error& e) {
     throw core::Error{core::ErrorCategory::kIo, e.what()};
   }
@@ -1357,20 +1066,44 @@ int run_catalog_row(core::CliArgs& args) {
   return 0;
 }
 
+struct Subcommand {
+  const char* name;
+  const char* summary;
+  int (*run)(core::CliArgs&);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"burst", "the Section 4 cyclic incast on the dumbbell", run_burst},
+    {"faults", "the cyclic incast under injected link faults, swept", run_faults},
+    {"fabric", "the cyclic incast across a Clos fabric, seen per tier", run_fabric},
+    {"fleet", "Section 3 production-like traces and their bursts", run_fleet},
+    {"collateral", "a victim flow beside an incast, per queue mode", run_collateral},
+    {"scaling", "N senders' transfers on the 432-host fat-tree, N swept", run_scaling},
+    {"trace", "the burst detector on an exported Millisampler CSV", run_trace},
+    {"chaos", "random configurations under the strict auditor", run_chaos},
+    {"run", "one experiment-catalog row by id; no id lists them", run_catalog_row},
+};
+
+int usage() {
+  std::fprintf(stderr, "usage: incast_sim <subcommand> [--key value ...]\n");
+  for (const Subcommand& c : kSubcommands) std::fprintf(stderr, "  %-11s %s\n", c.name, c.summary);
+  std::fprintf(stderr, "a usage error, --help included, lists the subcommand's flags\n");
+  return 2;
+}
+
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  core::CliArgs args{argc - 1, argv + 1};
-
-  if (command == "burst") return run_burst(args);
-  if (command == "faults") return run_faults(args);
-  if (command == "fabric") return run_fabric(args);
-  if (command == "fleet") return run_fleet(args);
-  if (command == "collateral") return run_collateral(args);
-  if (command == "scaling") return run_scaling(args);
-  if (command == "trace") return run_trace(args);
-  if (command == "chaos") return run_chaos(args);
-  if (command == "run") return run_catalog_row(args);
+  for (const Subcommand& c : kSubcommands) {
+    if (std::strcmp(argv[1], c.name) != 0) continue;
+    core::CliArgs args{argc - 1, argv + 1};
+    const int rc = c.run(args);
+    if (!args.errors().empty()) {
+      for (const auto& err : args.errors()) std::fprintf(stderr, "error: %s\n", err.c_str());
+      std::fprintf(stderr, "usage: incast_sim %s [--key value ...]: %s\n%s", c.name,
+                   c.summary, args.flag_list().c_str());
+    }
+    return rc;
+  }
   return usage();
 }
 
