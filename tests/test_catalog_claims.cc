@@ -3,31 +3,14 @@
 // text, never from measured output.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
 
-#include "core/catalog.h"
+#include "catalog_printed.h"
 
 namespace incast::core {
 namespace {
-
-// What the row `id` prints at quick scale.
-std::string printed(const std::string& id) {
-  const CatalogRow* row = find_row(id);
-  if (row == nullptr) {
-    ADD_FAILURE() << "no row " << id;
-    return {};
-  }
-  std::FILE* sink = std::tmpfile();
-  run_and_print(*row, Scale::kQuick, {}, sink);
-  std::string text(static_cast<std::size_t>(std::ftell(sink)), '\0');
-  std::rewind(sink);
-  text.resize(std::fread(text.data(), 1, text.size(), sink));
-  std::fclose(sink);
-  return text;
-}
 
 // The first number printed after `label`.
 double number_after(const std::string& text, const std::string& label) {

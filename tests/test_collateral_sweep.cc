@@ -6,9 +6,12 @@
 // races the grid across a real worker pool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "core/collateral_experiment.h"
+#include "core/task_journal.h"
 
 namespace incast {
 namespace {
@@ -78,6 +81,29 @@ TEST(CollateralSweepDeterminism, EachModeExercisesItsMechanism) {
         break;
     }
   }
+}
+
+// Committed fingerprints of the CSV `collateral --degrees 16,64 --bursts 2`
+// writes, in two parts: the header with the TCP modes' rows, and the credit
+// rows. A change that moves one altered that part's behaviour.
+constexpr std::uint64_t kCollateralTcpGoldenFnv = 0x9cd35d0f468d593eULL;
+constexpr std::uint64_t kCollateralCreditGoldenFnv = 0xa3b7d07db7af1633ULL;
+
+TEST(CollateralSweepDeterminism, CsvMatchesCommittedGoldens) {
+  core::CollateralConfig cfg;
+  cfg.degrees = {16, 64};
+  cfg.num_bursts = 2;
+  const std::string csv = core::collateral_csv(core::run_collateral_experiment(cfg));
+  std::string tcp;
+  std::string credit;
+  std::istringstream lines{csv};
+  for (std::string line; std::getline(lines, line);) {
+    (line.starts_with("credit,") ? credit : tcp) += line + '\n';
+  }
+  EXPECT_EQ(core::fnv1a(tcp), kCollateralTcpGoldenFnv)
+      << std::hex << core::fnv1a(tcp) << std::dec << '\n' << tcp;
+  EXPECT_EQ(core::fnv1a(credit), kCollateralCreditGoldenFnv)
+      << std::hex << core::fnv1a(credit) << std::dec << '\n' << credit;
 }
 
 }  // namespace
