@@ -13,12 +13,10 @@
 #include "core/report.h"
 #include "core/run_harness.h"
 #include "net/topology.h"
-#include "rdt/credit_incast.h"
 #include "sim/random.h"
 #include "tcp/tcp_connection.h"
 #include "workload/cyclic_incast.h"
 #include "workload/rack_contention.h"
-#include "workload/staged_incast.h"
 
 namespace incast::core::rows {
 
@@ -602,17 +600,17 @@ void steady_table(const char* what, tcp::CcAlgorithm other, const std::vector<in
   steady.print(out);
 }
 
-// Extension E2's incast, all at once (CyclicIncastDriver) or staged
-// (StagedIncastDriver). Drops and timeouts count every burst.
-template <typename Driver>
-LossOutcome staged_run(const typename Driver::Config& driver_cfg, const AuditOptions& audit) {
+// Extension E2's incast, all at once or staged (driver_cfg.group_size).
+// Drops and timeouts count every burst.
+LossOutcome staged_run(const workload::CyclicIncastDriver::Config& driver_cfg,
+                       const AuditOptions& audit) {
   sim::Simulator sim;
   RunHarness harness{sim, nullptr, audit};
   net::DumbbellConfig topo_cfg;
   topo_cfg.num_senders = driver_cfg.num_flows;
   net::Dumbbell topo{sim, topo_cfg};
   const tcp::TcpConfig dctcp{};
-  Driver driver{sim, topo, dctcp, driver_cfg, 31};
+  workload::CyclicIncastDriver driver{sim, topo, dctcp, driver_cfg, 31};
   const auto senders = driver.senders();
   driver.start();
   sim.run_until(sim::Time::seconds(120));
@@ -644,11 +642,12 @@ CreditOutcome credit_run(int flows, int bursts, const AuditOptions& audit) {
   topo_cfg.switch_queue.ecn_threshold_packets = 0;
   net::Dumbbell topo{sim, topo_cfg};
 
-  rdt::CreditIncastDriver::Config cfg;
+  workload::CyclicIncastDriver::Config cfg;
   cfg.num_flows = flows;
   cfg.num_bursts = bursts;
   cfg.burst_duration = 15_ms;
-  rdt::CreditIncastDriver driver{sim, topo, cfg, 7};
+  workload::CyclicIncastDriver driver{sim, topo, workload::CyclicIncastDriver::CreditFlows{},
+                                      cfg, 7};
   driver.start();
   sim.run_until(sim::Time::seconds(120));
   (void)harness.teardown(topo, topo.switches());
@@ -656,8 +655,10 @@ CreditOutcome credit_run(int flows, int bursts, const AuditOptions& audit) {
   CreditOutcome out;
   out.avg_bct_ms = burst_completion(driver.bursts(), 1).avg_ms;
   out.drops = topo.bottleneck_queue().stats().dropped_packets;
-  out.control_packets = driver.total_rts() + driver.receiver().grants_sent();
-  const auto data_bytes = static_cast<double>(driver.receiver().total_received_bytes());
+  const rdt::CreditReceiver& receiver = driver.credit_receiver();
+  out.control_packets = receiver.grants_sent();
+  for (const rdt::CreditSender* s : driver.credit_senders()) out.control_packets += s->rts_sent();
+  const auto data_bytes = static_cast<double>(receiver.total_received_bytes());
   out.overhead_pct =
       100.0 * static_cast<double>(out.control_packets) * net::kHeaderBytes / data_bytes;
   return out;
@@ -747,14 +748,12 @@ void extension_staged(Scale scale, const AuditOptions& audit, std::FILE* out) {
     all.num_flows = flows;
     all.num_bursts = bursts;
     all.burst_duration = 15_ms;
-    add(flows, "all-at-once", staged_run<workload::CyclicIncastDriver>(all, audit));
+    add(flows, "all-at-once", staged_run(all, audit));
 
-    workload::StagedIncastDriver::Config staged;
-    staged.num_flows = flows;
+    workload::CyclicIncastDriver::Config staged = all;
     staged.group_size = 60;  // below the degenerate point: 60 < K + BDP = 90
-    staged.num_bursts = bursts;
-    staged.burst_duration = 15_ms;
-    add(flows, "staged (G=60)", staged_run<workload::StagedIncastDriver>(staged, audit));
+    staged.start_jitter_max = 10_us;
+    add(flows, "staged (G=60)", staged_run(staged, audit));
   }
   t.print(out);
 }

@@ -1,12 +1,10 @@
 #include "core/collateral_experiment.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "core/incast_experiment.h"
 #include "core/run_harness.h"
-#include "rdt/credit_incast.h"
 #include "workload/cyclic_incast.h"
 
 namespace incast::core {
@@ -23,8 +21,8 @@ constexpr net::FlowId kVictimFlow = 999'999;
 constexpr std::int64_t kVictimStreamBytes = 1'000'000'000'000;
 
 // Shapes the dumbbell for one queue mode. Sender `degree` is the victim,
-// receivers are {0: incast sink, 1: victim sink} — the rdt credit driver is
-// hardwired to receiver 0, so the incast keeps that slot in every mode.
+// receivers are {0: incast sink, 1: victim sink} — the incast driver's
+// dumbbell endpoints end at receiver 0.
 net::DumbbellConfig make_topology(const CollateralConfig& config, QueueMode mode,
                                   int degree) {
   net::DumbbellConfig topo = config.topology;
@@ -63,10 +61,10 @@ net::DumbbellConfig make_topology(const CollateralConfig& config, QueueMode mode
   return topo;
 }
 
-// Polls an rdt credit incast for completion (it exposes no callback).
+// Polls a credit incast for completion.
 struct CreditFinishPoller {
   sim::Simulator* sim{nullptr};
-  rdt::CreditIncastDriver* driver{nullptr};
+  workload::CyclicIncastDriver* driver{nullptr};
 
   void arm() {
     sim->schedule_in(sim::Time::milliseconds(1),
@@ -146,34 +144,21 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
                             kVictimFlow, victim_tcp};
 
   // The incast: senders 0..degree-1 -> receiver 0, cyclic bursts.
-  std::unique_ptr<workload::CyclicIncastDriver> tcp_incast;
-  std::unique_ptr<rdt::CreditIncastDriver> credit_incast;
+  using workload::CyclicIncastDriver;
+  CyclicIncastDriver::Config dcfg;
+  dcfg.num_flows = degree;
+  dcfg.num_bursts = config.num_bursts;
+  dcfg.burst_duration = config.burst_duration;
+  dcfg.inter_burst_gap = config.inter_burst_gap;
+  const bool credit = mode == QueueMode::kCredit;
+  const CyclicIncastDriver::Transport transport =
+      credit ? CyclicIncastDriver::Transport{CyclicIncastDriver::CreditFlows{}}
+             : CyclicIncastDriver::Transport{tcp};
+  CyclicIncastDriver incast{sim, dumbbell, transport, dcfg, seed};
   CreditFinishPoller poller;
-
-  if (mode == QueueMode::kCredit) {
-    rdt::CreditIncastDriver::Config ccfg;
-    ccfg.num_flows = degree;
-    ccfg.num_bursts = config.num_bursts;
-    ccfg.burst_duration = config.burst_duration;
-    ccfg.inter_burst_gap = config.inter_burst_gap;
-    credit_incast = std::make_unique<rdt::CreditIncastDriver>(sim, dumbbell, ccfg, seed);
-  } else {
-    workload::CyclicIncastDriver::Endpoints ep;
-    ep.senders.reserve(static_cast<std::size_t>(degree));
-    for (int i = 0; i < degree; ++i) ep.senders.push_back(&dumbbell.sender(i));
-    ep.receiver = &dumbbell.receiver(0);
-    ep.bottleneck =
-        dumbbell.config().receiver_link.value_or(dumbbell.config().host_link);
-
-    workload::CyclicIncastDriver::Config dcfg;
-    dcfg.num_flows = degree;
-    dcfg.num_bursts = config.num_bursts;
-    dcfg.burst_duration = config.burst_duration;
-    dcfg.inter_burst_gap = config.inter_burst_gap;
-    tcp_incast =
-        std::make_unique<workload::CyclicIncastDriver>(sim, ep, tcp, dcfg, seed);
-    tcp_incast->set_on_burst_complete([&](int) {
-      if (tcp_incast->finished()) sim.stop();
+  if (!credit) {
+    incast.set_on_burst_complete([&](int) {
+      if (incast.finished()) sim.stop();
     });
   }
 
@@ -185,12 +170,10 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   observer.watch_pfc("tor_r", dumbbell.receiver_tor());
 
   victim.sender().add_app_data(kVictimStreamBytes);
-  if (credit_incast != nullptr) {
-    credit_incast->start();
-    poller = CreditFinishPoller{&sim, credit_incast.get()};
+  incast.start();
+  if (credit) {
+    poller = CreditFinishPoller{&sim, &incast};
     poller.arm();
-  } else {
-    tcp_incast->start();
   }
 
   sim.run_until(config.max_sim_time);
@@ -210,18 +193,14 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   point.victim_timeouts = victim.sender().stats().timeouts;
   point.victim_nacks = victim.receiver().stats().nacks_sent;
 
-  const BurstCompletion bct = tcp_incast != nullptr
-                                  ? burst_completion(tcp_incast->bursts(), 0)
-                                  : burst_completion(credit_incast->bursts(), 0);
+  const BurstCompletion bct = burst_completion(incast.bursts(), 0);
   point.incast_avg_bct_ms = bct.avg_ms;
   point.incast_max_bct_ms = bct.max_ms;
-  if (tcp_incast != nullptr) {
-    for (const tcp::TcpSender* s : tcp_incast->senders()) {
-      point.incast_timeouts += s->stats().timeouts;
-    }
-    for (int i = 0; i < degree; ++i) {
-      point.incast_nacks += tcp_incast->connection(i).receiver().stats().nacks_sent;
-    }
+  const std::vector<tcp::TcpSender*> senders = incast.senders();  // empty for credit
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    point.incast_timeouts += senders[i]->stats().timeouts;
+    point.incast_nacks +=
+        incast.connection(static_cast<int>(i)).receiver().stats().nacks_sent;
   }
   collect_fabric_counters(dumbbell, point);
   point.events_processed = sim.events_processed();

@@ -180,6 +180,21 @@ class DumbbellIncast final : public IncastTopology {
 
 }  // namespace
 
+BurstCompletion burst_completion(
+    const std::vector<workload::CyclicIncastDriver::BurstRecord>& bursts, std::size_t discard) {
+  BurstCompletion out;
+  for (std::size_t b = discard; b < bursts.size(); ++b) {
+    const sim::Time t = bursts[b].completion_time();
+    const double ms = t.ms();
+    out.ms.push_back(ms);
+    out.avg_ms += ms;
+    out.max_ms = std::max(out.max_ms, ms);
+    out.longest = std::max(out.longest, t);
+  }
+  if (!out.ms.empty()) out.avg_ms /= static_cast<double>(out.ms.size());
+  return out;
+}
+
 void run_cyclic_incast(const CyclicIncastSettings& settings,
                        const IncastTopologyFactory& make_topology, CyclicIncastResult& result) {
   sim::Simulator sim;

@@ -213,20 +213,8 @@ struct BurstCompletion {
   sim::Time longest{};
 };
 
-template <typename Records>
-BurstCompletion burst_completion(const Records& bursts, std::size_t discard) {
-  BurstCompletion out;
-  for (std::size_t b = discard; b < bursts.size(); ++b) {
-    const sim::Time t = bursts[b].completion_time();
-    const double ms = t.ms();
-    out.ms.push_back(ms);
-    out.avg_ms += ms;
-    out.max_ms = std::max(out.max_ms, ms);
-    out.longest = std::max(out.longest, t);
-  }
-  if (!out.ms.empty()) out.avg_ms /= static_cast<double>(out.ms.size());
-  return out;
-}
+[[nodiscard]] BurstCompletion burst_completion(
+    const std::vector<workload::CyclicIncastDriver::BurstRecord>& bursts, std::size_t discard);
 
 // A topology's part in a cyclic incast. run_cyclic_incast owns the run and
 // calls each hook at one fixed point of it, in the order declared here, so

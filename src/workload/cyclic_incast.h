@@ -1,31 +1,43 @@
-// CyclicIncastDriver: the Section 4 workload.
+// CyclicIncastDriver: the Section 4 workload, and the yardstick for the
+// Section 5 alternatives, which must be compared on identical demand.
 //
-// N persistent DCTCP flows share a dumbbell bottleneck. Each burst hands
-// every flow an equal share of (bottleneck_rate x burst_duration) bytes;
-// flow start times are jittered uniformly in [0, 100 us] "to model
+// N persistent flows share a bottleneck. Each burst hands every flow an
+// equal share of (bottleneck_rate x burst_duration) bytes; flow start times
+// are jittered uniformly in [0, start_jitter_max] (100 us) "to model
 // variations in processing time". Connections persist across bursts, so
 // congestion state carries over — the precondition for the Section 4.3
 // burst-boundary divergence.
 //
 // Two schedules are supported:
-//  * kFixedPeriod (default, matching the paper's cyclic workload): burst i
-//    begins at i * (burst_duration + gap) regardless of progress. When
-//    recovery stretches a burst past its period (Mode 3), later bursts pile
-//    onto the backlog, which is exactly what makes 1000-flow incasts
-//    catastrophic.
-//  * kAfterCompletion: the next burst begins `gap` after the previous one
-//    fully completes — a request/response pattern with think time.
+//  * kAfterCompletion (default): the next burst begins `gap` after the
+//    previous one fully completes — a request/response pattern with think
+//    time.
+//  * kFixedPeriod (the paper's cyclic workload): burst i begins at
+//    i * (burst_duration + gap) regardless of progress. When recovery
+//    stretches a burst past its period (Mode 3), later bursts pile onto the
+//    backlog, which is exactly what makes 1000-flow incasts catastrophic.
 //
-// Per-burst completion is tracked by cumulative ACK thresholds (flow f has
-// completed burst i once it has delivered (i+1) * demand bytes), which is
-// well-defined even when bursts overlap.
+// Flows run TCP, or the receiver-driven credit transport (rdt): one
+// CreditSender per flow and one CreditReceiver that paces grants to the
+// bottleneck. An optional admission window (`group_size`) stages the
+// incast, the Section 5.2 proposal: at most group_size flows hold
+// undelivered demand at once, the rest wait in flow order, and each flow
+// completion admits the next.
+//
+// Per-burst completion is tracked by cumulative delivery thresholds (flow f
+// has completed burst i once it has delivered (i+1) * demand bytes: the
+// TCP sender's cumulative ACK, or the credit receiver's received bytes),
+// which is well-defined even when bursts overlap.
 #ifndef INCAST_WORKLOAD_CYCLIC_INCAST_H_
 #define INCAST_WORKLOAD_CYCLIC_INCAST_H_
 
 #include <functional>
+#include <memory>
+#include <variant>
 #include <vector>
 
 #include "net/topology.h"
+#include "rdt/credit_transport.h"
 #include "sim/random.h"
 #include "sim/stable_arena.h"
 #include "tcp/tcp_connection.h"
@@ -52,6 +64,10 @@ class CyclicIncastDriver {
     sim::Time inter_burst_gap{sim::Time::milliseconds(10)};
     BurstSchedule schedule{BurstSchedule::kAfterCompletion};
     sim::Time start_jitter_max{sim::Time::microseconds(100)};
+    // Admission window: at most this many flows hold undelivered demand at
+    // once (a sliding window, as a receiver-driven scheduler would pull
+    // responses). 0 = every flow starts at burst start.
+    int group_size{0};
     // Demand per flow = bottleneck_rate * burst_duration * demand_scale /
     // num_flows; scale 1.0 sizes the burst to exactly fill the bottleneck
     // for burst_duration.
@@ -74,15 +90,22 @@ class CyclicIncastDriver {
     sim::Bandwidth bottleneck{};
   };
 
-  // Creates one connection per flow: endpoints.senders[i] -> receiver.
+  // The credit transport's two sides. The receiver's line rate is set to
+  // the endpoints' bottleneck.
+  struct CreditFlows {
+    rdt::CreditSender::Config sender{};
+    rdt::CreditReceiver::Config receiver{};
+  };
+  // What every flow runs: a TCP connection, or a credit sender.
+  using Transport = std::variant<tcp::TcpConfig, CreditFlows>;
+
+  // Creates one flow per sender: endpoints.senders[i] -> receiver.
   CyclicIncastDriver(sim::Simulator& sim, const Endpoints& endpoints,
-                     const tcp::TcpConfig& tcp_config, const Config& config,
-                     std::uint64_t seed);
+                     const Transport& transport, const Config& config, std::uint64_t seed);
 
   // Dumbbell convenience: runs over dumbbell_endpoints(dumbbell, num_flows).
-  CyclicIncastDriver(sim::Simulator& sim, net::Dumbbell& dumbbell,
-                     const tcp::TcpConfig& tcp_config, const Config& config,
-                     std::uint64_t seed);
+  CyclicIncastDriver(sim::Simulator& sim, net::Dumbbell& dumbbell, const Transport& transport,
+                     const Config& config, std::uint64_t seed);
 
   // Schedules the burst sequence starting at the current simulation time.
   void start();
@@ -96,10 +119,15 @@ class CyclicIncastDriver {
     return demand_per_flow_;
   }
 
+  // TCP flows (both empty for credit flows).
   [[nodiscard]] std::vector<tcp::TcpSender*> senders();
   [[nodiscard]] tcp::TcpConnection& connection(int i) {
     return connections_[static_cast<std::size_t>(i)];
   }
+
+  // Credit flows (empty, and no receiver, for TCP flows).
+  [[nodiscard]] std::vector<rdt::CreditSender*> credit_senders();
+  [[nodiscard]] rdt::CreditReceiver& credit_receiver() { return *credit_receiver_; }
 
   // Bytes of connection-arena storage — the workload's per-flow state
   // contribution to a bytes-per-flow budget.
@@ -114,7 +142,10 @@ class CyclicIncastDriver {
 
  private:
   void start_burst();
-  void on_flow_progress(std::int64_t snd_una, int flow_index);
+  // Hands waiting flows their demand while the admission window has room.
+  void admit_waiting();
+  // `delivered`: the flow's cumulative bytes delivered to the receiver.
+  void on_flow_progress(std::int64_t delivered, int flow_index);
   void complete_burst(int index);
 
   sim::Simulator& sim_;
@@ -128,9 +159,15 @@ class CyclicIncastDriver {
   // Contiguous chunked flow state: connections are address-pinned, so the
   // arena gives stable addresses without one heap object per flow.
   sim::StableChunkArena<tcp::TcpConnection, 8> connections_;
+  std::unique_ptr<rdt::CreditReceiver> credit_receiver_;
+  sim::StableChunkArena<rdt::CreditSender, 8> credit_senders_;
 
   int started_bursts_{0};
   int completed_bursts_{0};
+  // Flow-bursts handed their demand so far (the k-th goes to flow
+  // k % num_flows), and how many of those are not yet delivered.
+  std::int64_t admitted_{0};
+  int active_{0};
   // Per-flow: index of the next burst this flow has yet to complete.
   std::vector<int> flow_next_burst_;
   // Per-burst: flows that have not yet delivered that burst's threshold,

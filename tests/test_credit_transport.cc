@@ -1,5 +1,5 @@
 // Tests for the receiver-driven credit transport.
-#include "rdt/credit_incast.h"
+#include "rdt/credit_transport.h"
 
 #include <gtest/gtest.h>
 
@@ -7,12 +7,16 @@
 #include <memory>
 #include <vector>
 
+#include "workload/cyclic_incast.h"
+
 namespace incast::rdt {
 namespace {
 
 using sim::Simulator;
 using sim::Time;
 using namespace incast::sim::literals;
+
+using workload::CyclicIncastDriver;
 
 constexpr std::int64_t kMss = 1460;
 
@@ -86,11 +90,11 @@ TEST(CreditTransport, QueueStaysTinyUnderMassiveIncast) {
   // holds control chatter only, no data standing queue, zero loss.
   Simulator sim;
   net::Dumbbell topo{sim, rdt_topology(800)};
-  CreditIncastDriver::Config cfg;
+  CyclicIncastDriver::Config cfg;
   cfg.num_flows = 800;
   cfg.num_bursts = 2;
   cfg.burst_duration = 5_ms;
-  CreditIncastDriver driver{sim, topo, cfg, 7};
+  CyclicIncastDriver driver{sim, topo, CyclicIncastDriver::CreditFlows{}, cfg, 7};
   driver.start();
   sim.run_until(5_s);
 
@@ -181,17 +185,19 @@ TEST(CreditTransport, DriverIsDeterministic) {
   auto run = [] {
     Simulator sim;
     net::Dumbbell topo{sim, rdt_topology(50)};
-    CreditIncastDriver::Config cfg;
+    CyclicIncastDriver::Config cfg;
     cfg.num_flows = 50;
     cfg.num_bursts = 2;
     cfg.burst_duration = 2_ms;
-    CreditIncastDriver driver{sim, topo, cfg, 3};
+    CyclicIncastDriver driver{sim, topo, CyclicIncastDriver::CreditFlows{}, cfg, 3};
     driver.start();
     sim.run_until(5_s);
     std::vector<std::int64_t> fp;
     for (const auto& b : driver.bursts()) fp.push_back(b.completed.ns());
-    fp.push_back(driver.receiver().grants_sent());
-    fp.push_back(driver.total_rts());
+    fp.push_back(driver.credit_receiver().grants_sent());
+    std::int64_t rts = 0;
+    for (const CreditSender* s : driver.credit_senders()) rts += s->rts_sent();
+    fp.push_back(rts);
     return fp;
   };
   EXPECT_EQ(run(), run());

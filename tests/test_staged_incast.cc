@@ -1,6 +1,5 @@
-// Tests for the staged-incast scheduler (the Section 5.2 proposal).
-#include "workload/staged_incast.h"
-
+// Tests for the cyclic incast driver's admission window: the staged
+// incast of the Section 5.2 proposal.
 #include <gtest/gtest.h>
 
 #include "telemetry/queue_monitor.h"
@@ -20,15 +19,22 @@ tcp::TcpConfig tcp_config() {
   return c;
 }
 
+// A staged incast admits each flow with at most 10 us of jitter.
+CyclicIncastDriver::Config staged_config() {
+  CyclicIncastDriver::Config c;
+  c.start_jitter_max = 10_us;
+  return c;
+}
+
 TEST(StagedIncast, CompletesAllBursts) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 50}};
-  StagedIncastDriver::Config cfg;
+  CyclicIncastDriver::Config cfg = staged_config();
   cfg.num_flows = 50;
   cfg.group_size = 10;
   cfg.num_bursts = 2;
   cfg.burst_duration = 2_ms;
-  StagedIncastDriver driver{sim, topo, tcp_config(), cfg, 1};
+  CyclicIncastDriver driver{sim, topo, tcp_config(), cfg, 1};
   driver.start();
   sim.run_until(5_s);
   EXPECT_TRUE(driver.finished());
@@ -39,12 +45,12 @@ TEST(StagedIncast, CompletesAllBursts) {
 TEST(StagedIncast, ConcurrencyNeverExceedsGroupSize) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 60}};
-  StagedIncastDriver::Config cfg;
+  CyclicIncastDriver::Config cfg = staged_config();
   cfg.num_flows = 60;
   cfg.group_size = 8;
   cfg.num_bursts = 1;
   cfg.burst_duration = 5_ms;
-  StagedIncastDriver driver{sim, topo, tcp_config(), cfg, 2};
+  CyclicIncastDriver driver{sim, topo, tcp_config(), cfg, 2};
 
   // Poll concurrency: flows with supplied-but-unacked demand.
   auto senders = driver.senders();
@@ -87,12 +93,12 @@ TEST(StagedIncast, AvoidsMode3WhereUnstagedCollapses) {
 
   Simulator sim_b;
   net::Dumbbell topo_b{sim_b, net::DumbbellConfig{.num_senders = flows}};
-  StagedIncastDriver::Config st_cfg;
+  CyclicIncastDriver::Config st_cfg = staged_config();
   st_cfg.num_flows = flows;
   st_cfg.group_size = 60;
   st_cfg.num_bursts = 2;
   st_cfg.burst_duration = 15_ms;
-  StagedIncastDriver staged{sim_b, topo_b, tcp_config(), st_cfg, 3};
+  CyclicIncastDriver staged{sim_b, topo_b, tcp_config(), st_cfg, 3};
   staged.start();
   sim_b.run_until(10_s);
   ASSERT_TRUE(staged.finished());
@@ -111,12 +117,12 @@ TEST(StagedIncast, AvoidsMode3WhereUnstagedCollapses) {
 TEST(StagedIncast, GroupSizeOneIsFullySerial) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 5}};
-  StagedIncastDriver::Config cfg;
+  CyclicIncastDriver::Config cfg = staged_config();
   cfg.num_flows = 5;
   cfg.group_size = 1;
   cfg.num_bursts = 1;
   cfg.burst_duration = 1_ms;
-  StagedIncastDriver driver{sim, topo, tcp_config(), cfg, 4};
+  CyclicIncastDriver driver{sim, topo, tcp_config(), cfg, 4};
   driver.start();
   sim.run_until(5_s);
   EXPECT_TRUE(driver.finished());
@@ -125,10 +131,10 @@ TEST(StagedIncast, GroupSizeOneIsFullySerial) {
 TEST(StagedIncast, DemandMatchesCyclicDriver) {
   Simulator sim;
   net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 100}};
-  StagedIncastDriver::Config cfg;
+  CyclicIncastDriver::Config cfg = staged_config();
   cfg.num_flows = 100;
   cfg.burst_duration = 15_ms;
-  StagedIncastDriver driver{sim, topo, tcp_config(), cfg, 5};
+  CyclicIncastDriver driver{sim, topo, tcp_config(), cfg, 5};
   // Same equal-demand split as the unstaged workload: 18.75 MB / 100.
   EXPECT_EQ(driver.demand_per_flow_bytes(), 187'500);
 }
