@@ -61,24 +61,6 @@ net::DumbbellConfig make_topology(const CollateralConfig& config, QueueMode mode
   return topo;
 }
 
-// Polls a credit incast for completion.
-struct CreditFinishPoller {
-  sim::Simulator* sim{nullptr};
-  workload::CyclicIncastDriver* driver{nullptr};
-
-  void arm() {
-    sim->schedule_in(sim::Time::milliseconds(1),
-                     [this] {
-                       if (driver->finished()) {
-                         sim->stop();
-                       } else {
-                         arm();
-                       }
-                     },
-                     sim::EventCategory::kWorkload);
-  }
-};
-
 void collect_fabric_counters(net::Dumbbell& dumbbell, CollateralPoint& point) {
   for (net::Switch* sw : dumbbell.switches()) {
     for (std::size_t i = 0; i < sw->num_ports(); ++i) {
@@ -150,17 +132,14 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
   dcfg.num_bursts = config.num_bursts;
   dcfg.burst_duration = config.burst_duration;
   dcfg.inter_burst_gap = config.inter_burst_gap;
-  const bool credit = mode == QueueMode::kCredit;
   const CyclicIncastDriver::Transport transport =
-      credit ? CyclicIncastDriver::Transport{CyclicIncastDriver::CreditFlows{}}
-             : CyclicIncastDriver::Transport{tcp};
+      mode == QueueMode::kCredit
+          ? CyclicIncastDriver::Transport{CyclicIncastDriver::CreditFlows{}}
+          : CyclicIncastDriver::Transport{tcp};
   CyclicIncastDriver incast{sim, dumbbell, transport, dcfg, seed};
-  CreditFinishPoller poller;
-  if (!credit) {
-    incast.set_on_burst_complete([&](int) {
-      if (incast.finished()) sim.stop();
-    });
-  }
+  incast.set_on_burst_complete([&](int) {
+    if (incast.finished()) sim.stop();
+  });
 
   // Experiment-scope observability: the incast bottleneck queue plus the
   // new lossless/trimming instrumentation (pause counters, trimmed bytes).
@@ -171,10 +150,6 @@ CollateralPoint run_collateral_point(const CollateralConfig& config, QueueMode m
 
   victim.sender().add_app_data(kVictimStreamBytes);
   incast.start();
-  if (credit) {
-    poller = CreditFinishPoller{&sim, &incast};
-    poller.arm();
-  }
 
   sim.run_until(config.max_sim_time);
 

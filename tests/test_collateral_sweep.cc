@@ -87,7 +87,9 @@ TEST(CollateralSweepDeterminism, EachModeExercisesItsMechanism) {
 // writes, in two parts: the header with the TCP modes' rows, and the credit
 // rows. A change that moves one altered that part's behaviour.
 constexpr std::uint64_t kCollateralTcpGoldenFnv = 0x9cd35d0f468d593eULL;
-constexpr std::uint64_t kCollateralCreditGoldenFnv = 0xa3b7d07db7af1633ULL;
+// Last move: credit points stop at their last burst's completion instead
+// of at the next 1 ms poll (0xa3b7d07db7af1633 before).
+constexpr std::uint64_t kCollateralCreditGoldenFnv = 0x844d36ab9efff179ULL;
 
 TEST(CollateralSweepDeterminism, CsvMatchesCommittedGoldens) {
   core::CollateralConfig cfg;
