@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "core/error.h"
 #include "telemetry/port_sampler.h"
 
 namespace incast::core {
@@ -36,17 +36,18 @@ std::vector<int> place_senders(const fabric::FatTreeConfig& fab, int num_flows,
                                int receiver_leaf) {
   const int num_leaves = fab.num_pods * fab.leaves_per_pod;
   if (num_leaves < 2) {
-    throw std::invalid_argument(
-        "fabric incast needs at least 2 leaves (senders and receiver on "
-        "different racks)");
+    throw Error{ErrorCategory::kConfig,
+                "fabric incast needs at least 2 leaves (senders and receiver on "
+                "different racks)"};
   }
   std::vector<int> senders;
   senders.reserve(static_cast<std::size_t>(num_flows));
   if (placement == FabricIncastExperimentConfig::Placement::kSingleRack) {
     if (num_flows > fab.hosts_per_leaf) {
-      throw std::invalid_argument("single-rack placement needs hosts_per_leaf >= flows (" +
-                                  std::to_string(num_flows) + " flows, " +
-                                  std::to_string(fab.hosts_per_leaf) + " hosts/leaf)");
+      throw Error{ErrorCategory::kConfig,
+                  "single-rack placement needs hosts_per_leaf >= flows (" +
+                      std::to_string(num_flows) + " flows, " +
+                      std::to_string(fab.hosts_per_leaf) + " hosts/leaf)"};
     }
     for (int i = 0; i < num_flows; ++i) senders.push_back(i);  // leaf 0, slots 0..n
     return senders;
@@ -58,9 +59,9 @@ std::vector<int> place_senders(const fabric::FatTreeConfig& fab, int num_flows,
   const auto capacity =
       static_cast<std::int64_t>(other_leaves.size()) * fab.hosts_per_leaf;
   if (num_flows > capacity) {
-    throw std::invalid_argument("fabric seats only " + std::to_string(capacity) +
-                                " cross-rack senders, " + std::to_string(num_flows) +
-                                " requested");
+    throw Error{ErrorCategory::kConfig, "fabric seats only " + std::to_string(capacity) +
+                                            " cross-rack senders, " +
+                                            std::to_string(num_flows) + " requested"};
   }
   for (int i = 0; i < num_flows; ++i) {
     const int gl = other_leaves[static_cast<std::size_t>(i) % other_leaves.size()];

@@ -87,9 +87,9 @@ struct FabricIncastExperimentResult : CyclicIncastResult {
   std::vector<LeafEcmpSpread> leaf_ecmp;
 };
 
-// Runs one fabric experiment to completion (or max_sim_time). Throws
-// std::invalid_argument if the fabric cannot seat num_flows senders plus
-// the receiver under the requested placement, and std::runtime_error if any
+// Runs one fabric experiment to completion (or max_sim_time). Throws a
+// kConfig core::Error if the fabric cannot seat num_flows senders plus the
+// receiver under the requested placement, and std::runtime_error if any
 // switch blackholed a packet (a routing bug).
 [[nodiscard]] FabricIncastExperimentResult run_fabric_incast_experiment(
     const FabricIncastExperimentConfig& config);

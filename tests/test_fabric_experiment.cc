@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/error.h"
 #include "core/fabric_experiment.h"
 #include "core/incast_experiment.h"
 #include "core/resilience_experiment.h"
@@ -126,12 +127,21 @@ TEST(FabricExperiment, PlacementOverflowThrows) {
   cfg.fabric.leaves_per_pod = 2;
   cfg.fabric.hosts_per_leaf = 4;
   cfg.fabric.num_spines = 1;
+  // A placement the fabric cannot seat is a config error (exit 2).
+  const auto expect_config_error = [&cfg] {
+    try {
+      (void)run_fabric_incast_experiment(cfg);
+      ADD_FAILURE() << "no error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig) << e.what();
+    }
+  };
   // Cross-rack capacity is one leaf x 4 hosts = 4 senders.
   cfg.num_flows = 5;
-  EXPECT_THROW((void)run_fabric_incast_experiment(cfg), std::invalid_argument);
+  expect_config_error();
 
   cfg.placement = FabricIncastExperimentConfig::Placement::kSingleRack;
-  EXPECT_THROW((void)run_fabric_incast_experiment(cfg), std::invalid_argument);
+  expect_config_error();
   cfg.num_flows = 4;
   EXPECT_NO_THROW((void)run_fabric_incast_experiment(cfg));
 }
