@@ -14,6 +14,7 @@
 // Exit codes: 0 success; 2 bad invocation or config/journal mismatch;
 // 3 file I/O failure; 4 audit violation or budget exceeded (strict) or
 // chaos failures; 5 internal error; 130/143 after SIGINT/SIGTERM.
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -388,6 +389,8 @@ void print_sweep_footer(const sim::SweepRunner::RunStats& sweep,
 void read_workload(core::CliArgs& args, core::CyclicIncastSettings& cfg) {
   args.read("duration", cfg.burst_duration, 1_ns, "length of each burst");
   args.read("bursts", cfg.num_bursts, 1, 10'000, "bursts to simulate");
+  // The default discard must fit a short run; an explicit one is checked.
+  cfg.discard_bursts = std::min(cfg.discard_bursts, std::max(cfg.num_bursts - 1, 0));
   args.read("discard", cfg.discard_bursts, 0, cfg.num_bursts - 1, "leading bursts not measured");
   args.read("gap", cfg.inter_burst_gap, sim::Time::zero(), "idle time between bursts");
   args.read("seed", cfg.seed, "base random seed");
