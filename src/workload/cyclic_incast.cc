@@ -98,16 +98,15 @@ void CyclicIncastDriver::admit_waiting() {
     ++active_;
     const sim::Time jitter =
         rng_.uniform_time(sim::Time::zero(), config_.start_jitter_max);
+    const auto launch = [&](auto* sender) {
+      sim_.schedule_in(jitter,
+                       [sender, demand = demand_per_flow_] { sender->add_app_data(demand); },
+                       sim::EventCategory::kWorkload);
+    };
     if (credit_receiver_ != nullptr) {
-      rdt::CreditSender* sender = &credit_senders_[flow];
-      sim_.schedule_in(jitter,
-                       [sender, demand = demand_per_flow_] { sender->add_app_data(demand); },
-                       sim::EventCategory::kWorkload);
+      launch(&credit_senders_[flow]);
     } else {
-      tcp::TcpSender* sender = &connections_[flow].sender();
-      sim_.schedule_in(jitter,
-                       [sender, demand = demand_per_flow_] { sender->add_app_data(demand); },
-                       sim::EventCategory::kWorkload);
+      launch(&connections_[flow].sender());
     }
   }
 }
