@@ -119,13 +119,14 @@ class CyclicIncastDriver {
     return demand_per_flow_;
   }
 
-  // TCP flows (both empty for credit flows).
+  // TCP flows. A credit-flow driver has none: senders() is empty.
   [[nodiscard]] std::vector<tcp::TcpSender*> senders();
   [[nodiscard]] tcp::TcpConnection& connection(int i) {
     return connections_[static_cast<std::size_t>(i)];
   }
 
-  // Credit flows (empty, and no receiver, for TCP flows).
+  // Credit flows. A TCP driver has none: credit_senders() is empty and
+  // credit_receiver() must not be called.
   [[nodiscard]] std::vector<rdt::CreditSender*> credit_senders();
   [[nodiscard]] rdt::CreditReceiver& credit_receiver() { return *credit_receiver_; }
 
