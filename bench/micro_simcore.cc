@@ -70,7 +70,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
       q.push(sim::Time::nanoseconds(t + (i * 37) % 1000), [] {});
     }
     while (!q.empty()) {
-      benchmark::DoNotOptimize(q.pop());
+      q.pop([](sim::Time) { return true; },
+            [](sim::Time at, sim::EventCategory, auto&&) { benchmark::DoNotOptimize(at); });
     }
     t += 1000;
   }

@@ -155,8 +155,7 @@ ScalingPoint run_scaling_point_legacy(const ScalingConfig& config, int degree,
   harness.teardown(tree, switches).store(point);
 
   point.packet_pool_bytes = net::packet_pool(sim).high_water_bytes();
-  point.event_bytes = static_cast<std::uint64_t>(sim.slab_high_water()) *
-                      sim::EventQueue::slot_bytes();
+  point.event_bytes = sim.event_bytes();
   point.events_processed = sim.events_processed();
   finish_point(point, config, tree, connections, completed, sim.now().ns(), observer);
   return point;

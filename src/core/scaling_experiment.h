@@ -25,7 +25,9 @@
 //                         (HPCC only); the windowed engine samples the
 //                         domain pools' live bytes at barriers instead
 //   * routing_bytes     — flat next-hop tables, all switches
-//   * event_bytes       — the event-kernel slab at its high-water mark
+//   * event_bytes       — the event-kernel slab and delay lines at their
+//                         high-water marks; the windowed engine samples
+//                         the domains' pending events at barriers instead
 //
 // These are sizeof-based counters, not RSS, so they are byte-identical at
 // any --jobs value and feed the CSV; the process-wide peak RSS (which is

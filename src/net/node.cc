@@ -266,10 +266,23 @@ void Port::deliver(Packet* p) {
     wire_bytes_ += copy->size_bytes;
     if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_injected(copy->size_bytes);
 #endif
-    sim_.schedule_in_keyed(delay, next_key(), [this, p] { arrive(p); },
-                           sim::EventCategory::kNet);
-    sim_.schedule_in_keyed(delay, next_key(), [this, copy] { arrive(copy); },
-                           sim::EventCategory::kNet);
+    file_arrival(delay, p);
+    file_arrival(delay, copy);
+    return;
+  }
+  file_arrival(delay, p);
+}
+
+void Port::file_arrival(sim::Time delay, Packet* p) {
+  // A line is sorted because every entry is filed at now + one delay under
+  // a fresh insertion-counter draw. A hook's extra delay and keyed mode's
+  // tie-break keys would break that, so those arrivals take a closure.
+  if (delay == propagation_delay_ && !sim_.keyed_ordering()) {
+    if (line_.index == kNoLine.index) [[unlikely]] {
+      line_ = sim_.delay_line(propagation_delay_, &Port::arrive_from_line,
+                              sim::EventCategory::kNet);
+    }
+    sim_.schedule_on(line_, this, p);
     return;
   }
   sim_.schedule_in_keyed(delay, next_key(), [this, p] { arrive(p); },

@@ -94,6 +94,8 @@ class MailboxEgress {
 };
 
 class Port {
+  static constexpr sim::DelayLine kNoLine{static_cast<std::uint32_t>(-1)};
+
  public:
   Port(sim::Simulator& sim, sim::Bandwidth bandwidth, sim::Time propagation_delay,
        const DropTailQueue::Config& queue_config)
@@ -216,8 +218,16 @@ class Port {
   // unkeyed hop never touches the owner (defined in node.cc — needs the
   // full Node type).
   [[nodiscard]] std::uint64_t next_key();
+  // Files `p`'s arrival at the peer `delay` from now: on the simulator's
+  // delay line for this link's propagation delay when the delay is exactly
+  // that and the run is unkeyed, otherwise as a closure event.
+  void file_arrival(sim::Time delay, Packet* p);
   // Fires when a packet finishes propagating: hands it to the peer.
   void arrive(Packet* p);
+  // The delay line's fire: arrive(item) on port `owner`.
+  static void arrive_from_line(void* owner, void* item) {
+    static_cast<Port*>(owner)->arrive(static_cast<Packet*>(item));
+  }
   // Closes the open pause interval and restarts transmission.
   void finish_pause();
 
@@ -233,6 +243,9 @@ class Port {
   std::size_t peer_in_port_{0};
   sim::Bandwidth bandwidth_;
   sim::Time propagation_delay_;
+  // The line arrivals are filed on; fetched on the first delivery that
+  // uses it, so a keyed run never makes one.
+  sim::DelayLine line_{kNoLine};
   obs::Hub* trace_hub_{nullptr};
   // Cached at construction, like trace_hub_: nullptr (no tracer attached)
   // keeps the per-packet hooks to a single predictable branch.

@@ -1,19 +1,25 @@
 // EventQueue: the pending-event set of the discrete-event kernel.
 //
 // Layout is chosen so that steady-state dispatch performs zero heap
-// allocations and zero hash-table operations:
+// allocations and zero hash-table operations. Pending events live in three
+// stores, and every entry carries a (time, seq) key from one counter:
 //
-//  * Pending entries live in cache-friendly 4-ary implicit heaps whose
-//    entries are 24-byte PODs (Time, seq, slot). Sift operations move these
-//    small entries, never the callbacks.
-//  * Callbacks (allocation-free sim::InlineFunction) and their category live
-//    in a free-listed slab indexed by `slot`. A slot belongs to exactly one
-//    heap entry: it is taken when the entry is filed and freed when the
-//    entry leaves its heap, so it never moves and is never reused while
-//    referenced.
-//  * Ordering is (time, seq) with seq a monotonically increasing insertion
-//    counter, which makes event ordering at equal timestamps deterministic
-//    (FIFO) — essential for reproducible runs.
+//  * the event heap: one-shot events (push). A cache-friendly 4-ary
+//    implicit heap of 24-byte PODs (Time, seq, slot); sift operations move
+//    these small entries, never the callbacks. Callbacks (allocation-free
+//    sim::InlineFunction) and their category live in a free-listed slab
+//    indexed by `slot`. A slot belongs to exactly one heap entry: it is
+//    taken when the entry is filed and freed when the entry leaves its
+//    heap, so it never moves and is never reused while referenced;
+//  * the timer heap: entries of re-armable Timers (below), also slotted;
+//  * delay lines: events due a fixed delay after they are filed, such as
+//    packet arrivals one link propagation delay after they leave the wire.
+//    A line is a FIFO ring of {at, seq, owner, item} entries with one
+//    `fire(owner, item)` per line; it takes no slot and builds no closure.
+//
+// Ordering is (time, seq) with seq a monotonically increasing insertion
+// counter, which makes event ordering at equal timestamps deterministic
+// (FIFO) — essential for reproducible runs.
 //
 // Two kinds of event are pending. A one-shot event (push) runs its callback
 // once and cannot be withdrawn. A Timer (sim/simulator.h) is a re-armable
@@ -34,24 +40,36 @@
 // would have fired, in the same (time, seq) order against every other
 // event, and events_processed counts the same dispatches.
 //
-// One-shot events and timer entries sit in two separate heaps. In an
-// incast most timers are RTOs parked ~200 ms out while a few dozen packet
-// events do the work, so a one-shot push or pop sifts through the few
-// near events only, not through thousands of parked timers. An entry
-// "surfaces" when it is the earliest of both heaps — when it would be the
-// root of one heap holding both — and the queue looks at the timer heap
-// only then: when its root comes before the event heap's. Orphaned and
-// disarmed entries are dropped, and early entries re-filed, at exactly the
-// moments one heap would do it. So the dispatch order, every key draw, the
-// slot each entry takes, peak_pending() (both heaps' entries together) and
-// slab_high_water() are those of a single heap.
+// Why three stores. In an incast most timers are RTOs parked ~200 ms out
+// while a few dozen packet events do the work, so one-shot pushes and pops
+// sift through the few near events only, not through thousands of parked
+// timers. And half of all events are propagation arrivals, filed at
+// now + D for a link delay D that a topology shares across all its links:
+// `now` never decreases and seq only grows, so a line holding one D is
+// sorted by construction, and push and pop are O(1) with no sift.
+//
+// Why the order is that of one heap. The next event is the earliest of the
+// event heap's root, the timer heap's root and the line heads. An entry
+// "surfaces" when it is the earliest of all three stores — when it would
+// be the root of one heap holding every entry — and the queue looks at the
+// timer heap only then: when its root comes before the other two. Orphaned
+// and disarmed entries are dropped, and early entries re-filed, at exactly
+// the moments one heap would do it. So the dispatch order, every key draw
+// and peak_pending() (all three stores' entries together) are those of a
+// single heap. Only slab_high_water() is lower: line entries hold no slot.
+//
+// Keyed mode (push_keyed with keys from sim/domain.h) files nothing on a
+// line: its tie-break keys are not monotonic in push order, so a FIFO would
+// not stay sorted.
 #ifndef INCAST_SIM_EVENT_QUEUE_H_
 #define INCAST_SIM_EVENT_QUEUE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -63,6 +81,13 @@ namespace incast::sim {
 
 class Simulator;
 class EventQueue;
+
+// Names one delay line of a queue: EventQueue::line() and
+// Simulator::delay_line() hand it out, push_line() and
+// Simulator::schedule_on() file on it.
+struct DelayLine {
+  std::uint32_t index;
+};
 
 // A re-armable event: calls `fire(owner)` at its expiry. It lives in the
 // component that uses it (a TCP sender keeps three) and must not outlive
@@ -131,18 +156,23 @@ static_assert(sizeof(Timer) <= 56, "timers live in per-flow state and are meant 
 class EventQueue {
  public:
   using Callback = InlineFunction;
+  // What a delay line calls for each of its entries.
+  using LineFire = void (*)(void* owner, void* item);
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Pre-sizes the heaps and slab for `n` concurrently pending events, so a
-  // simulation whose peak depth is known up front (hosts x flows x a few
-  // timers) never grows any of them on its hot path.
+  // Pre-sizes the heaps, slab and delay lines (those that exist and those
+  // made later) for `n` concurrently pending events, so a simulation whose
+  // peak depth is known up front (hosts x flows x a few timers) never grows
+  // any of them on its hot path.
   void reserve(std::size_t n) {
     events_.reserve(n);
     timers_.reserve(n);
     slots_.reserve(n);
+    line_reserve_ = n;
+    for (Line& line : lines_) line.reserve(n);
   }
 
   // Schedules `cb` (an InlineFunction or any callable it can hold) to run
@@ -177,6 +207,31 @@ class EventQueue {
 
   // Draws the next insertion-counter value, as push() would.
   [[nodiscard]] std::uint64_t draw_seq() noexcept { return next_seq_++; }
+
+  // The delay line for events due `delay` after they are filed that call
+  // `fire` in category `category`; made on first request, then shared by
+  // every caller asking for the same (delay, fire).
+  [[nodiscard]] DelayLine line(Time delay, LineFire fire, EventCategory category) {
+    for (std::uint32_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].delay == delay && lines_[i].fire == fire) {
+        assert(lines_[i].category == category && "one category per (delay, fire)");
+        return DelayLine{i};
+      }
+    }
+    lines_.emplace_back(delay, fire, category);
+    lines_.back().reserve(line_reserve_);
+    return DelayLine{static_cast<std::uint32_t>(lines_.size() - 1)};
+  }
+
+  // Files an event on `line` at now + the line's delay, under `seq` from
+  // draw_seq(); it calls the line's fire(owner, item). `now` must not be
+  // earlier than at any previous push, which keeps the line sorted.
+  void push_line(DelayLine line, Time now, std::uint64_t seq, void* owner, void* item) {
+    lines_[line.index].push(LineEntry{now + lines_[line.index].delay, seq, owner, item});
+    ++line_entries_;
+    note_pending();
+    ++live_;
+  }
 
   // Arms `t` to fire at (at, seq), replacing any expiry it had. `seq` comes
   // from draw_seq() or is a keyed-mode key, like the tie-break of a push.
@@ -213,7 +268,7 @@ class EventQueue {
   }
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  // Pending one-shot events plus armed timers.
+  // Pending one-shot events, line entries and armed timers.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   // Time of the next event to dispatch; Time::infinity() if none.
@@ -221,48 +276,89 @@ class EventQueue {
   // changes the observable event sequence.
   [[nodiscard]] Time next_time() const {
     auto& self = *const_cast<EventQueue*>(this);
-    if (self.settle()) return timers_.front().at;
-    return events_.empty() ? Time::infinity() : events_.front().at;
-  }
-
-  // Pops the next event: a one-shot event's callback, or a call of a
-  // timer's Fire. A popped timer is already disarmed, so its Fire may
-  // re-arm it. Precondition: !empty().
-  struct Popped {
-    Time at;
-    EventCategory category;
-    Callback cb;
-  };
-  Popped pop() {
-    if (settle()) [[unlikely]] {
-      const Entry top = timers_.front();
-      timers_.pop();
-      Timer& t = *slots_[top.slot].timer;
-      t.armed_ = false;
-      t.slot_ = Timer::kNotFiled;
-      release_slot(top.slot);
-      --live_;
-      return Popped{top.at, t.category_, [fire = t.fire_, owner = t.owner_] { fire(owner); }};
+    switch (self.settle()) {
+      case Store::kEvent:
+        return events_.front().at;
+      case Store::kLine:
+        return lines_[next_line_].front().at;
+      case Store::kTimer:
+        return timers_.front().at;
+      case Store::kNone:
+        break;
     }
-    assert(!events_.empty() && "pop() on an empty queue");
-    const Entry top = events_.front();
-    events_.pop();
-    release_slot(top.slot);  // leaves cb in place until the next acquire
-    --live_;
-    Slot& s = slots_[top.slot];
-    return Popped{top.at, s.category, std::move(s.cb)};
+    return Time::infinity();
   }
 
-  // Peak number of heap entries, both heaps together, since construction
-  // (entries of disarmed and orphaned timers included — they occupy real
-  // memory until they surface).
+  // Pops the next event, if there is one and `due(at)` holds for its time,
+  // and hands it to `run(at, category, fire)`, where `fire()` runs it: a
+  // one-shot event's callback, a call of a timer's Fire, or a call of a
+  // line's fire(owner, item). The entry has left the queue by then, so
+  // `fire` may file new events; a popped timer is already disarmed, so its
+  // Fire may re-arm it. Returns whether an event was popped.
+  template <typename Due, typename Run>
+  bool pop(Due&& due, Run&& run) {
+    switch (settle()) {
+      case Store::kLine: {
+        Line& line = lines_[next_line_];
+        if (!due(line.front().at)) return false;
+        const LineEntry e = line.pop();
+        const LineFire fire = line.fire;
+        --line_entries_;
+        --live_;
+        run(e.at, line.category, [fire, &e] { fire(e.owner, e.item); });
+        return true;
+      }
+      case Store::kTimer: {
+        const Entry top = timers_.front();
+        if (!due(top.at)) return false;
+        timers_.pop();
+        Timer& t = *slots_[top.slot].timer;
+        t.armed_ = false;
+        t.slot_ = Timer::kNotFiled;
+        release_slot(top.slot);
+        --live_;
+        run(top.at, t.category_, [fire = t.fire_, owner = t.owner_] { fire(owner); });
+        return true;
+      }
+      case Store::kEvent: {
+        const Entry top = events_.front();
+        if (!due(top.at)) return false;
+        events_.pop();
+        release_slot(top.slot);  // leaves cb in place until the next acquire
+        --live_;
+        Slot& s = slots_[top.slot];
+        const EventCategory category = s.category;
+        Callback cb = std::move(s.cb);
+        run(top.at, category, cb);
+        return true;
+      }
+      case Store::kNone:
+        break;
+    }
+    return false;
+  }
+
+  // Peak number of pending entries, all three stores together, since
+  // construction (entries of disarmed and orphaned timers included — they
+  // occupy real memory until they surface).
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
   // Slab high-water mark: the most slots ever in existence, i.e. the peak
-  // number of heap entries the queue has sized itself for.
+  // number of heap entries the queue has sized itself for. Line entries
+  // hold no slot.
   [[nodiscard]] std::size_t slab_high_water() const noexcept { return slots_.size(); }
   // Bytes one slab slot occupies — multiply by slab_high_water() for the
-  // event kernel's contribution to a memory budget.
+  // slab's contribution to a memory budget.
   [[nodiscard]] static constexpr std::size_t slot_bytes() noexcept;
+  // The delay lines' high-water mark: the sum over lines of the most
+  // entries each held at once.
+  [[nodiscard]] std::size_t line_high_water() const noexcept {
+    std::size_t n = 0;
+    for (const Line& line : lines_) n += line.high_water();
+    return n;
+  }
+  // Bytes one line entry occupies — multiply by line_high_water() for the
+  // lines' contribution to a memory budget.
+  [[nodiscard]] static constexpr std::size_t line_entry_bytes() noexcept;
 
  private:
   // 24 bytes; sift operations shuffle these, never the callbacks. seq is
@@ -275,12 +371,16 @@ class EventQueue {
   static_assert(sizeof(Entry) <= 24, "heap entries are meant to stay small");
 
   // Strict-weak order: earlier (time, seq) is dispatched first.
+  [[nodiscard]] static bool before(Time a_at, std::uint64_t a_seq, Time b_at,
+                                   std::uint64_t b_seq) noexcept {
+    if (a_at != b_at) return a_at < b_at;
+    return a_seq < b_seq;
+  }
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    return before(a.at, a.seq, b);
+    return before(a.at, a.seq, b.at, b.seq);
   }
   [[nodiscard]] static bool before(Time at, std::uint64_t seq, const Entry& b) noexcept {
-    if (at != b.at) return at < b.at;
-    return seq < b.seq;
+    return before(at, seq, b.at, b.seq);
   }
 
   // A 4-ary implicit min-heap of entries under before().
@@ -340,6 +440,69 @@ class EventQueue {
     std::vector<Entry> v_;
   };
 
+  // 32 bytes: the key, and what the line's fire is called with.
+  struct LineEntry {
+    Time at;
+    std::uint64_t seq;
+    void* owner;
+    void* item;
+  };
+
+  // A delay line: a FIFO ring of entries, sorted because each is filed at
+  // now + delay with a fresh seq. The ring's capacity is a power of two and
+  // doubles when full; it never shrinks.
+  class Line {
+   public:
+    Line(Time delay, LineFire fire, EventCategory category) noexcept
+        : delay{delay}, fire{fire}, category{category} {}
+
+    void reserve(std::size_t n) {
+      if (n > capacity()) regrow(std::bit_ceil(n));
+    }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] const LineEntry& front() const noexcept { return ring_[head_]; }
+    [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
+
+    void push(const LineEntry& e) {
+      assert((empty() || !before(e.at, e.seq, back().at, back().seq)) &&
+             "a line is filed in (time, seq) order");
+      if (size_ == capacity()) [[unlikely]] regrow(std::max<std::size_t>(2 * size_, 64));
+      ring_[(head_ + size_) & mask_] = e;
+      if (++size_ > high_water_) high_water_ = size_;
+    }
+    LineEntry pop() noexcept {
+      const LineEntry e = ring_[head_];
+      head_ = (head_ + 1) & mask_;
+      --size_;
+      return e;
+    }
+
+    Time delay;
+    LineFire fire;
+    EventCategory category;
+
+   private:
+    [[nodiscard]] std::size_t capacity() const noexcept { return ring_ ? mask_ + 1 : 0; }
+    [[nodiscard]] const LineEntry& back() const noexcept {
+      return ring_[(head_ + size_ - 1) & mask_];
+    }
+    // Moves the entries, oldest first, into a ring of `capacity` (a power
+    // of two no smaller than size_).
+    void regrow(std::size_t capacity) {
+      auto ring = std::make_unique_for_overwrite<LineEntry[]>(capacity);
+      for (std::size_t i = 0; i < size_; ++i) ring[i] = ring_[(head_ + i) & mask_];
+      ring_ = std::move(ring);
+      mask_ = capacity - 1;
+      head_ = 0;
+    }
+
+    std::unique_ptr<LineEntry[]> ring_;
+    std::size_t mask_{0};
+    std::size_t head_{0};
+    std::size_t size_{0};
+    std::size_t high_water_{0};
+  };
+
   // A slot of the event heap holds a callback and its category; a slot of
   // the timer heap holds its timer, or nullptr once the timer has abandoned
   // the entry (an orphan, dropped when it surfaces).
@@ -352,9 +515,13 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  // Called after each filing: both heaps' entries count toward the peak.
+  // Which store holds the next event.
+  enum class Store : std::uint8_t { kNone, kEvent, kLine, kTimer };
+
+  // Called after each filing: all three stores' entries count toward the
+  // peak.
   void note_pending() noexcept {
-    peak_pending_ = std::max(peak_pending_, events_.size() + timers_.size());
+    peak_pending_ = std::max(peak_pending_, events_.size() + timers_.size() + line_entries_);
   }
 
   // Detaches `t` from its filed entry, which stays in the timer heap as an
@@ -380,18 +547,39 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  // Surfaces timer entries while the timer heap's root comes before the
-  // event heap's: drops orphaned entries and those of disarmed timers, and
-  // re-files an entry that surfaced before its timer's expiry at that
-  // expiry. Returns whether the next event is the timer heap's root (a due
-  // timer); otherwise it is the event heap's root, if any.
-  bool settle() noexcept {
+  // Finds the store holding the next event (for a line, also which line:
+  // next_line_). First the earliest of the event heap's root and the line
+  // heads; then timer entries surface while the timer heap's root comes
+  // before that: orphaned entries and those of disarmed timers are dropped,
+  // and an entry that surfaced before its timer's expiry is re-filed at
+  // that expiry. A timer entry that surfaces at its expiry is the next
+  // event.
+  Store settle() noexcept {
+    Store store = Store::kNone;
+    Time at = Time::infinity();
+    std::uint64_t seq = ~std::uint64_t{0};
+    if (!events_.empty()) {
+      at = events_.front().at;
+      seq = events_.front().seq;
+      store = Store::kEvent;
+    }
+    for (std::uint32_t i = 0; i < lines_.size(); ++i) {
+      const Line& line = lines_[i];
+      if (line.empty()) continue;
+      const LineEntry& head = line.front();
+      if (before(head.at, head.seq, at, seq)) {
+        at = head.at;
+        seq = head.seq;
+        store = Store::kLine;
+        next_line_ = i;
+      }
+    }
     while (!timers_.empty()) {
       const Entry top = timers_.front();
-      if (!events_.empty() && !before(top, events_.front())) [[likely]] return false;
+      if (store != Store::kNone && !before(top.at, top.seq, at, seq)) [[likely]] return store;
       if (Timer* t = slots_[top.slot].timer) {
         if (t->armed_) {
-          if (t->at_ == top.at && t->seq_ == top.seq) return true;
+          if (t->at_ == top.at && t->seq_ == top.seq) return Store::kTimer;
           t->filed_at_ = t->at_;
           timers_.replace_front(Entry{t->at_, t->seq_, top.slot});
           continue;
@@ -401,19 +589,24 @@ class EventQueue {
       release_slot(top.slot);
       timers_.pop();
     }
-    return false;
+    return store;
   }
 
   Heap events_;  // one-shot events
   Heap timers_;  // filed timer entries, orphans included
+  std::vector<Line> lines_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_{kNoSlot};
+  std::uint32_t next_line_{0};  // the line settle() found, when it found one
   std::uint64_t next_seq_{0};
   std::size_t live_{0};
+  std::size_t line_entries_{0};
+  std::size_t line_reserve_{0};
   std::size_t peak_pending_{0};
 };
 
 constexpr std::size_t EventQueue::slot_bytes() noexcept { return sizeof(Slot); }
+constexpr std::size_t EventQueue::line_entry_bytes() noexcept { return sizeof(LineEntry); }
 
 }  // namespace incast::sim
 

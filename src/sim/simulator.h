@@ -9,15 +9,23 @@
 // event a component owns — arm it, re-arm it, disarm it. A timer is the
 // only way to stop an event before it fires.
 //
+// A third way suits events due a fixed delay after they are filed, such as
+// a packet's arrival one link propagation delay after it leaves the wire:
+// delay_line() names the line for a (delay, fire) pair, and schedule_on()
+// files (owner, item) on it, to be passed to fire at now + delay. A line
+// entry holds no closure, and keyed mode files nothing on a line.
+//
 // The hot path is allocation-free: callbacks are sim::InlineFunction (fixed
 // inline capture budget, compile error on oversize), built in place in a
 // slab slot by the inline schedule_* templates, and steady-state dispatch
 // performs no heap allocations and no hash-table operations. The pending
-// set is two slab-backed 4-ary heaps (sim/event_queue.h): one-shot events
-// in one, timer entries in the other, so the few near packet events never
-// sift through thousands of parked RTOs. Dispatch order is what one heap
-// holding both would give. Callers that know their peak event population
-// can reserve_events() up front so the heaps and slab never grow mid-run.
+// set is three stores (sim/event_queue.h): one-shot events in a slab-backed
+// 4-ary heap, timer entries in another, so the few near packet events never
+// sift through thousands of parked RTOs, and delay-line entries in FIFO
+// rings, sorted by construction. Dispatch takes the earliest of the three,
+// which is the order one heap holding every entry would give. Callers that
+// know their peak event population can reserve_events() up front so the
+// heaps, slab and lines never grow mid-run.
 //
 // Self-profiling: every event carries an EventCategory and the loop keeps an
 // always-on per-category dispatch counter (a single array increment — see
@@ -74,9 +82,9 @@ class Simulator {
   // Current simulated time. Advances only inside run()/run_until().
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  // Capacity hint: pre-sizes the event heaps and callback slab for `n`
-  // concurrently pending events (typically hosts x flows x a small timer
-  // factor), so steady state never grows any of them.
+  // Capacity hint: pre-sizes the event heaps, callback slab and delay lines
+  // for `n` concurrently pending events (typically hosts x flows x a small
+  // timer factor), so steady state never grows any of them.
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   // Timestamp of the next pending event; Time::infinity() when idle.
@@ -97,6 +105,25 @@ class Simulator {
   template <typename F>
   void schedule_in(Time delay, F&& cb, EventCategory category = EventCategory::kGeneric) {
     schedule_at(now_ + delay, std::forward<F>(cb), category);
+  }
+
+  // The delay line for events due `delay` (>= 0) after they are filed that
+  // call `fire(owner, item)`, counted under `category`. Every caller asking
+  // for the same (delay, fire) shares one line, so name each fire once.
+  [[nodiscard]] DelayLine delay_line(Time delay, EventQueue::LineFire fire,
+                                     EventCategory category = EventCategory::kGeneric) {
+    assert(delay >= Time::zero() && "a delay line cannot file into the past");
+    return queue_.line(delay, fire, category);
+  }
+
+  // Files an event on `line`, due the line's delay from now: it calls the
+  // line's fire(owner, item) then. It draws its tie-break as schedule_in()
+  // does, so it fires exactly where schedule_in(delay, ...) would have, and
+  // counts, audits and profiles like any other event. Not in keyed mode:
+  // keys are not monotonic in filing order, which a line relies on.
+  void schedule_on(DelayLine line, void* owner, void* item) {
+    assert(!keyed_ && "keyed mode files no event on a delay line");
+    queue_.push_line(line, now_, queue_.draw_seq(), owner, item);
   }
 
   // Keyed scheduling for the parallel engine (sim/domain.h). In keyed mode
@@ -142,9 +169,7 @@ class Simulator {
   // called repeatedly by the parallel coordinator, and the clock must stay
   // at the last dispatched event so cross-window schedule_in() arithmetic
   // keeps its meaning.
-  void run_window(Time end) {
-    while (queue_.next_time() < end) dispatch_one();
-  }
+  void run_window(Time end);
 
   // Moves the clock forward without running anything (used by the parallel
   // engine to finish a run at the deadline on domains that went idle).
@@ -156,19 +181,30 @@ class Simulator {
   void stop() noexcept { stopped_ = true; }
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return events_processed_; }
-  // Pending one-shot events plus armed timers.
+  // Pending one-shot events, delay-line entries and armed timers.
   [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.size(); }
 
-  // Peak heap entries (both heaps together) and callback-slab high-water
-  // mark since construction — the kernel's memory footprint, surfaced
-  // through SweepRunner::RunStats and the sim.events.* metrics. The heaps
-  // hold at most one entry per timer beyond the live events, plus orphans
-  // not yet surfaced (sim/event_queue.h).
+  // Peak pending entries (heaps and lines together) and callback-slab
+  // high-water mark since construction — the kernel's memory footprint,
+  // surfaced through SweepRunner::RunStats and the sim.events.* metrics.
+  // The heaps hold at most one entry per timer beyond the live events,
+  // plus orphans not yet surfaced (sim/event_queue.h); line entries take
+  // no slab slot.
   [[nodiscard]] std::size_t peak_events_pending() const noexcept {
     return queue_.peak_pending();
   }
   [[nodiscard]] std::size_t slab_high_water() const noexcept {
     return queue_.slab_high_water();
+  }
+  // Sum over delay lines of the most entries each held at once.
+  [[nodiscard]] std::size_t line_high_water() const noexcept {
+    return queue_.line_high_water();
+  }
+  // Bytes of event storage at the high-water marks: the slab's slots plus
+  // the lines' entries.
+  [[nodiscard]] std::size_t event_bytes() const noexcept {
+    return slab_high_water() * EventQueue::slot_bytes() +
+           line_high_water() * EventQueue::line_entry_bytes();
   }
 
   // Dispatch counts bucketed by EventCategory (always maintained).
@@ -217,7 +253,10 @@ class Simulator {
  private:
   friend class Timer;
 
-  void dispatch_one();
+  // Dispatches the next event if there is one and `due(at)` holds for its
+  // time; returns whether it did.
+  template <typename Due>
+  bool dispatch_if(Due due);
 
   // The tie-break a schedule or timer arm draws: the key in keyed mode
   // (lane 0's ambient counter when none is given), otherwise the queue's

@@ -22,13 +22,18 @@ namespace {
 
 using namespace incast::sim::literals;
 
+// Pops the next event and runs it.
+void run_next(EventQueue& q) {
+  q.pop([](Time) { return true; }, [](Time, EventCategory, auto&& fire) { fire(); });
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> fired;
   q.push(3_us, [&] { fired.push_back(3); });
   q.push(1_us, [&] { fired.push_back(1); });
   q.push(2_us, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) run_next(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -38,7 +43,7 @@ TEST(EventQueue, EqualTimestampsFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(5_us, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) run_next(q);
   ASSERT_EQ(fired.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
@@ -218,7 +223,7 @@ TEST(EventQueue, KeyedPushOrdersEqualTimestampsByKeyNotInsertion) {
       fired.push_back(k);
     });
   }
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) run_next(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 2, 5, 7, 9}));
 }
 
@@ -228,7 +233,7 @@ TEST(EventQueue, KeyedPushStillOrdersByTimeFirst) {
   q.push_keyed(2_us, 0, [&] { fired.push_back(2); });
   q.push_keyed(1_us, 99, [&] { fired.push_back(1); });
   q.push_keyed(1_us, 3, [&] { fired.push_back(10); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) run_next(q);
   EXPECT_EQ(fired, (std::vector<int>{10, 1, 2}));
 }
 

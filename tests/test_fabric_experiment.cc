@@ -217,10 +217,10 @@ std::string result_bytes(const FabricIncastExperimentResult& r,
 
 // Committed fingerprint of a full cross-rack result with a lossy uplink. A
 // change that moves it altered the experiment's observable behavior.
-// Last move: the ECMP path-change count was deleted with the switches'
-// flow tables, and timers keep one heap entry each (peak_events_pending
-// and slab_high_water 7766 -> 123); kFabricBehaviourFnv did not move.
-constexpr std::uint64_t kFabricResultGoldenFnv = 0x90088052a7a09885ULL;
+// Last move: propagation arrivals ride delay lines, which take no slab slot
+// (slab_high_water 123 -> 63; peak_events_pending stays 123);
+// kFabricBehaviourFnv did not move.
+constexpr std::uint64_t kFabricResultGoldenFnv = 0x8b839835bdccc760ULL;
 // The same result without the kernel footprint. A change to how the event
 // kernel or the switches store state may move the golden above, never
 // this one.

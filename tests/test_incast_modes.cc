@@ -179,9 +179,10 @@ std::string result_bytes(const IncastExperimentResult& r,
 
 // Committed fingerprint of the full dumbbell result. A change that moves it
 // altered the experiment's observable behavior.
-// Last move: timers keep one heap entry each (peak_events_pending and
-// slab_high_water 4266 -> 182); kDumbbellBehaviourFnv did not move.
-constexpr std::uint64_t kDumbbellResultGoldenFnv = 0x2984284eb66c5c25ULL;
+// Last move: propagation arrivals ride delay lines, which take no slab slot
+// (slab_high_water 182 -> 130; peak_events_pending stays 182);
+// kDumbbellBehaviourFnv did not move.
+constexpr std::uint64_t kDumbbellResultGoldenFnv = 0x1e07971c274a17e8ULL;
 // The same result without the kernel footprint. A change to how the event
 // kernel stores pending events may move the golden above, never this one.
 constexpr std::uint64_t kDumbbellBehaviourFnv = 0xeac34678cb9de5fdULL;

@@ -136,12 +136,11 @@ core::ScalingConfig small_ladder() {
 // Committed fingerprint of scaling_csv(small_ladder()) — regenerate with a
 // jobs=1 run and update deliberately when the experiment's math or CSV
 // schema changes; an unexplained move is a determinism regression.
-// Last move: switches store each distinct route member list once (4-byte
-// per-destination slices of a shared group table) and a TCP receiver keeps
-// its latest INT stack in the packet pool's side table instead of inline.
-// Only the memory columns changed — flow_state_bytes, routing_bytes and
+// Last move: propagation arrivals ride delay lines, whose 32-byte entries
+// replace 96-byte slab slots (event_bytes 1056/2880/7968 -> 704/1472/4224
+// at degrees 1/2/8). Only the memory columns changed — event_bytes and
 // bytes_per_flow; kScalingBehaviourFnv below pins the rest.
-constexpr std::uint64_t kScalingGoldenFnv = 0x7c875b3c3b09b0d5ULL;
+constexpr std::uint64_t kScalingGoldenFnv = 0x8bfc9588503974ebULL;
 
 TEST(ScalingSweepDeterminism, CsvIsByteIdenticalAcrossJobCountsAndMatchesGolden) {
   core::ScalingConfig cfg = small_ladder();
