@@ -1,12 +1,13 @@
-// Tests for the discrete-event pending set: ordering, ties, and timers
-// (arm, re-arm, disarm), plus a seeded differential test of timers and
-// one-shot events against independent reference models of the dispatch
-// order and of the heap's footprint.
+// Tests for the discrete-event pending set: ordering, ties, timers (arm,
+// re-arm, disarm) and delay lines, plus a seeded differential test of
+// timers, one-shot events and line entries against independent reference
+// models of the dispatch order and of the kernel's footprint.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -263,22 +264,24 @@ TEST(EventQueue, StressInterleavedPushPopCancel) {
 // ---- differential test against reference models --------------------------
 //
 // ReferenceModel is what cancel-and-push would do: a flat list of the live
-// (at, seq) entries, each tagged with the timer or one-shot it belongs to,
-// where disarming or re-arming a timer just drops its live entry. The next
-// event is the live entry with the smallest (at, seq). It shares no code
-// with the kernel: no heap, no slots, no re-filing.
+// (at, seq) entries, each tagged with the timer, one-shot or line entry it
+// belongs to, where disarming or re-arming a timer just drops its live
+// entry. The next event is the live entry with the smallest (at, seq). It
+// shares no code with the kernel: no heap, no slots, no lines, no
+// re-filing.
 class ReferenceModel {
  public:
   static constexpr int kOneShot = -1;
+  static constexpr int kLine = -2;  // an entry filed on a delay line
 
   struct Entry {
     Time at;
     std::uint64_t seq;
-    int who;  // timer index, or kOneShot
+    int who;  // timer index, kOneShot or kLine
   };
 
   void add(Time at, std::uint64_t seq, int who) {
-    if (who != kOneShot) disarm(who);
+    if (who >= 0) disarm(who);
     entries_.push_back({at, seq, who});
   }
   void disarm(int timer) {
@@ -316,13 +319,21 @@ class ReferenceModel {
 // files an entry when it is armed no later than its filed one, a later arm
 // only moves its expiry, and an entry surfaces when it is the earliest of
 // all — it is then dropped (orphaned or disarmed), re-filed at the expiry
-// (early), or dispatched. Its peak is what peak_pending() and
-// slab_high_water() must read, however the kernel stores the entries.
+// (early), or dispatched. Its peak is what peak_pending() must read,
+// however the kernel stores the entries. Line entries count toward it but
+// hold no slab slot, so slab_high_water() must read the peak of the other
+// entries, and line_high_water() the sum of each line's own peak.
 class HeapCensus {
  public:
-  explicit HeapCensus(int timers) : timers_(static_cast<std::size_t>(timers)) {}
+  explicit HeapCensus(int timers, int lines = 0)
+      : timers_(static_cast<std::size_t>(timers)), lines_(static_cast<std::size_t>(lines)) {}
 
   void push(Time at, std::uint64_t seq) { file({at, seq, ReferenceModel::kOneShot}); }
+  void push_line(int line, Time at, std::uint64_t seq) {
+    file({at, seq, ReferenceModel::kLine, false, line});
+    LineCount& l = lines_[static_cast<std::size_t>(line)];
+    l.peak = std::max(l.peak, ++l.now);
+  }
 
   void arm(int timer, Time at, std::uint64_t seq) {
     timers_[static_cast<std::size_t>(timer)] = {true, at, seq};
@@ -342,7 +353,7 @@ class HeapCensus {
   void settle() {
     while (!entries_.empty()) {
       const auto it = earliest();
-      if (it->who == ReferenceModel::kOneShot) return;
+      if (it->who < 0) return;  // a one-shot or line entry is due
       const TimerState& t = timers_[static_cast<std::size_t>(it->who)];
       if (!it->orphan && t.armed) {
         if (t.at == it->at && t.seq == it->seq) return;
@@ -350,25 +361,32 @@ class HeapCensus {
         it->seq = t.seq;
         continue;
       }
-      entries_.erase(it);
+      erase(it);
     }
   }
   // Dispatches the next event, as pop() does.
   void dispatch() {
     settle();
     const auto it = earliest();
-    if (it->who != ReferenceModel::kOneShot) disarm(it->who);
-    entries_.erase(it);
+    if (it->who >= 0) disarm(it->who);
+    erase(it);
   }
 
   [[nodiscard]] std::size_t peak() const { return peak_; }
+  [[nodiscard]] std::size_t slab_peak() const { return slab_peak_; }
+  [[nodiscard]] std::size_t line_peak() const {
+    std::size_t sum = 0;
+    for (const LineCount& l : lines_) sum += l.peak;
+    return sum;
+  }
 
  private:
   struct Entry {
     Time at;
     std::uint64_t seq;
-    int who;  // timer index, or ReferenceModel::kOneShot
+    int who;  // timer index, ReferenceModel::kOneShot or kLine
     bool orphan{false};
+    int line{-1};  // which line, for kLine
   };
   struct TimerState {
     bool armed{false};
@@ -379,6 +397,15 @@ class HeapCensus {
   void file(const Entry& e) {
     entries_.push_back(e);
     peak_ = std::max(peak_, entries_.size());
+    if (e.who != ReferenceModel::kLine) slab_peak_ = std::max(slab_peak_, ++slotted_);
+  }
+  void erase(std::vector<Entry>::iterator it) {
+    if (it->who == ReferenceModel::kLine) {
+      --lines_[static_cast<std::size_t>(it->line)].now;
+    } else {
+      --slotted_;
+    }
+    entries_.erase(it);
   }
   Entry* filed(int timer) {
     for (Entry& e : entries_) {
@@ -392,9 +419,17 @@ class HeapCensus {
     });
   }
 
+  struct LineCount {
+    std::size_t now{0};
+    std::size_t peak{0};
+  };
+
   std::vector<Entry> entries_;
   std::vector<TimerState> timers_;
+  std::vector<LineCount> lines_;
   std::size_t peak_{0};
+  std::size_t slotted_{0};  // entries holding a slab slot
+  std::size_t slab_peak_{0};
 };
 
 // One timer under test. Each fire records who fired and stops the loop,
@@ -435,18 +470,42 @@ enum class Shape {
   // pushed back ACK-style on most steps, under churn from ~50 near one-shot
   // events. Filed entries surface, re-file and orphan by the hundreds.
   kParkedTimers,
+  // The mixed shape plus runs of delay-line entries on two delays, filed
+  // on the same microsecond grid as the one-shots and timers: line heads
+  // tie with heap roots and timer roots, and with each other.
+  kDelayLines,
+};
+
+// The fire of the differential test's delay lines: records that a line
+// entry fired and which (its seq travels as the item), and stops the loop.
+struct LineProbe {
+  Simulator* sim;
+  int* last_fired;
+  std::uint64_t last_seq{0};
+
+  static void fire(void* owner, void* item) {
+    auto* probe = static_cast<LineProbe*>(owner);
+    *probe->last_fired = ReferenceModel::kLine;
+    probe->last_seq = reinterpret_cast<std::uintptr_t>(item);
+    probe->sim->stop();
+  }
 };
 
 // Drives timers and one-shot events with seeded random arms (later,
 // earlier, at an equal time), disarms, destruction while filed, and re-arms
 // after and inside a fire, dispatching one event at a time. Each dispatch,
 // next_event_time() and events_pending() are checked against the
-// ReferenceModel, and peak_events_pending() and slab_high_water() against
-// the HeapCensus. In keyed mode every schedule carries a distinct scrambled
-// key, so equal-time order is by key rather than by insertion, and an
-// equal-time re-arm can land before the entry already filed.
+// ReferenceModel, and peak_events_pending(), slab_high_water() and
+// line_high_water() against the HeapCensus; a line entry must fire as the
+// very entry the model expects. In keyed mode every schedule carries a
+// distinct scrambled key, so equal-time order is by key rather than by
+// insertion, and an equal-time re-arm can land before the entry already
+// filed; keyed mode files nothing on a line.
 void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
   const bool parked = shape == Shape::kParkedTimers;
+  const bool lines = shape == Shape::kDelayLines;
+  assert(!(lines && keyed) && "keyed mode files nothing on a line");
+  constexpr Time kLineDelay[] = {3_us, 5_us};
   const int kTimers = parked ? 1200 : 12;
   const int kSteps = parked ? 4000 : 3000;
   constexpr int kNearOneShots = 50;  // kParkedTimers' one-shot population
@@ -457,7 +516,7 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
   Simulator sim;
   if (keyed) sim.enable_keyed_ordering();
   ReferenceModel model;
-  HeapCensus census{kTimers};
+  HeapCensus census{kTimers, lines ? 2 : 0};
   std::uint64_t next_seq = 0;  // mirrors the kernel's insertion counter
   std::uint64_t key_counter = 0;
   // The tie-break the next schedule or arm draws. Keys are distinct and
@@ -475,6 +534,9 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
   };
 
   int last_fired = 0;
+  LineProbe line_probe{&sim, &last_fired};
+  const DelayLine line_ids[] = {sim.delay_line(kLineDelay[0], &LineProbe::fire),
+                                sim.delay_line(kLineDelay[1], &LineProbe::fire)};
   std::vector<std::unique_ptr<DiffTimer>> timers(static_cast<std::size_t>(kTimers));
   const auto make = [&](int i) {
     timers[static_cast<std::size_t>(i)] = std::make_unique<DiffTimer>(sim, i, last_fired);
@@ -509,6 +571,13 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
     census.push(at, seq);
     ++one_shots;
   };
+  const auto push_line = [&](int line) {
+    const std::uint64_t seq = draw();
+    const Time at = sim.now() + kLineDelay[line];
+    sim.schedule_on(line_ids[line], &line_probe, reinterpret_cast<void*>(seq));
+    model.add(at, seq, ReferenceModel::kLine);
+    census.push_line(line, at, seq);
+  };
   const auto disarm = [&](int i) {
     timers[static_cast<std::size_t>(i)]->timer.disarm();
     model.disarm(i);
@@ -522,7 +591,8 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
   const auto check_footprint = [&] {
     ASSERT_EQ(sim.events_pending(), model.live());
     ASSERT_EQ(sim.peak_events_pending(), census.peak());
-    ASSERT_EQ(sim.slab_high_water(), census.peak());
+    ASSERT_EQ(sim.slab_high_water(), census.slab_peak());
+    ASSERT_EQ(sim.line_high_water(), census.line_peak());
   };
   // One of the mixed shape's operations on a random timer.
   const auto mixed_op = [&] {
@@ -576,6 +646,14 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
       check_footprint();
     } else {
       for (int op = below(4); op > 0; --op) {  // a few operations at the current time
+        if (lines && below(100) < 30) {
+          // A run of arrivals, as a port delivering back to back.
+          const int line = below(2);
+          for (int n = 1 + below(3); n > 0; --n) push_line(line);
+          check_footprint();
+          if (::testing::Test::HasFatalFailure()) return;
+          continue;
+        }
         mixed_op();
         if (::testing::Test::HasFatalFailure()) return;
         check_footprint();
@@ -592,7 +670,7 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
     const ReferenceModel::Entry want = model.retire(next);
     ASSERT_EQ(sim.next_event_time(), want.at);
     std::optional<std::pair<Time, std::uint64_t>> rearm;
-    if (want.who != ReferenceModel::kOneShot && self_rearm[static_cast<std::size_t>(want.who)]) {
+    if (want.who >= 0 && self_rearm[static_cast<std::size_t>(want.who)]) {
       DiffTimer& owner = *timers[static_cast<std::size_t>(want.who)];
       owner.rearm_at = parked ? want.at + kRto : near(want.at);
       // The key is drawn here; in unkeyed mode the kernel draws the same
@@ -600,10 +678,11 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
       owner.rearm_key = draw();
       rearm.emplace(owner.rearm_at, *owner.rearm_key);
     }
-    last_fired = ReferenceModel::kOneShot - 1;
+    last_fired = ReferenceModel::kLine - 1;
     sim.run();
     census.dispatch();
     ASSERT_EQ(last_fired, want.who);
+    if (want.who == ReferenceModel::kLine) ASSERT_EQ(line_probe.last_seq, want.seq);
     ASSERT_EQ(sim.now(), want.at);
     if (want.who == ReferenceModel::kOneShot) --one_shots;
     if (rearm) {
@@ -635,6 +714,14 @@ TEST(EventQueueDifferential, ParkedTimersMatchTheReferenceModel) {
   for (std::uint64_t seed = 201; seed <= 204; ++seed) {
     SCOPED_TRACE(seed);
     run_differential(seed, /*keyed=*/false, Shape::kParkedTimers);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueueDifferential, DelayLinesMatchTheReferenceModel) {
+  for (std::uint64_t seed = 401; seed <= 424; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(seed, /*keyed=*/false, Shape::kDelayLines);
     if (HasFatalFailure()) return;
   }
 }

@@ -1,9 +1,11 @@
 // Tests for Port/Link timing: serialization, propagation, back-to-back
-// transmission, and queue interaction.
+// transmission, queue interaction, and arrival order under link hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/host.h"
@@ -160,6 +162,80 @@ TEST(Link, PoolHighWaterIsThePeakOfQueuedAndWirePackets) {
   EXPECT_GT(peak, 10);  // the second burst found the first still in flight
   EXPECT_EQ(packet_pool(sim).high_water(), static_cast<std::size_t>(peak));
   EXPECT_EQ(packet_pool(sim).in_use(), 0u);
+}
+
+// A link hook that hands out one scripted verdict per transmitted packet.
+class ScriptedHook final : public LinkHook {
+ public:
+  explicit ScriptedHook(std::vector<Verdict> script) : script_{std::move(script)} {}
+  Verdict on_transmit(const Packet&, Time) override {
+    return next_ < script_.size() ? script_[next_++] : Verdict{};
+  }
+
+ private:
+  std::vector<Verdict> script_;
+  std::size_t next_{0};
+};
+
+// (arrival time in ns, packet index) for each arrival, in arrival order.
+std::vector<std::pair<std::int64_t, std::int64_t>> arrival_log(const SinkNode& sink) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> log;
+  for (const SinkNode::Arrival& a : sink.arrivals) {
+    log.emplace_back(a.at.ns(), a.packet.tcp.seq / 1460);
+  }
+  return log;
+}
+
+// Arrivals at the link's own propagation delay ride the simulator's delay
+// line; a hook's extra delay sends a packet the closure way instead. Both
+// draw their tie-break from one counter, so equal-time arrivals still land
+// in the order they were filed, and a duplicate still lands right after
+// its original.
+TEST(Link, DuplicatedAndDelayedPacketsArriveInFilingOrder) {
+  LinkFixture f;
+  const Time serialization = Time::microseconds(1.2);  // 1500 B at 10 Gbps
+  ScriptedHook hook{{
+      {.duplicate = true},                             // 0: 6.2 us, twice
+      {.extra_delay = serialization},                  // 1: ties with 2 at 8.6 us
+      {},                                              // 2: 8.6 us, filed after 1
+      {.duplicate = true},                             // 3: 9.8 us, twice
+      {.extra_delay = 10_us},                          // 4: overtaken by 5, 6 and 7
+      {},                                              // 5: 12.2 us
+      {.duplicate = true, .extra_delay = serialization},  // 6: 14.6 us, twice
+      {},                                              // 7: 14.6 us, filed after 6's copy
+  }};
+  f.src.port(0).set_link_hook(&hook);
+  for (int i = 0; i < 8; ++i) {
+    f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, i * 1460, 1460)));
+  }
+  f.sim.run();
+
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
+      {6'200, 0},  {6'200, 0},  {8'600, 1},  {8'600, 2},  {9'800, 3},  {9'800, 3},
+      {12'200, 5}, {14'600, 6}, {14'600, 6}, {14'600, 7}, {21'000, 4},
+  };
+  EXPECT_EQ(arrival_log(f.dst), want);
+  EXPECT_GT(f.sim.line_high_water(), 0u);  // the undelayed arrivals rode the line
+  EXPECT_EQ(packet_pool(f.sim).in_use(), 0u);
+}
+
+// Keyed mode's tie-break keys are not monotonic in filing order, so a port
+// files none of its arrivals on a delay line there — and delivers them at
+// the same times.
+TEST(Link, KeyedModeFilesNoArrivalOnALine) {
+  const auto run = [](bool keyed) {
+    LinkFixture f;
+    if (keyed) f.sim.enable_keyed_ordering();
+    for (int i = 0; i < 4; ++i) {
+      f.src.port(0).send(f.src.packets().acquire(make_data_packet(0, 1, 1, i * 1460, 1460)));
+    }
+    f.sim.run();
+    EXPECT_EQ(f.sim.line_high_water() == 0, keyed);
+    return arrival_log(f.dst);
+  };
+  const auto unkeyed = run(false);
+  ASSERT_EQ(unkeyed.size(), 4u);
+  EXPECT_EQ(run(true), unkeyed);
 }
 
 TEST(Link, ConnectDuplexWiresBothDirections) {
