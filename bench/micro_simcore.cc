@@ -115,6 +115,48 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
+// Owner of BM_DelayLineDispatch's line entries: each arrival files the
+// next, as back-to-back packets keep a link busy.
+struct LineHop {
+  sim::Simulator* sim;
+  sim::DelayLine line;
+  std::int64_t hops{0};
+
+  static void fire(void* owner, void* item) {
+    auto* hop = static_cast<LineHop*>(owner);
+    ++hop->hops;
+    hop->sim->schedule_on(hop->line, owner, item);
+  }
+};
+
+void BM_DelayLineDispatch(benchmark::State& state) {
+  // Propagation arrivals through the full kernel hot path: 64 entries in
+  // flight on one 1 us delay line, each filed again as it fires. Beyond
+  // timing, this asserts the zero-allocation contract for lines: once the
+  // ring has reached working depth, filing and dispatch must not touch the
+  // global heap.
+  sim::Simulator sim;
+  LineHop hop{&sim, sim.delay_line(1_us, &LineHop::fire, sim::EventCategory::kNet)};
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(sim::Time::nanoseconds(15 * i),
+                    [&sim, &hop] { sim.schedule_on(hop.line, &hop, nullptr); });
+  }
+  sim.run_until(10_us);  // warm-up: the ring reaches its working depth
+  std::uint64_t steady_allocs = 0;
+  const std::int64_t hops_before = hop.hops;
+  for (auto _ : state) {
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    sim.run_until(sim.now() + 10_us);
+    steady_allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+  }
+  state.SetItemsProcessed(hop.hops - hops_before);
+  state.counters["steady_allocs"] = static_cast<double>(steady_allocs);
+  if (steady_allocs != 0) {
+    state.SkipWithError("steady-state line dispatch allocated on the heap");
+  }
+}
+BENCHMARK(BM_DelayLineDispatch);
+
 // Owner of BM_EventQueueCancelHeavy's retransmission timer.
 struct RtoOwner {
   void fire() { ++fired; }

@@ -23,9 +23,12 @@ Exit codes: 0 ok, 1 regression found or required bench missing, 2 bad input.
 Benchmarks present in only one of the two files are reported but by default
 do not fail the gate (new benches have no baseline yet; retired ones are not
 regressions). ``--require NAME`` (repeatable) hardens this for benches that
-must never silently disappear: a required bench missing from either file —
-e.g. because it errored out, like the dispatch bench does when its
-zero-allocation check trips — fails the gate just like a regression.
+must never silently disappear: a required bench missing from the current
+run — e.g. because it errored out, like the dispatch bench does when its
+zero-allocation check trips — fails the gate just like a regression. A
+required bench with no baseline row is reported and passes: its hard gate
+is that it ran cleanly, so it needs no absolute speed row, which would only
+measure the machine that wrote it.
 ``--ratio A:B:MAX`` (repeatable) gates a *relative* pair within the current
 run only: benchmark A's throughput must be at least (1 - MAX) of benchmark
 B's. Unlike the baseline comparison this is machine-independent — it pins an
@@ -127,8 +130,8 @@ def main():
                              "benchmark name and exit")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
-                        help="benchmark that must be present in both files "
-                             "(repeatable); missing = gate failure")
+                        help="benchmark that must be present in the current "
+                             "run (repeatable); missing = gate failure")
     parser.add_argument("--ratio", action="append", default=[],
                         metavar="A:B:MAX",
                         help="within the current run, bench A must be at most "
@@ -170,8 +173,11 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<45} {'(no baseline)':>14} {current[name]:>14.3g}")
 
-    missing_required = [name for name in args.require
-                        if name not in baseline or name not in current]
+    missing_required = [name for name in args.require if name not in current]
+    for name in args.require:
+        if name in current and name not in baseline:
+            print(f"required {name} ran cleanly; no baseline row, so no "
+                  f"speed gate")
 
     ratio_failures = []
     for num, den, max_slowdown in ratio_gates:
@@ -197,8 +203,7 @@ def main():
                 print(f"  {name}: {ratio:.2f}x of baseline "
                       f"({(1 - ratio):.0%} slower)", file=sys.stderr)
         for name in missing_required:
-            where = "baseline" if name not in baseline else "current run"
-            print(f"FAIL: required benchmark {name} missing from {where} "
+            print(f"FAIL: required benchmark {name} missing from current run "
                   f"(errored out or filtered?)", file=sys.stderr)
         for message in ratio_failures:
             print(f"FAIL: {message}", file=sys.stderr)
