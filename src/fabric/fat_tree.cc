@@ -1,5 +1,6 @@
 #include "fabric/fat_tree.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/flow_trace.h"
@@ -128,6 +129,12 @@ FatTree::FatTree(const std::vector<sim::Simulator*>& sims,
         std::make_unique<net::Switch>(sim_of(dom), next_id++, spine_node_name(s)));
     spines_.back()->set_domain(dom);
   }
+
+  // Every switch routes to every host: size each switch's per-destination
+  // table for the highest host NodeId once, not one destination at a time.
+  std::size_t routed = 0;
+  for (const auto& h : hosts_) routed = std::max(routed, static_cast<std::size_t>(h->id()) + 1);
+  for (net::Switch* sw : switches()) sw->reserve_routes(routed);
 
   // Host <-> leaf downlinks.
   leaf_downlinks_.resize(static_cast<std::size_t>(leaves));

@@ -56,6 +56,12 @@ class Switch : public Node, private DequeueTap {
   // the switch's group table would pass kMaxGroupEntries members.
   void set_ecmp_route(NodeId dst, std::vector<std::size_t> out_ports);
 
+  // Sizes the per-destination table for NodeIds below `destinations` at
+  // once. Without it, programming destinations one by one grows the table
+  // geometrically past the highest routed NodeId, and routing_bytes()
+  // counts the spare entries. Call before programming routes.
+  void reserve_routes(std::size_t destinations) { route_ref_.reserve(destinations); }
+
   // Capacity of a switch's shared group table, and the widest group, in
   // members: a slice is a 20-bit offset and a 12-bit count. Every port
   // routed to alone takes one member, so a switch routes over up to about

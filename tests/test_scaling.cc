@@ -136,11 +136,11 @@ core::ScalingConfig small_ladder() {
 // Committed fingerprint of scaling_csv(small_ladder()) — regenerate with a
 // jobs=1 run and update deliberately when the experiment's math or CSV
 // schema changes; an unexplained move is a determinism regression.
-// Last move: propagation arrivals ride delay lines, whose 32-byte entries
-// replace 96-byte slab slots (event_bytes 1056/2880/7968 -> 704/1472/4224
-// at degrees 1/2/8). Only the memory columns changed — event_bytes and
+// Last move: each switch sizes its per-destination table for the hosts
+// once instead of growing it one destination at a time (routing_bytes
+// 1904 -> 1808). Only the memory columns changed — routing_bytes and
 // bytes_per_flow; kScalingBehaviourFnv below pins the rest.
-constexpr std::uint64_t kScalingGoldenFnv = 0x8bfc9588503974ebULL;
+constexpr std::uint64_t kScalingGoldenFnv = 0x558c433682c082bdULL;
 
 TEST(ScalingSweepDeterminism, CsvIsByteIdenticalAcrossJobCountsAndMatchesGolden) {
   core::ScalingConfig cfg = small_ladder();
