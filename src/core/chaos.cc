@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/fleet_experiment.h"
@@ -21,6 +24,23 @@ constexpr tcp::CcAlgorithm kAllCc[] = {
 
 std::string describe(const char* kind, const std::string& detail) {
   return std::string{kind} + " " + detail;
+}
+
+// Runs one generated config as `description` says. A failure propagates
+// with the description attached as its context (std::throw_with_nested),
+// so the sweep's failure record names the config, not only its seed, and
+// keeps the cause's category.
+template <typename Run>
+ChaosRunResult run_described(std::string description, std::uint64_t seed, Run&& run) {
+  ChaosRunResult out;
+  try {
+    out.events_processed = run();
+  } catch (...) {
+    std::throw_with_nested(std::runtime_error{description});
+  }
+  out.description = std::move(description);
+  out.seed = seed;
+  return out;
 }
 
 // A randomized Section 4 burst, optionally with randomized link faults.
@@ -111,12 +131,8 @@ ChaosRunResult chaos_burst(const ChaosConfig& config, std::uint64_t seed, bool f
                 static_cast<long long>(cfg.topology.switch_queue.ecn_threshold_packets),
                 cfg.num_bursts, faults.c_str());
 
-  const IncastExperimentResult result = run_incast_experiment(cfg);
-  ChaosRunResult out;
-  out.description = describe(faulty ? "faulty-burst" : "burst", buf);
-  out.seed = seed;
-  out.events_processed = result.events_processed;
-  return out;
+  return run_described(describe(faulty ? "faulty-burst" : "burst", buf), seed,
+                       [&cfg] { return run_incast_experiment(cfg).events_processed; });
 }
 
 // A randomized short fleet trace: service-profile workload, shared-buffer
@@ -151,13 +167,9 @@ ChaosRunResult chaos_fleet(const ChaosConfig& config, std::uint64_t seed) {
                 static_cast<long long>(cfg.trace_duration.ns() / 1'000'000),
                 static_cast<long long>(mode_draw), cfg.profile.max_flows);
 
-  const FleetExperiment exp{cfg};
-  const HostTraceResult result = exp.run_host_trace(0, 0);
-  ChaosRunResult out;
-  out.description = describe("fleet", buf);
-  out.seed = seed;
-  out.events_processed = result.events_processed;
-  return out;
+  return run_described(describe("fleet", buf), seed, [&cfg] {
+    return FleetExperiment{cfg}.run_host_trace(0, 0).events_processed;
+  });
 }
 
 }  // namespace

@@ -86,9 +86,21 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 }
 
 // Maps a task's exception onto the failure taxonomy, extracting the message.
+// A task may wrap its failure with context (std::throw_with_nested): the
+// category is then the cause's, and the message is "<context>: <cause>".
 FailureCategory classify_failure(const std::exception_ptr& ep, std::string& message) {
   try {
     std::rethrow_exception(ep);
+  } catch (const std::nested_exception& wrapped) {
+    const auto* context = dynamic_cast<const std::exception*>(&wrapped);
+    std::string what = context != nullptr ? context->what() : "unknown exception";
+    if (wrapped.nested_ptr() == nullptr) {
+      message = std::move(what);
+      return FailureCategory::kException;
+    }
+    const FailureCategory category = classify_failure(wrapped.nested_ptr(), message);
+    message = what + ": " + message;
+    return category;
   } catch (const RunCancelled& e) {
     message = e.what();
     return FailureCategory::kCancelled;

@@ -65,6 +65,8 @@ struct TaskFailure {
   std::size_t index{0};
   std::uint64_t seed{0};  // from Policy::seed_of; 0 when no mapper is set
   FailureCategory category{FailureCategory::kException};
+  // what() of the exception; "<context>: <cause>" when the task wrapped
+  // its failure with context (std::throw_with_nested).
   std::string message;
   int attempts{1};  // how many times the task was tried before quarantine
 };

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/fleet_experiment.h"
 #include "sim/auditor.h"
 #include "sim/sweep.h"
@@ -158,6 +161,46 @@ TEST(SweepQuarantine, ClassifiesFailureTaxonomy) {
   EXPECT_EQ(stats.failures[2].category, FailureCategory::kCancelled);
   EXPECT_EQ(stats.failures[3].category, FailureCategory::kException);
   EXPECT_EQ(stats.failures[3].message, "unknown exception");
+}
+
+TEST(SweepQuarantine, AWrappedFailureKeepsItsCauseAndLeadsWithItsContext) {
+  SweepRunner runner{1};
+  runner.set_policy(quarantine_policy());
+  runner.run<int>(2, [](std::size_t index, SweepRunner::TaskStats&) -> int {
+    try {
+      if (index == 0) throw BudgetExceeded{"too many events"};
+      throw AuditFailure{"conservation", "ledger imbalance"};
+    } catch (...) {
+      std::throw_with_nested(std::runtime_error{"config #" + std::to_string(index)});
+    }
+  });
+  const auto& stats = runner.last_run();
+  ASSERT_EQ(stats.failures.size(), 2u);
+  EXPECT_EQ(stats.failures[0].category, FailureCategory::kBudget);
+  EXPECT_EQ(stats.failures[0].message, "config #0: budget exceeded: too many events");
+  EXPECT_EQ(stats.failures[1].category, FailureCategory::kAudit);
+  EXPECT_EQ(stats.failures[1].message, "config #1: audit[conservation]: ledger imbalance");
+}
+
+// A chaos run that fails says which generated config it was: every failure
+// record leads with the config's description, ahead of the cause.
+TEST(SweepQuarantine, ChaosFailuresNameTheirConfig) {
+  core::ChaosConfig cfg;
+  cfg.num_configs = 4;
+  cfg.jobs = 1;
+  cfg.max_events_per_run = 10;  // every generated config runs out of budget
+  const core::ChaosReport report = core::run_chaos(cfg);
+  ASSERT_EQ(report.sweep.failures.size(), 4u);
+  for (const TaskFailure& f : report.sweep.failures) {
+    SCOPED_TRACE(f.message);
+    EXPECT_EQ(f.category, FailureCategory::kBudget);
+    const bool burst = f.message.starts_with("burst cc=") ||
+                       f.message.starts_with("faulty-burst cc=");
+    EXPECT_TRUE(burst || f.message.starts_with("fleet service="));
+    if (burst) EXPECT_NE(f.message.find(" qmode="), std::string::npos);
+    EXPECT_NE(f.message.find(": budget exceeded: task dispatched more than 10 events"),
+              std::string::npos);
+  }
 }
 
 TEST(SweepQuarantine, CancelledTasksAreNeverRetried) {
