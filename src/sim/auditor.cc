@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <string>
 
 namespace incast::sim {
+
+namespace {
+
+// " at simulated time 12.345678 ms": where a budget ran out.
+std::string at_sim_time(std::int64_t at_ns) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " at simulated time %.6f ms", static_cast<double>(at_ns) / 1e6);
+  return buf;
+}
+
+}  // namespace
 
 const char* to_string(AuditInvariant inv) noexcept {
   switch (inv) {
@@ -75,7 +88,7 @@ void Auditor::check_boundary(std::int64_t at_ns) {
   arm_check_countdown();
   if (config_.max_events != 0 && events_seen_ > config_.max_events) {
     throw BudgetExceeded{"task dispatched more than " +
-                         std::to_string(config_.max_events) + " events"};
+                         std::to_string(config_.max_events) + " events" + at_sim_time(at_ns)};
   }
   if (at_periodic) {
     // Livelock window compare: time is dispatch-monotonic, so an unchanged
@@ -89,11 +102,11 @@ void Auditor::check_boundary(std::int64_t at_ns) {
       boundary_ns_ = at_ns;
       stuck_windows_ = 0;
     }
-    periodic_check();
+    periodic_check(at_ns);
   }
 }
 
-void Auditor::periodic_check() {
+void Auditor::periodic_check(std::int64_t at_ns) {
   if (config_.cancel != nullptr &&
       config_.cancel->load(std::memory_order_relaxed)) {
     throw RunCancelled{};
@@ -110,8 +123,8 @@ void Auditor::periodic_check() {
   const double elapsed_ms = static_cast<double>(now_ns - wall_start_ns_) / 1e6;
   if (elapsed_ms > config_.max_wall_ms) {
     throw BudgetExceeded{"task ran for " + std::to_string(elapsed_ms) +
-                         " ms (budget " + std::to_string(config_.max_wall_ms) +
-                         " ms)"};
+                         " ms (budget " + std::to_string(config_.max_wall_ms) + " ms)" +
+                         at_sim_time(at_ns)};
   }
 }
 

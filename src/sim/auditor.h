@@ -68,6 +68,8 @@ class AuditFailure : public std::runtime_error {
 };
 
 // Thrown when a per-run execution budget (events or wall clock) runs out.
+// The auditor's message names the simulated time the run had reached, so
+// a runaway run can be told from one that was merely long.
 class BudgetExceeded : public std::runtime_error {
  public:
   explicit BudgetExceeded(const std::string& detail)
@@ -355,7 +357,8 @@ class Auditor {
   // The cold half of record_depth, outlined for the same reason: it runs
   // on every dequeue.
   void report_negative_depth(const char* where, std::int64_t packets, std::int64_t bytes);
-  void periodic_check();
+  // `at_ns` is the dispatching event's time, named by a budget failure.
+  void periodic_check(std::int64_t at_ns);
   // Countdown expiry: folds the finished chunk into events_seen_, enforces
   // the event budget exactly, and — when the expiry landed on a
   // kPeriodicCheckMask boundary — runs the livelock window compare and the

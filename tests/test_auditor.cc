@@ -80,6 +80,21 @@ TEST(Auditor, EventBudgetThrows) {
   EXPECT_THROW(a.on_dispatch(1_us, 2_us), BudgetExceeded);
 }
 
+TEST(Auditor, BudgetExceededNamesTheSimulatedTimeReached) {
+  Auditor::Config cfg;
+  cfg.max_events = 3;
+  Auditor a{cfg};
+  for (int i = 1; i <= 3; ++i) a.on_dispatch(Time::microseconds(i), Time::microseconds(i));
+  try {
+    a.on_dispatch(3_us, Time::nanoseconds(12'345'678));
+    FAIL() << "the fourth event must exceed a three-event budget";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_STREQ(e.what(),
+                 "budget exceeded: task dispatched more than 3 events "
+                 "at simulated time 12.345678 ms");
+  }
+}
+
 TEST(Auditor, WallBudgetThrowsAtPeriodicCheck) {
   Auditor::Config cfg;
   cfg.max_wall_ms = 1e-9;  // any elapsed time exceeds this
