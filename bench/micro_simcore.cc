@@ -149,6 +149,7 @@ void BM_DelayLineDispatch(benchmark::State& state) {
     sim.run_until(sim.now() + 10_us);
     steady_allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
   }
+  benchmark::DoNotOptimize(hop.hops);
   state.SetItemsProcessed(hop.hops - hops_before);
   state.counters["steady_allocs"] = static_cast<double>(steady_allocs);
   if (steady_allocs != 0) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -504,7 +503,7 @@ struct LineProbe {
 void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
   const bool parked = shape == Shape::kParkedTimers;
   const bool lines = shape == Shape::kDelayLines;
-  assert(!(lines && keyed) && "keyed mode files nothing on a line");
+  ASSERT_FALSE(lines && keyed) << "keyed mode files nothing on a line";
   constexpr Time kLineDelay[] = {3_us, 5_us};
   const int kTimers = parked ? 1200 : 12;
   const int kSteps = parked ? 4000 : 3000;
