@@ -160,7 +160,7 @@ class Auditor {
   // recorder. Keep the sink cheap: it runs inline on the violating path.
   void set_violation_sink(ViolationSink sink) { sink_ = std::move(sink); }
 
-  // --- Event-loop hook (called by Simulator::dispatch_one) ----------------
+  // --- Event-loop hook (called by Simulator::dispatch_if) -----------------
 
   // `now` is the loop's current time, `at` the timestamp of the event about
   // to run. Checks monotonicity, the livelock watchdog, and the budgets.

@@ -263,7 +263,7 @@ TEST(ScalingMemoryBudget, CiLadderStaysWithinBytesPerFlowBudget) {
     int degree;
     double baseline_bytes_per_flow;
   };
-  constexpr Rung kRungs[] = {{2000, 4178}, {512, 5485}, {64, 13140}};
+  constexpr Rung kRungs[] = {{2000, 4007}, {512, 4906}, {64, 11228}};
   constexpr double kMaxGrowth = 0.15;
 
   core::ScalingConfig cfg;
