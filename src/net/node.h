@@ -243,9 +243,6 @@ class Port {
   std::size_t peer_in_port_{0};
   sim::Bandwidth bandwidth_;
   sim::Time propagation_delay_;
-  // The line arrivals are filed on; fetched on the first delivery that
-  // uses it, so a keyed run never makes one.
-  sim::DelayLine line_{kNoLine};
   obs::Hub* trace_hub_{nullptr};
   // Cached at construction, like trace_hub_: nullptr (no tracer attached)
   // keeps the per-packet hooks to a single predictable branch.
@@ -261,6 +258,10 @@ class Port {
   bool paused_{false};
   bool int_stamping_{false};
   obs::HopTier trace_tier_{};  // zero-initialized = kUnknown
+  // The line arrivals are filed on; fetched on the first delivery that
+  // uses it, so a keyed run never makes one. It sits in the padding before
+  // the queue, so the port's size and layout are unchanged.
+  sim::DelayLine line_{kNoLine};
   DropTailQueue queue_;
 
   std::vector<TxTap*> tx_taps_;
