@@ -382,9 +382,6 @@ class EventQueue {
   [[nodiscard]] static bool before(Time at, std::uint64_t seq, const Entry& b) noexcept {
     return before(at, seq, b.at, b.seq);
   }
-  [[nodiscard]] static bool before(const Entry& a, Time at, std::uint64_t seq) noexcept {
-    return before(a.at, a.seq, at, seq);
-  }
 
   // A 4-ary implicit min-heap of entries under before().
   class Heap {
@@ -551,9 +548,12 @@ class EventQueue {
   }
 
   // Finds the store holding the next event (for a line, also which line:
-  // next_line_): the earliest of the event heap's root and the line heads,
-  // unless the timer heap's root comes before that. Kept small enough to
-  // inline into every dispatch; the timer work is surface_timers().
+  // next_line_). First the earliest of the event heap's root and the line
+  // heads; then timer entries surface while the timer heap's root comes
+  // before that: orphaned entries and those of disarmed timers are dropped,
+  // and an entry that surfaced before its timer's expiry is re-filed at
+  // that expiry. A timer entry that surfaces at its expiry is the next
+  // event.
   Store settle() noexcept {
     Store store = Store::kNone;
     Time at = Time::infinity();
@@ -574,22 +574,9 @@ class EventQueue {
         next_line_ = i;
       }
     }
-    if (!timers_.empty() && before(timers_.front(), at, seq)) [[unlikely]] {
-      return surface_timers(store, at, seq);
-    }
-    return store;
-  }
-
-  // The cold half of settle(): surfaces timer entries while the timer
-  // heap's root comes before (at, seq), the earliest entry of the other
-  // stores (in `store`). Orphaned entries and those of disarmed timers are
-  // dropped, and an entry that surfaced before its timer's expiry is
-  // re-filed at that expiry. A timer entry that surfaces at its expiry is
-  // the next event. Kept out of line: inlined, it makes settle() too big
-  // for the compiler to inline into each dispatch.
-  [[gnu::noinline]] Store surface_timers(Store store, Time at, std::uint64_t seq) noexcept {
-    do {
+    while (!timers_.empty()) {
       const Entry top = timers_.front();
+      if (store != Store::kNone && !before(top.at, top.seq, at, seq)) [[likely]] return store;
       if (Timer* t = slots_[top.slot].timer) {
         if (t->armed_) {
           if (t->at_ == top.at && t->seq_ == top.seq) return Store::kTimer;
@@ -601,7 +588,7 @@ class EventQueue {
       }
       release_slot(top.slot);
       timers_.pop();
-    } while (!timers_.empty() && before(timers_.front(), at, seq));
+    }
     return store;
   }
 
