@@ -1,6 +1,6 @@
 #include "fabric/fat_tree.h"
 
-#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "obs/flow_trace.h"
@@ -130,11 +130,9 @@ FatTree::FatTree(const std::vector<sim::Simulator*>& sims,
     spines_.back()->set_domain(dom);
   }
 
-  // Every switch routes to every host: size each switch's per-destination
-  // table for the highest host NodeId once, not one destination at a time.
-  std::size_t routed = 0;
-  for (const auto& h : hosts_) routed = std::max(routed, static_cast<std::size_t>(h->id()) + 1);
-  for (net::Switch* sw : switches()) sw->reserve_routes(routed);
+  // Every switch routes to every host, and hosts hold NodeIds 0..hosts-1:
+  // size each switch's per-destination table once.
+  for (net::Switch* sw : switches()) sw->size_routes(hosts_.size());
 
   // Host <-> leaf downlinks.
   leaf_downlinks_.resize(static_cast<std::size_t>(leaves));
@@ -216,43 +214,61 @@ FatTree::FatTree(const std::vector<sim::Simulator*>& sims,
   }
 
   // Routes: up via ECMP over uplinks, down deterministically by destination
-  // (except the spine's descent into a multi-agg pod, also ECMP).
-  for (int hid = 0; hid < num_hosts(); ++hid) {
-    const net::NodeId dst = host(hid).id();
-    const int gl = leaf_of_host(hid);
-    const int p = pod_of_leaf(gl);
-    const int l = gl % config_.leaves_per_pod;
-    for (int other = 0; other < leaves; ++other) {
-      if (other == gl) continue;  // local downlink route already set
-      leaf(other).set_ecmp_route(dst, leaf_uplinks_[static_cast<std::size_t>(other)]);
+  // (except the spine's descent into a multi-agg pod, also ECMP). All hosts
+  // under one leaf share each switch's route but the leaf's own, so a
+  // switch takes one group per destination leaf and points that rack's
+  // hosts at it. Leaves are walked in order, so each switch stores its
+  // groups in the order its destinations first reach them.
+  const auto route_rack = [this](net::Switch& sw, int gl, net::Switch::RouteRef group) {
+    for (int h = 0; h < config_.hosts_per_leaf; ++h) {
+      sw.set_route(host(gl * config_.hosts_per_leaf + h).id(), group);
     }
-    if (!three_tier()) {
-      for (int s = 0; s < config_.num_spines; ++s) {
-        spine(s).set_route(dst, spine_down[static_cast<std::size_t>(s)]
-                                          [static_cast<std::size_t>(gl)]);
+  };
+  const auto single = [](net::Switch& sw, std::size_t port) {
+    return sw.route_group({&port, 1});
+  };
+  // A one-leaf fabric routes nothing up and stores no uplink group.
+  for (int gl = 0; leaves > 1 && gl < leaves; ++gl) {
+    const net::Switch::RouteRef up =
+        leaf(gl).route_group(leaf_uplinks_[static_cast<std::size_t>(gl)]);
+    for (int other = 0; other < leaves; ++other) {
+      if (other != gl) route_rack(leaf(gl), other, up);  // own hosts: downlinks
+    }
+  }
+  if (!three_tier()) {
+    for (int s = 0; s < config_.num_spines; ++s) {
+      const auto& down = spine_down[static_cast<std::size_t>(s)];
+      for (int gl = 0; gl < leaves; ++gl) {
+        route_rack(spine(s), gl, single(spine(s), down[static_cast<std::size_t>(gl)]));
       }
-    } else {
-      for (int ap = 0; ap < config_.num_pods; ++ap) {
-        for (int a = 0; a < config_.aggs_per_pod; ++a) {
-          const int ga = ap * config_.aggs_per_pod + a;
-          if (ap == p) {
-            agg(ap, a).set_route(dst, agg_down[static_cast<std::size_t>(ga)]
-                                              [static_cast<std::size_t>(l)]);
-          } else {
-            agg(ap, a).set_ecmp_route(dst, agg_up[static_cast<std::size_t>(ga)]);
-          }
+    }
+  } else {
+    for (int ga = 0; ga < aggs; ++ga) {
+      net::Switch& ag = *aggs_[static_cast<std::size_t>(ga)];
+      const int pod = ga / config_.aggs_per_pod;
+      // The uplink group is made when the first other-pod leaf needs it.
+      std::optional<net::Switch::RouteRef> up;
+      for (int gl = 0; gl < leaves; ++gl) {
+        if (pod_of_leaf(gl) == pod) {
+          const auto l = static_cast<std::size_t>(gl % config_.leaves_per_pod);
+          route_rack(ag, gl, single(ag, agg_down[static_cast<std::size_t>(ga)][l]));
+          continue;
         }
+        if (!up) up = ag.route_group(agg_up[static_cast<std::size_t>(ga)]);
+        route_rack(ag, gl, *up);
       }
-      for (int s = 0; s < config_.num_spines; ++s) {
+    }
+    const auto per_pod = static_cast<std::size_t>(config_.aggs_per_pod);
+    for (int s = 0; s < config_.num_spines; ++s) {
+      // spine_to_agg[s] is in agg order, pod-major: pod p's aggs are one run.
+      const std::span<const std::size_t> to_aggs = spine_to_agg[static_cast<std::size_t>(s)];
+      for (int p = 0; p < config_.num_pods; ++p) {
         // Descend into pod p through any of its aggs, in agg order.
-        std::vector<std::size_t> group;
-        group.reserve(static_cast<std::size_t>(config_.aggs_per_pod));
-        for (int a = 0; a < config_.aggs_per_pod; ++a) {
-          const int ga = p * config_.aggs_per_pod + a;
-          group.push_back(spine_to_agg[static_cast<std::size_t>(s)]
-                                      [static_cast<std::size_t>(ga)]);
+        const net::Switch::RouteRef group =
+            spine(s).route_group(to_aggs.subspan(static_cast<std::size_t>(p) * per_pod, per_pod));
+        for (int l = 0; l < config_.leaves_per_pod; ++l) {
+          route_rack(spine(s), p * config_.leaves_per_pod + l, group);
         }
-        spine(s).set_ecmp_route(dst, std::move(group));
       }
     }
   }

@@ -15,9 +15,14 @@
 // switches' seeded symmetric flow hash, so a seed fully determines every
 // flow's path and a flow's ACKs hash identically to its data.
 //
-// Every unidirectional link is registered in the LinkDirectory under
+// Every unidirectional link is recorded in the LinkDirectory and answers to
 // "<from>-><to>" (e.g. "p0.l1->s0"), so fault profiles and telemetry can
 // address any fabric link uniformly.
+//
+// A build costs O(links + routes): each switch makes each of its route
+// groups once (a leaf's uplinks, an agg's uplinks, a spine's descent into
+// each pod, one group per downlink) and points every destination host at
+// one, and no link name is built until one is asked for.
 //
 // The degenerate case — 1 pod, 2 leaves, 1 spine, no aggs, leaf uplinks at
 // the dumbbell's core rate — reproduces the Section 4 dumbbell: senders on

@@ -22,64 +22,57 @@ namespace {
 
 }  // namespace
 
-void Switch::store_route(NodeId dst, const std::size_t* ports, std::size_t count) {
-  assert(count > 0 && "a route needs at least one member");
-  assert(dst != kInvalidNodeId && "cannot route to the invalid node id");
-  if (count > kMaxRouteWidth) {
+Switch::RouteRef Switch::route_group(std::span<const std::size_t> ports) {
+  assert(!ports.empty() && "a route needs at least one member");
+  if (ports.size() > kMaxRouteWidth) {
     throw std::length_error{"switch '" + name() + "': a route group of " +
-                            std::to_string(count) + " members is wider than " +
+                            std::to_string(ports.size()) + " members is wider than " +
                             std::to_string(kMaxRouteWidth)};
   }
-  const RouteRef group = find_or_store(ports, count);
+  if (ports.size() == 1) {
+    const std::size_t p = ports[0];
+    if (p < singles_.size() && singles_[p].count != 0) return singles_[p];
+    const RouteRef single = append_group(ports);
+    if (p >= singles_.size()) singles_.resize(p + 1);
+    singles_[p] = single;
+    return single;
+  }
+  const auto same_members = [&](RouteRef g) {
+    return g.count == ports.size() &&
+           std::equal(ports.begin(), ports.end(), group_index_.begin() + g.offset);
+  };
+  const auto found = std::find_if(multi_.begin(), multi_.end(), same_members);
+  if (found != multi_.end()) return *found;
+  return multi_.emplace_back(append_group(ports));
+}
+
+Switch::RouteRef Switch::append_group(std::span<const std::size_t> ports) {
+  if (ports.size() > kMaxGroupEntries - group_index_.size()) {
+    throw std::length_error{"switch '" + name() + "': routing group table would pass " +
+                            std::to_string(kMaxGroupEntries) + " members"};
+  }
+  RouteRef group;
+  group.offset = static_cast<std::uint32_t>(group_index_.size());
+  group.count = static_cast<std::uint32_t>(ports.size());
+  for (const std::size_t p : ports) {
+    group_ports_.push_back(&port(p));
+    group_index_.push_back(static_cast<std::uint32_t>(p));
+  }
+  return group;
+}
+
+void Switch::set_route(NodeId dst, RouteRef group) {
+  assert(dst != kInvalidNodeId && "cannot route to the invalid node id");
+  assert(group.count > 0 && group.offset + group.count <= group_index_.size() &&
+         "a route must be a group this switch stored");
   if (static_cast<std::size_t>(dst) >= route_ref_.size()) {
     route_ref_.resize(static_cast<std::size_t>(dst) + 1);
   }
   route_ref_[dst] = group;
 }
 
-Switch::RouteRef Switch::find_or_store(const std::size_t* ports, std::size_t count) {
-  if (count == 1) {
-    const std::size_t p = ports[0];
-    if (p < singles_.size() && singles_[p].count != 0) return singles_[p];
-    const RouteRef single = append_group(ports, 1);
-    if (p >= singles_.size()) singles_.resize(p + 1);
-    singles_[p] = single;
-    return single;
-  }
-  const auto same_members = [&](RouteRef g) {
-    if (g.count != count) return false;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (group_index_[g.offset + i] != ports[i]) return false;
-    }
-    return true;
-  };
-  const auto found = std::find_if(multi_.begin(), multi_.end(), same_members);
-  if (found != multi_.end()) return *found;
-  return multi_.emplace_back(append_group(ports, count));
-}
-
-Switch::RouteRef Switch::append_group(const std::size_t* ports, std::size_t count) {
-  if (count > kMaxGroupEntries - group_index_.size()) {
-    throw std::length_error{"switch '" + name() + "': routing group table would pass " +
-                            std::to_string(kMaxGroupEntries) + " members"};
-  }
-  RouteRef group;
-  group.offset = static_cast<std::uint32_t>(group_index_.size());
-  group.count = static_cast<std::uint32_t>(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    group_ports_.push_back(&port(ports[i]));
-    group_index_.push_back(static_cast<std::uint32_t>(ports[i]));
-  }
-  return group;
-}
-
-void Switch::set_route(NodeId dst, std::size_t out_port) {
-  store_route(dst, &out_port, 1);
-}
-
-void Switch::set_ecmp_route(NodeId dst, std::vector<std::size_t> out_ports) {
-  assert(!out_ports.empty() && "an ECMP group needs at least one member");
-  store_route(dst, out_ports.data(), out_ports.size());
+void Switch::size_routes(std::size_t destinations) {
+  if (destinations > route_ref_.size()) route_ref_.resize(destinations);
 }
 
 std::uint64_t Switch::flow_key(NodeId src, NodeId dst, FlowId flow) const noexcept {

@@ -16,6 +16,11 @@
 // count} slice of that table. A fat-tree switch routes hundreds of
 // destinations over a handful of lists (its uplink group, one downlink per
 // pod or host), so the tables stay cache-resident however large the fabric.
+// Programming costs O(1) per destination: a builder makes each group once
+// with route_group(), which returns the stored slice (finding an identical
+// list rather than storing it twice), and points every destination that
+// uses it at that RouteRef with set_route(). A fat-tree build is O(routes),
+// with no per-destination search or member-list copy.
 // receive() keeps no per-flow state — an ECMP choice is the flow hash
 // alone, so route_port() predicts it exactly and any per-flow spread is
 // computed from the flow list (see core::FabricIncastExperimentResult::
@@ -29,6 +34,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,25 +48,44 @@ class Switch : public Node, private DequeueTap {
  public:
   using Node::Node;
 
-  // Routes packets destined to `dst` out of `out_port`, which must exist.
-  void set_route(NodeId dst, std::size_t out_port);
+  // A slice of the group table: one stored member list, which any number
+  // of destinations may point at. count == 0 means unrouted.
+  struct RouteRef {
+    std::uint32_t offset : 20 {0};
+    std::uint32_t count : 12 {0};
+  };
+  static_assert(sizeof(RouteRef) == 4, "one destination's route is meant to stay 4 bytes");
 
-  // Routes packets destined to `dst` across an ECMP group of existing
-  // ports. Member order is part of the route: two switches programmed with
+  // The stored route group over `out_ports`, existing ports in member
+  // order: appended to the group table unless an identical list is already
+  // there. Member order is part of the group: two switches programmed with
   // their members in the same peer order make symmetric choices for a flow
-  // and its ACKs.
-  //
-  // Both calls replace any earlier route to `dst` and never change another
-  // destination's, even one that shares the old member list. They throw
+  // and its ACKs, and a multi-member group is an ECMP group. Throws
   // std::length_error for a group wider than kMaxRouteWidth members, or if
-  // the switch's group table would pass kMaxGroupEntries members.
-  void set_ecmp_route(NodeId dst, std::vector<std::size_t> out_ports);
+  // the table would pass kMaxGroupEntries members. Builders make each group
+  // once and hand the RouteRef to every destination that uses it.
+  [[nodiscard]] RouteRef route_group(std::span<const std::size_t> out_ports);
+
+  // Routes packets destined to `dst` across `group`, a RouteRef this
+  // switch's route_group() returned. Replaces any earlier route to `dst`
+  // and never changes another destination's: stored groups are never
+  // rewritten.
+  void set_route(NodeId dst, RouteRef group);
+
+  // Shorthands: a static route out of one port, and an ECMP route over a
+  // member list.
+  void set_route(NodeId dst, std::size_t out_port) {
+    set_route(dst, route_group({&out_port, 1}));
+  }
+  void set_ecmp_route(NodeId dst, std::span<const std::size_t> out_ports) {
+    set_route(dst, route_group(out_ports));
+  }
 
   // Sizes the per-destination table for NodeIds below `destinations` at
   // once. Without it, programming destinations one by one grows the table
   // geometrically past the highest routed NodeId, and routing_bytes()
   // counts the spare entries. Call before programming routes.
-  void reserve_routes(std::size_t destinations) { route_ref_.reserve(destinations); }
+  void size_routes(std::size_t destinations);
 
   // Capacity of a switch's shared group table, and the widest group, in
   // members: a slice is a 20-bit offset and a 12-bit count. Every port
@@ -123,27 +148,11 @@ class Switch : public Node, private DequeueTap {
   [[nodiscard]] std::size_t routing_bytes() const noexcept;
 
  private:
-  // A slice of the group table: one destination's route, or one distinct
-  // member list. count == 0 means unrouted.
-  struct RouteRef {
-    std::uint32_t offset : 20 {0};
-    std::uint32_t count : 12 {0};
-  };
-  static_assert(sizeof(RouteRef) == 4, "one destination's route is meant to stay 4 bytes");
-
   [[nodiscard]] std::uint64_t flow_key(NodeId src, NodeId dst, FlowId flow) const noexcept;
 
-  // Grows route_ref_ to cover `dst` and points it at the stored copy of the
-  // member list `ports`. Stored lists are never rewritten, so
-  // re-programming one destination cannot move another.
-  void store_route(NodeId dst, const std::size_t* ports, std::size_t count);
-  // The stored copy of `ports`, appended to the group table unless an
-  // identical list is already there: found in O(1) through singles_ for a
-  // single port, by a scan of multi_ otherwise.
-  [[nodiscard]] RouteRef find_or_store(const std::size_t* ports, std::size_t count);
   // Appends `ports` to the group table; throws std::length_error if the
   // table would pass kMaxGroupEntries.
-  [[nodiscard]] RouteRef append_group(const std::size_t* ports, std::size_t count);
+  [[nodiscard]] RouteRef append_group(std::span<const std::size_t> ports);
 
   // DequeueTap: a packet left egress port — credit the VIQ it was charged
   // to on arrival (if any).

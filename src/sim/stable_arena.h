@@ -41,7 +41,7 @@ class StableChunkArena {
   template <typename... Args>
   T& emplace_back(Args&&... args) {
     if (size_ == chunks_.size() * ChunkElems) {
-      chunks_.push_back(std::make_unique<Chunk>());
+      chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
     }
     T* slot = slot_ptr(size_);
     T* obj = ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
