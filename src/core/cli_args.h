@@ -1,8 +1,8 @@
 // CliArgs: a minimal command-line parser for the driver tool.
 //
 // Accepts "--key value", "--key=value", and bare "--flag" forms; everything
-// else is positional. Typed getters record malformed values instead of
-// aborting, so the caller can print all problems at once.
+// else is positional. The getters record malformed and out-of-range values
+// instead of aborting, so the caller can print all problems at once.
 //
 // The declaring getters (read, choice, list) are a flag's only declaration:
 // each takes its default from the field it writes, writes the parsed value
@@ -31,42 +31,6 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) > 0; }
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_or(const std::string& key, std::string fallback) const;
-
-  // Typed getters; parse failures are appended to errors().
-  [[nodiscard]] std::int64_t int_or(const std::string& key, std::int64_t fallback) {
-    return value_or(key, fallback);
-  }
-  [[nodiscard]] double double_or(const std::string& key, double fallback) {
-    return value_or(key, fallback);
-  }
-  [[nodiscard]] bool bool_or(const std::string& key, bool fallback) {
-    return value_or(key, fallback);
-  }
-  [[nodiscard]] sim::Time time_or(const std::string& key, sim::Time fallback) {
-    return value_or(key, fallback);
-  }
-  [[nodiscard]] sim::Bandwidth bandwidth_or(const std::string& key, sim::Bandwidth fallback) {
-    return value_or(key, fallback);
-  }
-
-  // Range-checked variants: a well-formed but out-of-range value (negative
-  // duration, zero flows, probability above 1, ...) is rejected with a
-  // clear error instead of being silently accepted.
-  [[nodiscard]] std::int64_t int_or(const std::string& key, std::int64_t fallback,
-                                    std::int64_t min_value, std::int64_t max_value) {
-    const std::int64_t value = int_or(key, fallback);
-    return in_range(key, value, min_value, max_value) ? value : fallback;
-  }
-  [[nodiscard]] double double_or(const std::string& key, double fallback, double min_value,
-                                 double max_value) {
-    const double value = double_or(key, fallback);
-    return in_range(key, value, min_value, max_value) ? value : fallback;
-  }
-  [[nodiscard]] sim::Time time_or(const std::string& key, sim::Time fallback,
-                                  sim::Time min_value) {
-    const sim::Time value = time_or(key, fallback);
-    return in_range(key, value, min_value, sim::Time::infinity()) ? value : fallback;
-  }
 
   // Integer fields of any width are parsed and range-checked as int64.
   template <typename T>

@@ -37,37 +37,63 @@ TEST(CliArgs, PositionalArguments) {
 TEST(CliArgs, TypedGetters) {
   auto args = make({"--n", "42", "--x", "2.5", "--on", "yes", "--t", "15ms", "--bw",
                     "10Gbps"});
-  EXPECT_EQ(args.int_or("n", 0), 42);
-  EXPECT_DOUBLE_EQ(args.double_or("x", 0.0), 2.5);
-  EXPECT_TRUE(args.bool_or("on", false));
-  EXPECT_EQ(args.time_or("t", sim::Time::zero()), 15_ms);
-  EXPECT_EQ(args.bandwidth_or("bw", sim::Bandwidth::zero()),
-            sim::Bandwidth::gigabits_per_second(10));
+  std::int64_t n = 0;
+  double x = 0.0;
+  bool on = false;
+  sim::Time t = sim::Time::zero();
+  sim::Bandwidth bw = sim::Bandwidth::zero();
+  args.read("n", n, "n");
+  args.read("x", x, "x");
+  args.read("on", on, "on");
+  args.read("t", t, "t");
+  args.read("bw", bw, "bw");
+  EXPECT_EQ(n, 42);
+  EXPECT_DOUBLE_EQ(x, 2.5);
+  EXPECT_TRUE(on);
+  EXPECT_EQ(t, 15_ms);
+  EXPECT_EQ(bw, sim::Bandwidth::gigabits_per_second(10));
   EXPECT_TRUE(args.errors().empty());
 }
 
 TEST(CliArgs, DefaultsWhenAbsent) {
   auto args = make({});
-  EXPECT_EQ(args.int_or("n", 7), 7);
-  EXPECT_DOUBLE_EQ(args.double_or("x", 1.5), 1.5);
-  EXPECT_FALSE(args.bool_or("on", false));
-  EXPECT_EQ(args.time_or("t", 5_ms), 5_ms);
+  std::int64_t n = 7;
+  double x = 1.5;
+  bool on = false;
+  sim::Time t = 5_ms;
+  args.read("n", n, "n");
+  args.read("x", x, "x");
+  args.read("on", on, "on");
+  args.read("t", t, "t");
+  EXPECT_EQ(n, 7);
+  EXPECT_DOUBLE_EQ(x, 1.5);
+  EXPECT_FALSE(on);
+  EXPECT_EQ(t, 5_ms);
   EXPECT_EQ(args.get_or("s", "dflt"), "dflt");
   EXPECT_TRUE(args.errors().empty());
 }
 
 TEST(CliArgs, MalformedValuesCollectErrors) {
   auto args = make({"--n", "abc", "--t", "fast", "--on", "maybe", "--bw", "much"});
-  EXPECT_EQ(args.int_or("n", 7), 7);
-  EXPECT_EQ(args.time_or("t", 5_ms), 5_ms);
-  EXPECT_FALSE(args.bool_or("on", false));
-  EXPECT_EQ(args.bandwidth_or("bw", sim::Bandwidth::zero()), sim::Bandwidth::zero());
+  std::int64_t n = 7;
+  sim::Time t = 5_ms;
+  bool on = false;
+  sim::Bandwidth bw = sim::Bandwidth::zero();
+  args.read("n", n, "n");
+  args.read("t", t, "t");
+  args.read("on", on, "on");
+  args.read("bw", bw, "bw");
+  EXPECT_EQ(n, 7);
+  EXPECT_EQ(t, 5_ms);
+  EXPECT_FALSE(on);
+  EXPECT_EQ(bw, sim::Bandwidth::zero());
   EXPECT_EQ(args.errors().size(), 4u);
 }
 
 TEST(CliArgs, UnusedKeysDetected) {
   auto args = make({"--used", "1", "--typo", "2"});
-  (void)args.int_or("used", 0);
+  int used = 0;
+  args.read("used", used, "used");
   const auto unused = args.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
@@ -75,33 +101,52 @@ TEST(CliArgs, UnusedKeysDetected) {
 
 TEST(CliArgs, RangeCheckedGettersAcceptInRangeValues) {
   auto args = make({"--flows", "500", "--rate", "0.25", "--gap", "10ms"});
-  EXPECT_EQ(args.int_or("flows", 1, 1, 100'000), 500);
-  EXPECT_DOUBLE_EQ(args.double_or("rate", 0.0, 0.0, 1.0), 0.25);
-  EXPECT_EQ(args.time_or("gap", sim::Time::zero(), sim::Time::zero()), 10_ms);
+  int flows = 1;
+  double rate = 0.0;
+  sim::Time gap = sim::Time::zero();
+  args.read("flows", flows, 1, 100'000, "flows");
+  args.read("rate", rate, 0.0, 1.0, "rate");
+  args.read("gap", gap, sim::Time::zero(), "gap");
+  EXPECT_EQ(flows, 500);
+  EXPECT_DOUBLE_EQ(rate, 0.25);
+  EXPECT_EQ(gap, 10_ms);
   // Boundary values are in range.
   auto edge = make({"--flows", "1", "--rate", "1"});
-  EXPECT_EQ(edge.int_or("flows", 5, 1, 100'000), 1);
-  EXPECT_DOUBLE_EQ(edge.double_or("rate", 0.0, 0.0, 1.0), 1.0);
+  int edge_flows = 5;
+  double edge_rate = 0.0;
+  edge.read("flows", edge_flows, 1, 100'000, "flows");
+  edge.read("rate", edge_rate, 0.0, 1.0, "rate");
+  EXPECT_EQ(edge_flows, 1);
+  EXPECT_DOUBLE_EQ(edge_rate, 1.0);
   EXPECT_TRUE(args.errors().empty());
   EXPECT_TRUE(edge.errors().empty());
 }
 
 TEST(CliArgs, RangeCheckedGettersRejectOutOfRangeValues) {
   auto args = make({"--flows", "0", "--rate", "1.5", "--gap", "-3ms"});
-  EXPECT_EQ(args.int_or("flows", 10, 1, 100'000), 10);      // fallback returned
-  EXPECT_DOUBLE_EQ(args.double_or("rate", 0.0, 0.0, 1.0), 0.0);
-  EXPECT_EQ(args.time_or("gap", 5_ms, sim::Time::zero()), 5_ms);
+  int flows = 10;
+  double rate = 0.0;
+  sim::Time gap = 5_ms;
+  args.read("flows", flows, 1, 100'000, "flows");
+  args.read("rate", rate, 0.0, 1.0, "rate");
+  args.read("gap", gap, sim::Time::zero(), "gap");
+  EXPECT_EQ(flows, 10);  // the default is kept
+  EXPECT_DOUBLE_EQ(rate, 0.0);
+  EXPECT_EQ(gap, 5_ms);
   EXPECT_EQ(args.errors().size(), 3u);
 
   // NaN compares false against both bounds; it must still be rejected.
   auto nan_args = make({"--rate", "nan"});
-  EXPECT_DOUBLE_EQ(nan_args.double_or("rate", 0.25, 0.0, 1.0), 0.25);
+  double nan_rate = 0.25;
+  nan_args.read("rate", nan_rate, 0.0, 1.0, "rate");
+  EXPECT_DOUBLE_EQ(nan_rate, 0.25);
   EXPECT_EQ(nan_args.errors().size(), 1u);
 }
 
 TEST(CliArgs, RejectUnknownTurnsTyposIntoErrors) {
   auto args = make({"--flows", "10", "--flws", "20"});
-  (void)args.int_or("flows", 0);
+  int flows = 0;
+  args.read("flows", flows, "flows");
   EXPECT_TRUE(args.errors().empty());
   args.reject_unknown();
   ASSERT_EQ(args.errors().size(), 1u);
@@ -111,7 +156,8 @@ TEST(CliArgs, RejectUnknownTurnsTyposIntoErrors) {
 
 TEST(CliArgs, RejectUnknownIsQuietWhenEverythingWasRead) {
   auto args = make({"--flows", "10"});
-  (void)args.int_or("flows", 0);
+  int flows = 0;
+  args.read("flows", flows, "flows");
   args.reject_unknown();
   EXPECT_TRUE(args.errors().empty());
 }
@@ -119,13 +165,17 @@ TEST(CliArgs, RejectUnknownIsQuietWhenEverythingWasRead) {
 TEST(CliArgs, NegativeNumbersAreValuesNotFlags) {
   // "--delta -5" : "-5" does not start with "--", so it is the value.
   auto args = make({"--delta", "-5"});
-  EXPECT_EQ(args.int_or("delta", 0), -5);
+  int delta = 0;
+  args.read("delta", delta, "delta");
+  EXPECT_EQ(delta, -5);
 }
 
 TEST(CliArgs, FlagFollowedByFlagIsBare) {
   auto args = make({"--a", "--b", "7"});
   EXPECT_EQ(args.get("a"), "true");
-  EXPECT_EQ(args.int_or("b", 0), 7);
+  int b = 0;
+  args.read("b", b, "b");
+  EXPECT_EQ(b, 7);
 }
 
 TEST(CliArgs, ReadTakesItsDefaultFromTheField) {
