@@ -7,17 +7,6 @@
 
 namespace incast::sim {
 
-namespace {
-
-// " at simulated time 12.345678 ms": where a budget ran out.
-std::string at_sim_time(std::int64_t at_ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " at simulated time %.6f ms", static_cast<double>(at_ns) / 1e6);
-  return buf;
-}
-
-}  // namespace
-
 const char* to_string(AuditInvariant inv) noexcept {
   switch (inv) {
     case AuditInvariant::kConservation: return "conservation";
@@ -87,8 +76,8 @@ void Auditor::check_boundary(std::int64_t at_ns) {
   const bool at_periodic = (events_seen_ & kPeriodicCheckMask) == 0;
   arm_check_countdown();
   if (config_.max_events != 0 && events_seen_ > config_.max_events) {
-    throw BudgetExceeded{"task dispatched more than " +
-                         std::to_string(config_.max_events) + " events" + at_sim_time(at_ns)};
+    exceed_budget("task dispatched more than " + std::to_string(config_.max_events) + " events",
+                  at_ns);
   }
   if (at_periodic) {
     // Livelock window compare: time is dispatch-monotonic, so an unchanged
@@ -122,10 +111,27 @@ void Auditor::periodic_check(std::int64_t at_ns) {
   }
   const double elapsed_ms = static_cast<double>(now_ns - wall_start_ns_) / 1e6;
   if (elapsed_ms > config_.max_wall_ms) {
-    throw BudgetExceeded{"task ran for " + std::to_string(elapsed_ms) +
-                         " ms (budget " + std::to_string(config_.max_wall_ms) + " ms)" +
-                         at_sim_time(at_ns)};
+    exceed_budget("task ran for " + std::to_string(elapsed_ms) + " ms (budget " +
+                      std::to_string(config_.max_wall_ms) + " ms)",
+                  at_ns);
   }
+}
+
+void Auditor::exceed_budget(const std::string& detail, std::int64_t at_ns) const {
+  char at[64];
+  std::snprintf(at, sizeof(at), " at simulated time %.6f ms", static_cast<double>(at_ns) / 1e6);
+  std::string msg = detail + at;
+  if (event_counts_ != nullptr) {
+    const char* sep = "; ";
+    for (std::size_t c = 0; c < kNumEventCategories; ++c) {
+      if ((*event_counts_)[c] == 0) continue;
+      msg += sep;
+      msg += to_string(static_cast<EventCategory>(c));
+      msg += "=" + std::to_string((*event_counts_)[c]);
+      sep = ", ";
+    }
+  }
+  throw BudgetExceeded{msg};
 }
 
 void Auditor::check_conservation(std::int64_t residual_bytes) {

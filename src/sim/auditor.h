@@ -38,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/event_category.h"
 #include "sim/time.h"
 
 // Compile-time master switch. Build with -DINCAST_AUDIT_ENABLED=0 (cmake
@@ -69,7 +70,9 @@ class AuditFailure : public std::runtime_error {
 
 // Thrown when a per-run execution budget (events or wall clock) runs out.
 // The auditor's message names the simulated time the run had reached, so
-// a runaway run can be told from one that was merely long.
+// a runaway run can be told from one that was merely long, and ends with
+// the run's non-zero per-category event counts ("; net=…, tcp=…"), so it
+// says which layer the events went to.
 class BudgetExceeded : public std::runtime_error {
  public:
   explicit BudgetExceeded(const std::string& detail)
@@ -159,6 +162,13 @@ class Auditor {
   // layer uses this to route a structured diagnostic into the flight
   // recorder. Keep the sink cheap: it runs inline on the violating path.
   void set_violation_sink(ViolationSink sink) { sink_ = std::move(sink); }
+
+  // The dispatching simulator's per-category event counts, which a budget
+  // failure lists; Simulator::set_auditor points this at its own. nullptr
+  // (the default) leaves them out of the message.
+  void watch_event_counts(const EventCategoryCounts* counts) noexcept {
+    event_counts_ = counts;
+  }
 
   // --- Event-loop hook (called by Simulator::dispatch_if) -----------------
 
@@ -365,6 +375,8 @@ class Auditor {
   // periodic wall/cancel check, then re-arms.
   void check_boundary(std::int64_t at_ns);
   void arm_check_countdown() noexcept;
+  // Throws BudgetExceeded: `detail`, where the run was, and what it ran.
+  [[noreturn]] void exceed_budget(const std::string& detail, std::int64_t at_ns) const;
 
   Config config_;
   ViolationSink sink_;
@@ -397,6 +409,8 @@ class Auditor {
   // Wall-budget start, captured lazily at the first periodic check (steady
   // clock nanoseconds; 0 = not yet captured).
   std::uint64_t wall_start_ns_{0};
+
+  const EventCategoryCounts* event_counts_{nullptr};
 };
 
 }  // namespace incast::sim

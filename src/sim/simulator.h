@@ -232,8 +232,13 @@ class Simulator {
 
   // Borrowed invariant auditor; nullptr (the default) means "unaudited".
   // Components reach it through INCAST_AUDITOR(sim), which compiles to a
-  // constant nullptr under -DINCAST_AUDIT=OFF.
-  void set_auditor(Auditor* auditor) noexcept { auditor_ = auditor; }
+  // constant nullptr under -DINCAST_AUDIT=OFF. A budget the auditor finds
+  // exceeded lists this simulator's per-category event counts.
+  void set_auditor(Auditor* auditor) noexcept {
+    if (auditor_ != nullptr) auditor_->watch_event_counts(nullptr);
+    auditor_ = auditor;
+    if (auditor_ != nullptr) auditor_->watch_event_counts(&events_by_category_);
+  }
   [[nodiscard]] Auditor* auditor() const noexcept { return auditor_; }
 
   // Borrowed flow-lifecycle tracer (obs/flow_trace.h); nullptr (the

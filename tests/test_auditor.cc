@@ -282,6 +282,41 @@ TEST(Auditor, FleetTraceConservesBytes) {
   EXPECT_EQ(result.audit_violations, 0u);
 }
 
+TEST(Auditor, BudgetExceededListsTheRunsEventCounts) {
+  Simulator sim;
+  Auditor::Config cfg;
+  cfg.max_events = 10;
+  Auditor a{cfg};
+  sim.set_auditor(&a);
+  for (int i = 1; i <= 12; ++i) {
+    const auto category = i % 4 == 0 ? EventCategory::kTcp : EventCategory::kNet;
+    sim.schedule_at(Time::microseconds(i), [] {}, category);
+  }
+  try {
+    sim.run();
+    FAIL() << "the eleventh event must exceed a ten-event budget";
+  } catch (const BudgetExceeded& e) {
+    // Ten events ran before the eleventh tripped: 8 net, 2 tcp.
+    EXPECT_STREQ(e.what(),
+                 "budget exceeded: task dispatched more than 10 events "
+                 "at simulated time 0.011000 ms; net=8, tcp=2");
+  }
+}
+
+TEST(Auditor, ExperimentBudgetFailureNamesItsNetEvents) {
+  auto cfg = small_incast(AuditMode::kRelaxed);
+  cfg.audit.max_events = 10;
+  try {
+    (void)core::run_incast_experiment(cfg);
+    FAIL() << "ten events cannot finish an incast";
+  } catch (const BudgetExceeded& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("task dispatched more than 10 events"), std::string::npos) << what;
+    EXPECT_NE(what.find("; "), std::string::npos) << what;
+    EXPECT_NE(what.find("net="), std::string::npos) << what;
+  }
+}
+
 TEST(Auditor, EventBudgetAbortsExperiment) {
   auto cfg = small_incast(AuditMode::kRelaxed);
   cfg.audit.max_events = 500;  // far fewer than a full run needs
