@@ -36,13 +36,16 @@
 // global scope; array and nothrow forms route through these by default.
 std::atomic<std::uint64_t> g_heap_allocs{0};
 
-void* operator new(std::size_t size) {
+// Every replacement is kept out of line: inlined into one caller, a
+// malloc() and the free() that releases it would meet, and GCC's
+// -Wmismatched-new-delete would take them for a new/free mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   const auto al = std::max(static_cast<std::size_t>(align), sizeof(void*));
@@ -50,10 +53,10 @@ void* operator new(std::size_t size, std::align_val_t align) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -681,7 +681,9 @@ void run_differential(std::uint64_t seed, bool keyed, Shape shape) {
     sim.run();
     census.dispatch();
     ASSERT_EQ(last_fired, want.who);
-    if (want.who == ReferenceModel::kLine) ASSERT_EQ(line_probe.last_seq, want.seq);
+    if (want.who == ReferenceModel::kLine) {
+      ASSERT_EQ(line_probe.last_seq, want.seq);
+    }
     ASSERT_EQ(sim.now(), want.at);
     if (want.who == ReferenceModel::kOneShot) --one_shots;
     if (rearm) {

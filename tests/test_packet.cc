@@ -72,11 +72,13 @@ TEST(Packet, EcnPredicates) {
 TEST(Packet, IntStackPushStopsAtCapacity) {
   IntStack stack;
   for (int i = 0; i < kMaxIntHops + 3; ++i) {
-    stack.push(IntHopRecord{.qlen_bytes = i, .tx_bytes = 0, .link_bps = 1, .timestamp_ns = 0});
+    const bool stored =
+        stack.push(IntHopRecord{.qlen_bytes = i, .tx_bytes = 0, .link_bps = 1, .timestamp_ns = 0});
+    EXPECT_EQ(stored, i < kMaxIntHops) << "hop " << i;
   }
   EXPECT_EQ(stack.num_hops, kMaxIntHops);
-  // The first kMaxIntHops records survive; overflow is silently dropped
-  // (as a fixed-size INT header would).
+  // The first kMaxIntHops records survive; push refuses the overflow (as a
+  // fixed-size INT header would) and says so, for the caller to count.
   EXPECT_EQ(stack.hops[0].qlen_bytes, 0);
   EXPECT_EQ(stack.hops[kMaxIntHops - 1].qlen_bytes, kMaxIntHops - 1);
 }

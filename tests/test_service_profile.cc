@@ -30,7 +30,7 @@ TEST(ServiceCatalog, DescriptionsMatchTable1) {
 }
 
 TEST(ServiceCatalog, LookupUnknownThrows) {
-  EXPECT_THROW(service_by_name("nope"), std::out_of_range);
+  EXPECT_THROW((void)service_by_name("nope"), std::out_of_range);
 }
 
 TEST(ServiceProfile, FlowCountsWithinBounds) {

@@ -197,7 +197,9 @@ TEST(SweepQuarantine, ChaosFailuresNameTheirConfig) {
     const bool burst = f.message.starts_with("burst cc=") ||
                        f.message.starts_with("faulty-burst cc=");
     EXPECT_TRUE(burst || f.message.starts_with("fleet service="));
-    if (burst) EXPECT_NE(f.message.find(" qmode="), std::string::npos);
+    if (burst) {
+      EXPECT_NE(f.message.find(" qmode="), std::string::npos);
+    }
     EXPECT_NE(f.message.find(": budget exceeded: task dispatched more than 10 events"),
               std::string::npos);
   }

@@ -150,7 +150,7 @@ TEST(Dumbbell, NamedLinksCoverEveryLink) {
   EXPECT_NE(d.find_link("sender0->tor_s"), nullptr);
   EXPECT_NE(d.find_link("tor_r->receiver0"), nullptr);
   EXPECT_EQ(d.find_link("bogus"), nullptr);
-  EXPECT_THROW(d.link("bogus"), std::out_of_range);
+  EXPECT_THROW((void)d.link("bogus"), std::out_of_range);
 }
 
 TEST(Dumbbell, NodeIdsAreDistinct) {
