@@ -2,9 +2,9 @@
 // to every node (its width and the member each of a spread of flows takes,
 // which fixes the members and their order under the seeded flow hash), the
 // LinkDirectory's link names in wiring order, and the name lookups
-// (find_link, link's error text, find_viq, viq_names). The goldens were
-// taken from the builder as it stands; a change to how a fabric is built
-// or named must leave every one of them unchanged.
+// (find_link, link's error text, find_viq, viq_names). A change to how a
+// fabric is built or how its links are named must leave every golden
+// unchanged: they are what experiments, fault profiles and telemetry see.
 #include <gtest/gtest.h>
 
 #include <cstdint>
