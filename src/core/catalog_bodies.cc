@@ -99,7 +99,7 @@ void fig1_example_trace(Scale scale, const AuditOptions& audit, std::FILE* out) 
   exp.set_keep_bins(true);
   const HostTraceResult trace = exp.run_host_trace(/*host=*/0, /*snapshot=*/0);
 
-  const auto line_bytes_per_ms = static_cast<double>(cfg.nic_rate.bytes_in(1_ms));
+  const auto line_bytes_per_ms = static_cast<double>(FleetConfig::kNicRate.bytes_in(1_ms));
   const auto util = [&](std::int64_t bytes) {
     return static_cast<double>(bytes) / line_bytes_per_ms;
   };
@@ -337,7 +337,7 @@ void fig4_network_effects(Scale scale, const AuditOptions& audit, std::FILE* out
         if (!coarse.empty()) {
           const std::size_t w = std::min(b.first_bin / watermark_window_ms, coarse.size() - 1);
           q.add(100.0 * static_cast<double>(coarse[w]) /
-                static_cast<double>(cfg.queue_capacity_packets));
+                static_cast<double>(FleetConfig::kQueueCapacityPackets));
         }
         m.add(100.0 * b.marked_fraction());
         r.add(100.0 * b.retx_fraction());

@@ -13,8 +13,7 @@
 
 namespace incast::core {
 
-ExperimentObserver::ExperimentObserver(obs::Hub* hub)
-    : hub_{hub != nullptr && hub->enabled() ? hub : nullptr} {}
+ExperimentObserver::ExperimentObserver(obs::Hub* hub) : hub_{hub} {}
 
 ExperimentObserver::~ExperimentObserver() {
   if (hub_ == nullptr) return;
@@ -122,14 +121,17 @@ void ExperimentObserver::watch_auditor(sim::Auditor& auditor, const sim::Simulat
   m.register_counter("sim.audit.control_consumed_bytes",
                      [&auditor] { return auditor.control_consumed_bytes(); });
 
-  // Violations are exactly the anomalies the flight recorder exists for:
-  // dump the ring on every one, strict or relaxed. The sink runs before
-  // strict mode throws, so the dump always lands.
+  // Violations and budget trips are exactly the anomalies the flight
+  // recorder exists for: dump the ring on every one, strict or relaxed.
+  // Both sinks run before the auditor throws, so the dump always lands.
   obs::Hub* hub = hub_;
   auditor.set_violation_sink([hub, &sim](const sim::Auditor::Violation& v) {
     hub->recorder().force_dump(sim.now().ns(),
                                std::string{"audit:"} + sim::to_string(v.invariant) +
                                    ": " + v.detail);
+  });
+  auditor.set_budget_sink([hub](std::int64_t at_ns, const std::string& detail) {
+    hub->recorder().force_dump(at_ns, "budget: " + detail);
   });
 }
 

@@ -8,8 +8,8 @@
 // experiment adds (scaling.*, parallel.*) — and unregisters them on scope
 // exit so a hub can be reused across runs.
 //
-// Constructed from the simulator's hub pointer; with no hub (or a disabled
-// one) every method is a no-op and the experiment runs exactly as before.
+// Constructed from the simulator's hub pointer; with no hub every method is
+// a no-op and the experiment runs exactly as before.
 #ifndef INCAST_CORE_EXPERIMENT_OBS_H_
 #define INCAST_CORE_EXPERIMENT_OBS_H_
 
@@ -72,9 +72,10 @@ class ExperimentObserver {
   // Registers sim.audit.{violations,violations.<invariant>,injected_bytes,
   // delivered_bytes,dropped_bytes,trimmed_bytes,control_injected_bytes,
   // control_consumed_bytes} pull sources reading the run-hardening
-  // auditor's counters, and routes every violation into the flight recorder
-  // as a forced dump (relaxed mode included — a violation is exactly the
-  // anomaly the recorder exists for). The auditor must outlive this object.
+  // auditor's counters, and routes every violation and every budget trip
+  // into the flight recorder as a forced dump (relaxed mode included — a
+  // violation is exactly the anomaly the recorder exists for). The auditor
+  // must outlive this object.
   void watch_auditor(sim::Auditor& auditor, const sim::Simulator& sim);
 
   // Registers net.int.hop_overflow holding the run's INT hop-stamp overflow

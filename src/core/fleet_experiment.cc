@@ -8,6 +8,7 @@
 #include "net/topology.h"
 #include "telemetry/queue_monitor.h"
 #include "workload/fleet_traffic.h"
+#include "workload/rack_contention.h"
 
 namespace incast::core {
 
@@ -42,16 +43,16 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot,
   net::DumbbellConfig topo;
   topo.num_senders = profile.max_flows;
   topo.num_receivers = neighbor ? 2 : 1;
-  topo.host_link = config_.nic_rate;
-  topo.switch_queue.capacity_packets = config_.queue_capacity_packets;
+  topo.host_link = FleetConfig::kNicRate;
+  topo.switch_queue.capacity_packets = FleetConfig::kQueueCapacityPackets;
   topo.switch_queue.ecn_threshold_packets = std::max<std::int64_t>(
-      static_cast<std::int64_t>(config_.ecn_threshold_fraction *
-                                static_cast<double>(config_.queue_capacity_packets)),
+      static_cast<std::int64_t>(FleetConfig::kEcnThresholdFraction *
+                                static_cast<double>(FleetConfig::kQueueCapacityPackets)),
       1);
   // alpha = 2: a lone queue may take up to 2/3 of the pool (~1333 packets),
   // but a rack neighbor's usage squeezes that cap hard — which is how
   // contention turns p99 incasts into the paper's rare loss events.
-  topo.shared_buffer = net::SharedBufferPool::Config{config_.shared_pool_bytes, 2.0};
+  topo.shared_buffer = net::SharedBufferPool::Config{FleetConfig::kSharedPoolBytes, 2.0};
   net::Dumbbell dumbbell{sim, topo};
 
   const std::uint64_t seed = trace_seed(host, snapshot);
@@ -63,7 +64,7 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot,
   gen_cfg.host_factor = workload::host_factor(profile, host);
   workload::FleetTrafficGen gen{sim, dumbbell, config_.tcp, gen_cfg, seed};
 
-  telemetry::Millisampler sampler{{sim::Time::milliseconds(1), config_.nic_rate}};
+  telemetry::Millisampler sampler{{sim::Time::milliseconds(1), FleetConfig::kNicRate}};
   dumbbell.receiver(0).add_ingress_tap(&sampler);
 
   telemetry::QueueMonitor::Config qcfg;
@@ -79,7 +80,8 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot,
   std::unique_ptr<workload::FleetTrafficGen> neighbor_gen;
   if (config_.contention_mode == FleetConfig::ContentionMode::kModeled) {
     contention = std::make_unique<workload::RackContention>(
-        sim, *dumbbell.receiver_tor().shared_buffer(), config_.contention, seed ^ 0xC0117E17);
+        sim, *dumbbell.receiver_tor().shared_buffer(), workload::RackContention::Config{},
+        seed ^ 0xC0117E17);
   } else if (neighbor) {
     workload::FleetTrafficGen::Config ncfg;
     ncfg.profile = profile;
@@ -113,7 +115,7 @@ HostTraceResult FleetExperiment::run_host_trace(int host, int snapshot,
   result.queue_drops = dumbbell.bottleneck_queue().stats().dropped_packets;
   result.generated_bursts = static_cast<std::int64_t>(gen.burst_log().size());
 
-  const analysis::BurstDetector detector{config_.detector};
+  const analysis::BurstDetector detector;
   result.summary.trace_seconds = config_.trace_duration.sec();
   result.summary.bursts = detector.detect(sampler, qmon.watermarks());
 

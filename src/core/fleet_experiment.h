@@ -19,7 +19,6 @@
 #include "sim/event_category.h"
 #include "sim/sweep.h"
 #include "tcp/tcp_config.h"
-#include "workload/rack_contention.h"
 #include "workload/service_profile.h"
 
 namespace incast::obs {
@@ -42,34 +41,32 @@ struct FleetConfig : AuditOptions, SweepOptions<HostTraceResult> {
   // Production-like ToR: ECN marks at 6.7% of the per-queue capacity (the
   // paper's production threshold); the effective capacity at runtime is
   // lower whenever the shared pool is contended.
-  std::int64_t queue_capacity_packets{2000};
-  double ecn_threshold_fraction{0.067};
+  static constexpr std::int64_t kQueueCapacityPackets = 2000;
+  static constexpr double kEcnThresholdFraction = 0.067;
   // Shared pool sized at ~one queue's worth of MTU frames: under rack
   // contention the Dynamic Threshold squeezes the measured queue well
   // below its static cap, which is where the rare catastrophic losses of
   // Figure 4c come from.
-  std::int64_t shared_pool_bytes{2000 * 1500};
+  static constexpr std::int64_t kSharedPoolBytes = 2000 * 1500;
+  static constexpr sim::Bandwidth kNicRate = sim::Bandwidth::gigabits_per_second(10);
 
   // How the "simultaneous burst events to other hosts on the same rack"
   // (Section 3.4) are modelled:
   //  * kNone     — the measured host has the rack to itself;
-  //  * kModeled  — a Markov on/off process pins a fraction of the shared
-  //    pool (cheap; the default);
+  //  * kModeled  — a Markov on/off process (workload::RackContention with
+  //    its default Config) pins a fraction of the shared pool (cheap; the
+  //    default);
   //  * kNeighbor — a second receiver on the same ToR runs the same service
   //    for real, its bursts competing for the shared pool packet by packet.
   enum class ContentionMode { kNone, kModeled, kNeighbor };
   ContentionMode contention_mode{ContentionMode::kModeled};
-  workload::RackContention::Config contention{};
 
   tcp::TcpConfig tcp{};
-  sim::Bandwidth nic_rate{sim::Bandwidth::gigabits_per_second(10)};
 
   // "video" switches operating regime every this many snapshots.
   int regime_block_snapshots{3};
 
   std::uint64_t base_seed{42};
-
-  analysis::BurstDetectorConfig detector{};
 
   // Borrowed observability hub; run_all() hands it to cell 0, (host 0,
   // snapshot 0), alone.

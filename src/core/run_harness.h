@@ -8,7 +8,7 @@
 //   * attaches the borrowed obs::Hub, an optional sim::Auditor and an
 //     optional obs::FlowTracer to the simulator;
 //   * builds the run's ExperimentObserver and hooks the event kernel and
-//     the auditor into it (a no-op without an enabled hub);
+//     the auditor into it (a no-op without a hub);
 //   * at teardown() runs the checks every run owes its results: no switch
 //     blackholed a packet, every injected byte is accounted for, every
 //     sampled flow's FCT decomposes exactly, plus the INT-overflow warning

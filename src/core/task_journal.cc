@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "workload/rack_contention.h"
 
 namespace incast::core {
 
@@ -89,10 +90,13 @@ void put_queue(std::string& out, const char* prefix, const net::DropTailQueue::C
   add("capacity_packets", q.capacity_packets);
   add("capacity_bytes", q.capacity_bytes);
   add("ecn_threshold_packets", q.ecn_threshold_packets);
-  add("ecn_kmin_packets", q.ecn_kmin_packets);
-  add("ecn_kmax_packets", q.ecn_kmax_packets);
+  // The queue has no kmin/kmax marking band and a fixed trimmed-header
+  // size; their keys stay, with those values, so the fingerprints of
+  // existing journals do not move.
+  add("ecn_kmin_packets", 0);
+  add("ecn_kmax_packets", 0);
   add("discipline", static_cast<std::int64_t>(q.discipline));
-  add("trim_header_bytes", q.trim_header_bytes);
+  add("trim_header_bytes", net::DropTailQueue::kTrimmedHeaderBytes);
   add("header_capacity_packets", q.header_capacity_packets);
 }
 
@@ -131,21 +135,25 @@ std::string canonical_config(const FleetConfig& config) {
   put(out, "num_hosts", static_cast<std::int64_t>(config.num_hosts));
   put(out, "num_snapshots", static_cast<std::int64_t>(config.num_snapshots));
   put_time(out, "trace_duration", config.trace_duration);
-  put(out, "queue_capacity_packets", config.queue_capacity_packets);
-  put(out, "ecn_threshold_fraction", config.ecn_threshold_fraction);
-  put(out, "shared_pool_bytes", config.shared_pool_bytes);
+  // The ToR, contention and detector settings are constants; their keys
+  // stay, with those values, so the fingerprints of existing journals do
+  // not move.
+  put(out, "queue_capacity_packets", FleetConfig::kQueueCapacityPackets);
+  put(out, "ecn_threshold_fraction", FleetConfig::kEcnThresholdFraction);
+  put(out, "shared_pool_bytes", FleetConfig::kSharedPoolBytes);
   put(out, "contention_mode", static_cast<std::int64_t>(config.contention_mode));
-  put_time(out, "contention_mean_on", config.contention.mean_on);
-  put_time(out, "contention_mean_off", config.contention.mean_off);
-  put(out, "contention_min_fraction", config.contention.min_fraction);
-  put(out, "contention_max_fraction", config.contention.max_fraction);
+  const workload::RackContention::Config contention{};
+  put_time(out, "contention_mean_on", contention.mean_on);
+  put_time(out, "contention_mean_off", contention.mean_off);
+  put(out, "contention_min_fraction", workload::RackContention::kMinFraction);
+  put(out, "contention_max_fraction", workload::RackContention::kMaxFraction);
   put_tcp(out, config.tcp);
-  put(out, "nic_rate_bps", config.nic_rate.bps());
+  put(out, "nic_rate_bps", FleetConfig::kNicRate.bps());
   put(out, "regime_block_snapshots", static_cast<std::int64_t>(config.regime_block_snapshots));
   put_u64(out, "base_seed", config.base_seed);
-  put(out, "utilization_threshold", config.detector.utilization_threshold);
-  put(out, "incast_flow_threshold",
-      static_cast<std::int64_t>(config.detector.incast_flow_threshold));
+  const analysis::BurstDetectorConfig detector{};
+  put(out, "utilization_threshold", detector.utilization_threshold);
+  put(out, "incast_flow_threshold", static_cast<std::int64_t>(detector.incast_flow_threshold));
   return out;
 }
 

@@ -24,7 +24,6 @@ void LinkFault::record(sim::Time at, FaultType type, const net::Packet& p) {
                   std::string("fault.") + to_string(type), obs::kFaultTid, "flow",
                   p.tcp.flow_id, "retx", p.is_retransmit ? 1 : 0);
   }
-  if (!trace_enabled_) return;
   trace_.push_back(FaultEvent{
       .at = at,
       .type = type,
@@ -99,7 +98,7 @@ LinkFault& FaultInjector::install(net::Port& port, const LinkFaultConfig& config
   links_.push_back(std::make_unique<LinkFault>(config, rng_.fork()));
   LinkFault& link = *links_.back();
   obs::Hub* hub = INCAST_OBS_HUB(sim_);
-  if (hub != nullptr && hub->enabled()) link.set_hub(hub);
+  if (hub != nullptr) link.set_hub(hub);
   port.set_link_hook(&link);
   return link;
 }

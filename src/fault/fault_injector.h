@@ -136,9 +136,8 @@ class LinkFault final : public net::LinkHook {
   [[nodiscard]] const FaultCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] const LinkFaultConfig& config() const noexcept { return config_; }
 
-  // Event trace; on by default (one small record per *fault*, not per
-  // packet, so the cost is proportional to the damage done).
-  void set_trace_enabled(bool enabled) noexcept { trace_enabled_ = enabled; }
+  // Event trace: one small record per *fault*, not per packet, so the cost
+  // is proportional to the damage done.
   [[nodiscard]] const std::vector<FaultEvent>& trace() const noexcept { return trace_; }
 
   // Observability: injected faults additionally become "fault.<type>"
@@ -152,7 +151,6 @@ class LinkFault final : public net::LinkHook {
   sim::Rng rng_;
   int down_windows_{0};
   bool ge_bad_{false};
-  bool trace_enabled_{true};
   obs::Hub* hub_{nullptr};
   FaultCounters counters_;
   std::vector<FaultEvent> trace_;

@@ -16,7 +16,7 @@ std::uint64_t Port::next_key() {
 
 void Port::set_trace_label(const std::string& label) {
   obs::Hub* hub = INCAST_OBS_HUB(sim_);
-  if (hub == nullptr || !hub->enabled()) {
+  if (hub == nullptr) {
     trace_hub_ = nullptr;
     return;
   }

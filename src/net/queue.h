@@ -3,10 +3,7 @@
 // This is the queue the paper studies: a ToR egress FIFO with capacity 1333
 // packets (2 MB) and an ECN marking threshold K. An arriving ECT packet is
 // marked CE when the instantaneous occupancy is at or above K — the DCTCP
-// marking rule — or, with a DCQCN-style band (ecn_kmin/kmax), with a
-// probability ramping 0 -> 1 across [kmin, kmax) and always at/above kmax.
-// The coin is a hash of the packet uid, so marking stays bit-deterministic
-// with no RNG state.
+// marking rule. DCQCN runs use the same step rule (docs/PROTOCOLS.md).
 //
 // Config::discipline picks what happens to an arrival the data FIFO's caps
 // (or the shared-buffer dynamic threshold, when a pool is attached) refuse:
@@ -61,19 +58,15 @@ class DropTailQueue {
     std::int64_t capacity_bytes{0};
     // ECN marking threshold K, in packets; <= 0 disables marking.
     std::int64_t ecn_threshold_packets{65};
-    // DCQCN-style probabilistic marking band. When ecn_kmax_packets > 0 it
-    // replaces the step rule: no marks below kmin, certain marks at/above
-    // kmax, and a linear ramp in between, decided by a per-packet hash
-    // (deterministic, no RNG state).
-    std::int64_t ecn_kmin_packets{0};
-    std::int64_t ecn_kmax_packets{0};
     // Tail-drop or trimming.
     QueueDiscipline discipline{QueueDiscipline::kDropTail};
-    // Trimming only: wire size a trimmed header keeps, and the header
-    // queue's own capacity — overflow there is a real drop.
-    std::int64_t trim_header_bytes{64};
+    // Trimming only: the header queue's own capacity — overflow there is a
+    // real drop.
     std::int64_t header_capacity_packets{1000};
   };
+
+  // Trimming only: the wire size a trimmed header keeps.
+  static constexpr std::int64_t kTrimmedHeaderBytes = 64;
 
   struct Stats {
     std::int64_t enqueued_packets{0};
@@ -204,17 +197,13 @@ class DropTailQueue {
     void grow();
   };
 
-  // The configured marking rule's verdict for an ECT packet arriving at
-  // `occupancy_packets`: the kmin/kmax ramp when configured, the DCTCP
-  // step rule otherwise. Non-ECT packets are never marked.
+  // The DCTCP step rule's verdict for a packet arriving at
+  // `occupancy_packets`: an ECT packet is marked at or above K. Non-ECT
+  // packets are never marked.
   [[nodiscard]] bool should_mark(const Packet& p, std::int64_t occupancy_packets) const noexcept {
-    if (!is_ect(p.ecn)) return false;
-    if (config_.ecn_kmax_packets > 0) return band_mark(p, occupancy_packets);
-    return config_.ecn_threshold_packets > 0 &&
+    return is_ect(p.ecn) && config_.ecn_threshold_packets > 0 &&
            occupancy_packets >= config_.ecn_threshold_packets;
   }
-  // The kmin/kmax ramp's coin.
-  [[nodiscard]] bool band_mark(const Packet& p, std::int64_t occupancy_packets) const noexcept;
 
   // Trimming: cuts a refused data packet to its header and queues that.
   bool trim(Packet* p);

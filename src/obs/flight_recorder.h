@@ -79,8 +79,8 @@ class FlightRecorder {
 
   // Unconditionally dumps the ring with the given reason, bypassing trigger
   // arming and latching. The run-hardening layer routes audit-invariant
-  // violations here so a strict abort ships a structured diagnostic of the
-  // moments leading up to it.
+  // violations and budget trips here so a strict abort or a runaway run
+  // ships a structured diagnostic of the moments leading up to it.
   void force_dump(std::int64_t ts_ns, const std::string& reason);
 
   [[nodiscard]] int dumps() const noexcept { return dumps_; }

@@ -35,9 +35,7 @@ namespace {
 
 }  // namespace
 
-FlowTracer::FlowTracer(const Config& config, Hub* hub) : config_{config}, hub_{hub} {
-  if (hub_ != nullptr && !hub_->enabled()) hub_ = nullptr;
-}
+FlowTracer::FlowTracer(const Config& config, Hub* hub) : config_{config}, hub_{hub} {}
 
 bool FlowTracer::sampled(std::uint64_t flow) const noexcept {
   if (config_.sample_every <= 1) return true;

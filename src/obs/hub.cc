@@ -4,7 +4,6 @@ namespace incast::obs {
 
 void Hub::notify_mode_shift(std::int64_t ts_ns, const std::string& from,
                             const std::string& to) {
-  if (!enabled_) return;
   if (tracing()) {
     TraceEvent ev;
     ev.ts_ns = ts_ns;
@@ -18,7 +17,6 @@ void Hub::notify_mode_shift(std::int64_t ts_ns, const std::string& from,
 }
 
 void Hub::capture_metrics(std::int64_t at_ns) {
-  if (!enabled_) return;
   final_metrics_ = metrics_.snapshot(at_ns);
   has_final_metrics_ = true;
 }

@@ -11,8 +11,7 @@
 //   1. compile time: -DINCAST_OBS_ENABLED=0 turns INCAST_OBS_HUB() into a
 //      constant nullptr, so instrumentation dead-code-eliminates entirely;
 //   2. no hub attached (the default): components cache nullptr and skip;
-//   3. Hub::set_enabled(false): runtime master switch, everything no-ops;
-//   4. per-facility: tracer().set_enabled() / recorder().arm().
+//   3. per-facility: tracer().set_enabled() / recorder().arm().
 #ifndef INCAST_OBS_HUB_H_
 #define INCAST_OBS_HUB_H_
 
@@ -49,23 +48,18 @@ class Hub {
   [[nodiscard]] const Tracer& tracer() const noexcept { return tracer_; }
   [[nodiscard]] FlightRecorder& recorder() noexcept { return recorder_; }
 
-  // Runtime master switch; overrides the per-facility switches below it.
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  // True when components should construct and emit trace events: the hub is
-  // enabled and either the tracer records or the flight recorder is armed.
+  // True when components should construct and emit trace events: the
+  // tracer records or the flight recorder is armed.
   [[nodiscard]] bool tracing() const noexcept {
-    return enabled_ && (tracer_.enabled() || recorder_.armed());
+    return tracer_.enabled() || recorder_.armed();
   }
 
   void set_thread_name(std::uint32_t tid, std::string name) {
-    if (enabled_) tracer_.set_thread_name(tid, std::move(name));
+    tracer_.set_thread_name(tid, std::move(name));
   }
 
   // Routes an event to the tracer and, when armed, the flight recorder.
   void emit(TraceEvent ev) {
-    if (!enabled_) return;
     recorder_.on_event(ev);
     tracer_.record(std::move(ev));
   }
@@ -114,7 +108,7 @@ class Hub {
   // Queue monitors feed depths here: the flight recorder evaluates its
   // collapse trigger even when the tracer itself is off.
   void observe_queue_depth(std::int64_t ts_ns, std::int64_t packets) {
-    if (enabled_) recorder_.observe_queue_depth(ts_ns, packets);
+    recorder_.observe_queue_depth(ts_ns, packets);
   }
 
   // Experiments report goodput-mode classification changes.
@@ -136,7 +130,6 @@ class Hub {
   }
 
  private:
-  bool enabled_{true};
   MetricsRegistry metrics_;
   Tracer tracer_;
   FlightRecorder recorder_;

@@ -58,10 +58,10 @@ void CreditSender::arm_rts_retry() {
   // but a flow merely waiting its round-robin turn quiets down instead of
   // joining a synchronized retry storm.
   sim::Time delay = config_.rts_retry_base;
-  for (int i = 0; i < rts_backoff_ && delay < config_.rts_retry_max; ++i) {
+  for (int i = 0; i < rts_backoff_ && delay < kRtsRetryMax; ++i) {
     delay = delay * 2.0;
   }
-  if (delay > config_.rts_retry_max) delay = config_.rts_retry_max;
+  if (delay > kRtsRetryMax) delay = kRtsRetryMax;
   delay = delay * rng_.uniform(0.5, 1.5);
   rts_timer_.arm_in(delay);
 }
@@ -209,7 +209,7 @@ void CreditReceiver::issue_grant(net::FlowId flow, FlowState& state) {
   ++grants_sent_;
   if (is_regrant) ++regrants_sent_;
   outstanding_.push_back(
-      OutstandingGrant{flow, r, sim_.now() + config_.regrant_timeout});
+      OutstandingGrant{flow, r, sim_.now() + kRegrantTimeout});
 }
 
 void CreditReceiver::expire_outstanding() {

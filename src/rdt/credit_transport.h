@@ -43,10 +43,11 @@ class CreditSender final : public net::PacketHandler {
     // Re-announce demand when no grant has arrived for this long. At high
     // incast degree the round-robin inter-grant gap is legitimately long,
     // so retries back off exponentially (with jitter, to avoid the whole
-    // incast re-RTSing in lockstep) and reset on any grant.
+    // incast re-RTSing in lockstep), up to kRtsRetryMax, and reset on any
+    // grant.
     sim::Time rts_retry_base{sim::Time::milliseconds(2)};
-    sim::Time rts_retry_max{sim::Time::milliseconds(100)};
   };
+  static constexpr sim::Time kRtsRetryMax = sim::Time::milliseconds(100);
 
   CreditSender(sim::Simulator& sim, net::Host& local, net::NodeId receiver,
                net::FlowId flow, const Config& config);
@@ -100,9 +101,9 @@ class CreditReceiver {
     // Pace grants at line_rate * overcommit (1.0 = exactly line rate;
     // slightly above hides grant/data jitter at the cost of tiny queues).
     double overcommit{1.0};
-    // A grant unanswered for this long is considered lost and re-issued.
-    sim::Time regrant_timeout{sim::Time::milliseconds(1)};
   };
+  // A grant unanswered for this long is considered lost and re-issued.
+  static constexpr sim::Time kRegrantTimeout = sim::Time::milliseconds(1);
 
   CreditReceiver(sim::Simulator& sim, net::Host& local, const Config& config);
 

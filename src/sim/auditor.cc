@@ -131,6 +131,7 @@ void Auditor::exceed_budget(const std::string& detail, std::int64_t at_ns) const
       sep = ", ";
     }
   }
+  if (budget_sink_) budget_sink_(at_ns, msg);
   throw BudgetExceeded{msg};
 }
 

@@ -148,6 +148,8 @@ class Auditor {
     std::string detail;
   };
   using ViolationSink = std::function<void(const Violation&)>;
+  // A budget trip: the dispatching event's time and BudgetExceeded's detail.
+  using BudgetSink = std::function<void(std::int64_t at_ns, const std::string& detail)>;
 
   Auditor() noexcept { arm_check_countdown(); }
   explicit Auditor(const Config& config) noexcept : config_{config} {
@@ -162,6 +164,11 @@ class Auditor {
   // layer uses this to route a structured diagnostic into the flight
   // recorder. Keep the sink cheap: it runs inline on the violating path.
   void set_violation_sink(ViolationSink sink) { sink_ = std::move(sink); }
+
+  // Observes an event or wall-clock budget trip just before BudgetExceeded
+  // is thrown, so a failed run can leave the same diagnostic a violation
+  // does.
+  void set_budget_sink(BudgetSink sink) { budget_sink_ = std::move(sink); }
 
   // The dispatching simulator's per-category event counts, which a budget
   // failure lists; Simulator::set_auditor points this at its own. nullptr
@@ -411,6 +418,7 @@ class Auditor {
   std::uint64_t wall_start_ns_{0};
 
   const EventCategoryCounts* event_counts_{nullptr};
+  BudgetSink budget_sink_;
 };
 
 }  // namespace incast::sim

@@ -4,10 +4,21 @@
 #include <cmath>
 
 #include "tcp/cc/dcqcn.h"
+#include "tcp/cc/dctcp.h"
 #include "tcp/cc/hpcc.h"
+#include "tcp/cc/reno.h"
 #include "tcp/cc/swift.h"
 
 namespace incast::tcp {
+
+namespace {
+
+// RFC 9438's constants: the cubic scaling factor C and the multiplicative
+// decrease factor beta_cubic.
+constexpr double kCubicC = 0.4;
+constexpr double kCubicBeta = 0.7;
+
+}  // namespace
 
 void CubicCc::start_epoch(sim::Time now) noexcept {
   // W_max was recorded at the last decrease; if we have grown past it since
@@ -29,11 +40,9 @@ void CubicCc::on_ack(const AckEvent& ev) {
     start_epoch(ev.now);
   }
 
-  const double c = config().cubic_c;
-  const double beta = config().cubic_beta;
   const double t = (ev.now - epoch_start_).sec();
-  const double k = std::cbrt(w_max_segments_ * (1.0 - beta) / c);
-  const double target_segments = c * std::pow(t - k, 3.0) + w_max_segments_;
+  const double k = std::cbrt(w_max_segments_ * (1.0 - kCubicBeta) / kCubicC);
+  const double target_segments = kCubicC * std::pow(t - k, 3.0) + w_max_segments_;
   const auto target_bytes =
       static_cast<std::int64_t>(target_segments * static_cast<double>(mss()));
 
@@ -48,11 +57,10 @@ void CubicCc::on_ack(const AckEvent& ev) {
 }
 
 void CubicCc::on_loss(std::int64_t /*in_flight*/) {
-  const double beta = config().cubic_beta;
   const double current = static_cast<double>(cwnd_bytes()) / static_cast<double>(mss());
   w_max_segments_ = current;
   epoch_active_ = false;  // the next ACK restarts the epoch with this W_max
-  decrease_to(static_cast<std::int64_t>(current * beta * static_cast<double>(mss())));
+  decrease_to(static_cast<std::int64_t>(current * kCubicBeta * static_cast<double>(mss())));
 }
 
 void CubicCc::on_timeout() {
@@ -61,47 +69,31 @@ void CubicCc::on_timeout() {
   w_max_segments_ = 0.0;
 }
 
-std::unique_ptr<CongestionControl> make_cubic(const CcConfig& config) {
-  return std::make_unique<CubicCc>(config);
-}
-
 std::unique_ptr<CongestionControl> make_congestion_control(CcAlgorithm algo,
-                                                           const CcConfig& config) {
+                                                           const CcConfig& config,
+                                                           std::int64_t mss_bytes) {
   switch (algo) {
     case CcAlgorithm::kReno:
-      return make_reno(config, /*ecn_enabled=*/false);
+      return std::make_unique<RenoCc>(config, mss_bytes, /*ecn_enabled=*/false);
     case CcAlgorithm::kRenoEcn:
-      return make_reno(config, /*ecn_enabled=*/true);
+      return std::make_unique<RenoCc>(config, mss_bytes, /*ecn_enabled=*/true);
     case CcAlgorithm::kDctcp:
-      return make_dctcp(config);
+      return std::make_unique<DctcpCc>(config, mss_bytes);
     case CcAlgorithm::kCubic:
-      return make_cubic(config);
-    case CcAlgorithm::kSwift: {
-      SwiftConfig swift;
-      swift.mss_bytes = config.mss_bytes;
-      swift.initial_window_segments = config.initial_window_segments;
-      swift.target_delay = config.swift_target_delay;
-      swift.additive_increase_segments = config.swift_additive_increase_segments;
-      swift.beta = config.swift_beta;
-      swift.max_mdf = config.swift_max_mdf;
-      swift.min_cwnd_segments = config.swift_min_cwnd_segments;
-      return make_swift(swift);
-    }
-    case CcAlgorithm::kHpcc: {
-      HpccConfig hpcc;
-      hpcc.mss_bytes = config.mss_bytes;
-      hpcc.initial_window_segments = config.initial_window_segments;
-      hpcc.eta = config.hpcc_eta;
-      hpcc.max_stage = config.hpcc_max_stage;
-      hpcc.wai_bytes = config.hpcc_wai_bytes;
-      hpcc.base_rtt = config.hpcc_base_rtt;
-      hpcc.min_cwnd_segments = config.hpcc_min_cwnd_segments;
-      return make_hpcc(hpcc);
-    }
+      return std::make_unique<CubicCc>(config, mss_bytes);
+    case CcAlgorithm::kSwift:
+      return std::make_unique<SwiftCc>(SwiftConfig{.target_delay = config.swift_target_delay,
+                                                   .mss_bytes = mss_bytes,
+                                                   .initial_window_segments =
+                                                       config.initial_window_segments});
+    case CcAlgorithm::kHpcc:
+      return std::make_unique<HpccCc>(
+          HpccConfig{.mss_bytes = mss_bytes,
+                     .initial_window_segments = config.initial_window_segments});
     case CcAlgorithm::kDcqcn:
-      return make_dcqcn(config);
+      return std::make_unique<DcqcnCc>(config, mss_bytes);
   }
-  return make_dctcp(config);
+  return std::make_unique<DctcpCc>(config, mss_bytes);
 }
 
 const char* to_string(CcAlgorithm algo) noexcept {

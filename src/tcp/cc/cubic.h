@@ -16,7 +16,8 @@ namespace incast::tcp {
 
 class CubicCc final : public WindowCc {
  public:
-  explicit CubicCc(const CcConfig& config) noexcept : WindowCc{config} {}
+  CubicCc(const CcConfig& config, std::int64_t mss_bytes) noexcept
+      : WindowCc{config, mss_bytes} {}
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(std::int64_t in_flight) override;

@@ -5,21 +5,19 @@
 namespace incast::tcp {
 
 void DcqcnCc::advance_alpha(sim::Time now) {
-  const sim::Time interval = config().dcqcn_alpha_update_interval;
   if (!interval_start_valid_) {
     interval_start_valid_ = true;
     interval_start_ = now;
     return;
   }
-  const double g = config().dcqcn_gain;
   // Step through every full interval boundary we crossed. Marks belong to
   // the interval they arrived in; the (possibly many) silent intervals
   // after it each decay alpha toward zero, exactly as the 55 us timer
   // would have.
-  while (now - interval_start_ >= interval) {
-    alpha_ = (1.0 - g) * alpha_ + g * (marked_this_interval_ ? 1.0 : 0.0);
+  while (now - interval_start_ >= kDcqcnAlphaUpdateInterval) {
+    alpha_ = (1.0 - kDcqcnGain) * alpha_ + kDcqcnGain * (marked_this_interval_ ? 1.0 : 0.0);
     marked_this_interval_ = false;
-    interval_start_ = interval_start_ + interval;
+    interval_start_ = interval_start_ + kDcqcnAlphaUpdateInterval;
   }
 }
 
@@ -33,7 +31,7 @@ void DcqcnCc::on_ack(const AckEvent& ev) {
     // decrease timer collapsed into one gate.
     const bool gate_open =
         !decrease_time_valid_ ||
-        ev.now - last_decrease_ >= config().dcqcn_rate_decrease_interval;
+        ev.now - last_decrease_ >= kDcqcnRateDecreaseInterval;
     if (gate_open) {
       decrease_time_valid_ = true;
       last_decrease_ = ev.now;
@@ -55,10 +53,6 @@ void DcqcnCc::on_loss(std::int64_t in_flight) {
 
 void DcqcnCc::on_timeout() {
   WindowCc::on_timeout();
-}
-
-std::unique_ptr<CongestionControl> make_dcqcn(const CcConfig& config) {
-  return std::make_unique<DcqcnCc>(config);
 }
 
 }  // namespace incast::tcp

@@ -11,10 +11,12 @@
 //                      interval], with g = 1/256
 //
 // This class transplants those time-domain rules onto the repo's
-// window-based sender so DCQCN slots in wherever DCTCP/Swift/HPCC do: ECE
-// on an ACK stands in for the CNP, the multiplicative decrease applies to
-// cwnd, and recovery between decreases uses the standard additive increase
-// (a stand-in for DCQCN's fast-recovery/additive-increase rate stages).
+// window-based sender so DCQCN slots in wherever DCTCP/Swift/HPCC do: the
+// switch side is the queue's step threshold K (net/queue.h), not a
+// kmin/kmax curve; ECE on an ACK stands in for the CNP, the multiplicative
+// decrease applies to cwnd, and recovery between decreases uses the
+// standard additive increase (a stand-in for DCQCN's
+// fast-recovery/additive-increase rate stages).
 // The two differences from DCTCP that matter for the lossless experiments
 // survive the transplant exactly:
 //
@@ -31,10 +33,17 @@
 
 namespace incast::tcp {
 
+// The SIGCOMM'15 defaults: a slow gain (1/256 vs DCTCP's 1/16) on a 55 us
+// alpha timer, alpha starting at 1, and decreases gated to one per 50 us.
+inline constexpr double kDcqcnGain = 1.0 / 256.0;
+inline constexpr double kDcqcnInitialAlpha = 1.0;
+inline constexpr sim::Time kDcqcnAlphaUpdateInterval = sim::Time::microseconds(55);
+inline constexpr sim::Time kDcqcnRateDecreaseInterval = sim::Time::microseconds(50);
+
 class DcqcnCc final : public WindowCc {
  public:
-  explicit DcqcnCc(const CcConfig& config) noexcept
-      : WindowCc{config}, alpha_{config.dcqcn_initial_alpha} {}
+  DcqcnCc(const CcConfig& config, std::int64_t mss_bytes) noexcept
+      : WindowCc{config, mss_bytes} {}
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(std::int64_t in_flight) override;
@@ -49,15 +58,13 @@ class DcqcnCc final : public WindowCc {
   // elapsed since the last roll (marks seen only in the most recent one).
   void advance_alpha(sim::Time now);
 
-  double alpha_;
+  double alpha_{kDcqcnInitialAlpha};
   bool interval_start_valid_{false};
   sim::Time interval_start_{};   // start of the current alpha interval
   bool marked_this_interval_{false};
   bool decrease_time_valid_{false};
   sim::Time last_decrease_{};    // last multiplicative decrease
 };
-
-[[nodiscard]] std::unique_ptr<CongestionControl> make_dcqcn(const CcConfig& config);
 
 }  // namespace incast::tcp
 

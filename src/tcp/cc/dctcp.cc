@@ -50,8 +50,4 @@ void DctcpCc::on_timeout() {
   WindowCc::on_timeout();
 }
 
-std::unique_ptr<CongestionControl> make_dctcp(const CcConfig& config) {
-  return std::make_unique<DctcpCc>(config);
-}
-
 }  // namespace incast::tcp

@@ -23,8 +23,8 @@ namespace incast::tcp {
 
 class DctcpCc final : public WindowCc {
  public:
-  explicit DctcpCc(const CcConfig& config) noexcept
-      : WindowCc{config}, alpha_{config.dctcp_initial_alpha} {}
+  DctcpCc(const CcConfig& config, std::int64_t mss_bytes) noexcept
+      : WindowCc{config, mss_bytes}, alpha_{config.dctcp_initial_alpha} {}
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(std::int64_t in_flight) override;

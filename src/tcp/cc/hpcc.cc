@@ -39,17 +39,17 @@ void HpccCc::on_ack(const AckEvent& ev) {
   util = std::max(util, 0.01);
   last_util_ = util;
 
-  const double wai = static_cast<double>(config_.wai_bytes);
+  const double wai = static_cast<double>(kHpccWaiBytes);
   const double max_cwnd =
       config_.max_cwnd_segments * static_cast<double>(config_.mss_bytes);
-  double target = reference_cwnd_ * config_.eta / util + wai;
+  double target = reference_cwnd_ * kHpccEta / util + wai;
   target = std::clamp(target, min_cwnd_bytes(), max_cwnd);
 
   // Growth on an application-limited ACK would be validated against demand
   // that does not exist (RFC 7661); only decreases are applied.
   if (ev.app_limited && target > cwnd_) return;
 
-  if (util >= config_.eta || inc_stage_ >= config_.max_stage) {
+  if (util >= kHpccEta || inc_stage_ >= kHpccMaxStage) {
     cwnd_ = target;
     if (ev.now - last_reference_update_ >= config_.base_rtt) {
       reference_cwnd_ = cwnd_;
@@ -76,10 +76,6 @@ void HpccCc::on_timeout() {
   cwnd_ = std::max(min_cwnd_bytes(), static_cast<double>(config_.mss_bytes));
   reference_cwnd_ = cwnd_;
   inc_stage_ = 0;
-}
-
-std::unique_ptr<CongestionControl> make_hpcc(const HpccConfig& config) {
-  return std::make_unique<HpccCc>(config);
 }
 
 }  // namespace incast::tcp

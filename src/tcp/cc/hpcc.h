@@ -14,7 +14,7 @@
 //   W = W_c * eta / max_j(U_j) + W_ai
 //
 // with W_c (the reference window) advanced at most once per RTT, and up to
-// `max_stage` additive-only stages between multiplicative updates. Like
+// kHpccMaxStage additive-only stages between multiplicative updates. Like
 // Swift, the window may fall below one MSS; the sender then paces.
 #ifndef INCAST_TCP_CC_HPCC_H_
 #define INCAST_TCP_CC_HPCC_H_
@@ -25,12 +25,15 @@
 
 namespace incast::tcp {
 
+// HPCC's fixed parameters.
+inline constexpr double kHpccEta = 0.95;  // target link utilization
+inline constexpr int kHpccMaxStage = 5;   // additive-only stages per W_c update
+// Additive increase per update (N flows add ~N*wai of standing queue).
+inline constexpr std::int64_t kHpccWaiBytes = 80;
+inline constexpr double kHpccMinCwndSegments = 0.01;  // floor, far below one packet
+
 struct HpccConfig {
-  double eta{0.95};                 // target link utilization
-  int max_stage{5};                 // additive-only stages per W_c update
-  std::int64_t wai_bytes{80};       // additive increase per update (N flows add ~N*wai of standing queue)
   sim::Time base_rtt{sim::Time::microseconds(30)};
-  double min_cwnd_segments{0.01};
   // Upper clamp: HPCC initializes W to ~BDP and never needs more than the
   // path BDP / eta; without a cap, near-idle INT samples (U ~ 0) would let
   // an app-limited flow multiply its window unboundedly.
@@ -67,7 +70,7 @@ class HpccCc final : public CongestionControl {
 
  private:
   [[nodiscard]] double min_cwnd_bytes() const noexcept {
-    return config_.min_cwnd_segments * static_cast<double>(config_.mss_bytes);
+    return kHpccMinCwndSegments * static_cast<double>(config_.mss_bytes);
   }
   // Computes max-hop utilization from the echoed INT stack; returns false
   // when no estimate is possible yet (first sample of a hop).
@@ -88,8 +91,6 @@ class HpccCc final : public CongestionControl {
   };
   std::array<HopSample, net::kMaxIntHops> prev_{};
 };
-
-[[nodiscard]] std::unique_ptr<CongestionControl> make_hpcc(const HpccConfig& config);
 
 }  // namespace incast::tcp
 

@@ -19,8 +19,4 @@ void RenoCc::on_loss(std::int64_t in_flight) {
   decrease_to(std::max(in_flight / 2, 2 * mss()));
 }
 
-std::unique_ptr<CongestionControl> make_reno(const CcConfig& config, bool ecn_enabled) {
-  return std::make_unique<RenoCc>(config, ecn_enabled);
-}
-
 }  // namespace incast::tcp

@@ -10,8 +10,8 @@ namespace incast::tcp {
 
 class RenoCc final : public WindowCc {
  public:
-  RenoCc(const CcConfig& config, bool ecn_enabled) noexcept
-      : WindowCc{config}, ecn_enabled_{ecn_enabled} {}
+  RenoCc(const CcConfig& config, std::int64_t mss_bytes, bool ecn_enabled) noexcept
+      : WindowCc{config, mss_bytes}, ecn_enabled_{ecn_enabled} {}
 
   void on_ack(const AckEvent& ev) override;
   void on_loss(std::int64_t in_flight) override;

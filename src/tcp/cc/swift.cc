@@ -10,7 +10,7 @@ void SwiftCc::decrease(double factor, sim::Time now, sim::Time rtt) noexcept {
   if (has_decreased_ && now - last_decrease_ < rtt) return;
   has_decreased_ = true;
   last_decrease_ = now;
-  factor = std::max(factor, 1.0 - config_.max_mdf);
+  factor = std::max(factor, 1.0 - kSwiftMaxMdf);
   cwnd_ = std::max(cwnd_ * factor, min_cwnd_bytes());
 }
 
@@ -26,29 +26,25 @@ void SwiftCc::on_ack(const AckEvent& ev) {
     // Additive increase: ~ai segments per RTT. Above one packet the
     // per-ACK share is ai * mss * acked / cwnd; below it each (rare) ACK
     // adds a full ai segment, as in Swift.
-    const double ai = config_.additive_increase_segments * mss;
+    const double ai = kSwiftAdditiveIncreaseSegments * mss;
     if (cwnd_ >= mss) {
       cwnd_ += ai * static_cast<double>(ev.newly_acked_bytes) / cwnd_;
     } else {
       cwnd_ += ai;
     }
   } else {
-    decrease(1.0 - config_.beta * (delay - target) / delay, ev.now, last_rtt_);
+    decrease(1.0 - kSwiftBeta * (delay - target) / delay, ev.now, last_rtt_);
   }
 }
 
 void SwiftCc::on_loss(std::int64_t /*in_flight*/) {
   // Retransmit-triggered decrease: applied immediately (losses are a
   // stronger signal than delay, no per-RTT gating).
-  cwnd_ = std::max(cwnd_ * (1.0 - config_.max_mdf), min_cwnd_bytes());
+  cwnd_ = std::max(cwnd_ * (1.0 - kSwiftMaxMdf), min_cwnd_bytes());
 }
 
 void SwiftCc::on_timeout() {
-  cwnd_ = std::max(min_cwnd_bytes(), cwnd_ * (1.0 - config_.max_mdf));
-}
-
-std::unique_ptr<CongestionControl> make_swift(const SwiftConfig& config) {
-  return std::make_unique<SwiftCc>(config);
+  cwnd_ = std::max(min_cwnd_bytes(), cwnd_ * (1.0 - kSwiftMaxMdf));
 }
 
 }  // namespace incast::tcp

@@ -19,12 +19,14 @@
 
 namespace incast::tcp {
 
+// Swift's fixed parameters.
+inline constexpr double kSwiftAdditiveIncreaseSegments = 1.0;  // ai, per RTT below target
+inline constexpr double kSwiftBeta = 0.8;               // proportional decrease strength
+inline constexpr double kSwiftMaxMdf = 0.5;             // max multiplicative decrease per RTT
+inline constexpr double kSwiftMinCwndSegments = 0.01;   // Swift allows far below one packet
+
 struct SwiftConfig {
   sim::Time target_delay{sim::Time::microseconds(60)};  // ~2x base RTT here
-  double additive_increase_segments{1.0};  // ai: segments per RTT below target
-  double beta{0.8};                        // proportional decrease strength
-  double max_mdf{0.5};                     // max multiplicative decrease per RTT
-  double min_cwnd_segments{0.01};          // Swift allows far below one packet
   std::int64_t mss_bytes{1460};
   std::int64_t initial_window_segments{10};
 };
@@ -55,7 +57,7 @@ class SwiftCc final : public CongestionControl {
 
  private:
   [[nodiscard]] double min_cwnd_bytes() const noexcept {
-    return config_.min_cwnd_segments * static_cast<double>(config_.mss_bytes);
+    return kSwiftMinCwndSegments * static_cast<double>(config_.mss_bytes);
   }
   void decrease(double factor, sim::Time now, sim::Time rtt) noexcept;
 
@@ -65,8 +67,6 @@ class SwiftCc final : public CongestionControl {
   sim::Time last_decrease_{sim::Time::zero()};
   sim::Time last_rtt_{sim::Time::zero()};
 };
-
-[[nodiscard]] std::unique_ptr<CongestionControl> make_swift(const SwiftConfig& config);
 
 }  // namespace incast::tcp
 

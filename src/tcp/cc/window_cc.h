@@ -15,9 +15,10 @@ namespace incast::tcp {
 
 class WindowCc : public CongestionControl {
  public:
-  explicit WindowCc(const CcConfig& config) noexcept
+  WindowCc(const CcConfig& config, std::int64_t mss_bytes) noexcept
       : config_{config},
-        cwnd_{config.initial_window_segments * config.mss_bytes},
+        mss_{mss_bytes},
+        cwnd_{config.initial_window_segments * mss_bytes},
         ssthresh_{std::numeric_limits<std::int64_t>::max()} {}
 
   [[nodiscard]] std::int64_t cwnd_bytes() const override { return cwnd_; }
@@ -42,7 +43,7 @@ class WindowCc : public CongestionControl {
   }
 
  protected:
-  [[nodiscard]] std::int64_t mss() const noexcept { return config_.mss_bytes; }
+  [[nodiscard]] std::int64_t mss() const noexcept { return mss_; }
   [[nodiscard]] const CcConfig& config() const noexcept { return config_; }
 
   // Standard additive increase, called by subclasses for non-duplicate ACKs.
@@ -68,14 +69,13 @@ class WindowCc : public CongestionControl {
     ssthresh_ = std::max(cwnd_, mss());
   }
 
-  void set_ssthresh(std::int64_t v) noexcept { ssthresh_ = std::max(v, mss()); }
-
   // Direct cwnd override for CCAs whose growth is not purely additive
   // (CUBIC). Floors at 1 MSS.
   void set_cwnd(std::int64_t v) noexcept { cwnd_ = std::max(v, mss()); }
 
  private:
   CcConfig config_;
+  std::int64_t mss_;
   std::int64_t cwnd_;
   std::int64_t ssthresh_;
   std::int64_t increase_credit_{0};

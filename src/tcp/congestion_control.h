@@ -64,48 +64,27 @@ class CongestionControl {
   virtual void reset_to_initial_window() = 0;
 };
 
-// Parameters shared by the window-based CCAs.
+// The tunable CCA parameters: the ones the paper sets (DCTCP's g) and the
+// ones tests use to reach a path quickly. Every other CCA parameter is a
+// named constant in its CCA's file. The segment size is not here: a CCA
+// takes the connection's TcpConfig::mss_bytes, so segments and windows
+// agree.
 struct CcConfig {
-  std::int64_t mss_bytes{1460};
   std::int64_t initial_window_segments{10};  // Linux IW10
   // DCTCP parameters.
   double dctcp_gain{1.0 / 16.0};  // g: paper Section 2 uses 1/16
   double dctcp_initial_alpha{1.0};
-  // CUBIC parameters.
-  double cubic_c{0.4};
-  double cubic_beta{0.7};
-  // Swift parameters (see tcp/cc/swift.h).
+  // Swift's end-to-end delay target (see tcp/cc/swift.h).
   sim::Time swift_target_delay{sim::Time::microseconds(60)};
-  double swift_additive_increase_segments{1.0};
-  double swift_beta{0.8};
-  double swift_max_mdf{0.5};
-  double swift_min_cwnd_segments{0.01};
-  // DCQCN parameters (see tcp/cc/dcqcn.h): the SIGCOMM'15 defaults — a slow
-  // gain (1/256 vs DCTCP's 1/16) on a 55 us alpha timer, decreases gated to
-  // one per 50 us.
-  double dcqcn_gain{1.0 / 256.0};
-  double dcqcn_initial_alpha{1.0};
-  sim::Time dcqcn_alpha_update_interval{sim::Time::microseconds(55)};
-  sim::Time dcqcn_rate_decrease_interval{sim::Time::microseconds(50)};
-  // HPCC parameters (see tcp/cc/hpcc.h).
-  double hpcc_eta{0.95};
-  int hpcc_max_stage{5};
-  std::int64_t hpcc_wai_bytes{80};
-  sim::Time hpcc_base_rtt{sim::Time::microseconds(30)};
-  double hpcc_min_cwnd_segments{0.01};
 };
-
-// Factory helpers (definitions live with each CCA).
-[[nodiscard]] std::unique_ptr<CongestionControl> make_reno(const CcConfig& config,
-                                                           bool ecn_enabled);
-[[nodiscard]] std::unique_ptr<CongestionControl> make_dctcp(const CcConfig& config);
-[[nodiscard]] std::unique_ptr<CongestionControl> make_cubic(const CcConfig& config);
 
 // Named CCA selection for experiment configs.
 enum class CcAlgorithm { kReno, kRenoEcn, kDctcp, kCubic, kSwift, kHpcc, kDcqcn };
 
+// Builds `algo` with `mss_bytes`-sized segments.
 [[nodiscard]] std::unique_ptr<CongestionControl> make_congestion_control(CcAlgorithm algo,
-                                                                         const CcConfig& config);
+                                                                         const CcConfig& config,
+                                                                         std::int64_t mss_bytes);
 
 [[nodiscard]] const char* to_string(CcAlgorithm algo) noexcept;
 

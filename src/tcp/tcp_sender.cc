@@ -23,12 +23,12 @@ TcpSender::TcpSender(sim::Simulator& sim, net::Host& local, net::NodeId remote,
       remote_{remote},
       flow_{flow},
       config_{config},
-      cc_{make_congestion_control(config.cc, config.cc_config)},
+      cc_{make_congestion_control(config.cc, config.cc_config, config.mss_bytes)},
       rtt_{config.rtt} {
   local_.register_flow(flow_, this);
 
   hub_ = INCAST_OBS_HUB(sim_);
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     const std::string flow_str = std::to_string(flow_);
     trace_tid_ = obs::kFlowTidBase + static_cast<std::uint32_t>(flow_);
     cwnd_counter_name_ = "cwnd.f" + flow_str;

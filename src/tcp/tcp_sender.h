@@ -89,11 +89,6 @@ class TcpSender final : public net::PacketHandler {
   [[nodiscard]] const TcpConfig& config() const noexcept { return config_; }
   [[nodiscard]] net::FlowId flow() const noexcept { return flow_; }
 
-  // Runtime guardrail adjustment (driven by the flow-count predictor).
-  void set_cwnd_cap(std::optional<std::int64_t> cap_bytes) noexcept {
-    config_.cwnd_cap_bytes = cap_bytes;
-  }
-
   // Fires whenever snd_una reaches app_limit (i.e. the current burst's data
   // is fully delivered and acknowledged).
   void set_on_all_acked(std::function<void()> cb) { on_all_acked_ = std::move(cb); }

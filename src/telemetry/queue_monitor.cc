@@ -7,7 +7,7 @@ namespace incast::telemetry {
 void QueueMonitor::start(sim::Time until) {
   if (!config_.trace_label.empty()) {
     obs::Hub* hub = INCAST_OBS_HUB(sim_);
-    if (hub != nullptr && hub->enabled()) {
+    if (hub != nullptr) {
       hub_ = hub;
       depth_counter_name_ = "queue." + config_.trace_label + ".depth";
       watermark_counter_name_ = "queue." + config_.trace_label + ".watermark";

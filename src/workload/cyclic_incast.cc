@@ -27,11 +27,9 @@ CyclicIncastDriver::CyclicIncastDriver(sim::Simulator& sim, const Endpoints& end
   assert(config_.group_size >= 0);
 
   hub_ = INCAST_OBS_HUB(sim_);
-  if (hub_ != nullptr && !hub_->enabled()) hub_ = nullptr;
 
-  const std::int64_t burst_bytes = static_cast<std::int64_t>(
-      static_cast<double>(endpoints.bottleneck.bytes_in(config_.burst_duration)) *
-      config_.demand_scale);
+  // Each burst exactly fills the bottleneck for burst_duration.
+  const std::int64_t burst_bytes = endpoints.bottleneck.bytes_in(config_.burst_duration);
   demand_per_flow_ = std::max<std::int64_t>(burst_bytes / config_.num_flows, 1);
 
   flow_next_burst_.assign(static_cast<std::size_t>(config_.num_flows), 0);

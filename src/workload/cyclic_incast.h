@@ -68,10 +68,6 @@ class CyclicIncastDriver {
     // once (a sliding window, as a receiver-driven scheduler would pull
     // responses). 0 = every flow starts at burst start.
     int group_size{0};
-    // Demand per flow = bottleneck_rate * burst_duration * demand_scale /
-    // num_flows; scale 1.0 sizes the burst to exactly fill the bottleneck
-    // for burst_duration.
-    double demand_scale{1.0};
   };
 
   struct BurstRecord {

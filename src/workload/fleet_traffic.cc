@@ -14,7 +14,6 @@ FleetTrafficGen::FleetTrafficGen(sim::Simulator& sim, net::Dumbbell& dumbbell,
   assert(dumbbell.num_senders() >= config_.profile.max_flows);
 
   hub_ = INCAST_OBS_HUB(sim_);
-  if (hub_ != nullptr && !hub_->enabled()) hub_ = nullptr;
 
   const int n = dumbbell.num_senders();
   connections_.reserve(static_cast<std::size_t>(n));
@@ -58,7 +57,7 @@ void FleetTrafficGen::launch_burst() {
   // aggregate arrivals so that only genuinely oversized bursts build
   // queues.
   const auto n = pick_buffer_.size();
-  const sim::Time spread = duration * config_.start_spread_fraction;
+  const sim::Time spread = duration * kStartSpreadFraction;
   const int writes = std::max(1, static_cast<int>(duration.ms()));
   for (int k = 0; k < flows; ++k) {
     // Partial Fisher-Yates: choose `flows` distinct senders.
@@ -68,7 +67,7 @@ void FleetTrafficGen::launch_burst() {
     tcp::TcpSender* sender = &connections_[pick_buffer_[static_cast<std::size_t>(k)]]->sender();
     const sim::Time phase = rng_.uniform_time(sim::Time::zero(), spread / writes);
     const double scale =
-        rng_.uniform(1.0 - config_.demand_spread, 1.0 + config_.demand_spread);
+        rng_.uniform(1.0 - kDemandSpread, 1.0 + kDemandSpread);
     const auto demand = std::max<std::int64_t>(
         static_cast<std::int64_t>(static_cast<double>(per_flow) * scale), 1);
     const std::int64_t chunk = std::max<std::int64_t>(demand / writes, 1);

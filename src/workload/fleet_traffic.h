@@ -37,16 +37,17 @@ class FleetTrafficGen {
     // without flow-id collisions).
     int receiver_index{0};
     net::FlowId flow_id_base{1};
-    // Worker responses arrive spread across the burst, not as one
-    // synchronized slam: each flow starts at uniform[0, fraction * D].
-    // This is what lets small bursts pass without ECN marking (~50% of
-    // production bursts see none, Figure 4b) while large incasts still
-    // pile up the queue.
-    double start_spread_fraction{0.8};
-    // Per-flow demand heterogeneity: each flow's share is scaled by
-    // uniform[1 - x, 1 + x] (total preserved in expectation).
-    double demand_spread{0.5};
   };
+
+  // Worker responses arrive spread across the burst, not as one
+  // synchronized slam: each flow starts at uniform[0, fraction * D].
+  // This is what lets small bursts pass without ECN marking (~50% of
+  // production bursts see none, Figure 4b) while large incasts still
+  // pile up the queue.
+  static constexpr double kStartSpreadFraction = 0.8;
+  // Per-flow demand heterogeneity: each flow's share is scaled by
+  // uniform[1 - x, 1 + x] (total preserved in expectation).
+  static constexpr double kDemandSpread = 0.5;
 
   struct BurstLogEntry {
     sim::Time at{};

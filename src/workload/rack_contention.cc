@@ -11,7 +11,7 @@ void RackContention::start(sim::Time until) {
 void RackContention::toggle(sim::Time until) {
   if (!on_) {
     on_ = true;
-    const double fraction = rng_.uniform(config_.min_fraction, config_.max_fraction);
+    const double fraction = rng_.uniform(kMinFraction, kMaxFraction);
     pool_.set_external_usage(
         static_cast<std::int64_t>(fraction * static_cast<double>(pool_.total_bytes())));
     const sim::Time hold = sim::Time::seconds(rng_.exponential(config_.mean_on.sec()));

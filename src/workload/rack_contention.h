@@ -23,11 +23,11 @@ class RackContention {
     // Mean lengths of the contended / idle periods.
     sim::Time mean_on{sim::Time::milliseconds(8)};
     sim::Time mean_off{sim::Time::milliseconds(45)};
-    // While on, external usage ~ uniform[min_fraction, max_fraction] of the
-    // pool's total.
-    double min_fraction{0.55};
-    double max_fraction{0.88};
   };
+  // While on, external usage ~ uniform[kMinFraction, kMaxFraction] of the
+  // pool's total.
+  static constexpr double kMinFraction = 0.55;
+  static constexpr double kMaxFraction = 0.88;
 
   RackContention(sim::Simulator& sim, net::SharedBufferPool& pool, const Config& config,
                  std::uint64_t seed)

@@ -13,7 +13,6 @@ constexpr std::int64_t kMss = 1460;
 
 CcConfig config() {
   CcConfig c;
-  c.mss_bytes = kMss;
   c.initial_window_segments = 10;
   return c;
 }
@@ -28,21 +27,21 @@ AckEvent ack(std::int64_t acked, Time now) {
 }
 
 TEST(CubicCc, StartsInSlowStart) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   EXPECT_EQ(cc.cwnd_bytes(), 10 * kMss);
   EXPECT_TRUE(cc.in_slow_start());
   EXPECT_EQ(cc.name(), "cubic");
 }
 
 TEST(CubicCc, SlowStartGrowth) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(kMss, 1_ms));
   EXPECT_EQ(cc.cwnd_bytes(), before + kMss);
 }
 
 TEST(CubicCc, LossReducesByBeta) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_loss(before);
   cc.on_recovery_exit();
@@ -53,7 +52,7 @@ TEST(CubicCc, LossReducesByBeta) {
 }
 
 TEST(CubicCc, GrowsBackTowardWmaxAfterLoss) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   const std::int64_t w_max = cc.cwnd_bytes();
   cc.on_loss(w_max);
   cc.on_recovery_exit();
@@ -72,7 +71,7 @@ TEST(CubicCc, GrowsBackTowardWmaxAfterLoss) {
 TEST(CubicCc, ConcaveNearWmax) {
   // Right after the post-loss epoch starts, growth per unit time should
   // slow as cwnd approaches W_max (concave region of the cubic).
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   cc.on_loss(cc.cwnd_bytes());
   cc.on_recovery_exit();
   Time now = 1_ms;
@@ -94,27 +93,27 @@ TEST(CubicCc, ConcaveNearWmax) {
 }
 
 TEST(CubicCc, TimeoutCollapsesToOneMss) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   cc.on_timeout();
   EXPECT_EQ(cc.cwnd_bytes(), kMss);
   EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(CubicCc, DuplicateAcksDoNotGrow) {
-  CubicCc cc{config()};
+  CubicCc cc{config(), kMss};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(0, 1_ms));
   EXPECT_EQ(cc.cwnd_bytes(), before);
 }
 
 TEST(CubicCc, FactorySelection) {
-  const auto cc = make_congestion_control(CcAlgorithm::kCubic, config());
+  const auto cc = make_congestion_control(CcAlgorithm::kCubic, config(), kMss);
   EXPECT_EQ(cc->name(), "cubic");
-  const auto dctcp = make_congestion_control(CcAlgorithm::kDctcp, config());
+  const auto dctcp = make_congestion_control(CcAlgorithm::kDctcp, config(), kMss);
   EXPECT_EQ(dctcp->name(), "dctcp");
-  const auto reno = make_congestion_control(CcAlgorithm::kReno, config());
+  const auto reno = make_congestion_control(CcAlgorithm::kReno, config(), kMss);
   EXPECT_EQ(reno->name(), "reno");
-  const auto reno_ecn = make_congestion_control(CcAlgorithm::kRenoEcn, config());
+  const auto reno_ecn = make_congestion_control(CcAlgorithm::kRenoEcn, config(), kMss);
   EXPECT_EQ(reno_ecn->name(), "reno-ecn");
 }
 

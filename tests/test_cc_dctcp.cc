@@ -15,7 +15,6 @@ constexpr std::int64_t kMss = 1460;
 
 CcConfig config(double g = 1.0 / 16.0, double alpha0 = 1.0) {
   CcConfig c;
-  c.mss_bytes = kMss;
   c.initial_window_segments = 10;
   c.dctcp_gain = g;
   c.dctcp_initial_alpha = alpha0;
@@ -68,13 +67,13 @@ void feed_window(DctcpCc& cc, AlphaRef* ref, int segments, int marked, std::int6
 }
 
 TEST(DctcpCc, InitialAlphaFromConfig) {
-  DctcpCc cc{config(1.0 / 16.0, 1.0)};
+  DctcpCc cc{config(1.0 / 16.0, 1.0), kMss};
   EXPECT_DOUBLE_EQ(cc.alpha(), 1.0);
   EXPECT_EQ(cc.name(), "dctcp");
 }
 
 TEST(DctcpCc, AlphaDecaysMonotonicallyWithoutMarks) {
-  DctcpCc cc{config()};
+  DctcpCc cc{config(), kMss};
   std::int64_t una = 0;
   double prev = cc.alpha();
   for (int w = 0; w < 40; ++w) {
@@ -86,7 +85,7 @@ TEST(DctcpCc, AlphaDecaysMonotonicallyWithoutMarks) {
 }
 
 TEST(DctcpCc, AlphaMatchesReferenceRecurrence) {
-  DctcpCc cc{config(1.0 / 16.0, 1.0)};
+  DctcpCc cc{config(1.0 / 16.0, 1.0), kMss};
   AlphaRef ref{1.0, 1.0 / 16.0};
   std::int64_t una = 0;
   // A varied marking pattern across many windows.
@@ -97,7 +96,7 @@ TEST(DctcpCc, AlphaMatchesReferenceRecurrence) {
 }
 
 TEST(DctcpCc, AlphaConvergesToMarkingFraction) {
-  DctcpCc cc{config(/*g=*/0.25, /*alpha0=*/0.0)};
+  DctcpCc cc{config(/*g=*/0.25, /*alpha0=*/0.0), kMss};
   std::int64_t una = 0;
   // 40% of bytes marked, many windows: alpha -> ~0.4.
   for (int w = 0; w < 80; ++w) feed_window(cc, nullptr, 10, 4, una);
@@ -105,7 +104,7 @@ TEST(DctcpCc, AlphaConvergesToMarkingFraction) {
 }
 
 TEST(DctcpCc, FullMarkingDrivesAlphaToOne) {
-  DctcpCc cc{config(1.0 / 16.0, 0.0)};
+  DctcpCc cc{config(1.0 / 16.0, 0.0), kMss};
   std::int64_t una = 0;
   for (int w = 0; w < 200; ++w) feed_window(cc, nullptr, 10, 10, una);
   EXPECT_NEAR(cc.alpha(), 1.0, 0.01);
@@ -114,7 +113,7 @@ TEST(DctcpCc, FullMarkingDrivesAlphaToOne) {
 TEST(DctcpCc, ProportionalDecreaseUsesAlpha) {
   // With alpha = 1 the reduction is the full Reno halving; with small
   // alpha it is gentle — DCTCP's defining behaviour.
-  DctcpCc gentle{config(1.0 / 16.0, /*alpha0=*/0.2)};
+  DctcpCc gentle{config(1.0 / 16.0, /*alpha0=*/0.2), kMss};
   const std::int64_t before = gentle.cwnd_bytes();
   gentle.on_ack(ack(kMss, true, kMss, 20 * kMss));
   // One window closes first (alpha' = 0.2*(15/16) + (1/16)*1 = 0.25),
@@ -123,7 +122,7 @@ TEST(DctcpCc, ProportionalDecreaseUsesAlpha) {
   EXPECT_EQ(gentle.cwnd_bytes(),
             static_cast<std::int64_t>(static_cast<double>(before) * (1.0 - alpha1 / 2.0)));
 
-  DctcpCc harsh{config(1.0 / 16.0, /*alpha0=*/1.0)};
+  DctcpCc harsh{config(1.0 / 16.0, /*alpha0=*/1.0), kMss};
   const std::int64_t b2 = harsh.cwnd_bytes();
   harsh.on_ack(ack(kMss, true, kMss, 20 * kMss));
   EXPECT_EQ(b2, 10 * kMss);
@@ -131,7 +130,7 @@ TEST(DctcpCc, ProportionalDecreaseUsesAlpha) {
 }
 
 TEST(DctcpCc, AtMostOneDecreasePerWindow) {
-  DctcpCc cc{config(1.0 / 16.0, 1.0)};
+  DctcpCc cc{config(1.0 / 16.0, 1.0), kMss};
   cc.on_ack(ack(kMss, true, kMss, 10 * kMss));
   const std::int64_t after_first = cc.cwnd_bytes();
   // More ECE inside the same window: no further decrease.
@@ -144,7 +143,7 @@ TEST(DctcpCc, AtMostOneDecreasePerWindow) {
 }
 
 TEST(DctcpCc, CwndFloorsAtOneMss) {
-  DctcpCc cc{config(1.0 / 16.0, 1.0)};
+  DctcpCc cc{config(1.0 / 16.0, 1.0), kMss};
   std::int64_t una = 0;
   // Hammer with marked windows; cwnd must never go below 1 MSS — the
   // "degenerate point" of Section 4.1.2.
@@ -157,20 +156,20 @@ TEST(DctcpCc, CwndFloorsAtOneMss) {
 }
 
 TEST(DctcpCc, GrowsLikeRenoWithoutEce) {
-  DctcpCc cc{config()};
+  DctcpCc cc{config(), kMss};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(kMss, false, kMss, 20 * kMss));
   EXPECT_EQ(cc.cwnd_bytes(), before + kMss);  // slow start
 }
 
 TEST(DctcpCc, LossFallsBackToRenoHalving) {
-  DctcpCc cc{config()};
+  DctcpCc cc{config(), kMss};
   cc.on_loss(10 * kMss);
   EXPECT_EQ(cc.ssthresh_bytes(), 5 * kMss);
 }
 
 TEST(DctcpCc, TimeoutCollapsesToOneMss) {
-  DctcpCc cc{config()};
+  DctcpCc cc{config(), kMss};
   cc.on_timeout();
   EXPECT_EQ(cc.cwnd_bytes(), kMss);
 }
@@ -181,7 +180,7 @@ class DctcpGainSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DctcpGainSweep, AlphaTracksReferenceForAnyGain) {
   const double g = GetParam();
-  DctcpCc cc{config(g, /*alpha0=*/0.5)};
+  DctcpCc cc{config(g, /*alpha0=*/0.5), kMss};
   AlphaRef ref{0.5, g};
   std::int64_t una = 0;
   for (int w = 0; w < 20; ++w) {

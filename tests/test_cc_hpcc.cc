@@ -362,7 +362,7 @@ TEST(HpccEndToEnd, ModestIncastConvergesWithoutLoss) {
 
 TEST(HpccEndToEnd, FactoryRequiresNothingSpecial) {
   CcConfig cc_config;
-  const auto cc = make_congestion_control(CcAlgorithm::kHpcc, cc_config);
+  const auto cc = make_congestion_control(CcAlgorithm::kHpcc, cc_config, kMss);
   EXPECT_EQ(cc->name(), "hpcc");
   EXPECT_STREQ(to_string(CcAlgorithm::kHpcc), "hpcc");
 }

@@ -13,7 +13,6 @@ constexpr std::int64_t kMss = 1460;
 
 CcConfig config() {
   CcConfig c;
-  c.mss_bytes = kMss;
   c.initial_window_segments = 10;
   return c;
 }
@@ -30,21 +29,21 @@ AckEvent ack(std::int64_t acked, bool ece = false, std::int64_t snd_una = 0,
 }
 
 TEST(RenoCc, StartsAtInitialWindow) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   EXPECT_EQ(cc.cwnd_bytes(), 10 * kMss);
   EXPECT_TRUE(cc.in_slow_start());
   EXPECT_EQ(cc.name(), "reno");
 }
 
 TEST(RenoCc, SlowStartGrowsOneMssPerMssAcked) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(kMss));
   EXPECT_EQ(cc.cwnd_bytes(), before + kMss);
 }
 
 TEST(RenoCc, SlowStartDoublesPerWindow) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   const std::int64_t start = cc.cwnd_bytes();
   // Ack one full window's worth of segments.
   for (int i = 0; i < 10; ++i) cc.on_ack(ack(kMss));
@@ -52,7 +51,7 @@ TEST(RenoCc, SlowStartDoublesPerWindow) {
 }
 
 TEST(RenoCc, SlowStartIncreaseCappedAtOneMssPerAck) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   const std::int64_t before = cc.cwnd_bytes();
   // A jumbo cumulative ACK (e.g. after coalescing) still grows at most 1
   // MSS (ABC with L=1).
@@ -61,7 +60,7 @@ TEST(RenoCc, SlowStartIncreaseCappedAtOneMssPerAck) {
 }
 
 TEST(RenoCc, CongestionAvoidanceGrowsOneMssPerRtt) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   cc.on_loss(20 * kMss);  // exit slow start: cwnd = ssthresh = 10 MSS
   cc.on_recovery_exit();
   EXPECT_FALSE(cc.in_slow_start());
@@ -73,7 +72,7 @@ TEST(RenoCc, CongestionAvoidanceGrowsOneMssPerRtt) {
 }
 
 TEST(RenoCc, LossHalvesToHalfFlightSize) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   cc.on_loss(10 * kMss);
   EXPECT_EQ(cc.ssthresh_bytes(), 5 * kMss);
   cc.on_recovery_exit();
@@ -81,14 +80,14 @@ TEST(RenoCc, LossHalvesToHalfFlightSize) {
 }
 
 TEST(RenoCc, LossFloorsAtTwoMss) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   cc.on_loss(kMss);
   cc.on_recovery_exit();
   EXPECT_EQ(cc.cwnd_bytes(), 2 * kMss);
 }
 
 TEST(RenoCc, TimeoutCollapsesToOneMss) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   cc.on_timeout();
   EXPECT_EQ(cc.cwnd_bytes(), kMss);
   EXPECT_EQ(cc.ssthresh_bytes(), 5 * kMss);
@@ -96,14 +95,14 @@ TEST(RenoCc, TimeoutCollapsesToOneMss) {
 }
 
 TEST(RenoCc, EcnIgnoredWhenDisabled) {
-  RenoCc cc{config(), /*ecn_enabled=*/false};
+  RenoCc cc{config(), kMss, /*ecn_enabled=*/false};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(kMss, /*ece=*/true));
   EXPECT_GT(cc.cwnd_bytes(), before);  // grew, no reduction
 }
 
 TEST(RenoCc, EcnHalvesOncePerWindow) {
-  RenoCc cc{config(), /*ecn_enabled=*/true};
+  RenoCc cc{config(), kMss, /*ecn_enabled=*/true};
   const std::int64_t before = cc.cwnd_bytes();
   cc.on_ack(ack(kMss, true, /*snd_una=*/kMss, /*snd_nxt=*/10 * kMss));
   EXPECT_EQ(cc.cwnd_bytes(), before / 2);
@@ -117,7 +116,7 @@ TEST(RenoCc, EcnHalvesOncePerWindow) {
 }
 
 TEST(RenoCc, ResetToInitialWindow) {
-  RenoCc cc{config(), false};
+  RenoCc cc{config(), kMss, false};
   cc.on_timeout();
   cc.reset_to_initial_window();
   EXPECT_EQ(cc.cwnd_bytes(), 10 * kMss);

@@ -68,7 +68,7 @@ TEST(SwiftCc, DecreasesAboveTargetProportionally) {
 TEST(SwiftCc, DecreaseCappedByMaxMdf) {
   SwiftCc cc{config()};
   const std::int64_t before = cc.cwnd_bytes();
-  // Enormous delay: raw factor would be ~0, but max_mdf caps at 0.5.
+  // Enormous delay: raw factor would be ~0, but kSwiftMaxMdf caps at 0.5.
   cc.on_ack(ack(kMss, 10_ms, 1_ms));
   EXPECT_NEAR(static_cast<double>(cc.cwnd_bytes()), static_cast<double>(before) * 0.5,
               2.0);
@@ -95,7 +95,7 @@ TEST(SwiftCc, CwndDropsBelowOnePacket) {
     cc.on_ack(ack(kMss, 10_ms, now));
   }
   EXPECT_LT(cc.cwnd_bytes(), kMss);  // below one packet: the whole point
-  // Floor: min_cwnd_segments * mss.
+  // Floor: kSwiftMinCwndSegments * mss.
   EXPECT_GE(cc.cwnd_bytes(), static_cast<std::int64_t>(0.01 * kMss) - 1);
 }
 
@@ -123,7 +123,7 @@ TEST(SwiftCc, LossDecreasesImmediately) {
 TEST(SwiftCc, FactoryBuildsSwift) {
   CcConfig cc_config;
   cc_config.swift_target_delay = 100_us;
-  const auto cc = make_congestion_control(CcAlgorithm::kSwift, cc_config);
+  const auto cc = make_congestion_control(CcAlgorithm::kSwift, cc_config, kMss);
   EXPECT_EQ(cc->name(), "swift");
   EXPECT_STREQ(to_string(CcAlgorithm::kSwift), "swift");
 }

@@ -72,22 +72,5 @@ TEST(Guardrail, PredictorDrivenCapEndToEnd) {
   EXPECT_LT(result.avg_bct_ms, 8.0);
 }
 
-TEST(Guardrail, RuntimeCapAdjustmentTakesEffect) {
-  // set_cwnd_cap on a live sender clamps effective_cwnd immediately.
-  sim::Simulator sim;
-  net::Dumbbell topo{sim, net::DumbbellConfig{.num_senders = 1}};
-  tcp::TcpConfig tc;
-  tc.cc = tcp::CcAlgorithm::kDctcp;
-  tcp::TcpConnection conn{sim, topo.sender(0), topo.receiver(0), 1, tc};
-  conn.sender().add_app_data(5'000'000);
-  sim.run_until(3_ms);
-  EXPECT_GT(conn.sender().effective_cwnd(), 4 * tc.mss_bytes);
-  conn.sender().set_cwnd_cap(2 * tc.mss_bytes);
-  EXPECT_EQ(conn.sender().effective_cwnd(), 2 * tc.mss_bytes);
-  conn.sender().set_cwnd_cap(std::nullopt);
-  EXPECT_GT(conn.sender().effective_cwnd(), 4 * tc.mss_bytes);
-  sim.run();
-}
-
 }  // namespace
 }  // namespace incast::core

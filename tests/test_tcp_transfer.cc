@@ -47,6 +47,21 @@ TEST(TcpTransfer, SingleFlowDeliversAllBytesInOrder) {
   EXPECT_EQ(conn.sender().stats().retransmitted_packets, 0);
 }
 
+// Every CCA sizes its window in the connection's segments: a 9000-B MSS
+// starts at ten 9000-B segments, not ten 1460-B ones.
+TEST(TcpTransfer, InitialWindowIsTenOfTheConnectionsSegments) {
+  for (const CcAlgorithm cc : {CcAlgorithm::kReno, CcAlgorithm::kRenoEcn, CcAlgorithm::kDctcp,
+                               CcAlgorithm::kCubic, CcAlgorithm::kSwift, CcAlgorithm::kHpcc,
+                               CcAlgorithm::kDcqcn}) {
+    TransferFixture f;
+    TcpConfig c = dctcp_config();
+    c.cc = cc;
+    c.mss_bytes = 9000;
+    TcpConnection conn{f.sim, f.topo.sender(0), f.topo.receiver(0), 1, c};
+    EXPECT_EQ(conn.sender().congestion_control().cwnd_bytes(), 10 * 9000) << to_string(cc);
+  }
+}
+
 TEST(TcpTransfer, SingleFlowAchievesNearLineRate) {
   TransferFixture f;
   TcpConnection conn{f.sim, f.topo.sender(0), f.topo.receiver(0), 1, dctcp_config()};
