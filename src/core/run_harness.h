@@ -37,6 +37,7 @@
 
 #include "core/experiment_obs.h"
 #include "obs/flow_trace.h"
+#include "obs/hub.h"
 #include "sim/auditor.h"
 #include "sim/sweep.h"
 
@@ -185,7 +186,10 @@ std::vector<Result> resumable_sweep(const SweepOptions<Result>& options, std::si
         Result result;
         if (options.resume && options.resume(index, result)) return result;
         const std::uint64_t seed = seed_of(index);
-        result = run(index, seed, index == 0 ? hub : nullptr);
+        obs::Hub* observed = index == 0 ? hub : nullptr;
+        // A retry's flight dumps must hold its own run only.
+        if (observed != nullptr && stats.attempts > 1) observed->recorder().restart();
+        result = run(index, seed, observed);
         record_task_stats(result, stats);
         if (options.on_result) options.on_result(index, seed, result);
         return result;

@@ -281,9 +281,13 @@ ScalingPoint run_scaling_point_parallel(const ScalingConfig& config, int degree,
       std::uint64_t total = 0;
       for (sim::Simulator* s : sim_ptrs) total += s->events_processed();
       if (total > max_events) {
+        sim::EventCategoryCounts events{};
+        for (sim::Simulator* s : sim_ptrs) {
+          for (std::size_t c = 0; c < events.size(); ++c) events[c] += s->events_by_category()[c];
+        }
         throw sim::BudgetExceeded{"event budget " + std::to_string(max_events) +
-                                  " exhausted across " + std::to_string(n) +
-                                  " domains"};
+                                      " exhausted across " + std::to_string(n) + " domains",
+                                  events};
       }
     }
     int completed = 0;

@@ -28,7 +28,7 @@ void Port::set_trace_label(const std::string& label) {
   resume_event_name_ = label + ".pfc_resume";
 }
 
-void Port::send(Packet* p) {
+EnqueueVerdict Port::send(Packet* p) {
   assert(connected() && "port must be connected before sending");
   if (flow_tracer_ != nullptr && p->flow_traced) {
     // Stamp admission time and the pause ledger; read back at dequeue to
@@ -36,51 +36,33 @@ void Port::send(Packet* p) {
     p->trace_enqueue_ns = sim_.now().ns();
     p->trace_paused_ns = paused_ns();
   }
-  const std::int64_t size = p->size_bytes;
-  const std::int64_t trims_before = queue_.stats().trimmed_bytes;
-  if (trace_hub_ == nullptr) {
-    if (queue_.enqueue(p)) {
-      if (auto* a = INCAST_AUDITOR(sim_)) {
-        const std::int64_t cut = queue_.stats().trimmed_bytes - trims_before;
-        if (cut > 0) a->on_bytes_trimmed(cut);
-      }
-      maybe_transmit();
-    } else {
-      if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(size);  // tail-drop
-      pool_->release(p);
-    }
-    return;
+  const EnqueueVerdict verdict = queue_.enqueue(p);
+  if (auto* a = INCAST_AUDITOR(sim_)) {
+    if (!verdict.admitted()) a->on_bytes_dropped(verdict.shed_bytes);
+    else if (verdict.shed_bytes > 0) a->on_bytes_trimmed(verdict.shed_bytes);
   }
-
-  // Traced path: detect this enqueue's drop/trim/ECN-mark outcome from the
-  // queue stats delta and emit an instant on the queue track.
-  const bool tracing = trace_hub_->tracing();
-  const std::int64_t marks_before = queue_.stats().ecn_marked_packets;
-  const FlowId flow = p->tcp.flow_id;
-  if (queue_.enqueue(p)) {
-    const std::int64_t cut = queue_.stats().trimmed_bytes - trims_before;
-    if (cut > 0) {
-      if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_trimmed(cut);
-      if (tracing) {
-        trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
-                            trim_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                            queue_.packets());
-      }
-    } else if (tracing && queue_.stats().ecn_marked_packets > marks_before) {
-      trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
-                          mark_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                          queue_.packets());
-    }
+  if (trace_hub_ != nullptr && verdict.outcome != EnqueueVerdict::Outcome::kQueued) {
+    trace_verdict(verdict, *p);
+  }
+  if (verdict.admitted()) {
     maybe_transmit();
   } else {
-    if (auto* a = INCAST_AUDITOR(sim_)) a->on_bytes_dropped(size);
     pool_->release(p);
-    if (tracing) {
-      trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue,
-                          drop_event_name_, obs::kQueueTid, "flow", flow, "qlen",
-                          queue_.packets());
-    }
   }
+  return verdict;
+}
+
+void Port::trace_verdict(EnqueueVerdict verdict, const Packet& p) {
+  if (!trace_hub_->tracing()) return;
+  const std::string* name = &drop_event_name_;
+  if (verdict.outcome == EnqueueVerdict::Outcome::kMarked) {
+    name = &mark_event_name_;
+  } else if (verdict.outcome == EnqueueVerdict::Outcome::kTrimmed) {
+    if (verdict.shed_bytes == 0) return;  // a header-sized original lost nothing
+    name = &trim_event_name_;
+  }
+  trace_hub_->instant(sim_.now().ns(), obs::TraceCategory::kQueue, *name, obs::kQueueTid,
+                      "flow", p.tcp.flow_id, "qlen", queue_.packets());
 }
 
 void Port::send_control(Packet* p) {

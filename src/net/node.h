@@ -83,8 +83,8 @@ class DequeueTap {
 // stamped with its arrival time and decomposition-invariant tie-break key —
 // to a mailbox owned by the destination domain (net/domain_bridge.h), then
 // releases its own handle: pools are per domain. With no bridge installed
-// (the default, and always for intra-domain links), Ports keep the exact
-// historical delivery path.
+// (the default, and always for intra-domain links), a Port files each
+// arrival on its own simulator.
 class MailboxEgress {
  public:
   virtual ~MailboxEgress() = default;
@@ -121,8 +121,10 @@ class Port {
 
   // Takes `p` (a handle from this loop's pool) and queues it for
   // transmission, starting the transmitter if idle. The queue may ECN-mark,
-  // trim, or drop the packet; a dropped packet is released here.
-  void send(Packet* p);
+  // trim, or drop the packet; a dropped packet is released here. Returns
+  // the queue's verdict, which the auditor and, on a labeled port, the
+  // trace have already seen.
+  EnqueueVerdict send(Packet* p);
 
   // Takes a MAC control frame (PFC pause/resume) and queues it on a
   // strict-priority path: control frames bypass the egress queue entirely
@@ -180,10 +182,11 @@ class Port {
     return int_hop_overflows_;
   }
 
-  // Names this port for the observability layer: drop and ECN-mark events
-  // are then emitted as "<label>.drop" / "<label>.ecn_mark" instants on the
-  // queue track. Only labeled ports trace — unlabeled ports keep the exact
-  // historical send() path. No-op when the simulator carries no hub.
+  // Names this port for the observability layer: while the hub traces, each
+  // drop, ECN mark and trim (one that cut bytes) is emitted as a
+  // "<label>.drop" / "<label>.ecn_mark" / "<label>.trim" instant on the
+  // queue track. Unlabeled ports emit none. No-op when the simulator
+  // carries no hub.
   void set_trace_label(const std::string& label);
 
   // Bytes currently in flight on this port (being serialized or
@@ -209,6 +212,9 @@ class Port {
 
  private:
   void maybe_transmit();
+  // Emits the trace instant for a non-kQueued `verdict` on `p`, if the hub
+  // is tracing.
+  void trace_verdict(EnqueueVerdict verdict, const Packet& p);
   // Consults the hook (if any) and schedules the packet's arrival at the
   // peer after propagation. `p` is owned by this port; it is released (or
   // handed to the propagation event) before returning.

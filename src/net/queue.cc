@@ -13,7 +13,7 @@ const char* to_string(QueueDiscipline d) noexcept {
   return "unknown";
 }
 
-bool DropTailQueue::trim(Packet* p) {
+EnqueueVerdict DropTailQueue::trim(Packet* p) {
   // Never larger than the original frame (a sub-64B original keeps its own
   // size).
   const std::int64_t original_bytes = p->size_bytes;
@@ -23,24 +23,21 @@ bool DropTailQueue::trim(Packet* p) {
   p->trimmed = true;
   if (is_ect(p->ecn)) p->ecn = Ecn::kCe;
   // Header queue overflow too: the whole original packet is lost.
-  if (!enqueue_header(p, original_bytes)) return false;
+  const EnqueueVerdict verdict = enqueue_header(p, original_bytes);
+  if (!verdict.admitted()) return verdict;
   ++stats_.trimmed_packets;
   stats_.trimmed_bytes += original_bytes - header_bytes;
-  return true;
+  return {EnqueueVerdict::Outcome::kTrimmed, original_bytes - header_bytes};
 }
 
-bool DropTailQueue::enqueue_header(Packet* p, std::int64_t original_bytes) {
-  if (static_cast<std::int64_t>(header_ring_.count) >= config_.header_capacity_packets) {
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += original_bytes;
-    return false;
-  }
+EnqueueVerdict DropTailQueue::enqueue_header(Packet* p, std::int64_t original_bytes) {
+  if (header_packets() >= config_.header_capacity_packets) return drop(original_bytes);
   bytes_ += p->size_bytes;
   ++count_;
   header_ring_.push(p);
   ++stats_.enqueued_packets;
   note_peak();
-  return true;
+  return {};
 }
 
 void DropTailQueue::Ring::grow() {

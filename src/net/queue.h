@@ -46,6 +46,26 @@ enum class QueueDiscipline : std::uint8_t {
 
 [[nodiscard]] const char* to_string(QueueDiscipline d) noexcept;
 
+// What DropTailQueue::enqueue did with an arrival: the paper's three
+// outcomes for a burst packet — queued, CE-marked at K, dropped — plus NDP
+// trimming. The queue is the only module that decides this; ports, the
+// auditor, the trace and PFC's VIQ unwind all read it from here.
+struct EnqueueVerdict {
+  enum class Outcome : std::uint8_t {
+    kQueued = 0,  // admitted unchanged
+    kMarked,      // admitted and CE-marked (occupancy at or above K)
+    kTrimmed,     // cut to its header, which joined the header ring
+    kDropped,     // refused; the packet stays the caller's to release
+  };
+  Outcome outcome{Outcome::kQueued};
+  // Wire bytes of the arrival the queue did not keep: the whole packet when
+  // dropped, the cut when trimmed (0 for an original no larger than a
+  // header), 0 otherwise.
+  std::int64_t shed_bytes{0};
+
+  [[nodiscard]] bool admitted() const noexcept { return outcome != Outcome::kDropped; }
+};
+
 class DropTailQueue {
  public:
   struct Config {
@@ -89,11 +109,10 @@ class DropTailQueue {
   // Attaches a shared buffer pool; admission then also requires pool memory.
   void attach_pool(SharedBufferPool* pool) noexcept { pool_ = pool; }
 
-  // Admits `p` (marking it CE if the queue is past the ECN threshold) or
-  // refuses it. Returns true if the packet was enqueued — for a trimming
-  // queue that includes the trimmed-to-header case (the stats tell the
-  // difference). A refused packet stays the caller's to release.
-  bool enqueue(Packet* p) {
+  // Admits `p` (marking it CE if the queue is past the ECN threshold),
+  // trims it, or refuses it, and says which. A refused packet stays the
+  // caller's to release.
+  [[nodiscard]] EnqueueVerdict enqueue(Packet* p) {
     if (trimming() && !p->is_data()) [[unlikely]] return enqueue_header(p, p->size_bytes);
     const std::int64_t size = p->size_bytes;
     // The caps apply to the data ring only (all of the queue under
@@ -103,9 +122,11 @@ class DropTailQueue {
     if (data_count < config_.capacity_packets &&
         (config_.capacity_bytes <= 0 || data_bytes_ + size <= config_.capacity_bytes) &&
         (pool_ == nullptr || pool_->try_reserve(size, data_bytes_))) {
+      EnqueueVerdict verdict;
       if (should_mark(*p, data_count)) {
         p->ecn = Ecn::kCe;
         ++stats_.ecn_marked_packets;
+        verdict.outcome = EnqueueVerdict::Outcome::kMarked;
       }
       data_bytes_ += size;
       bytes_ += size;
@@ -113,12 +134,10 @@ class DropTailQueue {
       ring_.push(p);
       ++stats_.enqueued_packets;
       note_peak();
-      return true;
+      return verdict;
     }
     if (trimming()) return trim(p);
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += size;
-    return false;
+    return drop(size);
   }
 
   // Removes the head-of-line packet — a queued header first, then data —
@@ -206,10 +225,16 @@ class DropTailQueue {
   }
 
   // Trimming: cuts a refused data packet to its header and queues that.
-  bool trim(Packet* p);
-  // Trimming: admits `p` onto the header ring, or counts `original_bytes`
-  // dropped when the header ring is full.
-  bool enqueue_header(Packet* p, std::int64_t original_bytes);
+  EnqueueVerdict trim(Packet* p);
+  // Trimming: admits `p` onto the header ring, or drops `original_bytes`
+  // when the header ring is full.
+  EnqueueVerdict enqueue_header(Packet* p, std::int64_t original_bytes);
+  // Counts a refused arrival of `bytes`.
+  EnqueueVerdict drop(std::int64_t bytes) noexcept {
+    ++stats_.dropped_packets;
+    stats_.dropped_bytes += bytes;
+    return {EnqueueVerdict::Outcome::kDropped, bytes};
+  }
 
   void note_peak() noexcept {
     if (count_ > peak_packets_) peak_packets_ = count_;

@@ -199,25 +199,14 @@ void Switch::receive(Packet* p, std::size_t in_port) {
     const std::uint64_t key = flow_key(p->src, p->dst, p->tcp.flow_id);
     out = group_ports_[ref.offset + static_cast<std::size_t>(key % ref.count)];
   }
-  if (viqs_.empty()) {
-    out->send(p);
-    return;
-  }
-  // PFC: a packet the egress queue refuses (drops) or trims never reaches
-  // on_dequeue with its full size, so the VIQ charge must be unwound here
-  // or it leaks and the pause never lifts.
+  // PFC: a packet the egress queue drops or trims never reaches on_dequeue
+  // with its full size, so the bytes it shed are credited back here, or the
+  // VIQ charge leaks and the pause never lifts. credit_viq ignores an index
+  // this switch has no VIQ for.
   const std::int16_t viq = p->viq;
-  const std::int64_t size = p->size_bytes;
-  const DropTailQueue::Stats& egress = out->queue().stats();
-  const std::int64_t drops_before = egress.dropped_packets;
-  const std::int64_t trim_bytes_before = egress.trimmed_bytes;
-  out->send(p);
-  if (viq >= 0) {
-    if (egress.dropped_packets > drops_before) {
-      credit_viq(static_cast<std::size_t>(viq), size);
-    } else if (egress.trimmed_bytes > trim_bytes_before) {
-      credit_viq(static_cast<std::size_t>(viq), egress.trimmed_bytes - trim_bytes_before);
-    }
+  const EnqueueVerdict verdict = out->send(p);
+  if (viq >= 0 && verdict.shed_bytes > 0) [[unlikely]] {
+    credit_viq(static_cast<std::size_t>(viq), verdict.shed_bytes);
   }
 }
 

@@ -82,6 +82,14 @@ void FlightRecorder::arm(const TriggerConfig& trigger) {
   collapse_active_ = false;
 }
 
+void FlightRecorder::restart() {
+  ring_.clear();
+  head_ = 0;
+  rto_times_.clear();
+  storm_active_ = false;
+  collapse_active_ = false;
+}
+
 std::vector<TraceEvent> FlightRecorder::ring_snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());

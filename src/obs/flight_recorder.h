@@ -61,6 +61,11 @@ class FlightRecorder {
   }
   [[nodiscard]] const TriggerConfig& trigger() const noexcept { return trigger_; }
 
+  // Empties the ring and releases the trigger latches, so a retried run's
+  // dumps hold none of an earlier attempt's events. The trigger, the sink
+  // and the dump count stay.
+  void restart();
+
   // Invoked on every firing with the trigger reason and the ring contents
   // (oldest first, ending with a "trigger: <reason>" instant). The CLI
   // installs a sink that writes a Chrome-trace JSON file; tests install

@@ -132,7 +132,7 @@ void Auditor::exceed_budget(const std::string& detail, std::int64_t at_ns) const
     }
   }
   if (budget_sink_) budget_sink_(at_ns, msg);
-  throw BudgetExceeded{msg};
+  throw BudgetExceeded{msg, event_counts_ != nullptr ? *event_counts_ : EventCategoryCounts{}};
 }
 
 void Auditor::check_conservation(std::int64_t residual_bytes) {

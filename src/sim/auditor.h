@@ -72,11 +72,20 @@ class AuditFailure : public std::runtime_error {
 // The auditor's message names the simulated time the run had reached, so
 // a runaway run can be told from one that was merely long, and ends with
 // the run's non-zero per-category event counts ("; net=…, tcp=…"), so it
-// says which layer the events went to.
+// says which layer the events went to. It also carries those counts, so a
+// sweep can report what the failed attempt dispatched.
 class BudgetExceeded : public std::runtime_error {
  public:
-  explicit BudgetExceeded(const std::string& detail)
-      : std::runtime_error{"budget exceeded: " + detail} {}
+  explicit BudgetExceeded(const std::string& detail, const EventCategoryCounts& events = {})
+      : std::runtime_error{"budget exceeded: " + detail}, events_{events} {}
+  // Per-category events dispatched when the budget ran out (all zero when
+  // the thrower did not know them).
+  [[nodiscard]] const EventCategoryCounts& events_by_category() const noexcept {
+    return events_;
+  }
+
+ private:
+  EventCategoryCounts events_;
 };
 
 // Thrown when the cooperative cancellation flag is observed set (SIGINT /

@@ -85,10 +85,12 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// Maps a task's exception onto the failure taxonomy, extracting the message.
-// A task may wrap its failure with context (std::throw_with_nested): the
-// category is then the cause's, and the message is "<context>: <cause>".
-FailureCategory classify_failure(const std::exception_ptr& ep, std::string& message) {
+// Maps a task's exception onto the failure taxonomy, extracting the message
+// and, from a budget trip, the events the attempt dispatched. A task may
+// wrap its failure with context (std::throw_with_nested): the category is
+// then the cause's, and the message is "<context>: <cause>".
+FailureCategory classify_failure(const std::exception_ptr& ep, std::string& message,
+                                 SweepRunner::TaskStats& stats) {
   try {
     std::rethrow_exception(ep);
   } catch (const std::nested_exception& wrapped) {
@@ -98,7 +100,7 @@ FailureCategory classify_failure(const std::exception_ptr& ep, std::string& mess
       message = std::move(what);
       return FailureCategory::kException;
     }
-    const FailureCategory category = classify_failure(wrapped.nested_ptr(), message);
+    const FailureCategory category = classify_failure(wrapped.nested_ptr(), message, stats);
     message = what + ": " + message;
     return category;
   } catch (const RunCancelled& e) {
@@ -109,6 +111,9 @@ FailureCategory classify_failure(const std::exception_ptr& ep, std::string& mess
     return FailureCategory::kAudit;
   } catch (const BudgetExceeded& e) {
     message = e.what();
+    stats.events_by_category = e.events_by_category();
+    stats.events = 0;
+    for (const std::uint64_t n : stats.events_by_category) stats.events += n;
     return FailureCategory::kBudget;
   } catch (const std::exception& e) {
     message = e.what();
@@ -170,7 +175,7 @@ void SweepRunner::execute(std::size_t n,
         st.wall_ms = ms_between(t0, Clock::now());
         std::string message;
         const FailureCategory category =
-            classify_failure(std::current_exception(), message);
+            classify_failure(std::current_exception(), message, st);
         if (category != FailureCategory::kCancelled && attempt < max_attempts &&
             !cancelled()) {
           retries.fetch_add(1, std::memory_order_relaxed);

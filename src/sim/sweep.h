@@ -109,7 +109,9 @@ class SweepRunner {
   // event count through the reference they receive.
   struct TaskStats {
     double wall_ms{0.0};          // wall-clock execution time of the task
-    std::uint64_t events{0};      // simulator events the task dispatched
+    // Simulator events the task dispatched; for an attempt that failed on
+    // its budget, the events it had dispatched when the budget ran out.
+    std::uint64_t events{0};
     int worker{-1};               // worker thread that ran it (0 = caller)
     // Per-category dispatch counts (copy the task Simulator's
     // events_by_category() here to surface the event-loop profile).

@@ -36,10 +36,10 @@ DropTailQueue::Config trim_config(std::int64_t capacity) {
 
 TEST(CompositeQueue, TrimsInsteadOfDroppingWhenDataRingIsFull) {
   DropTailQueue q{trim_config(2)};
-  EXPECT_TRUE(q.enqueue(data_packet(0)));
-  EXPECT_TRUE(q.enqueue(data_packet(1460)));
+  EXPECT_TRUE(q.enqueue(data_packet(0)).admitted());
+  EXPECT_TRUE(q.enqueue(data_packet(1460)).admitted());
   // Third arrival exceeds capacity: trimmed to a 64 B header, not dropped.
-  EXPECT_TRUE(q.enqueue(data_packet(2920)));
+  EXPECT_TRUE(q.enqueue(data_packet(2920)).admitted());
   EXPECT_EQ(q.data_packets(), 2);
   EXPECT_EQ(q.header_packets(), 1);
   EXPECT_EQ(q.stats().trimmed_packets, 1);
@@ -52,9 +52,9 @@ TEST(CompositeQueue, TrimsInsteadOfDroppingWhenDataRingIsFull) {
 
 TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
   DropTailQueue q{trim_config(2)};
-  EXPECT_TRUE(q.enqueue(data_packet(0)));
-  EXPECT_TRUE(q.enqueue(data_packet(1460)));
-  EXPECT_TRUE(q.enqueue(data_packet(2920)));  // trimmed
+  EXPECT_TRUE(q.enqueue(data_packet(0)).admitted());
+  EXPECT_TRUE(q.enqueue(data_packet(1460)).admitted());
+  EXPECT_TRUE(q.enqueue(data_packet(2920)).admitted());  // trimmed
 
   // Strict priority: the header queued last comes out first.
   auto first = q.dequeue();
@@ -77,10 +77,10 @@ TEST(CompositeQueue, HeadersDequeueBeforeQueuedData) {
 
 TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
   DropTailQueue q{trim_config(1)};
-  EXPECT_TRUE(q.enqueue(data_packet(0)));
+  EXPECT_TRUE(q.enqueue(data_packet(0)).admitted());
   Packet* ect = data_packet(1460);
   ect->ecn = Ecn::kEct0;
-  EXPECT_TRUE(q.enqueue(ect));
+  EXPECT_TRUE(q.enqueue(ect).admitted());
   auto header = q.dequeue();
   ASSERT_NE(header, nullptr);
   EXPECT_TRUE(header->trimmed);
@@ -90,11 +90,11 @@ TEST(CompositeQueue, TrimmedEctPacketIsCeMarked) {
 
 TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
   DropTailQueue q{trim_config(1)};
-  EXPECT_TRUE(q.enqueue(data_packet(0)));
+  EXPECT_TRUE(q.enqueue(data_packet(0)).admitted());
   // make_data_packet defaults to ECT0 (DCTCP); force a non-ECN sender.
   Packet* not_ect = data_packet(1460);
   not_ect->ecn = Ecn::kNotEct;
-  EXPECT_TRUE(q.enqueue(not_ect));
+  EXPECT_TRUE(q.enqueue(not_ect).admitted());
   auto header = q.dequeue();
   ASSERT_NE(header, nullptr);
   EXPECT_TRUE(header->trimmed);
@@ -103,10 +103,10 @@ TEST(CompositeQueue, TrimmedNonEctPacketStaysUnmarked) {
 
 TEST(CompositeQueue, HeaderOnlyTrafficRidesThePriorityQueue) {
   DropTailQueue q{trim_config(10)};
-  EXPECT_TRUE(q.enqueue(data_packet(0)));
+  EXPECT_TRUE(q.enqueue(data_packet(0)).admitted());
   // An ACK (no payload) joins the header ring even though the data ring
   // has room — header-only traffic must never sit behind full frames.
-  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))).admitted());
   EXPECT_EQ(q.data_packets(), 1);
   EXPECT_EQ(q.header_packets(), 1);
   auto first = q.dequeue();
@@ -118,9 +118,9 @@ TEST(CompositeQueue, HeaderQueueOverflowIsARealDrop) {
   DropTailQueue::Config cfg = trim_config(1);
   cfg.header_capacity_packets = 2;
   DropTailQueue q{cfg};
-  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 0, false))));
-  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))));
-  EXPECT_FALSE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 2920, false))));
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 0, false))).admitted());
+  EXPECT_TRUE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 1460, false))).admitted());
+  EXPECT_FALSE(q.enqueue(pool().acquire(make_ack_packet(2, 1, 1, 2920, false))).admitted());
   EXPECT_EQ(q.header_packets(), 2);
   EXPECT_EQ(q.stats().dropped_packets, 1);
 }
@@ -131,12 +131,12 @@ TEST(CompositeQueue, EcnMarksOnTheDataRingBelowTheTrimPoint) {
   DropTailQueue q{cfg};
   Packet* first = data_packet(0);
   first->ecn = Ecn::kEct0;
-  EXPECT_TRUE(q.enqueue(first));
+  EXPECT_TRUE(q.enqueue(first).admitted());
   Packet* second = data_packet(1460);
   second->ecn = Ecn::kEct0;
   // Occupancy 1 >= K=1 at arrival: marked, yet still queued as full data —
   // senders see ECN pressure well before payloads start getting cut.
-  EXPECT_TRUE(q.enqueue(second));
+  EXPECT_TRUE(q.enqueue(second).admitted());
   EXPECT_EQ(q.data_packets(), 2);
   EXPECT_EQ(q.stats().ecn_marked_packets, 1);
   EXPECT_EQ(q.stats().trimmed_packets, 0);
@@ -147,16 +147,16 @@ TEST(CompositeQueue, MakeQueueBuildsTheConfiguredDiscipline) {
   // under kTrimming and tail-drops under kDropTail.
   DropTailQueue trim{trim_config(1)};
   ASSERT_TRUE(trim.trimming());
-  EXPECT_TRUE(trim.enqueue(data_packet(0)));
-  EXPECT_TRUE(trim.enqueue(data_packet(1460)));
+  EXPECT_TRUE(trim.enqueue(data_packet(0)).admitted());
+  EXPECT_TRUE(trim.enqueue(data_packet(1460)).admitted());
   EXPECT_EQ(trim.stats().trimmed_packets, 1);
   DropTailQueue::Config plain_cfg = trim_config(1);
   plain_cfg.discipline = QueueDiscipline::kDropTail;
   DropTailQueue plain{plain_cfg};
   EXPECT_FALSE(plain.trimming());
-  EXPECT_TRUE(plain.enqueue(data_packet(0)));
+  EXPECT_TRUE(plain.enqueue(data_packet(0)).admitted());
   Packet* refused = data_packet(1460);
-  EXPECT_FALSE(plain.enqueue(refused));
+  EXPECT_FALSE(plain.enqueue(refused).admitted());
   pool().release(refused);
   EXPECT_EQ(plain.stats().trimmed_packets, 0);
   EXPECT_EQ(plain.header_packets(), 0);

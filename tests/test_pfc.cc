@@ -1,7 +1,8 @@
 // PFC lossless-Ethernet tests: LosslessInputQueue XOFF/XON hysteresis and
 // headroom accounting, Port pause auto-expiry (the deadlock watchdog), the
-// strict-priority control-frame path, and an end-to-end run where resume
-// frames are lost on the wire yet the fabric never deadlocks.
+// strict-priority control-frame path, the VIQ unwind when a PFC switch's
+// egress queue drops or trims, and an end-to-end run where resume frames
+// are lost on the wire yet the fabric never deadlocks.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,6 +10,7 @@
 #include "net/host.h"
 #include "net/node.h"
 #include "net/pfc.h"
+#include "net/switch.h"
 #include "net/topology.h"
 #include "tcp/tcp_connection.h"
 
@@ -183,6 +185,59 @@ TEST(PfcPort, ControlFramesBypassAPausedPort) {
   f.sim.run();
   ASSERT_EQ(f.dst.arrivals.size(), 2u);
   EXPECT_TRUE(f.dst.arrivals[1].packet.is_data());
+}
+
+// ---------------------------------------------------------------------------
+// VIQ unwind: a packet a PFC switch's egress queue drops never reaches
+// on_dequeue, and a trimmed one reaches it with only its header, so
+// Switch::receive credits the VIQ with the bytes the queue shed. Once the
+// egress drains, every VIQ must hold nothing.
+
+TEST(PfcSwitch, EgressDropsAndTrimsUnwindTheirViqCharge) {
+  Simulator sim;
+  SourceNode src{sim, 0, "src"};
+  Switch sw{sim, 1, "sw"};
+  SinkNode drop_sink{sim, 2, "drop_sink"};
+  SinkNode trim_sink{sim, 3, "trim_sink"};
+  const auto rate = sim::Bandwidth::gigabits_per_second(10);
+  const DropTailQueue::Config roomy{.capacity_packets = 100, .ecn_threshold_packets = 0};
+  src.add_port(rate, 1_us, roomy);
+  sw.add_port(rate, 1_us, roomy);  // 0: back toward src
+  // 1: tail-drops past four queued packets; 2: trims past three.
+  sw.add_port(rate, 1_us, {.capacity_packets = 4, .ecn_threshold_packets = 0});
+  sw.add_port(rate, 1_us, {.capacity_packets = 3,
+                           .ecn_threshold_packets = 0,
+                           .discipline = QueueDiscipline::kTrimming});
+  drop_sink.add_port(rate, 1_us, roomy);
+  trim_sink.add_port(rate, 1_us, roomy);
+  connect_duplex(src, 0, sw, 0);
+  connect_duplex(sw, 1, drop_sink, 0);
+  connect_duplex(sw, 2, trim_sink, 0);
+  sw.set_route(2, std::size_t{1});
+  sw.set_route(3, std::size_t{2});
+  // The seven queued packets (10,500 B) pass XOFF, so the burst also
+  // pauses src and the drain resumes it; headers stay within headroom.
+  sw.enable_pfc(small_pfc());
+
+  // Eight packets toward each sink land on in-port 0 at once: each egress
+  // starts one, queues what fits, and drops or trims the rest.
+  for (int i = 0; i < 8; ++i) {
+    sw.receive(sw.packets().acquire(make_data_packet(0, 2, 1, i * 1460, 1460)), 0);
+    sw.receive(sw.packets().acquire(make_data_packet(0, 3, 2, i * 1460, 1460)), 0);
+  }
+  sim.run();
+
+  EXPECT_EQ(sw.port(1).queue().stats().dropped_packets, 3);
+  EXPECT_EQ(sw.port(2).queue().stats().trimmed_packets, 4);
+  EXPECT_EQ(sw.port(2).queue().stats().dropped_packets, 0);
+  EXPECT_EQ(drop_sink.arrivals.size(), 5u);
+  EXPECT_EQ(trim_sink.arrivals.size(), 8u);
+  EXPECT_GT(sw.viq(0)->stats().pause_frames, 0);
+  EXPECT_GT(sw.viq(0)->stats().resume_frames, 0);
+  for (std::size_t i = 0; i < sw.num_viqs(); ++i) {
+    EXPECT_EQ(sw.viq(i)->bytes(), 0) << "VIQ " << i;
+  }
+  EXPECT_FALSE(sw.viq(0)->paused_upstream());
 }
 
 // ---------------------------------------------------------------------------

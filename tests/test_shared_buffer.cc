@@ -90,7 +90,7 @@ TEST(SharedBufferPool, QueueIntegrationDropsWhenPoolRejects) {
 
   int admitted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (q.enqueue(packets().acquire(make_data_packet(1, 2, 1, 0, 1460)))) ++admitted;
+    if (q.enqueue(packets().acquire(make_data_packet(1, 2, 1, 0, 1460))).admitted()) ++admitted;
   }
   // cap = total/2 at alpha=1: 3'000 B = 2 packets.
   EXPECT_EQ(admitted, 2);
